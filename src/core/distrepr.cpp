@@ -24,7 +24,7 @@ std::string to_string(ReprKind kind) {
     case ReprKind::kQuantile:
       return "Quantile";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown distribution representation");
 }
 
 std::span<const ReprKind> all_repr_kinds() {

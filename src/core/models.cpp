@@ -20,7 +20,7 @@ std::string to_string(ModelKind kind) {
     case ModelKind::kRidge:
       return "Ridge";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown model kind");
 }
 
 std::span<const ModelKind> all_model_kinds() {

@@ -19,7 +19,7 @@ const char* to_string(DriftKind kind) {
     case DriftKind::kThermalRamp:
       return "thermal";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown drift kind");
 }
 
 bool parse_drift_kind(const std::string& name, DriftKind* out) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 
+#include "common/check.hpp"
+
 namespace varpred::measure {
 namespace {
 
@@ -37,7 +39,7 @@ std::string to_string(MetricCategory category) {
     case MetricCategory::kDuration:
       return "duration";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown metric category");
 }
 
 MetricCategory categorize_metric(const std::string& name) {

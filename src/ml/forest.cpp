@@ -95,6 +95,12 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
     }
   }
 
+  // The exact scans of every tree read feature values from one shared
+  // column-major copy of x, released when the fit returns.
+  Matrix columns;
+  if (bins == nullptr) columns = x.transposed();
+  const Matrix* shared_columns = bins == nullptr ? &columns : nullptr;
+
   trees_.assign(params_.n_trees, RegressionTree(tp));
   const std::size_t n = x.rows();
   parallel_for(params_.n_trees, [&](std::size_t t) {
@@ -113,13 +119,13 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
         tree.fit_rows(x, y, rows, nullptr, bins.get());
       } else if (base != nullptr) {
         const SortedColumns sample = base->filtered(rows, /*remap=*/false);
-        tree.fit_rows(x, y, rows, &sample);
+        tree.fit_rows(x, y, rows, &sample, nullptr, shared_columns);
       } else {
-        tree.fit_rows(x, y, rows);
+        tree.fit_rows(x, y, rows, nullptr, nullptr, shared_columns);
       }
     } else {
       std::iota(rows.begin(), rows.end(), std::size_t{0});
-      tree.fit_rows(x, y, rows, base.get(), bins.get());
+      tree.fit_rows(x, y, rows, base.get(), bins.get(), shared_columns);
     }
     trees_[t] = std::move(tree);
   });

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -135,8 +136,8 @@ std::int32_t GradientBoosting::build_node(
     std::span<const double> hess, std::vector<std::size_t>& work,
     std::size_t begin, std::size_t end, std::size_t depth,
     std::span<const std::size_t> cols, const SortedColumns* presorted,
-    ColumnSegments* segments, std::vector<char>& in_node, BinnedScan* bscan,
-    std::size_t hist) const {
+    const Matrix* columns, ColumnSegments* segments,
+    std::vector<char>& in_node, BinnedScan* bscan, std::size_t hist) const {
   const std::size_t n = end - begin;
   double g_total = 0.0;
   double h_total = 0.0;
@@ -160,19 +161,24 @@ std::int32_t GradientBoosting::build_node(
   double best_gain = params_.gamma;
   std::int32_t best_feature = -1;
   double best_threshold = 0.0;
+  std::size_t scored = 0;
 
   // Evaluates split candidates along a row sequence already sorted by
-  // feature f; `accept(row)` filters rows to this node's subset.
+  // feature f; `accept(row)` filters rows to this node's subset. Values
+  // come from the column-major copy of x. The squared loss's Hessian is
+  // the constant 1, so the left Hessian sum is exactly the number of rows
+  // seen (a sum of ones) and needs no per-row gather.
   auto scan_sorted = [&](std::size_t f, auto&& rows_sorted, auto&& accept) {
+    const std::span<const double> values = columns->row(f);
     double g_left = 0.0;
-    double h_left = 0.0;
     std::size_t seen = 0;
     double prev_value = 0.0;
     for (const std::size_t row : rows_sorted) {
       if (!accept(row)) continue;
-      const double v = x(row, f);
+      const double v = values[row];
       if (seen > 0 && v != prev_value) {
         // Candidate split between prev_value and v.
+        const auto h_left = static_cast<double>(seen);
         const double h_right = h_total - h_left;
         if (h_left >= params_.min_child_weight &&
             h_right >= params_.min_child_weight) {
@@ -181,6 +187,7 @@ std::int32_t GradientBoosting::build_node(
               0.5 * (g_left * g_left / (h_left + params_.lambda) +
                      g_right * g_right / (h_right + params_.lambda) -
                      parent_score);
+          ++scored;
           if (gain > best_gain) {
             best_gain = gain;
             best_feature = static_cast<std::int32_t>(f);
@@ -189,7 +196,6 @@ std::int32_t GradientBoosting::build_node(
         }
       }
       g_left += grad[row];
-      h_left += hess[row];
       prev_value = v;
       ++seen;
     }
@@ -264,9 +270,8 @@ std::int32_t GradientBoosting::build_node(
     // Each column's [begin, end) range holds exactly this node's rows in
     // (feature value, row index) order — scan it directly, no filtering.
     for (const std::size_t f : cols) {
-      scan_sorted(
-          f, std::span<const std::size_t>(segments->col[f]).subspan(begin, n),
-          [](std::size_t) { return true; });
+      scan_sorted(f, segments->segment(f, begin, end),
+                  [](std::size_t) { return true; });
     }
   } else if (presorted != nullptr) {
     // Filtered linear scan over the fit-level sorted order (no sorting).
@@ -292,6 +297,7 @@ std::int32_t GradientBoosting::build_node(
     }
   }
 
+  if (bscan == nullptr) VARPRED_OBS_COUNT("ml.gbt.candidates_scored", scored);
   if (best_feature < 0) return leaf();
 
   const auto f = static_cast<std::size_t>(best_feature);
@@ -301,27 +307,16 @@ std::int32_t GradientBoosting::build_node(
                      [&](std::size_t idx) { return x(idx, f) <= best_threshold; });
   const auto mid = static_cast<std::size_t>(mid_it - work.begin());
   if (mid == begin || mid == end) return leaf();
+  VARPRED_OBS_COUNT("ml.gbt.nodes_split", 1);
+  VARPRED_OBS_COUNT("ml.gbt.rows_partitioned", n);
 
-  if (segments != nullptr) {
-    // Keep every column's range partitioned in lockstep with `work`. The
-    // partition is stable, so each child's range stays in (value, index)
-    // order — exactly what a fresh per-node sort would produce.
-    for (auto& column : segments->col) {
-      std::size_t* seg = column.data();
-      std::size_t write = begin;
-      std::size_t spill = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t row = seg[i];
-        if (x(row, f) <= best_threshold) {
-          seg[write++] = row;
-        } else {
-          segments->scratch[spill++] = row;
-        }
-      }
-      std::copy(segments->scratch.begin(),
-                segments->scratch.begin() + static_cast<std::ptrdiff_t>(spill),
-                seg + write);
-    }
+  // Keep every column's range partitioned in lockstep with `work`, unless
+  // depth or size already makes both children leaves: then no scan reads
+  // the segments again.
+  const bool children_scanned =
+      depth + 1 < params_.max_depth && (mid - begin >= 2 || end - mid >= 2);
+  if (segments != nullptr && children_scanned) {
+    segments->split(f, columns->row(f), best_threshold, begin, end);
   }
 
   // Arena mode: derive the children's histograms with the subtraction trick
@@ -352,10 +347,10 @@ std::int32_t GradientBoosting::build_node(
   tree.nodes[self].threshold = best_threshold;
   const std::int32_t left =
       build_node(tree, x, grad, hess, work, begin, mid, depth + 1, cols,
-                 presorted, segments, in_node, bscan, left_hist);
+                 presorted, columns, segments, in_node, bscan, left_hist);
   const std::int32_t right =
       build_node(tree, x, grad, hess, work, mid, end, depth + 1, cols,
-                 presorted, segments, in_node, bscan, right_hist);
+                 presorted, columns, segments, in_node, bscan, right_hist);
   tree.nodes[self].left = left;
   tree.nodes[self].right = right;
   return self;
@@ -365,7 +360,7 @@ GradientBoosting::BoostTree GradientBoosting::fit_tree(
     const Matrix& x, std::span<const double> grad,
     std::span<const double> hess, std::span<const std::size_t> rows,
     std::span<const std::size_t> cols, const SortedColumns* presorted,
-    ColumnSegments* segments, BinnedScan* bscan) const {
+    const Matrix* columns, ColumnSegments* segments, BinnedScan* bscan) const {
   BoostTree tree;
   std::vector<std::size_t> work(rows.begin(), rows.end());
   std::vector<char> in_node;
@@ -379,7 +374,7 @@ GradientBoosting::BoostTree GradientBoosting::fit_tree(
     bs_add_range(*bscan, grad, hess, work, 0, work.size(), root_hist);
   }
   build_node(tree, x, grad, hess, work, 0, work.size(), 0, cols, presorted,
-             segments, in_node, bscan, root_hist);
+             columns, segments, in_node, bscan, root_hist);
   return tree;
 }
 
@@ -449,6 +444,21 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
     }
   }
 
+  // The exact scans read values from one column-major copy of x, shared
+  // read-only by every output ensemble. When every tree also sees every
+  // row and column, the per-feature orders are kept as node-partitioned
+  // segments: each ensemble restores its copy from the shared root orders
+  // every round.
+  const auto n_cols = std::max<std::size_t>(
+      1, static_cast<std::size_t>(std::llround(
+             params_.colsample * static_cast<double>(x.cols()))));
+  Matrix columns;
+  if (bins == nullptr) columns = x.transposed();
+  std::optional<const ColumnSegments> root;
+  if (bins == nullptr && share_rows && n_cols == x.cols()) {
+    root.emplace(*presorted);
+  }
+
   parallel_for(n_outputs, [&](std::size_t out) {
     Rng rng(seed_combine(params_.seed, out));
     Ensemble& ens = ensembles_[out];
@@ -464,9 +474,6 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
     const std::vector<double> hess(n, 1.0);  // squared loss
     ens.trees.reserve(params_.n_rounds);
 
-    const auto n_cols = std::max<std::size_t>(
-        1, static_cast<std::size_t>(std::llround(
-               params_.colsample * static_cast<double>(x.cols()))));
     const auto n_rows = std::max<std::size_t>(
         2, static_cast<std::size_t>(std::llround(
                params_.subsample * static_cast<double>(n))));
@@ -476,16 +483,7 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
     std::vector<std::size_t> all_rows(n);
     std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
 
-    // When every tree also sees every column, maintain the column orders as
-    // node-partitioned segments: scans touch only the node's own rows
-    // instead of filtering the full dataset order at every node.
-    const bool segment_mode = bins == nullptr && share_rows &&
-                              n_cols == x.cols();
-    ColumnSegments segments;
-    if (segment_mode) {
-      segments.col.resize(x.cols());
-      segments.scratch.resize(n);
-    }
+    std::optional<ColumnSegments> segments = root;
 
     // Binned split-search state for this ensemble; the histogram pool
     // persists across rounds (buffers return to the free list fully zero).
@@ -522,15 +520,11 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
         std::sort(rows.begin(), rows.end());
       }
 
-      ColumnSegments* seg = nullptr;
-      if (segment_mode) {
-        for (std::size_t f = 0; f < x.cols(); ++f) {
-          segments.col[f] = presorted->order[f];
-        }
-        seg = &segments;
-      }
+      if (segments && round > 0) segments->reset_to(*root);
       BoostTree tree = fit_tree(x, grad, hess, rows, cols,
-                                share_rows ? presorted.get() : nullptr, seg,
+                                share_rows ? presorted.get() : nullptr,
+                                bins == nullptr ? &columns : nullptr,
+                                segments ? &*segments : nullptr,
                                 bins != nullptr ? &bscan : nullptr);
       for (std::size_t r = 0; r < n; ++r) {
         pred[r] += params_.learning_rate * tree.predict_one(x.row(r));

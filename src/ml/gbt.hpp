@@ -64,17 +64,6 @@ class GradientBoosting final : public Regressor {
     std::vector<BoostTree> trees;
   };
 
-  // Per-feature row orders partitioned in lockstep with the node row stack:
-  // every tree node owns the same [begin, end) range of each column, and that
-  // range holds the node's rows sorted by that feature. Splitting a node
-  // stable-partitions every column's range, so child scans stay sorted —
-  // the scan sequence is exactly what a per-node sort would produce, without
-  // ever sorting past the tree root.
-  struct ColumnSegments {
-    std::vector<std::vector<std::size_t>> col;  // per feature
-    std::vector<std::size_t> scratch;           // stable-partition spill
-  };
-
   // Histogram-binned split-search state (one per output ensemble). Arena
   // mode (every tree sees every column) keeps {count, grad-sum, hess-sum}
   // histograms per live tree path, deriving siblings with the parent−child
@@ -113,7 +102,7 @@ class GradientBoosting final : public Regressor {
                      std::span<const double> hess,
                      std::span<const std::size_t> rows,
                      std::span<const std::size_t> cols,
-                     const SortedColumns* presorted,
+                     const SortedColumns* presorted, const Matrix* columns,
                      ColumnSegments* segments, BinnedScan* bscan) const;
   std::int32_t build_node(BoostTree& tree, const Matrix& x,
                           std::span<const double> grad,
@@ -122,7 +111,7 @@ class GradientBoosting final : public Regressor {
                           std::size_t end, std::size_t depth,
                           std::span<const std::size_t> cols,
                           const SortedColumns* presorted,
-                          ColumnSegments* segments,
+                          const Matrix* columns, ColumnSegments* segments,
                           std::vector<char>& in_node, BinnedScan* bscan,
                           std::size_t hist) const;
 

@@ -35,4 +35,14 @@ Matrix Matrix::gather_rows(std::span<const std::size_t> indices) const {
   return out;
 }
 
+Matrix Matrix::transposed() const {
+  Matrix out(cols_, rows_);
+  for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t c = 0; c < cols_; ++c) {
+      out.data_[c * rows_ + r] = data_[r * cols_ + c];
+    }
+  }
+  return out;
+}
+
 }  // namespace varpred::ml

@@ -60,6 +60,10 @@ class Matrix {
   /// Selects a subset of rows into a new matrix.
   Matrix gather_rows(std::span<const std::size_t> indices) const;
 
+  /// The transpose: row c of the result is column c of this matrix, stored
+  /// contiguously.
+  Matrix transposed() const;
+
   const std::vector<double>& data() const { return data_; }
 
  private:

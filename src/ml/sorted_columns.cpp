@@ -1,6 +1,7 @@
 #include "ml/sorted_columns.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 
 #include "common/check.hpp"
@@ -66,6 +67,49 @@ SortedColumns SortedColumns::filtered(std::span<const std::size_t> rows,
     out.order[c] = std::move(col_order);
   }
   return out;
+}
+
+ColumnSegments::ColumnSegments(const SortedColumns& sorted)
+    : rows_(sorted.row_count()), cols_(sorted.cols()) {
+  order_.reserve(rows_ * cols_);
+  std::size_t max_row = 0;
+  for (const auto& column : sorted.order) {
+    for (const std::size_t row : column) {
+      max_row = std::max(max_row, row);
+      order_.push_back(static_cast<std::uint32_t>(row));
+    }
+  }
+  VARPRED_CHECK_ARG(max_row <= UINT32_MAX, "row ids do not fit 32 bits");
+  spill_.resize(rows_);
+  go_left_.resize(rows_ == 0 ? 0 : max_row + 1);
+}
+
+void ColumnSegments::split(std::size_t f, std::span<const double> values,
+                           double threshold, std::size_t begin,
+                           std::size_t end) {
+  for (const std::uint32_t row : segment(f, begin, end)) {
+    go_left_[row] = values[row] <= threshold;
+  }
+  for (std::size_t c = 0; c < cols_; ++c) {
+    std::uint32_t* seg = order_.data() + c * rows_;
+    std::size_t left = begin;
+    std::size_t right = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t row = seg[i];
+      const std::size_t goes_left = go_left_[row];
+      seg[left] = row;  // left <= i: never overwrites an unread row
+      spill_[right] = row;
+      left += goes_left;
+      right += 1 - goes_left;
+    }
+    std::copy_n(spill_.begin(), right, seg + left);
+  }
+}
+
+void ColumnSegments::reset_to(const ColumnSegments& root) {
+  VARPRED_CHECK_ARG(root.rows_ == rows_ && root.cols_ == cols_,
+                    "column segments shape mismatch");
+  std::copy(root.order_.begin(), root.order_.end(), order_.begin());
 }
 
 }  // namespace varpred::ml

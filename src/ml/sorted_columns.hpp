@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -48,6 +49,52 @@ struct SortedColumns {
   /// emitted once per occurrence in `rows` — the order a sort of the sample
   /// multiset by (value, index) would produce.
   SortedColumns filtered(std::span<const std::size_t> rows, bool remap) const;
+};
+
+/// The exact split search's working layout, shared by RegressionTree and
+/// GradientBoosting: per-feature row orders partitioned in lockstep with the
+/// tree being grown. Every node owns the same [begin, end) range of each
+/// column, and that range holds the node's rows sorted by that feature.
+/// split() stable-partitions every column's range, so each child's range
+/// stays in (value, index) order — exactly the sequence a per-node sort
+/// would produce, without sorting past the root.
+///
+/// Fit-scoped: a learner builds one per tree (or per boosting ensemble) and
+/// drops it when the fit returns.
+class ColumnSegments {
+ public:
+  ColumnSegments() = default;
+  /// Loads `sorted`'s orders (row ids must fit 32 bits).
+  explicit ColumnSegments(const SortedColumns& sorted);
+
+  std::size_t cols() const { return cols_; }
+  std::size_t rows() const { return rows_; }
+
+  /// Column f's rows [begin, end): a node's rows sorted by feature f.
+  std::span<const std::uint32_t> segment(std::size_t f, std::size_t begin,
+                                         std::size_t end) const {
+    return {order_.data() + f * rows_ + begin, end - begin};
+  }
+
+  /// Splits the node owning [begin, end) at `threshold` on feature f:
+  /// afterwards every column's range holds first the rows whose value
+  /// `values[row]` is <= threshold, then the others, each side in its
+  /// previous order. `values` is feature f's column indexed by row id.
+  /// Branch-free: each row is written to both sides and the sides advance
+  /// by its go-left flag.
+  void split(std::size_t f, std::span<const double> values, double threshold,
+             std::size_t begin, std::size_t end);
+
+  /// Restores the orders of `root`, which must have this object's shape,
+  /// reusing this object's storage.
+  void reset_to(const ColumnSegments& root);
+
+ private:
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  std::vector<std::uint32_t> order_;  // column f at [f * rows_, (f + 1) * rows_)
+  std::vector<std::uint32_t> spill_;  // right side of the column in flight
+  std::vector<std::uint8_t> go_left_;  // per row id, for the split in flight
 };
 
 }  // namespace varpred::ml

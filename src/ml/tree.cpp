@@ -3,21 +3,123 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
 
 #include "ml/histkernels.hpp"
+#include "obs/obs.hpp"
 
 namespace varpred::ml {
 namespace {
 
-// Best split of one feature over sorted order: returns (sse, threshold) or
-// nullopt when no valid split exists.
-struct SplitCandidate {
+// The best split found so far at one node.
+struct BestSplit {
   double sse = 0.0;
+  std::int32_t feature = -1;
   double threshold = 0.0;
-  std::size_t left_count = 0;
 };
 
+// Frees a buffer's storage (clear() keeps the capacity).
+template <typename T>
+void release(T& buffer) {
+  buffer = T();
+}
+
+// Scratch of scan_feature for a fit over n sampled rows and o outputs.
+struct ScanBuffers {
+  std::vector<double> running;  // o: per-output left sums so far
+  // (n + 3) * o: per-candidate left sums, with room for the idle lanes of
+  // the last group of four
+  std::vector<double> left;
+  std::vector<std::uint32_t> candidates;  // n: candidates' split positions
+
+  ScanBuffers() = default;
+  ScanBuffers(std::size_t n, std::size_t o)
+      : running(o), left((n + 3) * o, 0.0), candidates(n) {}
+};
+
+// Exact split search over one feature: `rows` holds the node's rows sorted
+// by (value of feature f, row id), `values` is feature f's column. Performs
+// the floating-point operations of a sequential scan that keeps one running
+// sum per output and scores each candidate as it passes, in the same order,
+// without a data-dependent branch per row:
+//
+//   1. One pass over the sorted rows keeps the running per-output left sums
+//      (from 0.0, one add per row and output). After each row it stores
+//      them, and the split position, as the next candidate; the candidate
+//      count advances only when the position leaves min_leaf rows on each
+//      side and falls between distinct values.
+//   2. Candidates are scored four at a time: four independent penalty
+//      chains, each summed in output order.
+//   3. Scores are compared with the best in candidate order, so ties
+//      resolve as in the sequential scan; only an improvement branches.
+//
+// Returns the candidates scored.
+std::size_t scan_feature(std::size_t f, std::span<const std::uint32_t> rows,
+                         std::span<const double> values, const double* y,
+                         const double* total_sum, double total_sq,
+                         std::size_t min_leaf, ScanBuffers& buf,
+                         BestSplit& best) {
+  const std::size_t n = rows.size();
+  const std::size_t n_outputs = buf.running.size();
+  double* running = buf.running.data();
+  double* left = buf.left.data();
+  std::uint32_t* candidates = buf.candidates.data();
+
+  std::fill(running, running + n_outputs, 0.0);
+  std::size_t k = 0;
+  for (std::size_t i = 0; i + min_leaf < n; ++i) {
+    const double* row = y + rows[i] * n_outputs;
+    double* sums = left + k * n_outputs;
+    for (std::size_t c = 0; c < n_outputs; ++c) {
+      running[c] += row[c];
+      sums[c] = running[c];
+    }
+    candidates[k] = static_cast<std::uint32_t>(i);
+    k += (i + 1 >= min_leaf) & !(values[rows[i]] == values[rows[i + 1]]);
+  }
+
+  for (std::size_t g = 0; g < k; g += 4) {
+    // Lanes past k hold stale sums; their scores are never read.
+    double left_penalty[4] = {0.0, 0.0, 0.0, 0.0};
+    double right_penalty[4] = {0.0, 0.0, 0.0, 0.0};
+    const double* lane = left + g * n_outputs;
+    for (std::size_t c = 0; c < n_outputs; ++c) {
+      for (std::size_t j = 0; j < 4; ++j) {
+        const double ls = lane[j * n_outputs + c];
+        left_penalty[j] += ls * ls;
+        const double rs = total_sum[c] - ls;
+        right_penalty[j] += rs * rs;
+      }
+    }
+    const std::size_t lanes = std::min<std::size_t>(4, k - g);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      const std::size_t i = candidates[g + j];
+      const std::size_t n_left = i + 1;
+      const std::size_t n_right = n - n_left;
+      double sse = total_sq;
+      sse -= left_penalty[j] / static_cast<double>(n_left) +
+             right_penalty[j] / static_cast<double>(n_right);
+      if (sse < best.sse) {
+        best.sse = sse;
+        best.feature = static_cast<std::int32_t>(f);
+        best.threshold = 0.5 * (values[rows[i]] + values[rows[i + 1]]);
+      }
+    }
+  }
+  return k;
+}
+
 }  // namespace
+
+// Exact split search state for one fit: the column-major copy of x the
+// scans read values from, the scan's scratch, and — when every split
+// considers every feature — each node's rows sorted per feature, kept in
+// lockstep with work_.
+struct RegressionTree::ExactScan {
+  const Matrix& columns;
+  ScanBuffers buffers;
+  std::optional<ColumnSegments> segments;
+};
 
 RegressionTree::RegressionTree(TreeParams params) : params_(params) {
   VARPRED_CHECK_ARG(params_.max_depth >= 1, "max_depth must be >= 1");
@@ -47,7 +149,8 @@ void RegressionTree::set_binned(std::shared_ptr<const BinnedColumns> bins) {
 void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
                               std::span<const std::size_t> indices,
                               const SortedColumns* presorted,
-                              const BinnedColumns* binned) {
+                              const BinnedColumns* binned,
+                              const Matrix* columns) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(!indices.empty(), "cannot fit on zero rows");
   nodes_.clear();
@@ -69,14 +172,26 @@ void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
   // the candidate subset would still have to be sorted per node anyway.
   const bool all_features =
       params_.max_features == 0 || params_.max_features >= x.cols();
-  use_columns_ = bins_ == nullptr && presorted != nullptr && all_features;
-  if (use_columns_) {
-    VARPRED_CHECK_ARG(presorted->cols() == x.cols() &&
-                          presorted->row_count() == indices.size(),
-                      "presorted artifact does not match sample");
-    col_ = presorted->order;  // partitioned in place as the tree grows
-    col_scratch_.resize(indices.size());
+  std::optional<ExactScan> exact;
+  Matrix own_columns;
+  if (bins_ == nullptr) {
+    VARPRED_CHECK_ARG(x.rows() <= UINT32_MAX, "row ids do not fit 32 bits");
+    if (columns == nullptr) {
+      own_columns = x.transposed();
+      columns = &own_columns;
+    }
+    VARPRED_CHECK_ARG(columns->rows() == x.cols() &&
+                          columns->cols() == x.rows(),
+                      "column-major copy does not match training matrix");
+    exact.emplace(*columns, ScanBuffers(indices.size(), n_outputs_));
+    if (presorted != nullptr && all_features) {
+      VARPRED_CHECK_ARG(presorted->cols() == x.cols() &&
+                            presorted->row_count() == indices.size(),
+                        "presorted artifact does not match sample");
+      exact->segments.emplace(*presorted);
+    }
   }
+  exact_ = exact.has_value() ? &*exact : nullptr;
 
   std::size_t root_hist = kNoHist;
   if (bins_ != nullptr) {
@@ -94,18 +209,24 @@ void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
   Rng rng(params_.seed);
   build(x, y, 0, work_.size(), 0, rng, root_hist);
 
-  col_.clear();
-  col_scratch_.clear();
-  col_scratch_.shrink_to_fit();
-  use_columns_ = false;
+  release(work_);
+  exact_ = nullptr;
   bins_ = nullptr;
   hk_ = nullptr;
   ydata_ = nullptr;
   binned_arena_ = false;
-  hist_pool_.clear();
-  hist_free_.clear();
-  hist_scratch_.clear();
-  hist_scratch_.shrink_to_fit();
+  release(hist_pool_);
+  release(hist_free_);
+  release(hist_scratch_);
+}
+
+std::size_t RegressionTree::retained_bytes() const {
+  return nodes_.capacity() * sizeof(Node) +
+         leaf_values_.capacity() * sizeof(double) +
+         work_.capacity() * sizeof(std::size_t) +
+         hist_pool_.capacity() * sizeof(std::vector<double>) +
+         hist_free_.capacity() * sizeof(std::size_t) +
+         hist_scratch_.capacity() * sizeof(double);
 }
 
 std::size_t RegressionTree::hist_acquire() {
@@ -249,9 +370,7 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
     return make_leaf(y, begin, end, depth);
   }
 
-  double best_sse = parent_sse - 1e-12;
-  std::int32_t best_feature = -1;
-  double best_threshold = 0.0;
+  BestSplit best{.sse = parent_sse - 1e-12};
 
   std::vector<double> left_sum(n_outputs_);
 
@@ -284,10 +403,10 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
           }
           sse -= left_penalty / static_cast<double>(n_left) +
                  right_penalty / static_cast<double>(n_right);
-          if (sse < best_sse) {
-            best_sse = sse;
-            best_feature = static_cast<std::int32_t>(f);
-            best_threshold = 0.5 * (prev_max + vmin[b]);
+          if (sse < best.sse) {
+            best.sse = sse;
+            best.feature = static_cast<std::int32_t>(f);
+            best.threshold = 0.5 * (prev_max + vmin[b]);
           }
         }
       }
@@ -333,105 +452,70 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
       }
     }
   } else {
-    std::vector<std::size_t> scratch;
-    if (!use_columns_) {
-      scratch.assign(work_.begin() + static_cast<std::ptrdiff_t>(begin),
-                     work_.begin() + static_cast<std::ptrdiff_t>(end));
+    // Exact search over each candidate feature's rows in (value, index)
+    // order: the node's column segment, or else a per-node sort — the
+    // oracle the segments are tested against, and the path that runs when
+    // splits sample features.
+    std::vector<std::uint32_t> sorted;
+    if (!exact_->segments) {
+      sorted.assign(work_.begin() + static_cast<std::ptrdiff_t>(begin),
+                    work_.begin() + static_cast<std::ptrdiff_t>(end));
     }
-
+    std::size_t scored = 0;
     for (std::size_t fi = 0; fi < n_candidates; ++fi) {
       const std::size_t f = features[fi];
-      std::span<const std::size_t> order;
-      if (use_columns_) {
-        // col_[f][begin, end) already holds this node's rows in
-        // (value, index) order — the exact sequence the sort below produces.
-        order = std::span<const std::size_t>(col_[f]).subspan(begin, n);
+      std::span<const std::uint32_t> rows;
+      if (exact_->segments) {
+        rows = exact_->segments->segment(f, begin, end);
       } else {
-        std::sort(scratch.begin(), scratch.end(),
+        std::sort(sorted.begin(), sorted.end(),
                   [&](std::size_t a, std::size_t b) {
                     const double va = x(a, f);
                     const double vb = x(b, f);
                     if (va != vb) return va < vb;
                     return a < b;  // deterministic ties
                   });
-        order = scratch;
+        rows = sorted;
       }
-
-      std::fill(left_sum.begin(), left_sum.end(), 0.0);
-      double left_sq = 0.0;
-      for (std::size_t i = 0; i + 1 < n; ++i) {
-        const auto row = y.row(order[i]);
-        for (std::size_t c = 0; c < n_outputs_; ++c) {
-          left_sum[c] += row[c];
-          left_sq += row[c] * row[c];
-        }
-        const std::size_t n_left = i + 1;
-        const std::size_t n_right = n - n_left;
-        if (n_left < params_.min_samples_leaf ||
-            n_right < params_.min_samples_leaf) {
-          continue;
-        }
-        const double v = x(order[i], f);
-        const double v_next = x(order[i + 1], f);
-        if (v == v_next) continue;  // cannot split between equal values
-
-        double sse = total_sq;  // left_sq + right_sq == total_sq always
-        double left_penalty = 0.0;
-        double right_penalty = 0.0;
-        for (std::size_t c = 0; c < n_outputs_; ++c) {
-          left_penalty += left_sum[c] * left_sum[c];
-          const double rs = total_sum[c] - left_sum[c];
-          right_penalty += rs * rs;
-        }
-        sse -= left_penalty / static_cast<double>(n_left) +
-               right_penalty / static_cast<double>(n_right);
-        if (sse < best_sse) {
-          best_sse = sse;
-          best_feature = static_cast<std::int32_t>(f);
-          best_threshold = 0.5 * (v + v_next);
-        }
-      }
+      scored += scan_feature(f, rows, exact_->columns.row(f), y.data().data(),
+                             total_sum.data(), total_sq,
+                             params_.min_samples_leaf, exact_->buffers, best);
     }
+    VARPRED_OBS_COUNT("ml.tree.candidates_scored", scored);
   }
 
-  if (best_feature < 0) {
+  if (best.feature < 0) {
     if (hist != kNoHist) hist_release(hist, begin, end);
     return make_leaf(y, begin, end, depth);
   }
 
   // Partition work_[begin, end) around the chosen threshold.
-  const auto f = static_cast<std::size_t>(best_feature);
+  const auto f = static_cast<std::size_t>(best.feature);
   const auto mid_it = std::partition(
       work_.begin() + static_cast<std::ptrdiff_t>(begin),
       work_.begin() + static_cast<std::ptrdiff_t>(end),
-      [&](std::size_t idx) { return x(idx, f) <= best_threshold; });
+      [&](std::size_t idx) { return x(idx, f) <= best.threshold; });
   const auto mid =
       static_cast<std::size_t>(mid_it - work_.begin());
   if (mid == begin || mid == end) {
     if (hist != kNoHist) hist_release(hist, begin, end);
     return make_leaf(y, begin, end, depth);  // numeric degeneracy guard
   }
+  VARPRED_OBS_COUNT("ml.tree.nodes_split", 1);
+  VARPRED_OBS_COUNT("ml.tree.rows_partitioned", n);
 
-  if (use_columns_) {
-    // Keep every column's range partitioned in lockstep with work_. The
-    // partition is stable, so each child's range stays in (value, index)
-    // order — exactly what a fresh per-node sort would produce.
-    for (auto& column : col_) {
-      std::size_t* seg = column.data();
-      std::size_t write = begin;
-      std::size_t spill = 0;
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t row = seg[i];
-        if (x(row, f) <= best_threshold) {
-          seg[write++] = row;
-        } else {
-          col_scratch_[spill++] = row;
-        }
-      }
-      std::copy(col_scratch_.begin(),
-                col_scratch_.begin() + static_cast<std::ptrdiff_t>(spill),
-                seg + write);
-    }
+  // Keep every column's range partitioned in lockstep with work_, unless
+  // depth or size already makes both children leaves: then no scan reads
+  // the segments again.
+  const auto may_split = [&](std::size_t rows) {
+    return depth + 1 < params_.max_depth &&
+           rows >= params_.min_samples_split &&
+           rows >= 2 * params_.min_samples_leaf;
+  };
+  if (exact_ != nullptr && exact_->segments &&
+      (may_split(mid - begin) || may_split(end - mid))) {
+    exact_->segments->split(f, exact_->columns.row(f), best.threshold, begin,
+                            end);
   }
 
   // Arena mode: derive the children's histograms with the subtraction trick.
@@ -461,8 +545,8 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   // Reserve this node's slot before building children.
   nodes_.emplace_back();
   const auto self = static_cast<std::int32_t>(nodes_.size() - 1);
-  nodes_[self].feature = best_feature;
-  nodes_[self].threshold = best_threshold;
+  nodes_[self].feature = best.feature;
+  nodes_[self].threshold = best.threshold;
   nodes_[self].node_depth = static_cast<std::int32_t>(depth);
   const std::int32_t left = build(x, y, begin, mid, depth + 1, rng, left_hist);
   const std::int32_t right = build(x, y, mid, end, depth + 1, rng, right_hist);

@@ -55,10 +55,16 @@ class RegressionTree final : public Regressor {
   /// exact scan's candidate thresholds whenever the binning is exact()
   /// (see ml/binned_columns.hpp). With VARPRED_TREE_BINNED=0 the artifact
   /// is ignored and the exact presorted oracle runs instead.
+  ///
+  /// `columns`, when given, must be x.transposed(): the column-major copy
+  /// the exact split search reads feature values from. A forest builds it
+  /// once and shares it read-only across its trees; when null, an exact fit
+  /// builds its own.
   void fit_rows(const Matrix& x, const Matrix& y,
                 std::span<const std::size_t> indices,
                 const SortedColumns* presorted = nullptr,
-                const BinnedColumns* binned = nullptr);
+                const BinnedColumns* binned = nullptr,
+                const Matrix* columns = nullptr);
 
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
@@ -66,6 +72,10 @@ class RegressionTree final : public Regressor {
   bool trained() const override { return !nodes_.empty(); }
 
   std::size_t node_count() const { return nodes_.size(); }
+  /// Heap bytes the fitted tree holds (capacity of every buffer it owns).
+  /// Fit-only state is released when a fit returns, so this depends on the
+  /// tree's shape, not on the number of training rows.
+  std::size_t retained_bytes() const;
   std::size_t leaf_count() const;
   std::size_t depth() const;
 
@@ -108,16 +118,14 @@ class RegressionTree final : public Regressor {
   std::size_t n_outputs_ = 0;
   std::vector<Node> nodes_;
   std::vector<double> leaf_values_;   // leaf_count * n_outputs
-  std::vector<std::size_t> work_;     // index scratch during fit
 
-  // Segment-partitioned per-feature orders during fit: col_[f][begin, end)
-  // holds node [begin, end)'s rows sorted by feature f, kept in lockstep
-  // with work_ by stable-partitioning at each split. Replaces the per-node
-  // per-feature sort when a presorted artifact is supplied and every split
-  // considers all features.
-  std::vector<std::vector<std::size_t>> col_;
-  std::vector<std::size_t> col_scratch_;
-  bool use_columns_ = false;
+  // Fit-only state below: released before fit_rows returns.
+  std::vector<std::size_t> work_;  // node row ranges
+
+  // Exact split search state (see tree.cpp): lives on fit_rows' stack,
+  // null outside a fit and in binned mode.
+  struct ExactScan;
+  ExactScan* exact_ = nullptr;
   std::shared_ptr<const SortedColumns> presorted_hint_;  // next fit() only
 
   // Histogram-binned fit state (only while fitting with a binned artifact):

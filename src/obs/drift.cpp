@@ -18,7 +18,7 @@ const char* to_string(DriftState state) {
     case DriftState::kShifted:
       return "shifted";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown drift state");
 }
 
 const char* to_string(DriftEvent::Kind kind) {
@@ -32,7 +32,7 @@ const char* to_string(DriftEvent::Kind kind) {
     case DriftEvent::Kind::kReferenceReset:
       return "reference_reset";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown drift event kind");
 }
 
 DriftDetector::DriftDetector(std::string name, DriftConfig config)

@@ -16,6 +16,7 @@
 #include <unistd.h>  // gethostname
 #endif
 
+#include "common/check.hpp"
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 
@@ -99,7 +100,7 @@ const char* to_string(Mode mode) {
     case Mode::kTrace:
       return "trace";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown observability mode");
 }
 
 Mode mode() noexcept {

@@ -67,7 +67,7 @@ std::string to_string(PearsonType type) {
     case PearsonType::kTypeVII:
       return "VII (Student t)";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown Pearson type");
 }
 
 bool moments_feasible(double skewness, double kurtosis) {

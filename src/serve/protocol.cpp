@@ -35,7 +35,7 @@ const char* to_string(MsgType type) {
     case MsgType::kError:
       return "error";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown message type");
 }
 
 const char* to_string(ErrorCode code) {
@@ -51,7 +51,7 @@ const char* to_string(ErrorCode code) {
     case ErrorCode::kInternal:
       return "internal";
   }
-  return "?";
+  VARPRED_CHECK_ARG(false, "unknown error code");
 }
 
 namespace {

@@ -7,6 +7,7 @@
 
 #include "common/rng.hpp"
 #include "core/distrepr.hpp"
+#include "core/models.hpp"
 #include "rngdist/mixture.hpp"
 #include "rngdist/samplers.hpp"
 #include "stats/ks.hpp"
@@ -182,6 +183,14 @@ TEST(AllReprs, BimodalOracleComparison) {
   }
   EXPECT_LT(ks_hist, ks_pearson);
   EXPECT_LT(ks_hist, 0.1);
+}
+
+TEST(EnumNames, OutOfRangeReprKindThrows) {
+  EXPECT_THROW(to_string(static_cast<ReprKind>(99)), std::invalid_argument);
+}
+
+TEST(EnumNames, OutOfRangeModelKindThrows) {
+  EXPECT_THROW(to_string(static_cast<ModelKind>(99)), std::invalid_argument);
 }
 
 }  // namespace

@@ -185,5 +185,15 @@ TEST(DriftDetector, ReplayedTimelineIsByteIdentical) {
   }
 }
 
+TEST(EnumNames, OutOfRangeDriftStateThrows) {
+  EXPECT_THROW(obs::to_string(static_cast<obs::DriftState>(99)),
+               std::invalid_argument);
+}
+
+TEST(EnumNames, OutOfRangeDriftEventKindThrows) {
+  EXPECT_THROW(obs::to_string(static_cast<obs::DriftEvent::Kind>(99)),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace varpred

@@ -426,5 +426,14 @@ TEST(DriftKindNames, RoundTripAndRejectUnknown) {
   EXPECT_FALSE(parse_drift_kind("volcano", &kind));
 }
 
+TEST(EnumNames, OutOfRangeDriftKindThrows) {
+  EXPECT_THROW(to_string(static_cast<DriftKind>(99)), std::invalid_argument);
+}
+
+TEST(EnumNames, OutOfRangeMetricCategoryThrows) {
+  EXPECT_THROW(to_string(static_cast<MetricCategory>(99)),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace varpred::measure

@@ -53,6 +53,10 @@ TEST(Matrix, ColAndGather) {
   const auto g = m.gather_rows(idx);
   EXPECT_DOUBLE_EQ(g(0, 0), 5.0);
   EXPECT_DOUBLE_EQ(g(1, 0), 1.0);
+  const auto t = m.transposed();
+  ASSERT_EQ(t.rows(), 2u);
+  ASSERT_EQ(t.cols(), 3u);
+  EXPECT_EQ(std::vector<double>(t.row(1).begin(), t.row(1).end()), c);
 }
 
 TEST(Scaler, StandardizesColumns) {
@@ -247,6 +251,56 @@ TEST(SortedColumns, FilteredBootstrapEmitsMultiplicities) {
                        return a < b;
                      });
     EXPECT_EQ(filtered.order[c], expect) << "column " << c;
+  }
+}
+
+TEST(ColumnSegments, SplitIsAStablePartitionOfEveryColumn) {
+  // The partition kernel both tree learners share: after a split, every
+  // column's left range is the column's previous order filtered to the
+  // rows going left, and the right range the rest — on a bootstrap sample
+  // whose duplicated rows and tied values stress the stability.
+  const auto x = tie_heavy_matrix(60, 3, 17);
+  const auto base = SortedColumns::build(x);
+  Rng rng(37);
+  std::vector<std::size_t> sample(60);
+  for (auto& r : sample) r = rng.uniform_index(60);
+  std::sort(sample.begin(), sample.end());
+  const ColumnSegments root(base.filtered(sample, /*remap=*/false));
+  ColumnSegments segments = root;
+  const auto xt = x.transposed();
+  const auto expect_split = [&](const ColumnSegments& before,
+                                std::size_t f, double threshold,
+                                std::size_t begin, std::size_t end) {
+    ColumnSegments after = before;
+    after.split(f, xt.row(f), threshold, begin, end);
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+      std::vector<std::uint32_t> left;
+      std::vector<std::uint32_t> right;
+      for (const std::uint32_t r : before.segment(c, begin, end)) {
+        (x(r, f) <= threshold ? left : right).push_back(r);
+      }
+      const std::size_t mid = begin + left.size();
+      const auto l = after.segment(c, begin, mid);
+      const auto rr = after.segment(c, mid, end);
+      EXPECT_EQ(std::vector<std::uint32_t>(l.begin(), l.end()), left)
+          << "column " << c;
+      EXPECT_EQ(std::vector<std::uint32_t>(rr.begin(), rr.end()), right)
+          << "column " << c;
+    }
+    return after;
+  };
+  segments = expect_split(segments, 0, 0.0, 0, 60);
+  std::size_t mid = 0;
+  for (const std::uint32_t r : segments.segment(0, 0, 60)) {
+    mid += x(r, 0) <= 0.0;
+  }
+  segments = expect_split(segments, 1, -1.0, 0, mid);
+  segments = expect_split(segments, 2, 1.0, mid, 60);
+  segments.reset_to(root);
+  for (std::size_t c = 0; c < x.cols(); ++c) {
+    const auto a = segments.segment(c, 0, 60);
+    const auto b = root.segment(c, 0, 60);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
   }
 }
 

@@ -3,16 +3,25 @@
 // multi-output behaviour, and a parameterized cross-model sweep.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
 
 #include "common/rng.hpp"
+#include "core/evalcache.hpp"
+#include "core/models.hpp"
+#include "measure/corpus.hpp"
+#include "ml/binned_columns.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
 #include "ml/metrics.hpp"
 #include "ml/sorted_columns.hpp"
 #include "ml/tree.hpp"
+#include "obs/obs.hpp"
 
 namespace varpred::ml {
 namespace {
@@ -470,6 +479,240 @@ TEST(Gbt, ShrinkageReducesOverfitVsSingleBigStep) {
   const double r2_fast = r2(p.y_test.col(0), a.predict_batch(p.x_test).col(0));
   const double r2_slow = r2(p.y_test.col(0), b.predict_batch(p.x_test).col(0));
   EXPECT_GE(r2_slow, r2_fast - 0.02);
+}
+
+// Golden fold fits: the shipped RF and XGBoost models on one 4-output
+// training fold (use case 1, PearsonRnd) and one 40-output fold (use case 2,
+// amd -> intel histogram), assembled from the evaluation caches the LOGO
+// evaluators use. The digest covers the bit patterns of every prediction
+// over the full feature table (training rows and the held-out benchmark).
+// Any change to the split search's floating-point operations or their order
+// shows up here; a speed-up must pass with these constants unchanged.
+struct GoldenFold {
+  Matrix x;
+  Matrix y;
+  std::shared_ptr<const SortedColumns> presorted;
+  Matrix queries;
+};
+
+constexpr std::size_t kGoldenRuns = 40;
+constexpr std::size_t kGoldenHeldOut = 22;
+
+std::vector<std::size_t> all_but(std::size_t n, std::size_t held_out) {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i != held_out) out.push_back(i);
+  }
+  return out;
+}
+
+const measure::Corpus& golden_intel() {
+  static const measure::Corpus corpus = measure::build_corpus(
+      measure::SystemModel::intel(), kGoldenRuns, 7);
+  return corpus;
+}
+
+const measure::Corpus& golden_amd() {
+  static const measure::Corpus corpus =
+      measure::build_corpus(measure::SystemModel::amd(), kGoldenRuns, 7);
+  return corpus;
+}
+
+GoldenFold uc1_pearson_fold() {
+  const auto& corpus = golden_intel();
+  core::FewRunsConfig config;
+  config.repr = core::ReprKind::kPearson;
+  const auto cache = core::FewRunsEvalCache::build(corpus, config);
+  const auto train = all_but(corpus.benchmarks.size(), kGoldenHeldOut);
+  const auto rows = cache.rows_for(train);
+  GoldenFold fold;
+  fold.x = cache.features.gather_rows(rows);
+  for (const std::size_t b : train) {
+    for (std::size_t rep = 0; rep < cache.replicates; ++rep) {
+      fold.y.push_row(cache.targets[b]);
+    }
+  }
+  fold.presorted = std::make_shared<const SortedColumns>(
+      cache.presorted->filtered(rows, /*remap=*/true));
+  fold.queries = cache.features;
+  return fold;
+}
+
+GoldenFold uc2_histogram_fold() {
+  const auto& amd = golden_amd();
+  const auto& intel = golden_intel();
+  core::CrossSystemConfig config;
+  config.repr = core::ReprKind::kHistogram;
+  const auto cache = core::CrossSystemEvalCache::build(amd, intel, config);
+  const auto train = all_but(amd.benchmarks.size(), kGoldenHeldOut);
+  GoldenFold fold;
+  fold.x = cache.features.gather_rows(train);
+  for (const std::size_t b : train) fold.y.push_row(cache.targets[b]);
+  fold.presorted = std::make_shared<const SortedColumns>(
+      cache.presorted->filtered(train, /*remap=*/true));
+  fold.queries = cache.features;
+  return fold;
+}
+
+// FNV-1a over the little-endian bytes of every prediction's bit pattern.
+std::uint64_t golden_digest(const GoldenFold& fold, core::ModelKind kind) {
+  auto model = core::make_model(kind, 1001);
+  model->set_presorted(fold.presorted);
+  model->fit(fold.x, fold.y);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t r = 0; r < fold.queries.rows(); ++r) {
+    for (const double v : model->predict(fold.queries.row(r))) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xFFU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+bool binned_forced() {
+  // The forced histogram path accumulates per-bin sums in another order, so
+  // these constants pin the exact split search only.
+  return tree_binned_mode() == TreeBinnedMode::kForce;
+}
+
+TEST(GoldenFold, Uc1PearsonRandomForest) {
+  if (binned_forced()) GTEST_SKIP() << "constants pin the exact split search";
+  const auto fold = uc1_pearson_fold();
+  ASSERT_EQ(fold.y.cols(), 4U);
+  EXPECT_EQ(golden_digest(fold, core::ModelKind::kRandomForest),
+            0xbfb35dc3f73e52ebULL);
+}
+
+TEST(GoldenFold, Uc1PearsonXgBoost) {
+  if (binned_forced()) GTEST_SKIP() << "constants pin the exact split search";
+  const auto fold = uc1_pearson_fold();
+  EXPECT_EQ(golden_digest(fold, core::ModelKind::kXgBoost),
+            0x18892af28992d303ULL);
+}
+
+TEST(GoldenFold, Uc2HistogramRandomForest) {
+  if (binned_forced()) GTEST_SKIP() << "constants pin the exact split search";
+  const auto fold = uc2_histogram_fold();
+  ASSERT_EQ(fold.y.cols(), 40U);
+  EXPECT_EQ(golden_digest(fold, core::ModelKind::kRandomForest),
+            0xc9de56c91668e924ULL);
+}
+
+TEST(GoldenFold, Uc2HistogramXgBoost) {
+  if (binned_forced()) GTEST_SKIP() << "constants pin the exact split search";
+  const auto fold = uc2_histogram_fold();
+  EXPECT_EQ(golden_digest(fold, core::ModelKind::kXgBoost),
+            0x474737ef06fd4d36ULL);
+}
+
+// Learner work counters, read around one fit with observability on.
+struct WorkCounts {
+  std::uint64_t nodes_split = 0;
+  std::uint64_t candidates_scored = 0;
+  std::uint64_t rows_partitioned = 0;
+};
+
+WorkCounts count_work(const std::string& prefix,
+                      const std::function<void()>& fit) {
+  obs::set_mode(obs::Mode::kSummary);
+  obs::Registry::global().reset_values();
+  fit();
+  auto& reg = obs::Registry::global();
+  const WorkCounts counts{
+      reg.counter(prefix + ".nodes_split").value(),
+      reg.counter(prefix + ".candidates_scored").value(),
+      reg.counter(prefix + ".rows_partitioned").value()};
+  obs::set_mode(obs::Mode::kOff);
+  return counts;
+}
+
+TEST(WorkCounters, TreeSegmentAndSortPathsCountTheSameWork) {
+  // Bootstrap duplicates and quantized features give many tied values; the
+  // segments must hand the scan exactly the per-node sorts' candidates.
+  const auto p = make_tied_problem(120, 5, 79);
+  Rng rng(81);
+  std::vector<std::size_t> rows(p.x_train.rows());
+  for (auto& r : rows) r = rng.uniform_index(p.x_train.rows());
+  std::sort(rows.begin(), rows.end());
+  TreeParams params;
+  params.max_depth = 12;
+  params.min_samples_leaf = 2;
+  const SortedColumns sample =
+      SortedColumns::build(p.x_train).filtered(rows, /*remap=*/false);
+  const auto sorted = count_work("ml.tree", [&] {
+    RegressionTree(params).fit_rows(p.x_train, p.y_train, rows);
+  });
+  const auto segments = count_work("ml.tree", [&] {
+    RegressionTree(params).fit_rows(p.x_train, p.y_train, rows, &sample);
+  });
+  EXPECT_GT(sorted.candidates_scored, 0U);
+  EXPECT_GT(sorted.nodes_split, 0U);
+  EXPECT_EQ(segments.candidates_scored, sorted.candidates_scored);
+  EXPECT_EQ(segments.nodes_split, sorted.nodes_split);
+  EXPECT_EQ(segments.rows_partitioned, sorted.rows_partitioned);
+}
+
+TEST(WorkCounters, GbtSegmentAndSortPathsCountTheSameWork) {
+  // As in Gbt.SegmentModeIsByteIdenticalToSortPath: a subsample just below
+  // 1 keeps every row but takes the per-node sort path. A forced histogram
+  // path replaces both exact scans.
+  if (binned_forced()) GTEST_SKIP() << "compares the exact split searches";
+  const auto p = make_tied_problem(150, 5, 83);
+  GbtParams seg;
+  seg.n_rounds = 20;
+  seg.subsample = 1.0;
+  seg.colsample = 1.0;
+  seg.min_child_weight = 3.0;
+  GbtParams sort_path = seg;
+  sort_path.subsample = 0.999999;
+  const auto sorted = count_work(
+      "ml.gbt", [&] { GradientBoosting(sort_path).fit(p.x_train, p.y_train); });
+  const auto segments = count_work(
+      "ml.gbt", [&] { GradientBoosting(seg).fit(p.x_train, p.y_train); });
+  EXPECT_GT(sorted.candidates_scored, 0U);
+  EXPECT_GT(sorted.nodes_split, 0U);
+  EXPECT_EQ(segments.candidates_scored, sorted.candidates_scored);
+  EXPECT_EQ(segments.nodes_split, sorted.nodes_split);
+  EXPECT_EQ(segments.rows_partitioned, sorted.rows_partitioned);
+}
+
+TEST(Tree, RetainedSizeDoesNotGrowWithTrainingRows) {
+  // A depth-2 tree on a 4-level step target has the same 7 nodes at any
+  // training size; fit-only state (row ranges, column segments, the
+  // column-major copy, scan scratch) must not outlive the fit.
+  const auto make = [](std::size_t n) {
+    Problem p;
+    p.x_train = Matrix(n, 3);
+    p.y_train = Matrix(n, 2);
+    Rng rng(97);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (std::size_t c = 0; c < 3; ++c) p.x_train(r, c) = rng.uniform();
+      const double step = std::floor(4.0 * p.x_train(r, 0));
+      p.y_train(r, 0) = step;
+      p.y_train(r, 1) = -step;
+    }
+    return p;
+  };
+  TreeParams params;
+  params.max_depth = 2;
+  std::size_t bytes[2] = {0, 0};
+  std::size_t nodes[2] = {0, 0};
+  const std::size_t sizes[2] = {64, 4096};
+  for (int i = 0; i < 2; ++i) {
+    const auto p = make(sizes[i]);
+    RegressionTree tree(params);
+    tree.set_presorted(std::make_shared<const SortedColumns>(
+        SortedColumns::build(p.x_train)));
+    tree.fit(p.x_train, p.y_train);
+    bytes[i] = tree.retained_bytes();
+    nodes[i] = tree.node_count();
+  }
+  ASSERT_EQ(nodes[0], 7U);
+  ASSERT_EQ(nodes[1], 7U);
+  EXPECT_EQ(bytes[1], bytes[0]);
 }
 
 TEST(AllModels, CloneIsIndependentAndEquivalent) {

@@ -992,5 +992,10 @@ TEST(ObsTelemetry, RejectsPartialQuantileSets) {
                std::invalid_argument);
 }
 
+TEST(EnumNames, OutOfRangeModeThrows) {
+  EXPECT_THROW(obs::to_string(static_cast<obs::Mode>(99)),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace varpred

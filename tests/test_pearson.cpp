@@ -173,5 +173,9 @@ TEST(Sampler, DeterministicGivenSeed) {
   EXPECT_EQ(a, b);
 }
 
+TEST(EnumNames, OutOfRangePearsonTypeThrows) {
+  EXPECT_THROW(to_string(static_cast<PearsonType>(99)), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace varpred::pearson

@@ -754,5 +754,15 @@ TEST(ServeStats, PrometheusSnapshotUnderConcurrentLoad) {
   obs::reset();
 }
 
+TEST(EnumNames, OutOfRangeMsgTypeThrows) {
+  EXPECT_THROW(serve::to_string(static_cast<MsgType>(0xEE)),
+               std::invalid_argument);
+}
+
+TEST(EnumNames, OutOfRangeErrorCodeThrows) {
+  EXPECT_THROW(serve::to_string(static_cast<ErrorCode>(9999)),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace varpred

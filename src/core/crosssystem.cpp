@@ -1,8 +1,9 @@
 #include "core/crosssystem.hpp"
 
+#include <optional>
+
 #include "common/check.hpp"
 #include "core/evalcache.hpp"
-#include "ml/binned_columns.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::core {
@@ -31,8 +32,7 @@ void CrossSystemPredictor::train(
   source_system_ = source.system;
   ml::Matrix x;
   ml::Matrix y;
-  std::shared_ptr<const ml::SortedColumns> presorted;
-  std::shared_ptr<const ml::BinnedColumns> binned;
+  std::optional<ml::SortedColumns> presorted;
   if (cache != nullptr) {
     // Fold-shared artifacts (feature rows and targets are pure functions of
     // the corpora, so gathering is byte-identical to the loop below).
@@ -41,14 +41,7 @@ void CrossSystemPredictor::train(
     x = cache->features.gather_rows(train_benchmarks);
     for (const std::size_t b : train_benchmarks) y.push_row(cache->targets[b]);
     if (cache->presorted != nullptr) {
-      presorted = std::make_shared<const ml::SortedColumns>(
-          cache->presorted->filtered(train_benchmarks, /*remap=*/true));
-      if (ml::tree_binned_profitable(x.rows())) {
-        // Fold-level bin codes from the filtered orders (see
-        // FewRunsPredictor::train).
-        binned = std::make_shared<const ml::BinnedColumns>(
-            ml::BinnedColumns::build(x, *presorted));
-      }
+      presorted = cache->presorted->filtered(train_benchmarks, /*remap=*/true);
     }
   } else {
     for (const std::size_t b : train_benchmarks) {
@@ -60,9 +53,7 @@ void CrossSystemPredictor::train(
   }
   model_ = config_.model_factory ? config_.model_factory()
                                  : make_model(config_.model, config_.seed);
-  if (presorted != nullptr) model_->set_presorted(std::move(presorted));
-  if (binned != nullptr) model_->set_binned(std::move(binned));
-  model_->fit(x, y);
+  model_->fit(x, y, presorted ? &*presorted : nullptr);
 }
 
 void CrossSystemPredictor::train_all(const measure::Corpus& source,

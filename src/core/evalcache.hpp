@@ -17,9 +17,8 @@
 //
 // The caches also carry the dataset-level sorted-column artifact of the
 // feature matrix. Each fold derives its own orders by a linear filtered()
-// pass, and — when the histogram-binned tree path is enabled — builds the
-// fold's BinnedColumns from those orders in O(cols * rows), skipping the
-// per-fit column sorts entirely (see ml/binned_columns.hpp).
+// pass and hands them to the tree learner's fit, which then skips its
+// per-fit column sorts (see ml/sorted_columns.hpp).
 #pragma once
 
 #include <memory>

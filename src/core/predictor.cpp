@@ -1,8 +1,9 @@
 #include "core/predictor.hpp"
 
+#include <optional>
+
 #include "common/check.hpp"
 #include "core/evalcache.hpp"
-#include "ml/binned_columns.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::core {
@@ -21,8 +22,7 @@ void FewRunsPredictor::train(const measure::Corpus& corpus,
   system_ = corpus.system;
   ml::Matrix x;
   ml::Matrix y;
-  std::shared_ptr<const ml::SortedColumns> presorted;
-  std::shared_ptr<const ml::BinnedColumns> binned;
+  std::optional<ml::SortedColumns> presorted;
   if (cache != nullptr) {
     // Fold-shared artifacts: gather the precomputed rows — byte-identical
     // to the loop below, since its RNG stream is subset-independent — and
@@ -38,16 +38,7 @@ void FewRunsPredictor::train(const measure::Corpus& corpus,
       }
     }
     if (cache->presorted != nullptr) {
-      presorted = std::make_shared<const ml::SortedColumns>(
-          cache->presorted->filtered(rows, /*remap=*/true));
-      if (ml::tree_binned_profitable(x.rows())) {
-        // Fold-level bin codes from the filtered orders in O(cols * rows):
-        // identical to what a tree learner would self-build from x, so the
-        // learner skips its own column sorts. Gated on the same size
-        // threshold the learners apply when self-building.
-        binned = std::make_shared<const ml::BinnedColumns>(
-            ml::BinnedColumns::build(x, *presorted));
-      }
+      presorted = cache->presorted->filtered(rows, /*remap=*/true);
     }
   } else {
     for (const std::size_t b : train_benchmarks) {
@@ -70,9 +61,7 @@ void FewRunsPredictor::train(const measure::Corpus& corpus,
   }
   model_ = config_.model_factory ? config_.model_factory()
                                  : make_model(config_.model, config_.seed);
-  if (presorted != nullptr) model_->set_presorted(std::move(presorted));
-  if (binned != nullptr) model_->set_binned(std::move(binned));
-  model_->fit(x, y);
+  model_->fit(x, y, presorted ? &*presorted : nullptr);
   VARPRED_OBS_COUNT("predictor.trainings", 1);
   VARPRED_OBS_COUNT("predictor.train_rows", x.rows());
 }

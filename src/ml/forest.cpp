@@ -16,17 +16,14 @@ RandomForest::RandomForest(ForestParams params) : params_(params) {
       "feature_fraction must be in (0, 1]");
 }
 
-void RandomForest::set_presorted(std::shared_ptr<const SortedColumns> cols) {
-  presorted_hint_ = std::move(cols);
-}
-
-void RandomForest::set_binned(std::shared_ptr<const BinnedColumns> bins) {
-  binned_hint_ = std::move(bins);
-}
-
-void RandomForest::fit(const Matrix& x, const Matrix& y) {
+void RandomForest::fit(const Matrix& x, const Matrix& y,
+                       const SortedColumns* presorted) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(x.rows() >= 1, "need at least one training row");
+  VARPRED_CHECK_ARG(presorted == nullptr ||
+                        (presorted->cols() == x.cols() &&
+                         presorted->row_count() == x.rows()),
+                    "presorted artifact does not match training matrix");
   obs::Span span("ml.forest.fit");
   VARPRED_OBS_COUNT("ml.forest.fits", 1);
   VARPRED_OBS_COUNT("ml.forest.trees_trained", params_.n_trees);
@@ -42,64 +39,24 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
 
   // When splits consider all features, trees can run in column-segment mode
   // (see RegressionTree::fit_rows): build the dataset-level orders once —
-  // or take the caller's shared artifact — and derive each bootstrap
-  // sample's orders by a linear filter instead of per-node sorts.
-  // Take the hint eagerly: it applies to this fit only, even when the fit
-  // fails validation below.
-  const std::shared_ptr<const SortedColumns> hint = std::move(presorted_hint_);
-  presorted_hint_.reset();
-  const std::shared_ptr<const BinnedColumns> binned_hint =
-      std::move(binned_hint_);
-  binned_hint_.reset();
-
-  // A supplied hint is validated whenever the all-features regime would
-  // consume it — the binned path must not silently launder a mismatched
-  // artifact the exact path would reject.
+  // or take the caller's artifact — and derive each bootstrap sample's
+  // orders by a linear filter instead of per-node sorts.
   const bool all_features = tp.max_features == 0 || tp.max_features >= x.cols();
-  if (all_features && x.rows() >= 2 && hint != nullptr) {
-    VARPRED_CHECK_ARG(hint->cols() == x.cols() &&
-                          hint->row_count() == x.rows(),
-                      "presorted artifact does not match training matrix");
-  }
-
-  // Histogram-binned mode (runtime-gated, size-dispatched): one
-  // dataset-level BinnedColumns artifact shared by every tree. It covers
-  // both the all-features and feature-subset regimes, so no per-tree
-  // filtered sorted artifacts are needed at all. Self-building applies the
-  // auto profitability threshold; a caller-supplied artifact is consumed
-  // at any size (the caller already paid for it) unless the oracle is
-  // pinned.
-  std::shared_ptr<const BinnedColumns> bins;
-  if (tree_binned_enabled() && x.rows() >= 2 && binned_hint != nullptr) {
-    VARPRED_CHECK_ARG(binned_hint->cols() == x.cols() &&
-                          binned_hint->row_count() == x.rows(),
-                      "binned artifact does not match training matrix");
-    bins = binned_hint;
-    VARPRED_OBS_COUNT("ml.forest.binned_reused", 1);
-  } else if (tree_binned_profitable(x.rows()) && x.rows() >= 2) {
-    if (all_features && hint != nullptr) {
-      bins = std::make_shared<const BinnedColumns>(
-          BinnedColumns::build(x, *hint));
-    } else {
-      bins = std::make_shared<const BinnedColumns>(BinnedColumns::build(x));
-    }
-  }
-
-  std::shared_ptr<const SortedColumns> base;
-  if (bins == nullptr && all_features && x.rows() >= 2) {
-    if (hint != nullptr) {
-      base = hint;
+  SortedColumns own;
+  const SortedColumns* base = nullptr;
+  if (all_features && x.rows() >= 2) {
+    if (presorted != nullptr) {
+      base = presorted;
       VARPRED_OBS_COUNT("ml.forest.presort_reused", 1);
     } else {
-      base = std::make_shared<const SortedColumns>(SortedColumns::build(x));
+      own = SortedColumns::build(x);
+      base = &own;
     }
   }
 
-  // The exact scans of every tree read feature values from one shared
+  // The scans of every tree read feature values from one shared
   // column-major copy of x, released when the fit returns.
-  Matrix columns;
-  if (bins == nullptr) columns = x.transposed();
-  const Matrix* shared_columns = bins == nullptr ? &columns : nullptr;
+  const Matrix columns = x.transposed();
 
   trees_.assign(params_.n_trees, RegressionTree(tp));
   const std::size_t n = x.rows();
@@ -115,17 +72,15 @@ void RandomForest::fit(const Matrix& x, const Matrix& y) {
     if (params_.bootstrap) {
       for (auto& r : rows) r = rng.uniform_index(n);
       std::sort(rows.begin(), rows.end());  // determinism & cache locality
-      if (bins != nullptr) {
-        tree.fit_rows(x, y, rows, nullptr, bins.get());
-      } else if (base != nullptr) {
+      if (base != nullptr) {
         const SortedColumns sample = base->filtered(rows, /*remap=*/false);
-        tree.fit_rows(x, y, rows, &sample, nullptr, shared_columns);
+        tree.fit_rows(x, y, rows, &sample, &columns);
       } else {
-        tree.fit_rows(x, y, rows, nullptr, nullptr, shared_columns);
+        tree.fit_rows(x, y, rows, nullptr, &columns);
       }
     } else {
       std::iota(rows.begin(), rows.end(), std::size_t{0});
-      tree.fit_rows(x, y, rows, base.get(), bins.get(), shared_columns);
+      tree.fit_rows(x, y, rows, base, &columns);
     }
     trees_[t] = std::move(tree);
   });

@@ -21,9 +21,11 @@ class RandomForest final : public Regressor {
  public:
   explicit RandomForest(ForestParams params = {});
 
-  void fit(const Matrix& x, const Matrix& y) override;
-  void set_presorted(std::shared_ptr<const SortedColumns> cols) override;
-  void set_binned(std::shared_ptr<const BinnedColumns> bins) override;
+  using Regressor::fit;
+  /// A non-null `presorted` must be SortedColumns::build(x) (dimension
+  /// match is checked, whatever feature_fraction is).
+  void fit(const Matrix& x, const Matrix& y,
+           const SortedColumns* presorted) override;
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
   std::string name() const override { return "RF"; }
@@ -39,8 +41,6 @@ class RandomForest final : public Regressor {
   ForestParams params_;
   std::vector<RegressionTree> trees_;
   std::size_t n_outputs_ = 0;
-  std::shared_ptr<const SortedColumns> presorted_hint_;  // next fit() only
-  std::shared_ptr<const BinnedColumns> binned_hint_;     // next fit() only
 };
 
 }  // namespace varpred::ml

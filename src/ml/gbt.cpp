@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "ml/histkernels.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::ml {
@@ -20,103 +19,6 @@ GradientBoosting::GradientBoosting(GbtParams params) : params_(params) {
   VARPRED_CHECK_ARG(params_.colsample > 0.0 && params_.colsample <= 1.0,
                     "colsample must be in (0, 1]");
   VARPRED_CHECK_ARG(params_.lambda >= 0.0, "lambda must be >= 0");
-}
-
-void GradientBoosting::set_presorted(
-    std::shared_ptr<const SortedColumns> cols) {
-  presorted_hint_ = std::move(cols);
-}
-
-void GradientBoosting::set_binned(std::shared_ptr<const BinnedColumns> bins) {
-  binned_hint_ = std::move(bins);
-}
-
-std::size_t GradientBoosting::bs_acquire(BinnedScan& bs) {
-  if (!bs.free_list.empty()) {
-    const std::size_t id = bs.free_list.back();
-    bs.free_list.pop_back();
-    return id;
-  }
-  bs.pool.emplace_back(bs.bins->total_bins() * 3, 0.0);
-  return bs.pool.size() - 1;
-}
-
-void GradientBoosting::bs_release(BinnedScan& bs,
-                                  const std::vector<std::size_t>& work,
-                                  std::size_t begin, std::size_t end,
-                                  std::size_t hist) {
-  // Sparse re-zero (see RegressionTree::hist_release): revisit the node's
-  // rows instead of clearing all total_bins() slots.
-  std::vector<double>& h = bs.pool[hist];
-  const std::size_t t = bs.bins->total_bins();
-  double* cnt = h.data();
-  double* gsum = h.data() + t;
-  double* hsum = h.data() + 2 * t;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = work[i];
-    for (std::size_t f = 0; f < bs.bins->cols(); ++f) {
-      const std::size_t b = bs.bins->offset[f] + bs.bins->feature_codes(f)[r];
-      cnt[b] = 0.0;
-      gsum[b] = 0.0;
-      hsum[b] = 0.0;
-    }
-  }
-  bs.free_list.push_back(hist);
-}
-
-void GradientBoosting::bs_add_range(BinnedScan& bs,
-                                    std::span<const double> grad,
-                                    std::span<const double> hess,
-                                    const std::vector<std::size_t>& work,
-                                    std::size_t begin, std::size_t end,
-                                    std::size_t hist) {
-  std::vector<double>& h = bs.pool[hist];
-  const std::size_t t = bs.bins->total_bins();
-  for (std::size_t f = 0; f < bs.bins->cols(); ++f) {
-    const std::uint32_t off = bs.bins->offset[f];
-    hist_add_rows_gh(bs.bins->feature_codes(f), work.data() + begin,
-                     end - begin, grad.data(), hess.data(), h.data() + off,
-                     h.data() + t + off, h.data() + 2 * t + off);
-  }
-}
-
-void GradientBoosting::bs_sub_range(BinnedScan& bs,
-                                    std::span<const double> grad,
-                                    std::span<const double> hess,
-                                    const std::vector<std::size_t>& work,
-                                    std::size_t begin, std::size_t end,
-                                    std::size_t hist) {
-  std::vector<double>& h = bs.pool[hist];
-  const std::size_t t = bs.bins->total_bins();
-  for (std::size_t f = 0; f < bs.bins->cols(); ++f) {
-    const std::uint32_t off = bs.bins->offset[f];
-    hist_sub_rows_gh(bs.bins->feature_codes(f), work.data() + begin,
-                     end - begin, grad.data(), hess.data(), h.data() + off,
-                     h.data() + t + off, h.data() + 2 * t + off);
-  }
-}
-
-void GradientBoosting::bs_zero_drained(BinnedScan& bs,
-                                       const std::vector<std::size_t>& work,
-                                       std::size_t begin, std::size_t end,
-                                       std::size_t hist) {
-  // Fully-drained bins have an exactly-zero count but may keep floating-point
-  // residue in their g/h sums after the subtraction trick — hard-zero them.
-  std::vector<double>& h = bs.pool[hist];
-  const std::size_t t = bs.bins->total_bins();
-  double* cnt = h.data();
-  double* gsum = h.data() + t;
-  double* hsum = h.data() + 2 * t;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = work[i];
-    for (std::size_t f = 0; f < bs.bins->cols(); ++f) {
-      const std::size_t b = bs.bins->offset[f] + bs.bins->feature_codes(f)[r];
-      if (cnt[b] == 0.0) {
-        gsum[b] = 0.0;
-        hsum[b] = 0.0;
-      }
-    }
-  }
 }
 
 double GradientBoosting::BoostTree::predict_one(
@@ -136,8 +38,8 @@ std::int32_t GradientBoosting::build_node(
     std::span<const double> hess, std::vector<std::size_t>& work,
     std::size_t begin, std::size_t end, std::size_t depth,
     std::span<const std::size_t> cols, const SortedColumns* presorted,
-    const Matrix* columns, ColumnSegments* segments,
-    std::vector<char>& in_node, BinnedScan* bscan, std::size_t hist) const {
+    const Matrix& columns, ColumnSegments* segments,
+    std::vector<char>& in_node) const {
   const std::size_t n = end - begin;
   double g_total = 0.0;
   double h_total = 0.0;
@@ -147,7 +49,6 @@ std::int32_t GradientBoosting::build_node(
   }
 
   auto leaf = [&]() {
-    if (hist != kNoHist) bs_release(*bscan, work, begin, end, hist);
     Node node;
     node.feature = -1;
     node.weight = -g_total / (h_total + params_.lambda);
@@ -169,7 +70,7 @@ std::int32_t GradientBoosting::build_node(
   // the constant 1, so the left Hessian sum is exactly the number of rows
   // seen (a sum of ones) and needs no per-row gather.
   auto scan_sorted = [&](std::size_t f, auto&& rows_sorted, auto&& accept) {
-    const std::span<const double> values = columns->row(f);
+    const std::span<const double> values = columns.row(f);
     double g_left = 0.0;
     std::size_t seen = 0;
     double prev_value = 0.0;
@@ -201,72 +102,7 @@ std::int32_t GradientBoosting::build_node(
     }
   };
 
-  // Candidate evaluation over one feature's occupied bins — the binned
-  // counterpart of scan_sorted with the identical gain expression; with
-  // exact() binning the candidate set matches the sorted scan's.
-  auto scan_bins = [&](std::size_t f, const double* cnt, const double* gsum,
-                       const double* hsum, const double* vmin,
-                       const double* vmax, std::size_t n_bins) {
-    double g_left = 0.0;
-    double h_left = 0.0;
-    double prev_max = 0.0;
-    bool have_left = false;
-    for (std::size_t b = 0; b < n_bins; ++b) {
-      if (cnt[b] == 0.0) continue;
-      if (have_left) {
-        const double h_right = h_total - h_left;
-        if (h_left >= params_.min_child_weight &&
-            h_right >= params_.min_child_weight) {
-          const double g_right = g_total - g_left;
-          const double gain =
-              0.5 * (g_left * g_left / (h_left + params_.lambda) +
-                     g_right * g_right / (h_right + params_.lambda) -
-                     parent_score);
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = static_cast<std::int32_t>(f);
-            best_threshold = 0.5 * (prev_max + vmin[b]);
-          }
-        }
-      }
-      g_left += gsum[b];
-      h_left += hsum[b];
-      prev_max = vmax[b];
-      have_left = true;
-    }
-  };
-
-  if (bscan != nullptr && bscan->arena) {
-    const std::vector<double>& h = bscan->pool[hist];
-    const std::size_t t = bscan->bins->total_bins();
-    for (const std::size_t f : cols) {
-      const std::uint32_t off = bscan->bins->offset[f];
-      scan_bins(f, h.data() + off, h.data() + t + off, h.data() + 2 * t + off,
-                bscan->bins->value_min.data() + off,
-                bscan->bins->value_max.data() + off, bscan->bins->bin_count(f));
-    }
-  } else if (bscan != nullptr) {
-    // Column-subset mode: one single-feature scratch histogram per
-    // candidate, sparse-cleared by revisiting the node's rows.
-    double* cnt = bscan->scratch.data();
-    double* gsum = bscan->scratch.data() + BinnedColumns::kMaxBins;
-    double* hsum = bscan->scratch.data() + 2 * BinnedColumns::kMaxBins;
-    for (const std::size_t f : cols) {
-      const std::uint8_t* codes = bscan->bins->feature_codes(f);
-      hist_add_rows_gh(codes, work.data() + begin, n, grad.data(), hess.data(),
-                       cnt, gsum, hsum);
-      const std::uint32_t off = bscan->bins->offset[f];
-      scan_bins(f, cnt, gsum, hsum, bscan->bins->value_min.data() + off,
-                bscan->bins->value_max.data() + off,
-                bscan->bins->bin_count(f));
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t b = codes[work[i]];
-        cnt[b] = 0.0;
-        gsum[b] = 0.0;
-        hsum[b] = 0.0;
-      }
-    }
-  } else if (segments != nullptr) {
+  if (segments != nullptr) {
     // Each column's [begin, end) range holds exactly this node's rows in
     // (feature value, row index) order — scan it directly, no filtering.
     for (const std::size_t f : cols) {
@@ -297,7 +133,7 @@ std::int32_t GradientBoosting::build_node(
     }
   }
 
-  if (bscan == nullptr) VARPRED_OBS_COUNT("ml.gbt.candidates_scored", scored);
+  VARPRED_OBS_COUNT("ml.gbt.candidates_scored", scored);
   if (best_feature < 0) return leaf();
 
   const auto f = static_cast<std::size_t>(best_feature);
@@ -316,29 +152,7 @@ std::int32_t GradientBoosting::build_node(
   const bool children_scanned =
       depth + 1 < params_.max_depth && (mid - begin >= 2 || end - mid >= 2);
   if (segments != nullptr && children_scanned) {
-    segments->split(f, columns->row(f), best_threshold, begin, end);
-  }
-
-  // Arena mode: derive the children's histograms with the subtraction trick
-  // (fill the smaller child fresh, subtract its rows from the parent to get
-  // the larger child). Children the next level turns into leaves anyway get
-  // kNoHist and skip all histogram work.
-  std::size_t left_hist = kNoHist;
-  std::size_t right_hist = kNoHist;
-  if (hist != kNoHist) {
-    if (depth + 1 >= params_.max_depth) {
-      bs_release(*bscan, work, begin, end, hist);
-    } else {
-      const bool left_smaller = (mid - begin) <= (end - mid);
-      const std::size_t sb = left_smaller ? begin : mid;
-      const std::size_t se = left_smaller ? mid : end;
-      const std::size_t child = bs_acquire(*bscan);
-      bs_add_range(*bscan, grad, hess, work, sb, se, child);
-      bs_sub_range(*bscan, grad, hess, work, sb, se, hist);
-      bs_zero_drained(*bscan, work, sb, se, hist);
-      left_hist = left_smaller ? child : hist;
-      right_hist = left_smaller ? hist : child;
-    }
+    segments->split(f, columns.row(f), best_threshold, begin, end);
   }
 
   tree.nodes.emplace_back();
@@ -347,10 +161,10 @@ std::int32_t GradientBoosting::build_node(
   tree.nodes[self].threshold = best_threshold;
   const std::int32_t left =
       build_node(tree, x, grad, hess, work, begin, mid, depth + 1, cols,
-                 presorted, columns, segments, in_node, bscan, left_hist);
+                 presorted, columns, segments, in_node);
   const std::int32_t right =
       build_node(tree, x, grad, hess, work, mid, end, depth + 1, cols,
-                 presorted, columns, segments, in_node, bscan, right_hist);
+                 presorted, columns, segments, in_node);
   tree.nodes[self].left = left;
   tree.nodes[self].right = right;
   return self;
@@ -360,27 +174,24 @@ GradientBoosting::BoostTree GradientBoosting::fit_tree(
     const Matrix& x, std::span<const double> grad,
     std::span<const double> hess, std::span<const std::size_t> rows,
     std::span<const std::size_t> cols, const SortedColumns* presorted,
-    const Matrix* columns, ColumnSegments* segments, BinnedScan* bscan) const {
+    const Matrix& columns, ColumnSegments* segments) const {
   BoostTree tree;
   std::vector<std::size_t> work(rows.begin(), rows.end());
   std::vector<char> in_node;
-  if (bscan == nullptr && presorted != nullptr && segments == nullptr) {
-    in_node.assign(x.rows(), 0);
-  }
-  std::size_t root_hist = kNoHist;
-  if (bscan != nullptr && bscan->arena && params_.max_depth >= 1 &&
-      work.size() >= 2) {
-    root_hist = bs_acquire(*bscan);
-    bs_add_range(*bscan, grad, hess, work, 0, work.size(), root_hist);
-  }
+  if (presorted != nullptr && segments == nullptr) in_node.assign(x.rows(), 0);
   build_node(tree, x, grad, hess, work, 0, work.size(), 0, cols, presorted,
-             columns, segments, in_node, bscan, root_hist);
+             columns, segments, in_node);
   return tree;
 }
 
-void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
+void GradientBoosting::fit(const Matrix& x, const Matrix& y,
+                           const SortedColumns* presorted) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(x.rows() >= 1, "need at least one training row");
+  VARPRED_CHECK_ARG(presorted == nullptr ||
+                        (presorted->cols() == x.cols() &&
+                         presorted->row_count() == x.rows()),
+                    "presorted artifact does not match training matrix");
   obs::Span span("ml.gbt.fit");
   VARPRED_OBS_COUNT("ml.gbt.fits", 1);
   VARPRED_OBS_COUNT("ml.gbt.rounds_trained", params_.n_rounds * y.cols());
@@ -390,61 +201,21 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
 
   // With subsample == 1 every tree trains on the same rows, so the
   // per-column sorted orders are shared by every node of every tree of every
-  // output ensemble (exact, just faster). A caller-provided artifact (see
-  // set_presorted) skips even that one dataset-level sort — the evaluator
-  // builds it once per corpus and shares it across all folds.
-  // Take the hint eagerly: it applies to this fit only, even when the fit
-  // fails validation below.
-  const std::shared_ptr<const SortedColumns> hint = std::move(presorted_hint_);
-  presorted_hint_.reset();
-  const std::shared_ptr<const BinnedColumns> binned_hint =
-      std::move(binned_hint_);
-  binned_hint_.reset();
-
-  // Histogram-binned mode (runtime-gated): one dataset-level BinnedColumns
-  // artifact serves every node of every round of every output ensemble,
-  // subsampled rows and columns included — the sorted orders (and their
-  // per-round segment copies) are not needed at all.
-  // A supplied hint is validated whenever the share-rows regime would
-  // consume it — the binned path must not silently launder a mismatched
-  // artifact the exact path would reject.
+  // output ensemble (exact, just faster). A caller-provided artifact skips
+  // even that one dataset-level sort — the evaluator builds it once per
+  // corpus and shares it across all folds.
   const bool share_rows = params_.subsample >= 1.0;
-  if (share_rows && hint != nullptr) {
-    VARPRED_CHECK_ARG(hint->cols() == x.cols() &&
-                          hint->row_count() == x.rows(),
-                      "presorted artifact does not match training matrix");
+  SortedColumns own;
+  if (!share_rows) {
+    presorted = nullptr;  // subsampled rounds sort each node's own rows
+  } else if (presorted != nullptr) {
+    VARPRED_OBS_COUNT("ml.gbt.presort_reused", 1);
+  } else {
+    own = SortedColumns::build(x);
+    presorted = &own;
   }
 
-  // Size-dispatched self-build; a caller-supplied artifact is consumed at
-  // any size unless the oracle is pinned (see RandomForest::fit).
-  std::shared_ptr<const BinnedColumns> bins;
-  if (tree_binned_enabled() && n >= 2 && binned_hint != nullptr) {
-    VARPRED_CHECK_ARG(binned_hint->cols() == x.cols() &&
-                          binned_hint->row_count() == x.rows(),
-                      "binned artifact does not match training matrix");
-    bins = binned_hint;
-    VARPRED_OBS_COUNT("ml.gbt.binned_reused", 1);
-  } else if (tree_binned_profitable(n) && n >= 2) {
-    if (share_rows && hint != nullptr) {
-      bins = std::make_shared<const BinnedColumns>(
-          BinnedColumns::build(x, *hint));
-    } else {
-      bins = std::make_shared<const BinnedColumns>(BinnedColumns::build(x));
-    }
-  }
-
-  std::shared_ptr<const SortedColumns> presorted;
-  if (share_rows && bins == nullptr) {
-    if (hint != nullptr) {
-      presorted = hint;
-      VARPRED_OBS_COUNT("ml.gbt.presort_reused", 1);
-    } else {
-      presorted =
-          std::make_shared<const SortedColumns>(SortedColumns::build(x));
-    }
-  }
-
-  // The exact scans read values from one column-major copy of x, shared
+  // The scans read values from one column-major copy of x, shared
   // read-only by every output ensemble. When every tree also sees every
   // row and column, the per-feature orders are kept as node-partitioned
   // segments: each ensemble restores its copy from the shared root orders
@@ -452,12 +223,9 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
   const auto n_cols = std::max<std::size_t>(
       1, static_cast<std::size_t>(std::llround(
              params_.colsample * static_cast<double>(x.cols()))));
-  Matrix columns;
-  if (bins == nullptr) columns = x.transposed();
+  const Matrix columns = x.transposed();
   std::optional<const ColumnSegments> root;
-  if (bins == nullptr && share_rows && n_cols == x.cols()) {
-    root.emplace(*presorted);
-  }
+  if (share_rows && n_cols == x.cols()) root.emplace(*presorted);
 
   parallel_for(n_outputs, [&](std::size_t out) {
     Rng rng(seed_combine(params_.seed, out));
@@ -485,17 +253,6 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
 
     std::optional<ColumnSegments> segments = root;
 
-    // Binned split-search state for this ensemble; the histogram pool
-    // persists across rounds (buffers return to the free list fully zero).
-    BinnedScan bscan;
-    if (bins != nullptr) {
-      bscan.bins = bins.get();
-      bscan.arena = n_cols == x.cols();
-      if (!bscan.arena) {
-        bscan.scratch.assign(3 * BinnedColumns::kMaxBins, 0.0);
-      }
-    }
-
     for (std::size_t round = 0; round < params_.n_rounds; ++round) {
       for (std::size_t r = 0; r < n; ++r) grad[r] = pred[r] - y(r, out);
 
@@ -521,11 +278,8 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y) {
       }
 
       if (segments && round > 0) segments->reset_to(*root);
-      BoostTree tree = fit_tree(x, grad, hess, rows, cols,
-                                share_rows ? presorted.get() : nullptr,
-                                bins == nullptr ? &columns : nullptr,
-                                segments ? &*segments : nullptr,
-                                bins != nullptr ? &bscan : nullptr);
+      BoostTree tree = fit_tree(x, grad, hess, rows, cols, presorted, columns,
+                                segments ? &*segments : nullptr);
       for (std::size_t r = 0; r < n; ++r) {
         pred[r] += params_.learning_rate * tree.predict_one(x.row(r));
       }

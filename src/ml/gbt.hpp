@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "ml/binned_columns.hpp"
 #include "ml/regressor.hpp"
 #include "ml/sorted_columns.hpp"
 
@@ -34,9 +33,11 @@ class GradientBoosting final : public Regressor {
  public:
   explicit GradientBoosting(GbtParams params = {});
 
-  void fit(const Matrix& x, const Matrix& y) override;
-  void set_presorted(std::shared_ptr<const SortedColumns> cols) override;
-  void set_binned(std::shared_ptr<const BinnedColumns> bins) override;
+  using Regressor::fit;
+  /// A non-null `presorted` must be SortedColumns::build(x) (dimension
+  /// match is checked, whatever subsample is).
+  void fit(const Matrix& x, const Matrix& y,
+           const SortedColumns* presorted) override;
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
   std::string name() const override { return "XGBoost"; }
@@ -64,46 +65,12 @@ class GradientBoosting final : public Regressor {
     std::vector<BoostTree> trees;
   };
 
-  // Histogram-binned split-search state (one per output ensemble). Arena
-  // mode (every tree sees every column) keeps {count, grad-sum, hess-sum}
-  // histograms per live tree path, deriving siblings with the parent−child
-  // subtraction trick; column-subset mode rebuilds a single-feature scratch
-  // histogram per candidate. Buffers are [cnt: T][g: T][h: T] and free
-  // buffers are always fully zero (sparse-released by revisiting rows).
-  struct BinnedScan {
-    const BinnedColumns* bins = nullptr;
-    bool arena = false;
-    std::vector<std::vector<double>> pool;
-    std::vector<std::size_t> free_list;
-    std::vector<double> scratch;  // [cnt|g|h] x kMaxBins, column-subset mode
-  };
-
-  static constexpr std::size_t kNoHist = static_cast<std::size_t>(-1);
-
-  static std::size_t bs_acquire(BinnedScan& bs);
-  static void bs_release(BinnedScan& bs, const std::vector<std::size_t>& work,
-                         std::size_t begin, std::size_t end, std::size_t hist);
-  static void bs_add_range(BinnedScan& bs, std::span<const double> grad,
-                           std::span<const double> hess,
-                           const std::vector<std::size_t>& work,
-                           std::size_t begin, std::size_t end,
-                           std::size_t hist);
-  static void bs_sub_range(BinnedScan& bs, std::span<const double> grad,
-                           std::span<const double> hess,
-                           const std::vector<std::size_t>& work,
-                           std::size_t begin, std::size_t end,
-                           std::size_t hist);
-  static void bs_zero_drained(BinnedScan& bs,
-                              const std::vector<std::size_t>& work,
-                              std::size_t begin, std::size_t end,
-                              std::size_t hist);
-
   BoostTree fit_tree(const Matrix& x, std::span<const double> grad,
                      std::span<const double> hess,
                      std::span<const std::size_t> rows,
                      std::span<const std::size_t> cols,
-                     const SortedColumns* presorted, const Matrix* columns,
-                     ColumnSegments* segments, BinnedScan* bscan) const;
+                     const SortedColumns* presorted, const Matrix& columns,
+                     ColumnSegments* segments) const;
   std::int32_t build_node(BoostTree& tree, const Matrix& x,
                           std::span<const double> grad,
                           std::span<const double> hess,
@@ -111,14 +78,11 @@ class GradientBoosting final : public Regressor {
                           std::size_t end, std::size_t depth,
                           std::span<const std::size_t> cols,
                           const SortedColumns* presorted,
-                          const Matrix* columns, ColumnSegments* segments,
-                          std::vector<char>& in_node, BinnedScan* bscan,
-                          std::size_t hist) const;
+                          const Matrix& columns, ColumnSegments* segments,
+                          std::vector<char>& in_node) const;
 
   GbtParams params_;
   std::vector<Ensemble> ensembles_;  // one per output column
-  std::shared_ptr<const SortedColumns> presorted_hint_;  // next fit() only
-  std::shared_ptr<const BinnedColumns> binned_hint_;     // next fit() only
 };
 
 }  // namespace varpred::ml

@@ -11,7 +11,8 @@ KnnRegressor::KnnRegressor(KnnParams params) : params_(params) {
   VARPRED_CHECK_ARG(params_.k >= 1, "k must be >= 1");
 }
 
-void KnnRegressor::fit(const Matrix& x, const Matrix& y) {
+void KnnRegressor::fit(const Matrix& x, const Matrix& y,
+                       const SortedColumns* /*presorted*/) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(x.rows() >= 1, "need at least one training row");
   if (params_.standardize) {

@@ -28,7 +28,9 @@ class KnnRegressor final : public Regressor {
  public:
   explicit KnnRegressor(KnnParams params = {});
 
-  void fit(const Matrix& x, const Matrix& y) override;
+  using Regressor::fit;
+  void fit(const Matrix& x, const Matrix& y,
+           const SortedColumns* presorted) override;
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
   std::string name() const override { return "kNN"; }

@@ -14,7 +14,6 @@
 namespace varpred::ml {
 
 struct SortedColumns;
-struct BinnedColumns;
 
 /// Multi-output regressor: fit(X, Y) then predict a Y-row for an X-row.
 class Regressor {
@@ -22,23 +21,16 @@ class Regressor {
   virtual ~Regressor() = default;
 
   /// Trains on rows of X (features) against rows of Y (targets).
-  virtual void fit(const Matrix& x, const Matrix& y) = 0;
+  /// `presorted`, when non-null, must be the presorted column orders of X
+  /// (see ml/sorted_columns.hpp). Purely an acceleration: tree learners
+  /// check its dimensions against X, skip their per-fit column sorts and
+  /// build byte-identical trees from it; kNN and ridge ignore it. It is
+  /// read during this call only.
+  virtual void fit(const Matrix& x, const Matrix& y,
+                   const SortedColumns* presorted) = 0;
 
-  /// Hands the model presorted column orders of the X matrix that will be
-  /// passed to the next fit() call (see ml/sorted_columns.hpp). Purely an
-  /// acceleration: tree learners skip their per-fit column sorts and build
-  /// byte-identical trees from the shared artifact; models that cannot use
-  /// it ignore it. The artifact applies to the next fit() only — fit
-  /// releases it so a later refit on a different matrix cannot consume a
-  /// stale order.
-  virtual void set_presorted(std::shared_ptr<const SortedColumns> /*cols*/) {}
-
-  /// Hands the model quantized bin codes of the X matrix that will be passed
-  /// to the next fit() call (see ml/binned_columns.hpp). Tree learners use
-  /// it for histogram-binned split search when the runtime gate
-  /// (tree_binned_enabled) is on; models that cannot use it ignore it.
-  /// Like set_presorted, the artifact applies to the next fit() only.
-  virtual void set_binned(std::shared_ptr<const BinnedColumns> /*bins*/) {}
+  /// fit(x, y, nullptr): the learner sorts its own columns if it needs to.
+  void fit(const Matrix& x, const Matrix& y) { fit(x, y, nullptr); }
 
   /// Predicts the target vector for one feature row.
   virtual std::vector<double> predict(std::span<const double> row) const = 0;

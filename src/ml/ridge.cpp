@@ -13,7 +13,8 @@ RidgeRegressor::RidgeRegressor(RidgeParams params) : params_(params) {
   VARPRED_CHECK_ARG(params_.lambda >= 0.0, "lambda must be >= 0");
 }
 
-void RidgeRegressor::fit(const Matrix& x_raw, const Matrix& y) {
+void RidgeRegressor::fit(const Matrix& x_raw, const Matrix& y,
+                         const SortedColumns* /*presorted*/) {
   VARPRED_CHECK_ARG(x_raw.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(x_raw.rows() >= 2, "need at least two training rows");
 

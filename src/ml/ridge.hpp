@@ -19,7 +19,9 @@ class RidgeRegressor final : public Regressor {
  public:
   explicit RidgeRegressor(RidgeParams params = {});
 
-  void fit(const Matrix& x, const Matrix& y) override;
+  using Regressor::fit;
+  void fit(const Matrix& x, const Matrix& y,
+           const SortedColumns* presorted) override;
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
   std::string name() const override { return "Ridge"; }

@@ -5,7 +5,6 @@
 #include <numeric>
 #include <optional>
 
-#include "ml/histkernels.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::ml {
@@ -127,183 +126,56 @@ RegressionTree::RegressionTree(TreeParams params) : params_(params) {
                     "min_samples_leaf must be >= 1");
 }
 
-void RegressionTree::fit(const Matrix& x, const Matrix& y) {
+void RegressionTree::fit(const Matrix& x, const Matrix& y,
+                         const SortedColumns* presorted) {
   std::vector<std::size_t> all(x.rows());
   std::iota(all.begin(), all.end(), std::size_t{0});
   // A dataset-level artifact over x is exactly the all-rows sample order.
-  const std::shared_ptr<const SortedColumns> hint = std::move(presorted_hint_);
-  presorted_hint_.reset();
-  const std::shared_ptr<const BinnedColumns> bins = std::move(binned_hint_);
-  binned_hint_.reset();
-  fit_rows(x, y, all, hint.get(), bins.get());
-}
-
-void RegressionTree::set_presorted(std::shared_ptr<const SortedColumns> cols) {
-  presorted_hint_ = std::move(cols);
-}
-
-void RegressionTree::set_binned(std::shared_ptr<const BinnedColumns> bins) {
-  binned_hint_ = std::move(bins);
+  fit_rows(x, y, all, presorted);
 }
 
 void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
                               std::span<const std::size_t> indices,
                               const SortedColumns* presorted,
-                              const BinnedColumns* binned,
                               const Matrix* columns) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(!indices.empty(), "cannot fit on zero rows");
+  VARPRED_CHECK_ARG(presorted == nullptr ||
+                        (presorted->cols() == x.cols() &&
+                         presorted->row_count() == indices.size()),
+                    "presorted artifact does not match sample");
+  VARPRED_CHECK_ARG(x.rows() <= UINT32_MAX, "row ids do not fit 32 bits");
   nodes_.clear();
   leaf_values_.clear();
   n_outputs_ = y.cols();
   work_.assign(indices.begin(), indices.end());
 
-  // Histogram-binned mode (runtime-gated): splits come from per-node bin
-  // histograms over the dataset-level artifact, and any presorted sample
-  // order is ignored — no per-split column maintenance at all.
-  bins_ = tree_binned_enabled() ? binned : nullptr;
-  if (bins_ != nullptr) {
-    VARPRED_CHECK_ARG(bins_->cols() == x.cols() &&
-                          bins_->row_count() == x.rows(),
-                      "binned artifact does not match training matrix");
+  Matrix own_columns;
+  if (columns == nullptr) {
+    own_columns = x.transposed();
+    columns = &own_columns;
   }
-
+  VARPRED_CHECK_ARG(columns->rows() == x.cols() && columns->cols() == x.rows(),
+                    "column-major copy does not match training matrix");
+  ExactScan exact{*columns, ScanBuffers(indices.size(), n_outputs_), {}};
   // Column-segment mode needs every split to consider every feature, else
   // the candidate subset would still have to be sorted per node anyway.
   const bool all_features =
       params_.max_features == 0 || params_.max_features >= x.cols();
-  std::optional<ExactScan> exact;
-  Matrix own_columns;
-  if (bins_ == nullptr) {
-    VARPRED_CHECK_ARG(x.rows() <= UINT32_MAX, "row ids do not fit 32 bits");
-    if (columns == nullptr) {
-      own_columns = x.transposed();
-      columns = &own_columns;
-    }
-    VARPRED_CHECK_ARG(columns->rows() == x.cols() &&
-                          columns->cols() == x.rows(),
-                      "column-major copy does not match training matrix");
-    exact.emplace(*columns, ScanBuffers(indices.size(), n_outputs_));
-    if (presorted != nullptr && all_features) {
-      VARPRED_CHECK_ARG(presorted->cols() == x.cols() &&
-                            presorted->row_count() == indices.size(),
-                        "presorted artifact does not match sample");
-      exact->segments.emplace(*presorted);
-    }
-  }
-  exact_ = exact.has_value() ? &*exact : nullptr;
-
-  std::size_t root_hist = kNoHist;
-  if (bins_ != nullptr) {
-    hk_ = &hist_kernels();
-    ydata_ = y.data().data();
-    binned_arena_ = all_features;
-    if (binned_arena_) {
-      root_hist = hist_acquire();
-      hist_add_range(root_hist, 0, work_.size());
-    } else {
-      hist_scratch_.assign(BinnedColumns::kMaxBins * (1 + n_outputs_), 0.0);
-    }
-  }
+  if (presorted != nullptr && all_features) exact.segments.emplace(*presorted);
+  exact_ = &exact;
 
   Rng rng(params_.seed);
-  build(x, y, 0, work_.size(), 0, rng, root_hist);
+  build(x, y, 0, work_.size(), 0, rng);
 
   release(work_);
   exact_ = nullptr;
-  bins_ = nullptr;
-  hk_ = nullptr;
-  ydata_ = nullptr;
-  binned_arena_ = false;
-  release(hist_pool_);
-  release(hist_free_);
-  release(hist_scratch_);
 }
 
 std::size_t RegressionTree::retained_bytes() const {
   return nodes_.capacity() * sizeof(Node) +
          leaf_values_.capacity() * sizeof(double) +
-         work_.capacity() * sizeof(std::size_t) +
-         hist_pool_.capacity() * sizeof(std::vector<double>) +
-         hist_free_.capacity() * sizeof(std::size_t) +
-         hist_scratch_.capacity() * sizeof(double);
-}
-
-std::size_t RegressionTree::hist_acquire() {
-  if (!hist_free_.empty()) {
-    const std::size_t id = hist_free_.back();
-    hist_free_.pop_back();
-    return id;
-  }
-  hist_pool_.emplace_back(bins_->total_bins() * (1 + n_outputs_), 0.0);
-  return hist_pool_.size() - 1;
-}
-
-void RegressionTree::hist_release(std::size_t hist, std::size_t begin,
-                                  std::size_t end) {
-  // Sparse re-zero: only the bins this node's rows occupy can be nonzero,
-  // so revisiting the rows restores the all-zero invariant in O(rows) and
-  // the buffer can be reused without a full O(total_bins) clear.
-  std::vector<double>& h = hist_pool_[hist];
-  const std::size_t t = bins_->total_bins();
-  double* cnt = h.data();
-  double* sums = h.data() + t;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = work_[i];
-    for (std::size_t f = 0; f < bins_->cols(); ++f) {
-      const std::size_t b = bins_->offset[f] + bins_->feature_codes(f)[r];
-      cnt[b] = 0.0;
-      for (std::size_t c = 0; c < n_outputs_; ++c) {
-        sums[b * n_outputs_ + c] = 0.0;
-      }
-    }
-  }
-  hist_free_.push_back(hist);
-}
-
-void RegressionTree::hist_add_range(std::size_t hist, std::size_t begin,
-                                    std::size_t end) {
-  std::vector<double>& h = hist_pool_[hist];
-  const std::size_t t = bins_->total_bins();
-  for (std::size_t f = 0; f < bins_->cols(); ++f) {
-    hk_->add_rows(bins_->feature_codes(f), work_.data() + begin, end - begin,
-                  ydata_, n_outputs_, h.data() + bins_->offset[f],
-                  h.data() + t + bins_->offset[f] * n_outputs_);
-  }
-}
-
-void RegressionTree::hist_sub_range(std::size_t hist, std::size_t begin,
-                                    std::size_t end) {
-  std::vector<double>& h = hist_pool_[hist];
-  const std::size_t t = bins_->total_bins();
-  for (std::size_t f = 0; f < bins_->cols(); ++f) {
-    hk_->sub_rows(bins_->feature_codes(f), work_.data() + begin, end - begin,
-                  ydata_, n_outputs_, h.data() + bins_->offset[f],
-                  h.data() + t + bins_->offset[f] * n_outputs_);
-  }
-}
-
-void RegressionTree::hist_zero_drained(std::size_t hist, std::size_t begin,
-                                       std::size_t end) {
-  // After the subtraction trick, bins fully drained by the removed rows have
-  // an exactly-zero count (integer arithmetic) but may keep floating-point
-  // residue in their sums. Hard-zero them so the scan's count==0 skip and
-  // the sparse release invariant both stay sound.
-  std::vector<double>& h = hist_pool_[hist];
-  const std::size_t t = bins_->total_bins();
-  double* cnt = h.data();
-  double* sums = h.data() + t;
-  for (std::size_t i = begin; i < end; ++i) {
-    const std::size_t r = work_[i];
-    for (std::size_t f = 0; f < bins_->cols(); ++f) {
-      const std::size_t b = bins_->offset[f] + bins_->feature_codes(f)[r];
-      if (cnt[b] == 0.0) {
-        for (std::size_t c = 0; c < n_outputs_; ++c) {
-          sums[b * n_outputs_ + c] = 0.0;
-        }
-      }
-    }
-  }
+         work_.capacity() * sizeof(std::size_t);
 }
 
 std::int32_t RegressionTree::make_leaf(const Matrix& y, std::size_t begin,
@@ -327,12 +199,10 @@ std::int32_t RegressionTree::make_leaf(const Matrix& y, std::size_t begin,
 
 std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
                                    std::size_t begin, std::size_t end,
-                                   std::size_t depth, Rng& rng,
-                                   std::size_t hist) {
+                                   std::size_t depth, Rng& rng) {
   const std::size_t n = end - begin;
   if (depth >= params_.max_depth || n < params_.min_samples_split ||
       n < 2 * params_.min_samples_leaf) {
-    if (hist != kNoHist) hist_release(hist, begin, end);
     return make_leaf(y, begin, end, depth);
   }
 
@@ -365,129 +235,42 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   for (std::size_t c = 0; c < n_outputs_; ++c) {
     parent_sse -= total_sum[c] * total_sum[c] / static_cast<double>(n);
   }
-  if (parent_sse <= 1e-14) {
-    if (hist != kNoHist) hist_release(hist, begin, end);
-    return make_leaf(y, begin, end, depth);
-  }
+  if (parent_sse <= 1e-14) return make_leaf(y, begin, end, depth);
 
   BestSplit best{.sse = parent_sse - 1e-12};
 
-  std::vector<double> left_sum(n_outputs_);
-
-  // Shared candidate evaluation over one feature's occupied bins: the split
-  // scored between adjacent occupied bins p < b is the exact scan's
-  // candidate between adjacent distinct node values whenever binning is
-  // exact, with the identical SSE expression (total_sq is node-constant, so
-  // per-bin squared sums are never needed).
-  auto scan_bins = [&](std::size_t f, const double* cnt, const double* sums,
-                       const double* vmin, const double* vmax,
-                       std::size_t n_bins) {
-    std::fill(left_sum.begin(), left_sum.end(), 0.0);
-    std::size_t left_n = 0;
-    double prev_max = 0.0;
-    bool have_left = false;
-    for (std::size_t b = 0; b < n_bins; ++b) {
-      if (cnt[b] == 0.0) continue;
-      if (have_left) {
-        const std::size_t n_left = left_n;
-        const std::size_t n_right = n - left_n;
-        if (n_left >= params_.min_samples_leaf &&
-            n_right >= params_.min_samples_leaf) {
-          double sse = total_sq;
-          double left_penalty = 0.0;
-          double right_penalty = 0.0;
-          for (std::size_t c = 0; c < n_outputs_; ++c) {
-            left_penalty += left_sum[c] * left_sum[c];
-            const double rs = total_sum[c] - left_sum[c];
-            right_penalty += rs * rs;
-          }
-          sse -= left_penalty / static_cast<double>(n_left) +
-                 right_penalty / static_cast<double>(n_right);
-          if (sse < best.sse) {
-            best.sse = sse;
-            best.feature = static_cast<std::int32_t>(f);
-            best.threshold = 0.5 * (prev_max + vmin[b]);
-          }
-        }
-      }
-      left_n += static_cast<std::size_t>(cnt[b]);
-      for (std::size_t c = 0; c < n_outputs_; ++c) {
-        left_sum[c] += sums[b * n_outputs_ + c];
-      }
-      prev_max = vmax[b];
-      have_left = true;
-    }
-  };
-
-  if (bins_ != nullptr && binned_arena_) {
-    const std::vector<double>& h = hist_pool_[hist];
-    const double* cnt = h.data();
-    const double* sums = h.data() + bins_->total_bins();
-    for (std::size_t fi = 0; fi < n_candidates; ++fi) {
-      const std::size_t f = features[fi];
-      const std::uint32_t off = bins_->offset[f];
-      scan_bins(f, cnt + off, sums + off * n_outputs_,
-                bins_->value_min.data() + off, bins_->value_max.data() + off,
-                bins_->bin_count(f));
-    }
-  } else if (bins_ != nullptr) {
-    // Feature-subset mode: one single-feature scratch histogram per
-    // candidate, sparse-cleared by revisiting the node's rows.
-    double* cnt = hist_scratch_.data();
-    double* sums = hist_scratch_.data() + BinnedColumns::kMaxBins;
-    for (std::size_t fi = 0; fi < n_candidates; ++fi) {
-      const std::size_t f = features[fi];
-      const std::uint8_t* codes = bins_->feature_codes(f);
-      hk_->add_rows(codes, work_.data() + begin, n, ydata_, n_outputs_, cnt,
-                    sums);
-      const std::uint32_t off = bins_->offset[f];
-      scan_bins(f, cnt, sums, bins_->value_min.data() + off,
-                bins_->value_max.data() + off, bins_->bin_count(f));
-      for (std::size_t i = begin; i < end; ++i) {
-        const std::size_t b = codes[work_[i]];
-        cnt[b] = 0.0;
-        for (std::size_t c = 0; c < n_outputs_; ++c) {
-          sums[b * n_outputs_ + c] = 0.0;
-        }
-      }
-    }
-  } else {
-    // Exact search over each candidate feature's rows in (value, index)
-    // order: the node's column segment, or else a per-node sort — the
-    // oracle the segments are tested against, and the path that runs when
-    // splits sample features.
-    std::vector<std::uint32_t> sorted;
-    if (!exact_->segments) {
-      sorted.assign(work_.begin() + static_cast<std::ptrdiff_t>(begin),
-                    work_.begin() + static_cast<std::ptrdiff_t>(end));
-    }
-    std::size_t scored = 0;
-    for (std::size_t fi = 0; fi < n_candidates; ++fi) {
-      const std::size_t f = features[fi];
-      std::span<const std::uint32_t> rows;
-      if (exact_->segments) {
-        rows = exact_->segments->segment(f, begin, end);
-      } else {
-        std::sort(sorted.begin(), sorted.end(),
-                  [&](std::size_t a, std::size_t b) {
-                    const double va = x(a, f);
-                    const double vb = x(b, f);
-                    if (va != vb) return va < vb;
-                    return a < b;  // deterministic ties
-                  });
-        rows = sorted;
-      }
-      scored += scan_feature(f, rows, exact_->columns.row(f), y.data().data(),
-                             total_sum.data(), total_sq,
-                             params_.min_samples_leaf, exact_->buffers, best);
-    }
-    VARPRED_OBS_COUNT("ml.tree.candidates_scored", scored);
+  // Exact search over each candidate feature's rows in (value, index)
+  // order: the node's column segment, or else a per-node sort — the
+  // oracle the segments are tested against, and the path that runs when
+  // splits sample features.
+  std::vector<std::uint32_t> sorted;
+  if (!exact_->segments) {
+    sorted.assign(work_.begin() + static_cast<std::ptrdiff_t>(begin),
+                  work_.begin() + static_cast<std::ptrdiff_t>(end));
   }
-
-  if (best.feature < 0) {
-    if (hist != kNoHist) hist_release(hist, begin, end);
-    return make_leaf(y, begin, end, depth);
+  std::size_t scored = 0;
+  for (std::size_t fi = 0; fi < n_candidates; ++fi) {
+    const std::size_t f = features[fi];
+    std::span<const std::uint32_t> rows;
+    if (exact_->segments) {
+      rows = exact_->segments->segment(f, begin, end);
+    } else {
+      std::sort(sorted.begin(), sorted.end(),
+                [&](std::size_t a, std::size_t b) {
+                  const double va = x(a, f);
+                  const double vb = x(b, f);
+                  if (va != vb) return va < vb;
+                  return a < b;  // deterministic ties
+                });
+      rows = sorted;
+    }
+    scored += scan_feature(f, rows, exact_->columns.row(f), y.data().data(),
+                           total_sum.data(), total_sq,
+                           params_.min_samples_leaf, exact_->buffers, best);
   }
+  VARPRED_OBS_COUNT("ml.tree.candidates_scored", scored);
+
+  if (best.feature < 0) return make_leaf(y, begin, end, depth);
 
   // Partition work_[begin, end) around the chosen threshold.
   const auto f = static_cast<std::size_t>(best.feature);
@@ -498,7 +281,6 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   const auto mid =
       static_cast<std::size_t>(mid_it - work_.begin());
   if (mid == begin || mid == end) {
-    if (hist != kNoHist) hist_release(hist, begin, end);
     return make_leaf(y, begin, end, depth);  // numeric degeneracy guard
   }
   VARPRED_OBS_COUNT("ml.tree.nodes_split", 1);
@@ -512,34 +294,9 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
            rows >= params_.min_samples_split &&
            rows >= 2 * params_.min_samples_leaf;
   };
-  if (exact_ != nullptr && exact_->segments &&
-      (may_split(mid - begin) || may_split(end - mid))) {
+  if (exact_->segments && (may_split(mid - begin) || may_split(end - mid))) {
     exact_->segments->split(f, exact_->columns.row(f), best.threshold, begin,
                             end);
-  }
-
-  // Arena mode: derive the children's histograms with the subtraction trick.
-  // The smaller child gets a fresh (all-zero) buffer filled from its rows;
-  // subtracting those same rows from the parent's buffer turns it into the
-  // larger child's histogram — 2·m_small row visits instead of m_small +
-  // m_large. Children that cannot split (next level hits max_depth) get
-  // kNoHist and skip all histogram work.
-  std::size_t left_hist = kNoHist;
-  std::size_t right_hist = kNoHist;
-  if (hist != kNoHist) {
-    if (depth + 1 >= params_.max_depth) {
-      hist_release(hist, begin, end);
-    } else {
-      const bool left_smaller = (mid - begin) <= (end - mid);
-      const std::size_t sb = left_smaller ? begin : mid;
-      const std::size_t se = left_smaller ? mid : end;
-      const std::size_t child = hist_acquire();
-      hist_add_range(child, sb, se);
-      hist_sub_range(hist, sb, se);
-      hist_zero_drained(hist, sb, se);
-      left_hist = left_smaller ? child : hist;
-      right_hist = left_smaller ? hist : child;
-    }
   }
 
   // Reserve this node's slot before building children.
@@ -548,8 +305,8 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   nodes_[self].feature = best.feature;
   nodes_[self].threshold = best.threshold;
   nodes_[self].node_depth = static_cast<std::int32_t>(depth);
-  const std::int32_t left = build(x, y, begin, mid, depth + 1, rng, left_hist);
-  const std::int32_t right = build(x, y, mid, end, depth + 1, rng, right_hist);
+  const std::int32_t left = build(x, y, begin, mid, depth + 1, rng);
+  const std::int32_t right = build(x, y, mid, end, depth + 1, rng);
   nodes_[self].left = left;
   nodes_[self].right = right;
   return self;

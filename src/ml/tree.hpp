@@ -6,16 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 
 #include "common/rng.hpp"
-#include "ml/binned_columns.hpp"
 #include "ml/regressor.hpp"
 #include "ml/sorted_columns.hpp"
-
-namespace varpred::ml {
-struct HistKernels;
-}
 
 namespace varpred::ml {
 
@@ -34,9 +28,11 @@ class RegressionTree final : public Regressor {
  public:
   explicit RegressionTree(TreeParams params = {});
 
-  void fit(const Matrix& x, const Matrix& y) override;
-  void set_presorted(std::shared_ptr<const SortedColumns> cols) override;
-  void set_binned(std::shared_ptr<const BinnedColumns> bins) override;
+  using Regressor::fit;
+  /// A non-null `presorted` must be SortedColumns::build(x) (dimension
+  /// match is checked, whatever max_features is).
+  void fit(const Matrix& x, const Matrix& y,
+           const SortedColumns* presorted) override;
 
   /// Fits on a subset of rows (bootstrap support for forests). `presorted`,
   /// when given, must hold the per-feature orders of exactly the `indices`
@@ -45,25 +41,15 @@ class RegressionTree final : public Regressor {
   /// SortedColumns::filtered(indices, /*remap=*/false) of a dataset-level
   /// artifact. It is consumed only when every split considers all features
   /// (max_features covers the full column set) and yields byte-identical
-  /// trees; otherwise it is ignored.
-  ///
-  /// `binned`, when given (and tree_binned_enabled()), must be the
-  /// dataset-level BinnedColumns artifact of `x` (dimension match is
-  /// checked; `indices` may be any subset/multiset of its rows). The fit
-  /// then finds splits over per-node bin histograms — `presorted` is
-  /// ignored, no per-split column maintenance — considering exactly the
-  /// exact scan's candidate thresholds whenever the binning is exact()
-  /// (see ml/binned_columns.hpp). With VARPRED_TREE_BINNED=0 the artifact
-  /// is ignored and the exact presorted oracle runs instead.
+  /// trees; otherwise it is checked and ignored.
   ///
   /// `columns`, when given, must be x.transposed(): the column-major copy
-  /// the exact split search reads feature values from. A forest builds it
-  /// once and shares it read-only across its trees; when null, an exact fit
-  /// builds its own.
+  /// the split search reads feature values from. A forest builds it once
+  /// and shares it read-only across its trees; when null, the fit builds
+  /// its own.
   void fit_rows(const Matrix& x, const Matrix& y,
                 std::span<const std::size_t> indices,
                 const SortedColumns* presorted = nullptr,
-                const BinnedColumns* binned = nullptr,
                 const Matrix* columns = nullptr);
 
   std::vector<double> predict(std::span<const double> row) const override;
@@ -93,26 +79,11 @@ class RegressionTree final : public Regressor {
     std::int32_t node_depth = 0;
   };
 
-  static constexpr std::size_t kNoHist = static_cast<std::size_t>(-1);
-
-  // Recursive builder over an index range [begin, end) of work_. `hist` is
-  // the node's histogram buffer (index into hist_pool_) in binned
-  // all-features mode, kNoHist otherwise.
+  // Recursive builder over an index range [begin, end) of work_.
   std::int32_t build(const Matrix& x, const Matrix& y, std::size_t begin,
-                     std::size_t end, std::size_t depth, Rng& rng,
-                     std::size_t hist);
+                     std::size_t end, std::size_t depth, Rng& rng);
   std::int32_t make_leaf(const Matrix& y, std::size_t begin, std::size_t end,
                          std::size_t depth);
-
-  // Binned-mode histogram arena (see tree.cpp). Buffers hold
-  // [count: T][sums: T * n_outputs_] over all T = bins_->total_bins() bins;
-  // free buffers are always fully zero.
-  std::size_t hist_acquire();
-  void hist_release(std::size_t hist, std::size_t begin, std::size_t end);
-  void hist_add_range(std::size_t hist, std::size_t begin, std::size_t end);
-  void hist_sub_range(std::size_t hist, std::size_t begin, std::size_t end);
-  void hist_zero_drained(std::size_t hist, std::size_t begin,
-                         std::size_t end);
 
   TreeParams params_;
   std::size_t n_outputs_ = 0;
@@ -123,24 +94,9 @@ class RegressionTree final : public Regressor {
   std::vector<std::size_t> work_;  // node row ranges
 
   // Exact split search state (see tree.cpp): lives on fit_rows' stack,
-  // null outside a fit and in binned mode.
+  // null outside a fit.
   struct ExactScan;
   ExactScan* exact_ = nullptr;
-  std::shared_ptr<const SortedColumns> presorted_hint_;  // next fit() only
-
-  // Histogram-binned fit state (only while fitting with a binned artifact):
-  // all-features mode keeps one histogram per live tree path in an arena and
-  // derives each sibling by subtracting the smaller child from the parent;
-  // feature-subset mode rebuilds a single-feature scratch histogram per
-  // candidate, sparse-cleared by revisiting the node's rows.
-  const BinnedColumns* bins_ = nullptr;
-  const HistKernels* hk_ = nullptr;
-  const double* ydata_ = nullptr;  // y's row-major storage during fit
-  bool binned_arena_ = false;
-  std::vector<std::vector<double>> hist_pool_;
-  std::vector<std::size_t> hist_free_;
-  std::vector<double> hist_scratch_;  // [count: 256][sums: 256 * n_outputs_]
-  std::shared_ptr<const BinnedColumns> binned_hint_;  // next fit() only
 };
 
 }  // namespace varpred::ml

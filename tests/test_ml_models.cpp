@@ -14,11 +14,11 @@
 #include "core/evalcache.hpp"
 #include "core/models.hpp"
 #include "measure/corpus.hpp"
-#include "ml/binned_columns.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
 #include "ml/metrics.hpp"
+#include "ml/ridge.hpp"
 #include "ml/sorted_columns.hpp"
 #include "ml/tree.hpp"
 #include "obs/obs.hpp"
@@ -240,9 +240,8 @@ TEST(Tree, PresortedSegmentModeIsByteIdenticalToSortPath) {
   RegressionTree plain(params);
   plain.fit(p.x_train, p.y_train);  // no hint: per-node sorts
   RegressionTree presorted(params);
-  presorted.set_presorted(
-      std::make_shared<const SortedColumns>(SortedColumns::build(p.x_train)));
-  presorted.fit(p.x_train, p.y_train);
+  const SortedColumns sorted = SortedColumns::build(p.x_train);
+  presorted.fit(p.x_train, p.y_train, &sorted);
   EXPECT_EQ(plain.leaf_count(), presorted.leaf_count());
   EXPECT_EQ(plain.depth(), presorted.depth());
   for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
@@ -275,19 +274,71 @@ TEST(Tree, FilteredBootstrapArtifactIsByteIdenticalToSortPath) {
   }
 }
 
+// The presorted orders of a 10-row matrix with `cols` columns: an artifact
+// that matches no training matrix in these tests.
+SortedColumns mismatched_artifact(std::size_t cols) {
+  Matrix other(10, cols);
+  for (std::size_t r = 0; r < 10; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) other(r, c) = double(r + c);
+  }
+  return SortedColumns::build(other);
+}
+
+// The presorted orders of x without its last column: right row count, wrong
+// column count.
+SortedColumns narrow_artifact(const Matrix& x) {
+  Matrix narrow(x.rows(), x.cols() - 1);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    for (std::size_t c = 0; c < narrow.cols(); ++c) narrow(r, c) = x(r, c);
+  }
+  return SortedColumns::build(narrow);
+}
+
 TEST(Tree, RejectsMismatchedPresortedArtifact) {
   const auto p = make_problem(50, 5, 47);
   RegressionTree tree;
   // Artifact over a different row count than the fit sample.
-  Matrix other(10, p.x_train.cols());
-  for (std::size_t r = 0; r < 10; ++r) {
-    for (std::size_t c = 0; c < other.cols(); ++c) other(r, c) = double(r + c);
+  const SortedColumns other = mismatched_artifact(p.x_train.cols());
+  EXPECT_THROW(tree.fit(p.x_train, p.y_train, &other), std::invalid_argument);
+}
+
+TEST(Tree, RejectsMismatchedArtifactWhenSamplingFeatures) {
+  // Splits that sample features never read the artifact; a mismatched one
+  // is still a caller error, not something to skip silently.
+  const auto p = make_problem(50, 5, 47);
+  TreeParams params;
+  params.max_features = 1;
+  RegressionTree tree(params);
+  const SortedColumns other = mismatched_artifact(p.x_train.cols());
+  EXPECT_THROW(tree.fit(p.x_train, p.y_train, &other), std::invalid_argument);
+}
+
+TEST(Tree, RejectsArtifactWithWrongColumnCount) {
+  // Right row count, one column short: still not the artifact of x.
+  const auto p = make_problem(50, 5, 47);
+  const SortedColumns other = narrow_artifact(p.x_train);
+  RegressionTree tree;
+  EXPECT_THROW(tree.fit(p.x_train, p.y_train, &other), std::invalid_argument);
+}
+
+TEST(Tree, MatchingArtifactIsIgnoredWhenSamplingFeatures) {
+  // Splits over a random feature subset sort per node; a matching artifact
+  // must leave the tree exactly as a fit without one builds it.
+  const auto p = make_tied_problem(140, 30, 22);
+  TreeParams params;
+  params.max_depth = 8;
+  params.max_features = 2;
+  params.seed = 5;
+  RegressionTree plain(params);
+  plain.fit(p.x_train, p.y_train);
+  RegressionTree hinted(params);
+  const SortedColumns sorted = SortedColumns::build(p.x_train);
+  hinted.fit(p.x_train, p.y_train, &sorted);
+  EXPECT_EQ(plain.node_count(), hinted.node_count());
+  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
+    EXPECT_EQ(plain.predict(p.x_test.row(r)), hinted.predict(p.x_test.row(r)))
+        << "row " << r;
   }
-  tree.set_presorted(
-      std::make_shared<const SortedColumns>(SortedColumns::build(other)));
-  EXPECT_THROW(tree.fit(p.x_train, p.y_train), std::invalid_argument);
-  // The hint applies to one fit only: the next fit must succeed cold.
-  EXPECT_NO_THROW(tree.fit(p.x_train, p.y_train));
 }
 
 TEST(Forest, OutperformsOrMatchesSingleTreeOnNoisyData) {
@@ -339,9 +390,8 @@ TEST(Forest, SharedPresortedArtifactIsByteIdentical) {
   RandomForest own(fp);
   own.fit(p.x_train, p.y_train);
   RandomForest shared(fp);
-  shared.set_presorted(
-      std::make_shared<const SortedColumns>(SortedColumns::build(p.x_train)));
-  shared.fit(p.x_train, p.y_train);
+  const SortedColumns sorted = SortedColumns::build(p.x_train);
+  shared.fit(p.x_train, p.y_train, &sorted);
   for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
     EXPECT_EQ(own.predict(p.x_test.row(r)), shared.predict(p.x_test.row(r)))
         << "row " << r;
@@ -350,8 +400,8 @@ TEST(Forest, SharedPresortedArtifactIsByteIdentical) {
 
 TEST(Forest, FeatureSubsamplingIgnoresPresortedHintSafely) {
   // With feature_fraction < 1 splits only see a random feature subset, so
-  // segment mode does not apply; a stale hint must be ignored, not crash or
-  // change results.
+  // segment mode does not apply; a matching artifact must be ignored, not
+  // crash or change results.
   const auto p = make_tied_problem(120, 30, 59);
   ForestParams fp;
   fp.n_trees = 15;
@@ -362,13 +412,42 @@ TEST(Forest, FeatureSubsamplingIgnoresPresortedHintSafely) {
   RandomForest plain(fp);
   plain.fit(p.x_train, p.y_train);
   RandomForest hinted(fp);
-  hinted.set_presorted(
-      std::make_shared<const SortedColumns>(SortedColumns::build(p.x_train)));
-  hinted.fit(p.x_train, p.y_train);
+  const SortedColumns sorted = SortedColumns::build(p.x_train);
+  hinted.fit(p.x_train, p.y_train, &sorted);
   for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
     EXPECT_EQ(plain.predict(p.x_test.row(r)), hinted.predict(p.x_test.row(r)))
         << "row " << r;
   }
+}
+
+TEST(Forest, RejectsMismatchedArtifactWhenSamplingFeatures) {
+  // Neither feature subsampling nor a single training row (both regimes
+  // build no segments) may skip the artifact's dimension check.
+  const auto p = make_problem(50, 5, 47);
+  ForestParams fp;
+  fp.n_trees = 3;
+  fp.feature_fraction = 0.5;
+  const SortedColumns other = mismatched_artifact(p.x_train.cols());
+  RandomForest forest(fp);
+  EXPECT_THROW(forest.fit(p.x_train, p.y_train, &other),
+               std::invalid_argument);
+  const std::vector<std::size_t> first = {0};
+  const Matrix one_x = p.x_train.gather_rows(first);
+  const Matrix one_y = p.y_train.gather_rows(first);
+  fp.feature_fraction = 1.0;
+  RandomForest single(fp);
+  EXPECT_THROW(single.fit(one_x, one_y, &other), std::invalid_argument);
+}
+
+TEST(Forest, RejectsArtifactWithWrongColumnCount) {
+  const auto p = make_problem(50, 5, 47);
+  ForestParams fp;
+  fp.n_trees = 3;
+  fp.feature_fraction = 1.0;
+  RandomForest forest(fp);
+  const SortedColumns other = narrow_artifact(p.x_train);
+  EXPECT_THROW(forest.fit(p.x_train, p.y_train, &other),
+               std::invalid_argument);
 }
 
 TEST(Gbt, SegmentModeIsByteIdenticalToSortPath) {
@@ -422,24 +501,64 @@ TEST(Gbt, SharedPresortedArtifactIsByteIdentical) {
   GradientBoosting own(gp);
   own.fit(p.x_train, p.y_train);
   GradientBoosting shared(gp);
-  shared.set_presorted(
-      std::make_shared<const SortedColumns>(SortedColumns::build(p.x_train)));
-  shared.fit(p.x_train, p.y_train);
+  const SortedColumns sorted = SortedColumns::build(p.x_train);
+  shared.fit(p.x_train, p.y_train, &sorted);
   for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
     EXPECT_EQ(own.predict(p.x_test.row(r)), shared.predict(p.x_test.row(r)))
         << "row " << r;
   }
-  // Mismatched artifacts are rejected, and the hint never outlives one fit.
+  // Mismatched artifacts are rejected.
   GradientBoosting bad(gp);
   Matrix other(10, 2);
   for (std::size_t r = 0; r < 10; ++r) {
     other(r, 0) = static_cast<double>(r);
     other(r, 1) = static_cast<double>(10 - r);
   }
-  bad.set_presorted(
-      std::make_shared<const SortedColumns>(SortedColumns::build(other)));
-  EXPECT_THROW(bad.fit(p.x_train, p.y_train), std::invalid_argument);
-  EXPECT_NO_THROW(bad.fit(p.x_train, p.y_train));
+  const SortedColumns other_sorted = SortedColumns::build(other);
+  EXPECT_THROW(bad.fit(p.x_train, p.y_train, &other_sorted),
+               std::invalid_argument);
+}
+
+TEST(Gbt, RejectsMismatchedArtifactWhenSubsamplingRows) {
+  // Subsampled rounds never read the artifact; a mismatched one is still
+  // rejected rather than skipped.
+  const auto p = make_problem(50, 5, 47);
+  GbtParams gp;
+  gp.n_rounds = 3;
+  gp.subsample = 0.5;
+  GradientBoosting gbt(gp);
+  const SortedColumns other = mismatched_artifact(p.x_train.cols());
+  EXPECT_THROW(gbt.fit(p.x_train, p.y_train, &other), std::invalid_argument);
+}
+
+TEST(Gbt, RejectsArtifactWithWrongColumnCount) {
+  const auto p = make_problem(50, 5, 47);
+  GbtParams gp;
+  gp.n_rounds = 3;
+  gp.subsample = 1.0;
+  gp.colsample = 1.0;
+  GradientBoosting gbt(gp);
+  const SortedColumns other = narrow_artifact(p.x_train);
+  EXPECT_THROW(gbt.fit(p.x_train, p.y_train, &other), std::invalid_argument);
+}
+
+TEST(Gbt, MatchingArtifactIsByteIdenticalWithSubsampleAndColsample) {
+  // Per-round row subsets and per-tree column subsets both take the
+  // per-node sort path; a matching artifact must not change a prediction.
+  const auto p = make_tied_problem(150, 30, 42);
+  GbtParams gp;
+  gp.n_rounds = 25;
+  gp.subsample = 0.8;
+  gp.colsample = 0.6;
+  GradientBoosting plain(gp);
+  plain.fit(p.x_train, p.y_train);
+  GradientBoosting hinted(gp);
+  const SortedColumns sorted = SortedColumns::build(p.x_train);
+  hinted.fit(p.x_train, p.y_train, &sorted);
+  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
+    EXPECT_EQ(plain.predict(p.x_test.row(r)), hinted.predict(p.x_test.row(r)))
+        << "row " << r;
+  }
 }
 
 TEST(Gbt, FitsTrainingDataClosely) {
@@ -491,7 +610,7 @@ TEST(Gbt, ShrinkageReducesOverfitVsSingleBigStep) {
 struct GoldenFold {
   Matrix x;
   Matrix y;
-  std::shared_ptr<const SortedColumns> presorted;
+  SortedColumns presorted;
   Matrix queries;
 };
 
@@ -532,8 +651,7 @@ GoldenFold uc1_pearson_fold() {
       fold.y.push_row(cache.targets[b]);
     }
   }
-  fold.presorted = std::make_shared<const SortedColumns>(
-      cache.presorted->filtered(rows, /*remap=*/true));
+  fold.presorted = cache.presorted->filtered(rows, /*remap=*/true);
   fold.queries = cache.features;
   return fold;
 }
@@ -548,8 +666,7 @@ GoldenFold uc2_histogram_fold() {
   GoldenFold fold;
   fold.x = cache.features.gather_rows(train);
   for (const std::size_t b : train) fold.y.push_row(cache.targets[b]);
-  fold.presorted = std::make_shared<const SortedColumns>(
-      cache.presorted->filtered(train, /*remap=*/true));
+  fold.presorted = cache.presorted->filtered(train, /*remap=*/true);
   fold.queries = cache.features;
   return fold;
 }
@@ -557,8 +674,7 @@ GoldenFold uc2_histogram_fold() {
 // FNV-1a over the little-endian bytes of every prediction's bit pattern.
 std::uint64_t golden_digest(const GoldenFold& fold, core::ModelKind kind) {
   auto model = core::make_model(kind, 1001);
-  model->set_presorted(fold.presorted);
-  model->fit(fold.x, fold.y);
+  model->fit(fold.x, fold.y, &fold.presorted);
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for (std::size_t r = 0; r < fold.queries.rows(); ++r) {
     for (const double v : model->predict(fold.queries.row(r))) {
@@ -572,14 +688,7 @@ std::uint64_t golden_digest(const GoldenFold& fold, core::ModelKind kind) {
   return h;
 }
 
-bool binned_forced() {
-  // The forced histogram path accumulates per-bin sums in another order, so
-  // these constants pin the exact split search only.
-  return tree_binned_mode() == TreeBinnedMode::kForce;
-}
-
 TEST(GoldenFold, Uc1PearsonRandomForest) {
-  if (binned_forced()) GTEST_SKIP() << "constants pin the exact split search";
   const auto fold = uc1_pearson_fold();
   ASSERT_EQ(fold.y.cols(), 4U);
   EXPECT_EQ(golden_digest(fold, core::ModelKind::kRandomForest),
@@ -587,14 +696,12 @@ TEST(GoldenFold, Uc1PearsonRandomForest) {
 }
 
 TEST(GoldenFold, Uc1PearsonXgBoost) {
-  if (binned_forced()) GTEST_SKIP() << "constants pin the exact split search";
   const auto fold = uc1_pearson_fold();
   EXPECT_EQ(golden_digest(fold, core::ModelKind::kXgBoost),
             0x18892af28992d303ULL);
 }
 
 TEST(GoldenFold, Uc2HistogramRandomForest) {
-  if (binned_forced()) GTEST_SKIP() << "constants pin the exact split search";
   const auto fold = uc2_histogram_fold();
   ASSERT_EQ(fold.y.cols(), 40U);
   EXPECT_EQ(golden_digest(fold, core::ModelKind::kRandomForest),
@@ -602,7 +709,6 @@ TEST(GoldenFold, Uc2HistogramRandomForest) {
 }
 
 TEST(GoldenFold, Uc2HistogramXgBoost) {
-  if (binned_forced()) GTEST_SKIP() << "constants pin the exact split search";
   const auto fold = uc2_histogram_fold();
   EXPECT_EQ(golden_digest(fold, core::ModelKind::kXgBoost),
             0x474737ef06fd4d36ULL);
@@ -657,9 +763,7 @@ TEST(WorkCounters, TreeSegmentAndSortPathsCountTheSameWork) {
 
 TEST(WorkCounters, GbtSegmentAndSortPathsCountTheSameWork) {
   // As in Gbt.SegmentModeIsByteIdenticalToSortPath: a subsample just below
-  // 1 keeps every row but takes the per-node sort path. A forced histogram
-  // path replaces both exact scans.
-  if (binned_forced()) GTEST_SKIP() << "compares the exact split searches";
+  // 1 keeps every row but takes the per-node sort path.
   const auto p = make_tied_problem(150, 5, 83);
   GbtParams seg;
   seg.n_rounds = 20;
@@ -704,9 +808,8 @@ TEST(Tree, RetainedSizeDoesNotGrowWithTrainingRows) {
   for (int i = 0; i < 2; ++i) {
     const auto p = make(sizes[i]);
     RegressionTree tree(params);
-    tree.set_presorted(std::make_shared<const SortedColumns>(
-        SortedColumns::build(p.x_train)));
-    tree.fit(p.x_train, p.y_train);
+    const SortedColumns sorted = SortedColumns::build(p.x_train);
+    tree.fit(p.x_train, p.y_train, &sorted);
     bytes[i] = tree.retained_bytes();
     nodes[i] = tree.node_count();
   }
@@ -787,6 +890,74 @@ TEST_P(ModelSweep, BeatsMeanBaseline) {
 }
 
 INSTANTIATE_TEST_SUITE_P(KnnRfGbt, ModelSweep, ::testing::Values(0, 1, 2));
+
+// The presorted argument of Regressor::fit, for every learner: the
+// two-argument overload forwards nullptr, a matching artifact never changes
+// a prediction, and nothing of one fit's artifact survives into the next.
+class FitArtifact : public ::testing::TestWithParam<std::string> {
+ protected:
+  std::unique_ptr<Regressor> make() const {
+    const std::string& kind = GetParam();
+    if (kind == "Knn") return std::make_unique<KnnRegressor>();
+    if (kind == "Ridge") return std::make_unique<RidgeRegressor>();
+    if (kind == "Tree") {
+      return std::make_unique<RegressionTree>(TreeParams{.max_depth = 6});
+    }
+    if (kind == "Forest") {
+      return std::make_unique<RandomForest>(
+          ForestParams{.n_trees = 8, .tree = {}, .bootstrap = true,
+                       .feature_fraction = 1.0, .seed = 3});
+    }
+    return std::make_unique<GradientBoosting>(
+        GbtParams{.n_rounds = 15, .subsample = 1.0, .colsample = 1.0});
+  }
+
+  static void expect_same_predictions(const Regressor& a, const Regressor& b,
+                                      const Matrix& x) {
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      EXPECT_EQ(a.predict(x.row(r)), b.predict(x.row(r)))
+          << a.name() << " row " << r;
+    }
+  }
+};
+
+TEST_P(FitArtifact, TwoArgumentFitEqualsNullArtifact) {
+  const auto p = make_tied_problem(100, 20, 101);
+  auto two = make();
+  two->fit(p.x_train, p.y_train);
+  auto null = make();
+  null->fit(p.x_train, p.y_train, nullptr);
+  expect_same_predictions(*two, *null, p.x_test);
+}
+
+TEST_P(FitArtifact, MatchingArtifactLeavesPredictionsUnchanged) {
+  const auto p = make_tied_problem(100, 20, 103);
+  auto plain = make();
+  plain->fit(p.x_train, p.y_train);
+  auto hinted = make();
+  const SortedColumns sorted = SortedColumns::build(p.x_train);
+  hinted->fit(p.x_train, p.y_train, &sorted);
+  expect_same_predictions(*plain, *hinted, p.x_test);
+}
+
+TEST_P(FitArtifact, RefitWithoutArtifactEqualsFreshFit) {
+  // The second fit has a different row count, so any artifact of the first
+  // fit still in use would be rejected or would build a different model.
+  const auto first = make_tied_problem(130, 1, 107);
+  const auto second = make_tied_problem(90, 20, 109);
+  auto reused = make();
+  const SortedColumns sorted = SortedColumns::build(first.x_train);
+  reused->fit(first.x_train, first.y_train, &sorted);
+  reused->fit(second.x_train, second.y_train);
+  auto fresh = make();
+  fresh->fit(second.x_train, second.y_train);
+  expect_same_predictions(*reused, *fresh, second.x_test);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllLearners, FitArtifact,
+                         ::testing::Values("Knn", "Ridge", "Tree", "Forest",
+                                           "Gbt"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace varpred::ml

@@ -1,9 +1,10 @@
-// Tests for the statistics substrate: moments, quantiles/ECDF, KS,
-// histograms, KDE, bootstrap, and summaries.
+// Tests for the statistics substrate: moments (and their dispatched Welford
+// kernel), quantiles/ECDF, KS, histograms, KDE, bootstrap, and summaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -15,6 +16,7 @@
 #include "stats/ks.hpp"
 #include "stats/moments.hpp"
 #include "stats/summary.hpp"
+#include "stats/welford_simd.hpp"
 
 namespace varpred::stats {
 namespace {
@@ -426,6 +428,61 @@ TEST(Summary, SparklinePeaksWhereMassIs) {
   EXPECT_EQ(line.size(), 10u);
   EXPECT_EQ(line[9], '@');  // 0.9 lands in the last bin
   EXPECT_EQ(line[0], ' ');
+}
+
+TEST(WelfordSimdTest, Avx2MatchesScalarBitForBit) {
+  Rng rng(66);
+  for (const std::size_t n : {0ul, 1ul, 3ul, 4ul, 7ul, 128ul, 1001ul}) {
+    std::vector<double> sample(n);
+    for (auto& v : sample) v = rng.uniform(-3.0, 3.0) + 1.5;
+    const auto a = stats::accumulate_moments_scalar(sample).moments();
+    const auto b = stats::accumulate_moments_avx2(sample).moments();
+    EXPECT_EQ(a.mean, b.mean) << "n=" << n;
+    EXPECT_EQ(a.stddev, b.stddev) << "n=" << n;
+    EXPECT_EQ(a.skewness, b.skewness) << "n=" << n;
+    EXPECT_EQ(a.kurtosis, b.kurtosis) << "n=" << n;
+  }
+}
+
+TEST(WelfordSimdTest, LaneAccumulatorAgreesWithSerialWelford) {
+  Rng rng(77);
+  std::vector<double> sample(40000);
+  for (auto& v : sample) v = rng.uniform(-2.0, 2.0) + 0.5;
+  stats::MomentAccumulator serial;
+  for (const double v : sample) serial.add(v);
+  const auto s = serial.moments();
+  const auto l = stats::accumulate_moments(sample).moments();
+  EXPECT_EQ(l.count, s.count);
+  EXPECT_NEAR(l.mean, s.mean, 1e-12 * std::abs(s.mean));
+  EXPECT_NEAR(l.stddev, s.stddev, 1e-9 * s.stddev);
+  EXPECT_NEAR(l.skewness, s.skewness, 1e-7);
+  EXPECT_NEAR(l.kurtosis, s.kurtosis, 1e-7);
+}
+
+TEST(WelfordSimdTest, DispatchedPathMatchesScalarBitForBit) {
+  // Whichever variant dispatch picks, the result is the scalar one.
+  Rng rng(88);
+  for (const std::size_t n : {0ul, 2ul, 5ul, 64ul, 999ul}) {
+    std::vector<double> sample(n);
+    for (auto& v : sample) v = rng.uniform(-1.0, 4.0);
+    const auto a = stats::accumulate_moments_scalar(sample).moments();
+    const auto d = stats::accumulate_moments(sample).moments();
+    EXPECT_EQ(a.count, d.count) << "n=" << n;
+    EXPECT_EQ(a.mean, d.mean) << "n=" << n;
+    EXPECT_EQ(a.stddev, d.stddev) << "n=" << n;
+    EXPECT_EQ(a.skewness, d.skewness) << "n=" << n;
+    EXPECT_EQ(a.kurtosis, d.kurtosis) << "n=" << n;
+  }
+}
+
+TEST(WelfordSimdTest, NoAvx2EnvironmentDisablesTheAvx2Path) {
+  ::setenv("VARPRED_NO_AVX2", "1", 1);
+  EXPECT_FALSE(stats::welford_avx2_active());
+  ::setenv("VARPRED_NO_AVX2", "0", 1);
+  const bool zero = stats::welford_avx2_active();
+  ::unsetenv("VARPRED_NO_AVX2");
+  // "0" means unset: the AVX2 path runs exactly when the CPU supports it.
+  EXPECT_EQ(zero, stats::welford_avx2_active());
 }
 
 }  // namespace

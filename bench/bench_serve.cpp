@@ -1,12 +1,12 @@
 // Saturation load harness for the varpredd serving path.
 //
 //   bench_serve [--port=N] [--conns=N] [--qps=F] [--duration-s=F]
-//               [--probes=N] [--samples=N] [--queue-max=N] [--batch-max=N]
-//               [--batch-wait-us=N] [--serve-out=PATH]
+//               [--probes=N] [--samples=N] [--queue-max=N] [--serve-out=PATH]
 //               [--fast] [--runs=N] [--repeat=N] [--obs=...] [--obs-out=...]
 //
 // Drives the daemon through three load points and reports tail latency,
-// throughput, error rate, and the queue-wait vs compute breakdown at each:
+// throughput, error rate, and the admission-wait vs compute breakdown at
+// each:
 //
 //   closed_c1  — closed loop, 1 connection: unloaded baseline latency.
 //   closed_cN  — closed loop, --conns connections: throughput at natural
@@ -34,6 +34,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -65,8 +66,6 @@ struct ServeArgs {
   std::size_t probes = 10;
   std::uint32_t n_samples = 100;
   std::size_t queue_max = 64;
-  std::size_t batch_max = 8;
-  std::uint64_t batch_wait_us = 200;
   std::string serve_out;
 };
 
@@ -105,16 +104,18 @@ ServeArgs parse_args(int argc, char** argv) {
         args.probes = static_cast<std::size_t>(
             require_u64_flag("--probes", arg + 9));
       } else if (std::strncmp(arg, "--samples=", 10) == 0) {
-        args.n_samples = static_cast<std::uint32_t>(
-            require_u64_flag("--samples", arg + 10));
+        const auto samples = require_u64_flag("--samples", arg + 10);
+        if (samples == 0 ||
+            samples > std::numeric_limits<std::uint32_t>::max()) {
+          throw std::invalid_argument("--samples must be in [1, 4294967295]");
+        }
+        args.n_samples = static_cast<std::uint32_t>(samples);
       } else if (std::strncmp(arg, "--queue-max=", 12) == 0) {
         args.queue_max = static_cast<std::size_t>(
             require_u64_flag("--queue-max", arg + 12));
-      } else if (std::strncmp(arg, "--batch-max=", 12) == 0) {
-        args.batch_max = static_cast<std::size_t>(
-            require_u64_flag("--batch-max", arg + 12));
-      } else if (std::strncmp(arg, "--batch-wait-us=", 16) == 0) {
-        args.batch_wait_us = require_u64_flag("--batch-wait-us", arg + 16);
+        if (args.queue_max == 0) {
+          throw std::invalid_argument("--queue-max must be positive");
+        }
       } else if (std::strncmp(arg, "--serve-out=", 12) == 0) {
         args.serve_out = arg + 12;
       } else {
@@ -335,10 +336,9 @@ void write_serve_json(const std::string& path, const ServeArgs& args,
                static_cast<unsigned long long>(model_version),
                json::escape(source_system).c_str());
   std::fprintf(f,
-               "\"daemon\":{\"port\":%u,\"queue_max\":%zu,\"batch_max\":%zu,"
-               "\"batch_wait_us\":%llu},\"load_points\":[",
-               static_cast<unsigned>(port), args.queue_max, args.batch_max,
-               static_cast<unsigned long long>(args.batch_wait_us));
+               "\"daemon\":{\"port\":%u,\"queue_max\":%zu},"
+               "\"load_points\":[",
+               static_cast<unsigned>(port), args.queue_max);
   for (std::size_t i = 0; i < points.size(); ++i) {
     const LoadPoint& p = points[i];
     if (i > 0) std::fputc(',', f);
@@ -413,8 +413,6 @@ int main(int argc, char** argv) {
     serve::ServerConfig config;
     config.port = 0;
     config.queue_max = args.queue_max;
-    config.batch_max = args.batch_max;
-    config.batch_wait = std::chrono::microseconds(args.batch_wait_us);
     own_server = std::make_unique<serve::Server>(registry, config);
     port = own_server->port();
     std::printf("[bench] self-serve daemon on 127.0.0.1:%u\n",
@@ -459,8 +457,10 @@ int main(int argc, char** argv) {
         saturation_qps = points.back().achieved_qps;
 
         // Past saturation: schedule arrivals 25% faster than the closed
-        // loop could complete them (or at the explicit --qps), so the queue
-        // fills and the admission gate's rejections become measurable.
+        // loop could complete them (or at the explicit --qps), so the
+        // backlog is charged to latency. Each connection keeps one predict
+        // in flight, so the admission cap rejects only when --conns
+        // exceeds --queue-max.
         const double target =
             args.qps > 0.0 ? args.qps : saturation_qps * 1.25;
         run.stage("open_sat");

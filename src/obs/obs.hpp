@@ -216,7 +216,7 @@ struct TraceEvent {
   std::uint32_t depth = 0;  ///< open spans above this one on the same thread
   /// Request-scoped trace id active when the span closed (0 = none). Written
   /// to the Chrome sink as args.trace, so one request's spans can be
-  /// followed across connection, batcher, and pool-worker threads.
+  /// followed across threads.
   std::uint64_t trace_id = 0;
   std::uint64_t start_ns = 0;  ///< since the trace epoch
   std::uint64_t dur_ns = 0;
@@ -228,9 +228,8 @@ std::uint64_t current_trace_id() noexcept;
 
 /// RAII request-context marker: sets the calling thread's trace id for the
 /// scope's lifetime and restores the previous one on exit. The serving path
-/// opens one scope per request on every thread that touches it (connection
-/// reader, batcher, pool workers), so all of a request's spans share an id
-/// even though they close on different threads.
+/// opens one scope per request on the thread that serves it, so all of a
+/// request's spans share an id.
 class TraceIdScope {
  public:
   explicit TraceIdScope(std::uint64_t id) noexcept;

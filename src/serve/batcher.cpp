@@ -48,115 +48,39 @@ std::vector<double> default_compute(const Batcher::Item& item) {
                                                     rng);
 }
 
-Batcher::Batcher(Config config)
-    : config_(std::move(config)),
-      pool_(config_.pool != nullptr ? config_.pool : &ThreadPool::global()) {
+Batcher::Batcher(Config config) : config_(std::move(config)) {
   VARPRED_CHECK_ARG(config_.queue_max > 0, "queue_max must be positive");
-  VARPRED_CHECK_ARG(config_.batch_max > 0, "batch_max must be positive");
   if (!config_.compute) config_.compute = default_compute;
-  thread_ = std::thread([this] { run(); });
 }
 
-Batcher::~Batcher() { stop(); }
-
-bool Batcher::admit(Item item) {
-  item.admit_ns = obs::now_ns();
+std::optional<ServeResult> Batcher::admit(const Item& item) {
+  const std::uint64_t admit_ns = obs::now_ns();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_ || queue_.size() >= config_.queue_max) {
+    if (in_flight_ >= config_.queue_max) {
       VARPRED_OBS_COUNT("serve.rejected", 1);
-      return false;
+      return std::nullopt;
     }
-    queue_.push_back(std::move(item));
-    if (obs::enabled()) {
-      obs::Registry::global()
-          .gauge("serve.queue_depth")
-          .set(static_cast<double>(queue_.size()));
-    }
+    ++in_flight_;
   }
   VARPRED_OBS_COUNT("serve.admitted", 1);
-  cv_.notify_one();
-  return true;
-}
-
-void Batcher::stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    stopping_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-std::size_t Batcher::queue_depth() const {
+  ServeResult result = serve_item(item, admit_ns);
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
+  --in_flight_;
+  return result;
 }
 
-void Batcher::run() {
-  for (;;) {
-    std::vector<Item> batch;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (queue_.empty() && stopping_) return;
-      // First item is in hand; linger briefly for the batch to fill. The
-      // deadline is taken once so a steady trickle cannot stall dispatch.
-      const auto deadline =
-          std::chrono::steady_clock::now() + config_.batch_wait;
-      while (queue_.size() < config_.batch_max && !stopping_) {
-        if (cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
-      }
-      const std::size_t take = std::min(queue_.size(), config_.batch_max);
-      batch.reserve(take);
-      for (std::size_t i = 0; i < take; ++i) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
-      }
-      if (obs::enabled()) {
-        obs::Registry::global()
-            .gauge("serve.queue_depth")
-            .set(static_cast<double>(queue_.size()));
-      }
-    }
-    dispatch(batch);
-  }
-}
-
-void Batcher::dispatch(std::vector<Item>& batch) {
-  if (batch.empty()) return;
-  const std::uint64_t dispatch_ns = obs::now_ns();
-  if (obs::enabled()) {
-    obs::Registry::global()
-        .histogram("serve.batch.occupancy")
-        .record(batch.size());
-  }
-  obs::Span span("serve.batch");
-  if (batch.size() == 1) {
-    serve_item(batch[0], dispatch_ns);
-    return;
-  }
-  pool_->parallel_for(batch.size(), [&](std::size_t i) {
-    serve_item(batch[i], dispatch_ns);
-  });
-}
-
-void Batcher::serve_item(Item& item, std::uint64_t dispatch_ns) {
+ServeResult Batcher::serve_item(const Item& item,
+                                std::uint64_t admit_ns) const {
   obs::TraceIdScope trace(item.trace_id);
-  const std::uint64_t queue_ns =
-      dispatch_ns > item.admit_ns ? dispatch_ns - item.admit_ns : 0;
-  if (obs::enabled()) {
-    obs::Registry::global().hdr("serve.queue_wait_ns").record(queue_ns);
-  }
-  ServeResult result;
   const std::uint64_t compute_begin = obs::now_ns();
+  ServeResult result;
   try {
     obs::Span span("serve.compute");
     PredictResponse response;
     response.samples = config_.compute(item);
     response.version = item.model != nullptr ? item.model->version : 0;
-    response.queue_ns = queue_ns;
+    response.queue_ns = compute_begin - admit_ns;
     response.compute_ns = obs::now_ns() - compute_begin;
     result = ServeResult::success(std::move(response));
   } catch (const std::invalid_argument& e) {
@@ -169,7 +93,7 @@ void Batcher::serve_item(Item& item, std::uint64_t dispatch_ns) {
         .hdr("serve.compute_ns")
         .record(obs::now_ns() - compute_begin);
   }
-  if (item.done) item.done(std::move(result));
+  return result;
 }
 
 }  // namespace varpred::serve

@@ -1,37 +1,37 @@
-// Admission control and micro-batching for the serving daemon.
+// Admission control and predict computation for the serving daemon.
 //
-// Connection threads admit decoded predict requests; a dedicated batcher
-// thread drains the admission queue into batches of at most `batch_max`
-// items (waiting up to `batch_wait` for a batch to fill once the first item
-// arrives) and dispatches each batch across the shared ThreadPool. Each
-// item's completion callback receives either a PredictResponse or a typed
-// error.
+// A connection thread that decodes a predict request hands it to admit(),
+// which computes the prediction on that same thread and returns the
+// outcome: a PredictResponse or a typed error. There is no queue and no
+// batching; concurrency comes from many connections.
 //
-// Overload policy: when the queue holds `queue_max` items, admit() rejects
-// synchronously (the caller answers kOverloaded) instead of queueing
-// unboundedly — latency under saturation stays bounded by queue_max x
-// service time, and the load generator can measure the error rate.
+// Overload policy: admit() caps the predicts in flight at `queue_max`. When
+// the cap is reached it returns std::nullopt at once (the caller answers
+// kOverloaded), so latency under saturation stays bounded and the load
+// generator can measure the error rate. Each connection waits for its reply
+// before sending the next request, so in flight <= open connections.
 //
-// Observability: every item carries its request trace id; the batcher and
-// pool workers open a TraceIdScope around the item's compute, so the spans
-// "serve.batch" and "serve.compute" carry the id across thread boundaries.
-// Metrics: serve.admitted / serve.rejected counters, serve.queue_depth
-// gauge, serve.batch.occupancy log2 histogram, serve.queue_wait_ns and
-// serve.compute_ns HDR histograms.
+// Observability: the compute runs under a TraceIdScope of the item's trace
+// id, so the "serve.compute" span carries the request's id. Metrics:
+// serve.admitted / serve.rejected counters and the serve.compute_ns HDR
+// histogram.
+//
+// Naming: the class is still called Batcher and this header batcher.hpp
+// although nothing is batched, because the benchmark harness
+// (perfbench/serve.cpp) compiles against `serve/batcher.hpp`,
+// `Batcher::Item{request, model, trace_id}` and `default_compute`. The
+// benchmark sources change only together with their baseline, so the
+// rename waits for the next change to the benchmark.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "serve/protocol.hpp"
 #include "serve/registry.hpp"
 
@@ -60,23 +60,17 @@ struct ServeResult {
 
 class Batcher {
  public:
-  /// One admitted request. The model pointer is resolved by the caller at
-  /// admission time — a registry hot swap after admission does not affect
-  /// items already in the queue.
+  /// One predict request. The model pointer is resolved by the caller before
+  /// admission, so a registry hot swap during the compute does not affect it.
   struct Item {
     PredictRequest request;
     std::shared_ptr<const LoadedModel> model;
     std::uint64_t trace_id = 0;
-    std::uint64_t admit_ns = 0;  ///< set by admit()
-    std::function<void(ServeResult)> done;
   };
 
   struct Config {
+    /// Most predicts computing at once; admit() rejects beyond it.
     std::size_t queue_max = 256;
-    std::size_t batch_max = 16;
-    std::chrono::microseconds batch_wait{500};
-    /// Pool to dispatch batches on; nullptr uses ThreadPool::global().
-    ThreadPool* pool = nullptr;
     /// Test hook: replaces the per-item predict computation (the default
     /// reconstructs a distribution via the item's model). Exceptions map to
     /// kBadRequest (std::invalid_argument) or kInternal.
@@ -84,33 +78,18 @@ class Batcher {
   };
 
   explicit Batcher(Config config);
-  ~Batcher();
 
-  Batcher(const Batcher&) = delete;
-  Batcher& operator=(const Batcher&) = delete;
-
-  /// Enqueues an item. Returns false when the queue is at queue_max — the
-  /// item's `done` is NOT called; the caller must answer kOverloaded.
-  bool admit(Item item);
-
-  /// Drains the queue (every queued item still completes) and joins the
-  /// batcher thread. Idempotent; the destructor calls it.
-  void stop();
-
-  std::size_t queue_depth() const;
+  /// Computes the item on the calling thread. Returns std::nullopt, without
+  /// computing, when `queue_max` predicts are already in flight; the caller
+  /// must answer kOverloaded.
+  std::optional<ServeResult> admit(const Item& item);
 
  private:
-  void run();
-  void dispatch(std::vector<Item>& batch);
-  void serve_item(Item& item, std::uint64_t dispatch_ns);
+  ServeResult serve_item(const Item& item, std::uint64_t admit_ns) const;
 
   Config config_;
-  ThreadPool* pool_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<Item> queue_;
-  bool stopping_ = false;
-  std::thread thread_;
+  std::mutex mu_;
+  std::size_t in_flight_ = 0;  // guarded by mu_
 };
 
 /// Validates a predict request against its resolved model; throws

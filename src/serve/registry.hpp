@@ -22,7 +22,7 @@
 
 namespace varpred::serve {
 
-/// An immutable published model. Shared by the registry, in-flight batches,
+/// An immutable published model. Shared by the registry, in-flight requests,
 /// and list responses; destroyed when the last reference drops.
 struct LoadedModel {
   std::string name;

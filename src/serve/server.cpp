@@ -1,7 +1,7 @@
 #include "serve/server.hpp"
 
 #include <cstring>
-#include <future>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -39,14 +39,9 @@ void send_error(int fd, std::uint64_t trace_id, ErrorCode code,
 }  // namespace
 
 Server::Server(ModelRegistry& registry, ServerConfig config)
-    : registry_(registry), config_(config) {
-  Batcher::Config bc;
-  bc.queue_max = config_.queue_max;
-  bc.batch_max = config_.batch_max;
-  bc.batch_wait = config_.batch_wait;
-  bc.pool = config_.pool;
-  batcher_ = std::make_unique<Batcher>(bc);
-
+    : registry_(registry),
+      config_(config),
+      batcher_(Batcher::Config{config_.queue_max, {}}) {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   VARPRED_CHECK_ARG(listen_fd_ >= 0, "cannot create listen socket");
   const int one = 1;
@@ -81,17 +76,18 @@ void Server::stop() {
     // deregister their own fds on exit.
     for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
   }
+  // Shutting the listener down unblocks accept(); the fd is closed and
+  // cleared only after the accept thread, which reads it, has been joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     std::unique_lock<std::mutex> lock(conn_mu_);
     conn_cv_.wait(lock, [this] { return conn_active_ == 0; });
   }
-  batcher_->stop();
 }
 
 void Server::accept_loop() {
@@ -99,7 +95,7 @@ void Server::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listener closed by stop()
+      return;  // listener shut down by stop()
     }
     {
       std::lock_guard<std::mutex> lock(conn_mu_);
@@ -210,8 +206,8 @@ void Server::handle_predict(int fd, const Frame& frame) {
   const std::uint64_t begin = obs::now_ns();
   PredictRequest request = PredictRequest::parse(frame.body);
 
-  // Resolve the model at admission: items already queued keep serving the
-  // version they resolved even if a swap publishes a newer one.
+  // Resolve the model before admission: a swap that publishes a newer
+  // version while this request computes does not change what it serves.
   auto model = registry_.get(request.model, request.version);
   if (model == nullptr) {
     send_error(fd, frame.trace_id, ErrorCode::kUnknownModel,
@@ -222,33 +218,28 @@ void Server::handle_predict(int fd, const Frame& frame) {
   const std::string versioned =
       "serve.predict." + model->name + ".v" + std::to_string(model->version);
 
-  std::promise<ServeResult> promise;
-  auto future = promise.get_future();
   Batcher::Item item;
   item.request = std::move(request);
   item.model = model;
   item.trace_id = frame.trace_id;
-  item.done = [&promise](ServeResult result) {
-    promise.set_value(std::move(result));
-  };
-  if (!batcher_->admit(std::move(item))) {
+  const std::optional<ServeResult> result = batcher_.admit(item);
+  if (!result.has_value()) {
     send_error(fd, frame.trace_id, ErrorCode::kOverloaded,
-               "admission queue full");
+               "too many predicts in flight");
     const std::uint64_t dur = obs::now_ns() - begin;
     record_red("serve.predict", true, dur);
     record_red(versioned, true, dur);
     return;
   }
-  ServeResult result = future.get();
-  if (result.ok) {
+  if (result->ok) {
     write_frame(fd, MsgType::kPredictOk, frame.trace_id,
-                result.response.body());
+                result->response.body());
   } else {
-    send_error(fd, frame.trace_id, result.code, result.message);
+    send_error(fd, frame.trace_id, result->code, result->message);
   }
   const std::uint64_t dur = obs::now_ns() - begin;
-  record_red("serve.predict", !result.ok, dur);
-  record_red(versioned, !result.ok, dur);
+  record_red("serve.predict", !result->ok, dur);
+  record_red(versioned, !result->ok, dur);
 }
 
 }  // namespace varpred::serve

@@ -3,8 +3,9 @@
 // One accept thread plus one thread per connection. A connection handles
 // one request at a time (read frame -> handle -> write response), so a
 // client gets responses in request order; concurrency comes from many
-// connections, whose predict requests meet in the shared Batcher and are
-// micro-batched across the ThreadPool.
+// connections. A predict request is admitted and computed on the
+// connection thread that decoded it (Batcher::admit), behind the
+// `queue_max` cap on predicts in flight.
 //
 // RED metrics per endpoint (rate / errors / duration): counters
 // serve.<endpoint>.requests and serve.<endpoint>.errors plus HDR histogram
@@ -14,16 +15,14 @@
 // sockets.
 //
 // Trace propagation: the client's trace id is set (TraceIdScope) on the
-// connection thread for the whole request and travels with the batch item
-// onto the batcher/pool threads, so the "serve.request", "serve.batch" and
-// "serve.compute" spans of one request share an id across >= 2 threads in
-// the Chrome-trace sink.
+// connection thread for the whole request, so its "serve.request" span and
+// the "serve.compute" span nested inside it share the id in the
+// Chrome-trace sink.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -35,10 +34,7 @@ namespace varpred::serve {
 
 struct ServerConfig {
   std::uint16_t port = 0;  ///< 0 binds an ephemeral port (see Server::port)
-  std::size_t queue_max = 256;
-  std::size_t batch_max = 16;
-  std::chrono::microseconds batch_wait{500};
-  ThreadPool* pool = nullptr;  ///< nullptr uses ThreadPool::global()
+  std::size_t queue_max = 256;  ///< most predicts in flight at once
 };
 
 class Server {
@@ -55,8 +51,8 @@ class Server {
   /// Actual bound port (useful with config.port = 0).
   std::uint16_t port() const { return port_; }
 
-  /// Stops accepting, shuts down open connections, drains the batcher, and
-  /// joins every thread. Idempotent; the destructor calls it.
+  /// Stops accepting, shuts down open connections, and joins every thread.
+  /// Idempotent; the destructor calls it.
   void stop();
 
   /// Requests served since start (all endpoints, including errors).
@@ -74,7 +70,7 @@ class Server {
 
   ModelRegistry& registry_;
   ServerConfig config_;
-  std::unique_ptr<Batcher> batcher_;
+  Batcher batcher_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::thread accept_thread_;

@@ -1,8 +1,8 @@
 // Serving subsystem tests: wire codec and framing, the versioned model
-// registry (including checksum rejection of corrupt artifacts), batcher
-// admission control, the TCP server/client pair end-to-end, hot-swap
-// liveness under concurrent load, and request trace-id propagation across
-// thread boundaries.
+// registry (including checksum rejection of corrupt artifacts), the
+// in-flight admission cap, the TCP server/client pair end-to-end, served
+// bytes under concurrent connections, hot-swap liveness under concurrent
+// load, and request trace-id propagation into the compute span.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,11 +12,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
-#include <future>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -387,63 +389,64 @@ TEST(ServeRegistry, PublishFileRejectsCorruption) {
 }
 
 // ---------------------------------------------------------------------------
-// Batcher admission control.
+// Admission: the in-flight cap and typed compute errors.
 
 TEST(ServeBatcher, OverloadRejectsAtQueueMax) {
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool gate_open = false;
+  int computing = 0;
 
   serve::Batcher::Config config;
   config.queue_max = 2;
-  config.batch_max = 1;
-  config.batch_wait = std::chrono::microseconds(100);
   config.compute = [&](const serve::Batcher::Item&) {
     std::unique_lock<std::mutex> lock(gate_mu);
+    ++computing;
+    gate_cv.notify_all();
     gate_cv.wait(lock, [&] { return gate_open; });
     return std::vector<double>{1.0};
   };
   serve::Batcher batcher(config);
 
-  std::atomic<int> completed{0};
-  auto make_item = [&] {
-    serve::Batcher::Item item;
-    item.request.runtimes = {1.0};
-    item.done = [&](serve::ServeResult result) {
-      EXPECT_TRUE(result.ok);
-      completed.fetch_add(1);
-    };
-    return item;
-  };
+  serve::Batcher::Item item;
+  item.request.runtimes = {1.0};
 
-  // First item is picked up by the batcher thread and blocks in compute.
-  ASSERT_TRUE(batcher.admit(make_item()));
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (batcher.queue_depth() != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  // Two items hold both in-flight slots, each blocked inside compute on its
+  // own thread.
+  std::vector<std::optional<serve::ServeResult>> results(2);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    threads.emplace_back([&, i] { results[i] = batcher.admit(item); });
   }
-  ASSERT_EQ(batcher.queue_depth(), 0u);
+  {
+    std::unique_lock<std::mutex> lock(gate_mu);
+    gate_cv.wait(lock, [&] { return computing == 2; });
+  }
 
-  // Fill the queue to queue_max; the next admit must reject synchronously.
-  ASSERT_TRUE(batcher.admit(make_item()));
-  ASSERT_TRUE(batcher.admit(make_item()));
-  EXPECT_EQ(batcher.queue_depth(), 2u);
-  EXPECT_FALSE(batcher.admit(make_item()));
+  // A third admit is rejected synchronously, without computing.
+  EXPECT_FALSE(batcher.admit(item).has_value());
 
   {
     std::lock_guard<std::mutex> lock(gate_mu);
     gate_open = true;
+    EXPECT_EQ(computing, 2);
   }
   gate_cv.notify_all();
-  batcher.stop();  // drains: every admitted item still completes
-  EXPECT_EQ(completed.load(), 3);
+  for (auto& t : threads) t.join();
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.has_value());
+    EXPECT_TRUE(result->ok);
+    EXPECT_EQ(result->response.samples, std::vector<double>{1.0});
+  }
+
+  // The slots are free again once the gated items complete.
+  const auto after = batcher.admit(item);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_TRUE(after->ok);
 }
 
 TEST(ServeBatcher, ComputeExceptionsMapToTypedErrors) {
   serve::Batcher::Config config;
-  config.batch_wait = std::chrono::microseconds(50);
   config.compute = [](const serve::Batcher::Item& item)
       -> std::vector<double> {
     if (item.request.model == "bad") {
@@ -453,24 +456,19 @@ TEST(ServeBatcher, ComputeExceptionsMapToTypedErrors) {
   };
   serve::Batcher batcher(config);
 
-  std::promise<serve::ServeResult> bad_promise;
-  std::promise<serve::ServeResult> internal_promise;
   serve::Batcher::Item bad;
   bad.request.model = "bad";
-  bad.done = [&](serve::ServeResult r) { bad_promise.set_value(r); };
-  serve::Batcher::Item internal;
-  internal.done = [&](serve::ServeResult r) {
-    internal_promise.set_value(r);
-  };
-  ASSERT_TRUE(batcher.admit(std::move(bad)));
-  ASSERT_TRUE(batcher.admit(std::move(internal)));
+  const auto bad_result = batcher.admit(bad);
+  ASSERT_TRUE(bad_result.has_value());
+  EXPECT_FALSE(bad_result->ok);
+  EXPECT_EQ(bad_result->code, ErrorCode::kBadRequest);
+  EXPECT_EQ(bad_result->message, "bad shape");
 
-  const auto bad_result = bad_promise.get_future().get();
-  EXPECT_FALSE(bad_result.ok);
-  EXPECT_EQ(bad_result.code, ErrorCode::kBadRequest);
-  const auto internal_result = internal_promise.get_future().get();
-  EXPECT_FALSE(internal_result.ok);
-  EXPECT_EQ(internal_result.code, ErrorCode::kInternal);
+  const auto internal_result = batcher.admit(serve::Batcher::Item{});
+  ASSERT_TRUE(internal_result.has_value());
+  EXPECT_FALSE(internal_result->ok);
+  EXPECT_EQ(internal_result->code, ErrorCode::kInternal);
+  EXPECT_EQ(internal_result->message, "boom");
 }
 
 // ---------------------------------------------------------------------------
@@ -497,6 +495,52 @@ TEST(ServeEndToEnd, PredictMatchesDirectComputation) {
   const auto other = client.predict(probe_request(100, 64));
   ASSERT_TRUE(other.ok);
   EXPECT_NE(other.response.samples, outcome.response.samples);
+}
+
+TEST(ServeEndToEnd, ConcurrentConnectionsMatchDirectComputation) {
+  serve::ModelRegistry registry;
+  registry.publish("demo", fresh_predictor());
+  serve::Server server(registry, serve::ServerConfig{});
+  const auto model = registry.get("demo");
+
+  // Each connection sends its own seed several times at once with the
+  // others; every reply must be the bytes default_compute gives for that
+  // request, whichever threads computed the rest.
+  constexpr int kConnections = 4;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<double>> expected(kConnections);
+  std::vector<std::vector<std::vector<double>>> replies(kConnections);
+  for (int c = 0; c < kConnections; ++c) {
+    serve::Batcher::Item item;
+    item.request = probe_request(500 + c, 32);
+    item.model = model;
+    expected[c] = serve::default_compute(item);
+  }
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      serve::Client client(server.port());
+      const auto request = probe_request(500 + c, 32);
+      for (int round = 0; round < kRounds; ++round) {
+        const auto outcome = client.predict(request);
+        replies[c].push_back(outcome.ok ? outcome.response.samples
+                                        : std::vector<double>{});
+      }
+    });
+  }
+  for (auto& t : clients) t.join();
+
+  for (int c = 0; c < kConnections; ++c) {
+    ASSERT_EQ(replies[c].size(), static_cast<std::size_t>(kRounds));
+    for (const auto& samples : replies[c]) {
+      ASSERT_EQ(samples.size(), expected[c].size()) << "connection " << c;
+      EXPECT_EQ(std::memcmp(samples.data(), expected[c].data(),
+                            samples.size() * sizeof(double)),
+                0)
+          << "connection " << c;
+    }
+  }
+  EXPECT_NE(expected[0], expected[1]);
 }
 
 TEST(ServeEndToEnd, TypedErrorsComeBackInBand) {
@@ -655,7 +699,7 @@ TEST(ServeEndToEnd, HotSwapMidLoadDropsZeroRequests) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-id propagation across thread boundaries.
+// Trace-id propagation.
 
 TEST(ServeTracing, TraceIdScopeNestsAndRestores) {
   EXPECT_EQ(obs::current_trace_id(), 0u);
@@ -671,7 +715,7 @@ TEST(ServeTracing, TraceIdScopeNestsAndRestores) {
   EXPECT_EQ(obs::current_trace_id(), 0u);
 }
 
-TEST(ServeTracing, RequestSpansShareTraceIdAcrossThreads) {
+TEST(ServeTracing, ComputeSpanNestsInRequestSpanUnderClientTraceId) {
   obs::reset();
   obs::set_mode(obs::Mode::kTrace);
 
@@ -686,22 +730,29 @@ TEST(ServeTracing, RequestSpansShareTraceIdAcrossThreads) {
     server.stop();  // joins every thread: all spans are closed
   }
 
-  std::set<std::string> names;
-  std::set<std::uint32_t> tids;
+  std::vector<obs::TraceEvent> request_spans;
+  std::vector<obs::TraceEvent> compute_spans;
   for (const auto& event : obs::trace_events()) {
-    if (event.trace_id != kTraceId) continue;
-    names.insert(event.name);
-    tids.insert(event.tid);
+    if (event.name == "serve.request" && event.trace_id == kTraceId) {
+      request_spans.push_back(event);
+    }
+    if (event.name == "serve.compute") compute_spans.push_back(event);
   }
   obs::set_mode(obs::Mode::kOff);
   obs::reset();
 
-  // The request's spans carry its id on the connection thread
-  // (serve.request) and on the batcher/pool side (serve.compute) — at
-  // least two distinct thread ids for one request.
-  EXPECT_EQ(names.count("serve.request"), 1u);
-  EXPECT_EQ(names.count("serve.compute"), 1u);
-  EXPECT_GE(tids.size(), 2u);
+  // The predict computes on the connection thread that decoded it: its
+  // serve.compute span carries the client's trace id and lies inside the
+  // request's serve.request span, on the same thread.
+  ASSERT_EQ(request_spans.size(), 1u);
+  ASSERT_EQ(compute_spans.size(), 1u);
+  const auto& request = request_spans[0];
+  const auto& compute = compute_spans[0];
+  EXPECT_EQ(compute.trace_id, kTraceId);
+  EXPECT_EQ(compute.tid, request.tid);
+  EXPECT_GE(compute.start_ns, request.start_ns);
+  EXPECT_LE(compute.start_ns + compute.dur_ns,
+            request.start_ns + request.dur_ns);
 }
 
 // ---------------------------------------------------------------------------
@@ -726,7 +777,7 @@ TEST(ServeStats, PrometheusSnapshotUnderConcurrentLoad) {
       auto& registry = obs::Registry::global();
       auto& requests = registry.counter("serve.predict.requests");
       auto& duration = registry.hdr("serve.predict.duration_ns");
-      auto& depth = registry.gauge("serve.queue_depth");
+      auto& depth = registry.gauge("serve.connections");
       std::uint64_t i = 0;
       while (!done.load()) {
         requests.add(1);

@@ -84,11 +84,8 @@ bool report_one(const std::string& path, std::FILE* summary, bool first) {
                 str_or(*model, "source_system", "?").c_str());
   }
   if (daemon != nullptr && daemon->is_object()) {
-    std::printf(" — daemon port %.0f, queue_max %.0f, batch_max %.0f, "
-                "batch_wait %.0fus",
-                num_or(*daemon, "port", 0), num_or(*daemon, "queue_max", 0),
-                num_or(*daemon, "batch_max", 0),
-                num_or(*daemon, "batch_wait_us", 0));
+    std::printf(" — daemon port %.0f, queue_max %.0f",
+                num_or(*daemon, "port", 0), num_or(*daemon, "queue_max", 0));
   }
   std::printf("\n\n");
   std::printf(

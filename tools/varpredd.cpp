@@ -1,7 +1,7 @@
 // varpredd: long-running prediction server.
 //
 //   varpredd --model=NAME=PATH [--model=...] [--port=N]
-//            [--queue-max=N] [--batch-max=N] [--batch-wait-us=N]
+//            [--queue-max=N]
 //            [--obs=off|summary|trace] [--expose=prom:PATH[:MS]|jsonl:...]
 //            [--max-seconds=N] [--trace-out=PATH]
 //
@@ -46,7 +46,7 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: varpredd --model=NAME=PATH [--model=...] [--port=N]\n"
-      "                [--queue-max=N] [--batch-max=N] [--batch-wait-us=N]\n"
+      "                [--queue-max=N]\n"
       "                [--obs=off|summary|trace] [--expose=SPEC]\n"
       "                [--max-seconds=N] [--trace-out=PATH]\n");
 }
@@ -86,13 +86,9 @@ int main(int argc, char** argv) {
         config.queue_max =
             static_cast<std::size_t>(require_u64_flag("--queue-max",
                                                       arg + 12));
-      } else if (std::strncmp(arg, "--batch-max=", 12) == 0) {
-        config.batch_max =
-            static_cast<std::size_t>(require_u64_flag("--batch-max",
-                                                      arg + 12));
-      } else if (std::strncmp(arg, "--batch-wait-us=", 16) == 0) {
-        config.batch_wait = std::chrono::microseconds(
-            require_u64_flag("--batch-wait-us", arg + 16));
+        if (config.queue_max == 0) {
+          throw std::invalid_argument("--queue-max must be positive");
+        }
       } else if (std::strncmp(arg, "--max-seconds=", 14) == 0) {
         max_seconds = require_u64_flag("--max-seconds", arg + 14);
       } else if (std::strncmp(arg, "--obs=", 6) == 0) {

@@ -248,7 +248,7 @@ class Run {
   /// --repeat=1 reproduces the printed numbers exactly), an independent
   /// derived stream afterwards. Harness bodies that feed this into their
   /// evaluation seeds turn --repeat=N into N seed-varied quality samples
-  /// per cell — the raw material for the quality_diff bootstrap.
+  /// per cell — the raw material for the bench_diff quality bootstrap.
   std::uint64_t repetition_seed(std::uint64_t base) const {
     return repetition_ == 0
                ? base

@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 
 namespace varpred::obs::json {
@@ -361,6 +363,18 @@ class Parser {
 }  // namespace
 
 Value parse(std::string_view text) { return Parser(text).parse_document(); }
+
+Value parse_file(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) throw std::runtime_error(path + ": cannot open");
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  try {
+    return parse(buffer.str());
+  } catch (const std::exception& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
 
 void dump(const Value& value, std::string& out) {
   switch (value.type) {

@@ -77,6 +77,10 @@ Value make_number(double value);
 /// guard turns a potential stack overflow into a clean error).
 Value parse(std::string_view text);
 
+/// Reads and parses a whole file. Throws std::runtime_error whose message
+/// starts with `path` when the file cannot be opened or does not parse.
+Value parse_file(const std::string& path);
+
 /// Maximum container nesting depth parse() accepts.
 inline constexpr std::size_t kMaxDepth = 256;
 

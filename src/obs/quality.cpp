@@ -1,17 +1,9 @@
 #include "obs/quality.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <iterator>
-#include <sstream>
 #include <stdexcept>
 
-#include "common/rng.hpp"
-#include "stats/bootstrap.hpp"
-#include "stats/ecdf.hpp"
 #include "stats/ks.hpp"
 #include "stats/moments.hpp"
 #include "stats/overlap.hpp"
@@ -90,25 +82,6 @@ double get_number(const json::Value& doc, std::string_view key,
   return v != nullptr && v->is_number() ? v->num : fallback;
 }
 
-std::vector<QualityDocument> load_quality_jsonl(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error(path + ": cannot open");
-  std::vector<QualityDocument> docs;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    try {
-      docs.push_back(parse_quality_document(json::parse(line)));
-    } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
-                               e.what());
-    }
-  }
-  return docs;
-}
-
 }  // namespace
 
 std::string quality_document_json(const QualityDocument& doc) {
@@ -167,25 +140,7 @@ QualityDocument parse_quality_document(const json::Value& doc) {
   }
   QualityDocument q;
   q.schema_version = static_cast<int>(get_number(doc, "schema_version", 1));
-  q.provenance.bench = get_string(doc, "bench");
-  if (q.provenance.bench.empty()) {
-    throw std::invalid_argument("quality: missing \"bench\"");
-  }
-  q.provenance.git = get_string(doc, "git");
-  q.provenance.hostname = get_string(doc, "hostname");
-  q.provenance.timestamp = get_string(doc, "timestamp");
-  q.provenance.obs_mode = get_string(doc, "obs_mode");
-  q.provenance.seed = static_cast<std::uint64_t>(get_number(doc, "seed", 0));
-  q.provenance.runs = static_cast<std::size_t>(get_number(doc, "runs", 0));
-  q.provenance.workers =
-      static_cast<std::size_t>(get_number(doc, "workers", 0));
-  q.provenance.repeat =
-      static_cast<std::size_t>(get_number(doc, "repeat", 1));
-  if (q.provenance.repeat == 0) q.provenance.repeat = 1;
-  if (const json::Value* fast = doc.find("fast");
-      fast != nullptr && fast->is_bool()) {
-    q.provenance.fast = fast->boolean;
-  }
+  q.provenance = parse_provenance(doc);
 
   const json::Value* cells = doc.find("cells");
   if (cells == nullptr || !cells->is_array()) {
@@ -222,64 +177,6 @@ QualityDocument parse_quality_document(const json::Value& doc) {
     q.cells.push_back(std::move(cell));
   }
   return q;
-}
-
-QualityDocument load_quality_document(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error(path + ": cannot open");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return parse_quality_document(json::parse(buffer.str()));
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
-}
-
-std::vector<QualityDocument> load_quality_ledger(const std::string& path) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  if (fs::is_directory(path, ec)) {
-    std::vector<std::string> files;
-    for (const auto& entry : fs::directory_iterator(path)) {
-      if (entry.is_regular_file() && entry.path().extension() == ".jsonl") {
-        files.push_back(entry.path().string());
-      }
-    }
-    std::sort(files.begin(), files.end());
-    std::vector<QualityDocument> docs;
-    for (const std::string& file : files) {
-      auto loaded = load_quality_jsonl(file);
-      docs.insert(docs.end(), std::make_move_iterator(loaded.begin()),
-                  std::make_move_iterator(loaded.end()));
-    }
-    return docs;
-  }
-  if (path.size() > 6 && path.compare(path.size() - 6, 6, ".jsonl") == 0) {
-    return load_quality_jsonl(path);
-  }
-  // A QUALITY_*.json document doubles as a one-entry ledger.
-  return {load_quality_document(path)};
-}
-
-void append_quality(const std::string& path, const QualityDocument& doc) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) throw std::runtime_error(path + ": cannot open for append");
-  out << quality_document_json(doc) << "\n";
-  // Flush before checking, so buffered-write failures (full disk,
-  // read-only ledger checkout) fail the append instead of dropping the
-  // ledger entry silently.
-  out.flush();
-  if (!out) throw std::runtime_error(path + ": write failed");
-}
-
-const QualityDocument* latest_quality(std::span<const QualityDocument> docs,
-                                      std::string_view bench) {
-  const QualityDocument* latest = nullptr;
-  for (const QualityDocument& d : docs) {
-    if (d.provenance.bench == bench) latest = &d;
-  }
-  return latest;
 }
 
 const char* quality_verdict_string(Verdict verdict) {
@@ -385,19 +282,14 @@ CellDiff diff_cell(const QualityCellKey& key, std::span<const double> baseline,
   }
 
   // Percentile bootstrap on the mean difference, orientation-adjusted.
-  // The cell id seeds an independent stream so verdicts are order-free.
-  Rng rng(seed_combine(config.seed, stable_hash(d.key.id())));
-  std::vector<double> diffs;
-  diffs.reserve(config.bootstrap_replicates);
-  for (std::size_t b = 0; b < config.bootstrap_replicates; ++b) {
-    const auto base_star = stats::resample(base_finite, rng);
-    const auto cand_star = stats::resample(cand_finite, rng);
-    diffs.push_back(badness(stats::mean(cand_star) - stats::mean(base_star),
-                            d.lower_better));
-  }
-  std::sort(diffs.begin(), diffs.end());
-  d.worse_lo = stats::quantile_sorted(diffs, config.ci_alpha / 2.0);
-  d.worse_hi = stats::quantile_sorted(diffs, 1.0 - config.ci_alpha / 2.0);
+  const BootstrapCi ci = bootstrap_ci(
+      d.key.id(), base_finite, cand_finite, config.seed,
+      config.bootstrap_replicates, config.ci_alpha,
+      [&](std::span<const double> base, std::span<const double> cand) {
+        return badness(stats::mean(cand) - stats::mean(base), d.lower_better);
+      });
+  d.worse_lo = ci.lo;
+  d.worse_hi = ci.hi;
 
   if (d.worse_lo > config.tolerance) {
     d.verdict = Verdict::kRegressed;
@@ -420,8 +312,8 @@ QualityDiff diff_quality(const QualityDocument& baseline,
                          const QualityDiffConfig& config) {
   QualityDiff diff;
   diff.bench = candidate.provenance.bench;
-  diff.baseline_prov = baseline.provenance;
-  diff.candidate_prov = candidate.provenance;
+  diff.baseline = baseline.provenance;
+  diff.candidate = candidate.provenance;
 
   for (const QualityCell& cand : candidate.cells) {
     const QualityCell* base = nullptr;
@@ -462,43 +354,40 @@ QualityDiff diff_quality(const QualityDocument& baseline,
       diff.cells.push_back(std::move(d));
     }
   }
-  diff.overall = quality_overall(std::span<const CellDiff>(diff.cells));
+  diff.verdict = overall_verdict(diff.cells);
   return diff;
 }
 
-Verdict quality_overall(std::span<const CellDiff> cells) {
-  bool inconclusive = false;
-  bool improved = false;
-  for (const CellDiff& d : cells) {
-    if (d.verdict == Verdict::kRegressed) return Verdict::kRegressed;
-    if (d.verdict == Verdict::kInconclusive) inconclusive = true;
-    if (d.verdict == Verdict::kImproved) improved = true;
+std::vector<QualityDiff> diff_against_reference(
+    const std::vector<QualityDocument>& reference,
+    const std::vector<QualityDocument>& candidates,
+    const QualityDiffConfig& config) {
+  const std::vector<const QualityDocument*> latest =
+      latest_per_bench(reference);
+  std::vector<QualityDiff> diffs;
+  for (const QualityDocument& cand : candidates) {
+    for (const QualityDocument* ref : latest) {
+      QualityDiff diff;
+      diff.bench = cand.provenance.bench + " vs " + ref->provenance.bench;
+      diff.baseline = ref->provenance;
+      diff.candidate = cand.provenance;
+      for (const QualityCell& cell : cand.cells) {
+        for (const QualityCell& ref_cell : ref->cells) {
+          if (ref_cell.key == cell.key) {
+            diff.cells.push_back(
+                diff_cell(cell.key, ref_cell.samples, cell.samples, config));
+          }
+        }
+      }
+      if (diff.cells.empty()) continue;
+      diff.verdict = overall_verdict(diff.cells);
+      diffs.push_back(std::move(diff));
+    }
   }
-  if (inconclusive) return Verdict::kInconclusive;
-  if (improved) return Verdict::kImproved;
-  return Verdict::kUnchanged;
-}
-
-Verdict quality_overall(std::span<const QualityDiff> diffs) {
-  bool inconclusive = false;
-  bool improved = false;
-  for (const QualityDiff& d : diffs) {
-    if (d.overall == Verdict::kRegressed) return Verdict::kRegressed;
-    if (d.overall == Verdict::kInconclusive) inconclusive = true;
-    if (d.overall == Verdict::kImproved) improved = true;
-  }
-  if (inconclusive) return Verdict::kInconclusive;
-  if (improved) return Verdict::kImproved;
-  return Verdict::kUnchanged;
+  return diffs;
 }
 
 namespace {
-
-std::string fixed(double value, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, value);
-  return buf;
-}
 
 std::string signed_fixed(double value, int digits) {
   char buf[64];
@@ -513,27 +402,19 @@ std::string cell_label(const QualityCellKey& key) {
   return out;
 }
 
-std::string prov_line(const QualityProvenance& p) {
-  return "git=" + p.git + " host=" + p.hostname +
-         " seed=" + std::to_string(p.seed) +
-         " workers=" + std::to_string(p.workers) +
-         " repeat=" + std::to_string(p.repeat) + " obs=" + p.obs_mode +
-         (p.fast ? " fast" : "");
-}
-
 }  // namespace
 
 std::string quality_markdown_report(std::span<const QualityDiff> diffs,
                                     const QualityDiffConfig& config) {
-  std::string out = "# quality_diff report\n\n";
+  std::string out = "# bench_diff quality report\n\n";
   out += "overall: **" +
-         std::string(quality_verdict_string(quality_overall(diffs))) +
+         std::string(quality_verdict_string(overall_verdict(diffs))) +
          "**\n\n";
   for (const QualityDiff& diff : diffs) {
     out += "## " + diff.bench + " — " +
-           quality_verdict_string(diff.overall) + "\n\n";
-    out += "baseline: " + prov_line(diff.baseline_prov) + "\n";
-    out += "candidate: " + prov_line(diff.candidate_prov) + "\n\n";
+           quality_verdict_string(diff.verdict) + "\n\n";
+    out += "baseline: " + diff.baseline.describe() + "\n";
+    out += "candidate: " + diff.candidate.describe() + "\n\n";
     out +=
         "| cell | n(base) | n(cand) | mean(base) | mean(cand) | worse "
         "[95% CI] | verdict |\n"
@@ -562,12 +443,7 @@ std::string quality_markdown_report(std::span<const QualityDiff> diffs,
   return out;
 }
 
-std::string quality_json_report(std::span<const QualityDiff> diffs) {
-  json::Value doc;
-  doc.type = json::Value::Type::kObject;
-  doc.object.emplace_back(
-      "overall",
-      json::make_string(quality_verdict_string(quality_overall(diffs))));
+json::Value quality_json_report(std::span<const QualityDiff> diffs) {
   json::Value benches;
   benches.type = json::Value::Type::kArray;
   for (const QualityDiff& diff : diffs) {
@@ -575,7 +451,7 @@ std::string quality_json_report(std::span<const QualityDiff> diffs) {
     jb.type = json::Value::Type::kObject;
     jb.object.emplace_back("bench", json::make_string(diff.bench));
     jb.object.emplace_back(
-        "overall", json::make_string(quality_verdict_string(diff.overall)));
+        "overall", json::make_string(quality_verdict_string(diff.verdict)));
     json::Value cells;
     cells.type = json::Value::Type::kArray;
     for (const CellDiff& d : diff.cells) {
@@ -615,8 +491,7 @@ std::string quality_json_report(std::span<const QualityDiff> diffs) {
     jb.object.emplace_back("cells", std::move(cells));
     benches.array.push_back(std::move(jb));
   }
-  doc.object.emplace_back("benches", std::move(benches));
-  return json::dump(doc);
+  return benches;
 }
 
 }  // namespace varpred::obs

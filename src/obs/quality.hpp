@@ -14,11 +14,12 @@
 //                     by the bench harness: every recorded cell's score
 //                     samples (one per repetition seed) plus provenance.
 //   quality ledger    append-only JSONL under bench/baselines/quality/,
-//                     one file per bench, same conventions as the timing
-//                     baseline store — including a paper_reference ledger
-//                     transcribed from the published tables.
+//                     one document per line, one file per bench
+//                     (obs/ledger.hpp, shared with the timing gate) —
+//                     including a paper_reference ledger transcribed from
+//                     the published tables.
 //   diff_quality      per-cell unchanged|improved|degraded|inconclusive
-//                     verdicts for tools/quality_diff and the CI
+//                     verdicts for tools/bench_diff and the CI
 //                     quality-gate job.
 //
 // Unlike wall time, quality scores are seeded, deterministic, and
@@ -41,6 +42,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/ledger.hpp"
 #include "obs/regression.hpp"
 
 namespace varpred::obs {
@@ -125,26 +127,11 @@ void record_prediction_scores(const QualityCellKey& base,
                               std::span<const double> measured,
                               std::span<const double> predicted);
 
-/// Where and how a quality document was produced. Unlike the timing
-/// EnvFingerprint, only `seed` affects the recorded values — everything
-/// else is provenance for the ledger.
-struct QualityProvenance {
-  std::string bench;
-  std::string git;
-  std::string hostname;
-  std::string timestamp;  ///< ISO-8601 UTC
-  std::string obs_mode;
-  std::uint64_t seed = 0;
-  std::size_t runs = 0;
-  std::size_t workers = 0;
-  std::size_t repeat = 1;  ///< samples per cell (repetition seeds)
-  bool fast = false;
-};
-
-/// One QUALITY_<name>.json document / one quality-ledger JSONL line.
+/// One QUALITY_<name>.json document / one quality-ledger JSONL line. Only
+/// `provenance.seed` affects the recorded values; the rest is provenance.
 struct QualityDocument {
   int schema_version = 1;
-  QualityProvenance provenance;
+  Provenance provenance;
   std::vector<QualityCell> cells;
 };
 
@@ -154,26 +141,8 @@ struct QualityDocument {
 std::string quality_document_json(const QualityDocument& doc);
 
 /// Parses a document; throws std::invalid_argument on missing/malformed
-/// required fields ("bench", "cells").
+/// required fields ("bench", "cells") or an out-of-range provenance count.
 QualityDocument parse_quality_document(const json::Value& doc);
-
-/// Reads and parses one QUALITY_*.json file. Throws std::runtime_error
-/// (message includes the path) on I/O or parse failure.
-QualityDocument load_quality_document(const std::string& path);
-
-/// Loads a quality ledger: a .jsonl store (blank lines skipped), a single
-/// QUALITY_*.json document, or a directory whose *.jsonl files are all
-/// loaded in sorted order. Throws std::runtime_error with the offending
-/// path on failure.
-std::vector<QualityDocument> load_quality_ledger(const std::string& path);
-
-/// Appends one document as a JSONL line, creating the file if needed.
-void append_quality(const std::string& path, const QualityDocument& doc);
-
-/// Latest ledger entry (file order, which append keeps chronological) for
-/// a bench, or nullptr.
-const QualityDocument* latest_quality(std::span<const QualityDocument> docs,
-                                      std::string_view bench);
 
 /// Quality verdicts reuse the regression Verdict enum; only the label for
 /// kRegressed differs ("degraded": accuracy drifts, it does not slow
@@ -220,10 +189,10 @@ struct CellDiff {
 /// One bench's quality comparison.
 struct QualityDiff {
   std::string bench;
-  QualityProvenance baseline_prov;
-  QualityProvenance candidate_prov;
+  Provenance baseline;
+  Provenance candidate;
   std::vector<CellDiff> cells;
-  Verdict overall = Verdict::kUnchanged;
+  Verdict verdict = Verdict::kUnchanged;
 };
 
 /// Compares one cell's score samples (candidate vs. baseline). Non-finite
@@ -240,15 +209,21 @@ QualityDiff diff_quality(const QualityDocument& baseline,
                          const QualityDocument& candidate,
                          const QualityDiffConfig& config);
 
-/// Worst-case folds, same semantics as the timing overall_verdict.
-Verdict quality_overall(std::span<const CellDiff> cells);
-Verdict quality_overall(std::span<const QualityDiff> diffs);
+/// Compares each candidate against the latest entry of every bench in a
+/// reference ledger (the paper-anchored cells): one diff per (candidate,
+/// reference bench) pair that shares at least one cell, holding only the
+/// shared cells.
+std::vector<QualityDiff> diff_against_reference(
+    const std::vector<QualityDocument>& reference,
+    const std::vector<QualityDocument>& candidates,
+    const QualityDiffConfig& config);
 
 /// Markdown report (one table per bench, thresholds in the footer).
 std::string quality_markdown_report(std::span<const QualityDiff> diffs,
                                     const QualityDiffConfig& config);
 
-/// Machine-readable report: {"overall": "...", "benches":[...]}.
-std::string quality_json_report(std::span<const QualityDiff> diffs);
+/// Machine-readable report: one {"bench", "overall", "cells":[...]} object
+/// per diff.
+json::Value quality_json_report(std::span<const QualityDiff> diffs);
 
 }  // namespace varpred::obs

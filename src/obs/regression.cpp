@@ -26,6 +26,54 @@ const char* to_string(Verdict verdict) {
   return "inconclusive";
 }
 
+Verdict worse_verdict(Verdict a, Verdict b) {
+  // Severity order, which is not the enum's declaration order.
+  const auto rank = [](Verdict v) {
+    switch (v) {
+      case Verdict::kUnchanged:
+        return 0;
+      case Verdict::kImproved:
+        return 1;
+      case Verdict::kInconclusive:
+        return 2;
+      case Verdict::kRegressed:
+        return 3;
+    }
+    return 2;
+  };
+  return rank(b) > rank(a) ? b : a;
+}
+
+BootstrapCi bootstrap_ci(
+    std::string_view id, std::span<const double> baseline,
+    std::span<const double> candidate, std::uint64_t seed,
+    std::size_t replicates, double ci_alpha,
+    const std::function<double(std::span<const double>,
+                               std::span<const double>)>& statistic) {
+  Rng rng(seed_combine(seed, stable_hash(id)));
+  std::vector<double> values;
+  values.reserve(replicates);
+  for (std::size_t b = 0; b < replicates; ++b) {
+    const auto base_star = stats::resample(baseline, rng);
+    const auto cand_star = stats::resample(candidate, rng);
+    const double value = statistic(base_star, cand_star);
+    if (!std::isnan(value)) values.push_back(value);
+  }
+  BootstrapCi ci;
+  ci.kept = values.size();
+  if (values.empty()) return ci;
+  std::sort(values.begin(), values.end());
+  ci.lo = stats::quantile_sorted(values, ci_alpha / 2.0);
+  ci.hi = stats::quantile_sorted(values, 1.0 - ci_alpha / 2.0);
+  return ci;
+}
+
+std::string fixed(double value, int digits) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.*f", digits, value);
+  return buf;
+}
+
 namespace {
 
 /// Advisory tail columns: p50/p99 of the raw samples on each side. Never
@@ -80,26 +128,23 @@ StageDiff diff_stage(std::string name, std::span<const double> baseline,
   }
   d.shift = (d.candidate_median - d.baseline_median) / d.baseline_median;
 
-  // Two-sample percentile bootstrap on the relative median shift. The
-  // stage name seeds an independent stream so verdicts are order-free.
-  Rng rng(seed_combine(config.seed, stable_hash(d.stage)));
-  std::vector<double> shifts;
-  shifts.reserve(config.bootstrap_replicates);
-  for (std::size_t b = 0; b < config.bootstrap_replicates; ++b) {
-    const auto base_star = stats::resample(baseline, rng);
-    const auto cand_star = stats::resample(candidate, rng);
-    const double base_median = stats::median(base_star);
-    if (!(base_median > 0.0)) continue;
-    shifts.push_back((stats::median(cand_star) - base_median) / base_median);
-  }
-  if (shifts.size() < config.bootstrap_replicates / 2) {
+  // Percentile bootstrap on the relative median shift; replicates whose
+  // resampled baseline median is not positive are dropped.
+  const BootstrapCi ci = bootstrap_ci(
+      d.stage, baseline, candidate, config.seed, config.bootstrap_replicates,
+      config.ci_alpha,
+      [](std::span<const double> base, std::span<const double> cand) {
+        const double base_median = stats::median(base);
+        if (!(base_median > 0.0)) return std::nan("");
+        return (stats::median(cand) - base_median) / base_median;
+      });
+  if (ci.kept < config.bootstrap_replicates / 2) {
     d.verdict = Verdict::kInconclusive;
     d.note = "bootstrap degenerate (resampled baseline medians <= 0)";
     return d;
   }
-  std::sort(shifts.begin(), shifts.end());
-  d.shift_lo = stats::quantile_sorted(shifts, config.ci_alpha / 2.0);
-  d.shift_hi = stats::quantile_sorted(shifts, 1.0 - config.ci_alpha / 2.0);
+  d.shift_lo = ci.lo;
+  d.shift_hi = ci.hi;
 
   const bool distribution_changed =
       d.ks_pvalue < config.alpha && d.w1_normalized > config.w1_threshold;
@@ -116,30 +161,27 @@ StageDiff diff_stage(std::string name, std::span<const double> baseline,
   return d;
 }
 
-RunDiff diff_telemetry(const BaselineRecord& baseline,
+RunDiff diff_telemetry(const BenchTelemetry& baseline,
                        const BenchTelemetry& candidate,
                        const DiffConfig& config) {
   RunDiff run;
-  run.bench = candidate.bench;
-  run.baseline_env = baseline.env;
-  run.candidate_env.git = candidate.git;
-  run.candidate_env.hostname = candidate.hostname;
-  run.candidate_env.workers = candidate.workers;
-  run.candidate_env.obs_mode = candidate.obs_mode;
-  run.env_match = run.baseline_env.comparable_with(run.candidate_env);
+  run.bench = candidate.provenance.bench;
+  run.baseline = baseline.provenance;
+  run.candidate = candidate.provenance;
+  run.env_match = run.baseline.comparable_with(run.candidate);
   if (!run.env_match) {
     std::string note;
-    if (run.baseline_env.hostname != run.candidate_env.hostname) {
-      note += "hostname " + run.baseline_env.hostname + " -> " +
-              run.candidate_env.hostname + "; ";
+    if (run.baseline.hostname != run.candidate.hostname) {
+      note += "hostname " + run.baseline.hostname + " -> " +
+              run.candidate.hostname + "; ";
     }
-    if (run.baseline_env.workers != run.candidate_env.workers) {
-      note += "workers " + std::to_string(run.baseline_env.workers) + " -> " +
-              std::to_string(run.candidate_env.workers) + "; ";
+    if (run.baseline.workers != run.candidate.workers) {
+      note += "workers " + std::to_string(run.baseline.workers) + " -> " +
+              std::to_string(run.candidate.workers) + "; ";
     }
-    if (run.baseline_env.obs_mode != run.candidate_env.obs_mode) {
-      note += "obs_mode " + run.baseline_env.obs_mode + " -> " +
-              run.candidate_env.obs_mode + "; ";
+    if (run.baseline.obs_mode != run.candidate.obs_mode) {
+      note += "obs_mode " + run.baseline.obs_mode + " -> " +
+              run.candidate.obs_mode + "; ";
     }
     if (note.size() >= 2) note.resize(note.size() - 2);
     run.env_note = note;
@@ -162,14 +204,8 @@ RunDiff diff_telemetry(const BaselineRecord& baseline,
       run.stages.push_back(std::move(d));
       continue;
     }
-    StageDiff d = diff_stage(cand.name, base->samples, cand.samples, config);
-    if (config.require_env_match && !run.env_match &&
-        (d.verdict == Verdict::kRegressed ||
-         d.verdict == Verdict::kImproved)) {
-      d.verdict = Verdict::kInconclusive;
-      d.note = "environment mismatch (" + run.env_note + ")";
-    }
-    run.stages.push_back(std::move(d));
+    run.stages.push_back(
+        diff_stage(cand.name, base->samples, cand.samples, config));
   }
   for (const StageSamples& base : baseline.stages) {
     bool present = false;
@@ -188,43 +224,11 @@ RunDiff diff_telemetry(const BaselineRecord& baseline,
       run.stages.push_back(std::move(d));
     }
   }
-  run.overall = overall_verdict(run.stages);
+  run.verdict = overall_verdict(run.stages);
   return run;
 }
 
-Verdict overall_verdict(std::span<const StageDiff> stages) {
-  bool inconclusive = false;
-  bool improved = false;
-  for (const StageDiff& d : stages) {
-    if (d.verdict == Verdict::kRegressed) return Verdict::kRegressed;
-    if (d.verdict == Verdict::kInconclusive) inconclusive = true;
-    if (d.verdict == Verdict::kImproved) improved = true;
-  }
-  if (inconclusive) return Verdict::kInconclusive;
-  if (improved) return Verdict::kImproved;
-  return Verdict::kUnchanged;
-}
-
-Verdict overall_verdict(std::span<const RunDiff> runs) {
-  bool inconclusive = false;
-  bool improved = false;
-  for (const RunDiff& r : runs) {
-    if (r.overall == Verdict::kRegressed) return Verdict::kRegressed;
-    if (r.overall == Verdict::kInconclusive) inconclusive = true;
-    if (r.overall == Verdict::kImproved) improved = true;
-  }
-  if (inconclusive) return Verdict::kInconclusive;
-  if (improved) return Verdict::kImproved;
-  return Verdict::kUnchanged;
-}
-
 namespace {
-
-std::string fixed(double value, int digits) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", digits, value);
-  return buf;
-}
 
 std::string scientific(double value) {
   char buf[64];
@@ -238,27 +242,6 @@ std::string percent(double value) {
   return buf;
 }
 
-json::Value jstr(std::string s) {
-  json::Value v;
-  v.type = json::Value::Type::kString;
-  v.str = std::move(s);
-  return v;
-}
-
-json::Value jnum(double n) {
-  json::Value v;
-  v.type = json::Value::Type::kNumber;
-  v.num = n;
-  return v;
-}
-
-json::Value jbool(bool b) {
-  json::Value v;
-  v.type = json::Value::Type::kBool;
-  v.boolean = b;
-  return v;
-}
-
 }  // namespace
 
 std::string markdown_report(std::span<const RunDiff> runs,
@@ -267,15 +250,9 @@ std::string markdown_report(std::span<const RunDiff> runs,
   out += "overall: **" + std::string(to_string(overall_verdict(runs))) +
          "**\n\n";
   for (const RunDiff& run : runs) {
-    out += "## " + run.bench + " — " + to_string(run.overall) + "\n\n";
-    out += "baseline env: git=" + run.baseline_env.git +
-           " host=" + run.baseline_env.hostname +
-           " workers=" + std::to_string(run.baseline_env.workers) +
-           " obs=" + run.baseline_env.obs_mode + "\n";
-    out += "candidate env: git=" + run.candidate_env.git +
-           " host=" + run.candidate_env.hostname +
-           " workers=" + std::to_string(run.candidate_env.workers) +
-           " obs=" + run.candidate_env.obs_mode + "\n";
+    out += "## " + run.bench + " — " + to_string(run.verdict) + "\n\n";
+    out += "baseline: " + run.baseline.describe() + "\n";
+    out += "candidate: " + run.candidate.describe() + "\n";
     if (!run.env_match) {
       out += "\n> environment mismatch (" + run.env_note +
              "): timing comparisons across environments are advisory.\n";
@@ -309,57 +286,55 @@ std::string markdown_report(std::span<const RunDiff> runs,
   return out;
 }
 
-std::string json_report(std::span<const RunDiff> runs) {
-  json::Value doc;
-  doc.type = json::Value::Type::kObject;
-  doc.object.emplace_back("overall",
-                          jstr(to_string(overall_verdict(runs))));
+json::Value json_report(std::span<const RunDiff> runs) {
   json::Value jruns;
   jruns.type = json::Value::Type::kArray;
   for (const RunDiff& run : runs) {
     json::Value jr;
     jr.type = json::Value::Type::kObject;
-    jr.object.emplace_back("bench", jstr(run.bench));
-    jr.object.emplace_back("overall", jstr(to_string(run.overall)));
-    jr.object.emplace_back("env_match", jbool(run.env_match));
+    jr.object.emplace_back("bench", json::make_string(run.bench));
+    jr.object.emplace_back("overall", json::make_string(to_string(run.verdict)));
+    jr.object.emplace_back("env_match", json::make_bool(run.env_match));
     if (!run.env_note.empty()) {
-      jr.object.emplace_back("env_note", jstr(run.env_note));
+      jr.object.emplace_back("env_note", json::make_string(run.env_note));
     }
     json::Value jstages;
     jstages.type = json::Value::Type::kArray;
     for (const StageDiff& d : run.stages) {
       json::Value js;
       js.type = json::Value::Type::kObject;
-      js.object.emplace_back("stage", jstr(d.stage));
-      js.object.emplace_back("verdict", jstr(to_string(d.verdict)));
-      js.object.emplace_back("n_baseline",
-                             jnum(static_cast<double>(d.n_baseline)));
-      js.object.emplace_back("n_candidate",
-                             jnum(static_cast<double>(d.n_candidate)));
-      js.object.emplace_back("baseline_median", jnum(d.baseline_median));
-      js.object.emplace_back("candidate_median", jnum(d.candidate_median));
-      js.object.emplace_back("ks_stat", jnum(d.ks_stat));
-      js.object.emplace_back("ks_pvalue", jnum(d.ks_pvalue));
-      js.object.emplace_back("w1_normalized", jnum(d.w1_normalized));
-      js.object.emplace_back("shift", jnum(d.shift));
-      js.object.emplace_back("shift_lo", jnum(d.shift_lo));
-      js.object.emplace_back("shift_hi", jnum(d.shift_hi));
+      const auto num = [&](const char* key, double value) {
+        js.object.emplace_back(key, json::make_number(value));
+      };
+      js.object.emplace_back("stage", json::make_string(d.stage));
+      js.object.emplace_back("verdict", json::make_string(to_string(d.verdict)));
+      num("n_baseline", static_cast<double>(d.n_baseline));
+      num("n_candidate", static_cast<double>(d.n_candidate));
+      num("baseline_median", d.baseline_median);
+      num("candidate_median", d.candidate_median);
+      num("ks_stat", d.ks_stat);
+      num("ks_pvalue", d.ks_pvalue);
+      num("w1_normalized", d.w1_normalized);
+      num("shift", d.shift);
+      num("shift_lo", d.shift_lo);
+      num("shift_hi", d.shift_hi);
       if (d.has_tails) {
-        js.object.emplace_back("baseline_p50", jnum(d.baseline_p50));
-        js.object.emplace_back("candidate_p50", jnum(d.candidate_p50));
-        js.object.emplace_back("baseline_p99", jnum(d.baseline_p99));
-        js.object.emplace_back("candidate_p99", jnum(d.candidate_p99));
-        js.object.emplace_back("p50_shift", jnum(d.p50_shift));
-        js.object.emplace_back("p99_shift", jnum(d.p99_shift));
+        num("baseline_p50", d.baseline_p50);
+        num("candidate_p50", d.candidate_p50);
+        num("baseline_p99", d.baseline_p99);
+        num("candidate_p99", d.candidate_p99);
+        num("p50_shift", d.p50_shift);
+        num("p99_shift", d.p99_shift);
       }
-      if (!d.note.empty()) js.object.emplace_back("note", jstr(d.note));
+      if (!d.note.empty()) {
+        js.object.emplace_back("note", json::make_string(d.note));
+      }
       jstages.array.push_back(std::move(js));
     }
     jr.object.emplace_back("stages", std::move(jstages));
     jruns.array.push_back(std::move(jr));
   }
-  doc.object.emplace_back("runs", std::move(jruns));
-  return json::dump(doc);
+  return jruns;
 }
 
 }  // namespace varpred::obs

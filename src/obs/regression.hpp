@@ -19,11 +19,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "obs/baseline.hpp"
+#include "obs/json.hpp"
+#include "obs/ledger.hpp"
 #include "obs/telemetry.hpp"
 
 namespace varpred::obs {
@@ -36,6 +39,41 @@ enum class Verdict {
 };
 
 const char* to_string(Verdict verdict);
+
+/// The worse of two verdicts: regressed > inconclusive > improved >
+/// unchanged.
+Verdict worse_verdict(Verdict a, Verdict b);
+
+/// Worst-case fold over anything with a `verdict` member: any regressed =>
+/// regressed; else any inconclusive => inconclusive; else any improved =>
+/// improved; else unchanged. Shared by the timing and quality gates.
+template <class Range>
+Verdict overall_verdict(const Range& items) {
+  Verdict overall = Verdict::kUnchanged;
+  for (const auto& item : items) overall = worse_verdict(overall, item.verdict);
+  return overall;
+}
+
+/// Seeded two-sample percentile bootstrap. Every replicate resamples
+/// `baseline`, then `candidate`, from one stream seeded by
+/// (seed, stable_hash(id)) — so results do not depend on the order items
+/// are compared in — and keeps `statistic(baseline*, candidate*)` unless
+/// it is NaN. `lo`/`hi` are the ci_alpha/2 and 1 - ci_alpha/2 quantiles of
+/// the kept replicates (0 when none was kept).
+struct BootstrapCi {
+  double lo = 0.0;
+  double hi = 0.0;
+  std::size_t kept = 0;
+};
+BootstrapCi bootstrap_ci(
+    std::string_view id, std::span<const double> baseline,
+    std::span<const double> candidate, std::uint64_t seed,
+    std::size_t replicates, double ci_alpha,
+    const std::function<double(std::span<const double>,
+                               std::span<const double>)>& statistic);
+
+/// printf("%.*f") as a string, for the report writers.
+std::string fixed(double value, int digits);
 
 struct DiffConfig {
   /// KS p-value below which the two samples count as drawn from different
@@ -54,9 +92,6 @@ struct DiffConfig {
   /// Base seed; each stage derives an independent stream from its name, so
   /// verdicts do not depend on stage order.
   std::uint64_t seed = 0x5EEDBA5EULL;
-  /// When true, cross-environment comparisons (fingerprint mismatch) demote
-  /// regressed/improved to inconclusive.
-  bool require_env_match = false;
 };
 
 /// Per-stage comparison result. Medians and shifts are in the samples'
@@ -89,15 +124,17 @@ struct StageDiff {
   std::string note;  ///< why the verdict is what it is, when not obvious
 };
 
-/// One bench's comparison: env provenance plus every stage's diff.
+/// One bench's comparison: provenance of both sides plus every stage's
+/// diff. Timings measured in different environments are still compared;
+/// the mismatch is noted so the report can call the comparison advisory.
 struct RunDiff {
   std::string bench;
-  EnvFingerprint baseline_env;
-  EnvFingerprint candidate_env;
+  Provenance baseline;
+  Provenance candidate;
   bool env_match = true;
   std::string env_note;  ///< human-readable mismatch description
   std::vector<StageDiff> stages;
-  Verdict overall = Verdict::kUnchanged;
+  Verdict verdict = Verdict::kUnchanged;
 };
 
 /// Compares one stage's samples (candidate vs. baseline).
@@ -105,22 +142,18 @@ StageDiff diff_stage(std::string name, std::span<const double> baseline,
                      std::span<const double> candidate,
                      const DiffConfig& config);
 
-/// Compares a candidate telemetry document against its baseline record.
+/// Compares a candidate telemetry document against its baseline document.
 /// Stages present on only one side come back inconclusive with a note.
-RunDiff diff_telemetry(const BaselineRecord& baseline,
+RunDiff diff_telemetry(const BenchTelemetry& baseline,
                        const BenchTelemetry& candidate,
                        const DiffConfig& config);
-
-/// Worst-case fold: any regressed => regressed; else any inconclusive =>
-/// inconclusive; else any improved => improved; else unchanged.
-Verdict overall_verdict(std::span<const StageDiff> stages);
-Verdict overall_verdict(std::span<const RunDiff> runs);
 
 /// Markdown report (one table per bench, thresholds in the footer).
 std::string markdown_report(std::span<const RunDiff> runs,
                             const DiffConfig& config);
 
-/// Machine-readable report: {"overall": "...", "runs":[...]}.
-std::string json_report(std::span<const RunDiff> runs);
+/// Machine-readable report: one {"bench", "overall", "stages":[...]}
+/// object per run.
+json::Value json_report(std::span<const RunDiff> runs);
 
 }  // namespace varpred::obs

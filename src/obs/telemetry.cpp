@@ -1,7 +1,5 @@
 #include "obs/telemetry.hpp"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 namespace varpred::obs {
@@ -27,23 +25,7 @@ BenchTelemetry parse_bench_telemetry(const json::Value& doc) {
   }
   BenchTelemetry t;
   t.schema_version = static_cast<int>(get_number(doc, "schema_version", 1));
-  t.bench = get_string(doc, "bench");
-  if (t.bench.empty()) {
-    throw std::invalid_argument("telemetry: missing \"bench\"");
-  }
-  t.git = get_string(doc, "git");
-  t.hostname = get_string(doc, "hostname");
-  t.timestamp = get_string(doc, "timestamp");
-  t.obs_mode = get_string(doc, "obs_mode");
-  t.seed = static_cast<std::uint64_t>(get_number(doc, "seed", 0));
-  t.runs = static_cast<std::size_t>(get_number(doc, "runs", 0));
-  t.workers = static_cast<std::size_t>(get_number(doc, "workers", 0));
-  t.repeat = static_cast<std::size_t>(get_number(doc, "repeat", 1));
-  if (t.repeat == 0) t.repeat = 1;
-  if (const json::Value* fast = doc.find("fast");
-      fast != nullptr && fast->is_bool()) {
-    t.fast = fast->boolean;
-  }
+  t.provenance = parse_provenance(doc);
   t.wall_seconds = get_number(doc, "wall_seconds", 0.0);
 
   const json::Value* stages = doc.find("stages");
@@ -94,18 +76,6 @@ BenchTelemetry parse_bench_telemetry(const json::Value& doc) {
     t.stages.push_back(std::move(s));
   }
   return t;
-}
-
-BenchTelemetry load_bench_telemetry(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error(path + ": cannot open");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  try {
-    return parse_bench_telemetry(json::parse(buffer.str()));
-  } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
-  }
 }
 
 }  // namespace varpred::obs

@@ -8,15 +8,16 @@
 //       p50/p90/p99/p999 in wall seconds.
 // Older documents are mapped onto the newest shape: v1 gets a
 // single-element sample vector; v1/v2 leave has_quantiles false so
-// downstream consumers (baseline store, bench_diff) can recompute tails
-// from the raw samples when they need them.
+// downstream consumers (bench_diff) can recompute tails from the raw
+// samples when they need them. Ledger lines under bench/baselines/ are
+// these same documents, one per line (obs/ledger.hpp).
 #pragma once
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/ledger.hpp"
 
 namespace varpred::obs {
 
@@ -38,31 +39,18 @@ struct StageSamples {
   StageQuantiles quantiles;
 };
 
-/// Parsed telemetry document (the fields bench_diff and the baseline store
-/// consume; the pool/metrics subtrees stay in the raw json::Value).
+/// Parsed telemetry document (the fields bench_diff consumes; the
+/// pool/metrics subtrees stay in the raw json::Value).
 struct BenchTelemetry {
   int schema_version = 1;
-  std::string bench;
-  std::string git;
-  std::string hostname;   ///< "" in v1 documents
-  std::string timestamp;  ///< "" in v1 documents (ISO-8601 UTC in v2)
-  std::string obs_mode;
-  std::uint64_t seed = 0;
-  std::size_t runs = 0;
-  std::size_t workers = 0;
-  std::size_t repeat = 1;  ///< 1 in v1 documents
-  bool fast = false;
+  Provenance provenance;
   double wall_seconds = 0.0;
   std::vector<StageSamples> stages;
 };
 
 /// Extracts a BenchTelemetry from a parsed document. Throws
 /// std::invalid_argument when required fields ("bench", "stages") are
-/// missing or malformed.
+/// missing or malformed, or a provenance count is out of range.
 BenchTelemetry parse_bench_telemetry(const json::Value& doc);
-
-/// Reads and parses a telemetry file. Throws std::runtime_error (message
-/// includes the path) on I/O or parse failure.
-BenchTelemetry load_bench_telemetry(const std::string& path);
 
 }  // namespace varpred::obs

@@ -1,5 +1,6 @@
 // Tests for the regression-detection stack: telemetry parsing (v1 compat
-// and v2), the JSONL baseline store round trip, and — the acceptance
+// and v2), provenance validation, the JSONL ledger (round trip, errors,
+// and the checked-in ledgers under bench/baselines/), and — the acceptance
 // criteria of the detector itself — bench_diff verdicts on seeded
 // synthetic timing distributions: two independent draws from the same
 // distribution must read `unchanged`, a 2x slowdown must read `regressed`.
@@ -13,7 +14,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "obs/baseline.hpp"
+#include "obs/ledger.hpp"
+#include "obs/quality.hpp"
 #include "obs/regression.hpp"
 #include "obs/telemetry.hpp"
 #include "rngdist/samplers.hpp"
@@ -141,14 +143,14 @@ TEST(BenchDiff, TailColumnsAreAdvisoryAndExact) {
   obs::RunDiff run;
   run.bench = "tails_bench";
   run.stages.push_back(d);
-  run.overall = obs::overall_verdict(run.stages);
+  run.verdict = obs::overall_verdict(run.stages);
   const std::vector<obs::RunDiff> runs{run};
   const std::string md = obs::markdown_report(runs, test_config());
   EXPECT_NE(md.find("Δp50"), std::string::npos) << md;
   EXPECT_NE(md.find("Δp99"), std::string::npos);
   EXPECT_NE(md.find("advisory"), std::string::npos)
       << "footer must say tails never gate";
-  const std::string js = obs::json_report(runs);
+  const std::string js = obs::json::dump(obs::json_report(runs));
   EXPECT_NE(js.find("\"p50_shift\":"), std::string::npos) << js;
   EXPECT_NE(js.find("\"baseline_p99\":"), std::string::npos);
 }
@@ -184,9 +186,9 @@ TEST(Telemetry, ParsesV2Document) {
   })";
   const auto t = obs::parse_bench_telemetry(obs::json::parse(doc));
   EXPECT_EQ(t.schema_version, 2);
-  EXPECT_EQ(t.bench, "demo");
-  EXPECT_EQ(t.hostname, "m1");
-  EXPECT_EQ(t.repeat, 3u);
+  EXPECT_EQ(t.provenance.bench, "demo");
+  EXPECT_EQ(t.provenance.hostname, "m1");
+  EXPECT_EQ(t.provenance.repeat, 3u);
   ASSERT_EQ(t.stages.size(), 1u);
   EXPECT_EQ(t.stages[0].samples, (std::vector<double>{0.4, 0.4, 0.4}));
 }
@@ -200,8 +202,8 @@ TEST(Telemetry, V1DocumentMapsSecondsToSingleSample) {
   })";
   const auto t = obs::parse_bench_telemetry(obs::json::parse(doc));
   EXPECT_EQ(t.schema_version, 1);
-  EXPECT_EQ(t.repeat, 1u);
-  EXPECT_TRUE(t.hostname.empty());
+  EXPECT_EQ(t.provenance.repeat, 1u);
+  EXPECT_TRUE(t.provenance.hostname.empty());
   ASSERT_EQ(t.stages.size(), 2u);
   EXPECT_EQ(t.stages[0].samples, (std::vector<double>{1.25}));
   EXPECT_EQ(t.stages[1].samples, (std::vector<double>{0.75}));
@@ -216,124 +218,238 @@ TEST(Telemetry, RejectsDocumentsWithoutBenchOrStages) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline store.
+// Provenance: one parser for the top-level fields of every run document.
 
-obs::BaselineRecord demo_record() {
-  obs::BaselineRecord r;
-  r.bench = "demo";
-  r.timestamp = "2026-08-05T10:00:00Z";
-  r.env = {"abc-dirty", "m1", 4, "off"};
-  r.runs = 300;
-  r.fast = true;
-  r.repeat = 8;
-  r.stages.push_back({"corpus", timing_draw(1, 8)});
-  r.stages.push_back({"predict", timing_draw(2, 8)});
-  return r;
-}
-
-TEST(BaselineStore, RecordRoundTripsThroughJsonLine) {
-  const obs::BaselineRecord r = demo_record();
-  const std::string line = obs::baseline_record_json(r);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  const auto back = obs::parse_baseline_record(obs::json::parse(line));
-  EXPECT_EQ(back.bench, r.bench);
-  EXPECT_EQ(back.timestamp, r.timestamp);
-  EXPECT_EQ(back.env.git, r.env.git);
-  EXPECT_EQ(back.env.hostname, r.env.hostname);
-  EXPECT_EQ(back.env.workers, r.env.workers);
-  EXPECT_EQ(back.env.obs_mode, r.env.obs_mode);
-  EXPECT_EQ(back.repeat, r.repeat);
-  ASSERT_EQ(back.stages.size(), r.stages.size());
-  for (std::size_t i = 0; i < r.stages.size(); ++i) {
-    EXPECT_EQ(back.stages[i].name, r.stages[i].name);
-    EXPECT_EQ(back.stages[i].samples, r.stages[i].samples);
-  }
-}
-
-TEST(BaselineStore, AppendLoadAndLatestSelection) {
-  const std::string path =
-      testing::TempDir() + "/varpred_baseline_test.jsonl";
-  std::remove(path.c_str());
-  obs::BaselineRecord first = demo_record();
-  obs::BaselineRecord second = demo_record();
-  second.timestamp = "2026-08-06T10:00:00Z";
-  obs::BaselineRecord other = demo_record();
-  other.bench = "other";
-  obs::append_baseline(path, first);
-  obs::append_baseline(path, other);
-  obs::append_baseline(path, second);
-
-  const auto records = obs::load_baselines(path);
-  ASSERT_EQ(records.size(), 3u);
-  const obs::BaselineRecord* latest = obs::latest_baseline(records, "demo");
-  ASSERT_NE(latest, nullptr);
-  EXPECT_EQ(latest->timestamp, "2026-08-06T10:00:00Z");
-  EXPECT_EQ(obs::latest_baseline(records, "missing"), nullptr);
-  std::remove(path.c_str());
-}
-
-TEST(BaselineStore, AppendToUnwritablePathThrows) {
-  // A read-only checkout or missing directory used to drop the append on
-  // the floor, letting the perf gate pass against a stale store.
-  const obs::BaselineRecord r = demo_record();
-  EXPECT_THROW(
-      obs::append_baseline(
-          testing::TempDir() + "/varpred_missing_dir/baseline.jsonl", r),
-      std::runtime_error);
-  // A directory path opens no file either.
-  EXPECT_THROW(obs::append_baseline(testing::TempDir(), r),
-               std::runtime_error);
-}
-
-TEST(BaselineStore, EnvFingerprintComparability) {
-  obs::EnvFingerprint a{"g1", "m1", 4, "off"};
-  obs::EnvFingerprint b{"g2", "m1", 4, "off"};  // git differs: comparable
-  obs::EnvFingerprint c{"g1", "m2", 4, "off"};
-  obs::EnvFingerprint d{"g1", "m1", 8, "off"};
-  obs::EnvFingerprint e{"g1", "m1", 4, "trace"};
+TEST(Provenance, ComparableWithIgnoresGitOnly) {
+  obs::Provenance a;
+  a.git = "g1";
+  a.hostname = "m1";
+  a.obs_mode = "off";
+  a.workers = 4;
+  obs::Provenance b = a;
+  b.git = "g2";  // git differs: comparable
   EXPECT_TRUE(a.comparable_with(b));
+  obs::Provenance c = a;
+  c.hostname = "m2";
+  obs::Provenance d = a;
+  d.workers = 8;
+  obs::Provenance e = a;
+  e.obs_mode = "trace";
   EXPECT_FALSE(a.comparable_with(c));
   EXPECT_FALSE(a.comparable_with(d));
   EXPECT_FALSE(a.comparable_with(e));
 }
 
+/// Parses {"bench":"b", "<key>": <value>} for the count tests below.
+obs::Provenance provenance_with(const std::string& key,
+                                const std::string& value) {
+  return obs::parse_provenance(
+      obs::json::parse("{\"bench\":\"b\",\"" + key + "\":" + value + "}"));
+}
+
+// A plain double -> size_t cast read these as 18446744073709551615, 0 and
+// 1; each must be rejected for every count field instead.
+TEST(Provenance, RejectsNegativeCount) {
+  for (const char* key : {"workers", "runs", "repeat", "seed"}) {
+    EXPECT_THROW(provenance_with(key, "-1"), std::invalid_argument) << key;
+  }
+}
+
+TEST(Provenance, RejectsCountAboveTwoToThe53) {
+  for (const char* key : {"workers", "runs", "repeat"}) {
+    EXPECT_THROW(provenance_with(key, "1e300"), std::invalid_argument) << key;
+    EXPECT_THROW(provenance_with(key, "9007199254740994"),
+                 std::invalid_argument)
+        << key;
+    EXPECT_EQ(provenance_with(key, "9007199254740992").bench, "b") << key;
+  }
+  EXPECT_THROW(provenance_with("seed", "1e300"), std::invalid_argument);
+}
+
+TEST(Provenance, RejectsNonIntegralCount) {
+  for (const char* key : {"workers", "runs", "repeat", "seed"}) {
+    EXPECT_THROW(provenance_with(key, "1.5"), std::invalid_argument) << key;
+    EXPECT_THROW(provenance_with(key, "\"4\""), std::invalid_argument) << key;
+  }
+  EXPECT_EQ(provenance_with("workers", "4").workers, 4u);
+}
+
+// ---------------------------------------------------------------------------
+// Ledger: a line is the run document itself.
+
+/// A schema-v2 BENCH document with two stages of seeded samples.
+std::string bench_document(const std::string& bench,
+                           const std::string& timestamp, std::uint64_t seed) {
+  std::string samples[2];
+  for (int s = 0; s < 2; ++s) {
+    for (const double x : timing_draw(seed + s, 8)) {
+      samples[s] += (samples[s].empty() ? "" : ",") + obs::json::number(x);
+    }
+  }
+  return R"({"schema_version":2,"bench":")" + bench +
+         R"(","git":"abc-dirty","hostname":"m1","timestamp":")" + timestamp +
+         R"(","runs":300,"repeat":8,"fast":true,"workers":4,"obs_mode":"off",)"
+         R"("stages":[{"name":"corpus","samples":[)" +
+         samples[0] + R"(]},{"name":"predict","samples":[)" + samples[1] +
+         "]}]}";
+}
+
+/// Every document of a ledger, parsed with `parse`.
+template <class Doc>
+std::vector<Doc> load_ledger(const std::string& path,
+                             Doc (*parse)(const obs::json::Value&)) {
+  std::vector<Doc> docs;
+  obs::for_each_document(path, [&](const obs::json::Value& doc) {
+    docs.push_back(parse(doc));
+  });
+  return docs;
+}
+
+TEST(Ledger, TimingDocumentsRoundTripAndLatestPerBench) {
+  const std::string path = testing::TempDir() + "/varpred_timing_ledger.jsonl";
+  std::remove(path.c_str());
+  const std::string first = bench_document("demo", "2026-08-05T10:00:00Z", 1);
+  const std::string other = bench_document("other", "2026-08-05T11:00:00Z", 3);
+  const std::string second = bench_document("demo", "2026-08-06T10:00:00Z", 5);
+  for (const std::string* doc : {&first, &other, &second}) {
+    obs::append_ledger(path, obs::json::parse(*doc));
+  }
+
+  const auto docs = load_ledger(path, obs::parse_bench_telemetry);
+  ASSERT_EQ(docs.size(), 3u);
+  const auto latest = obs::latest_per_bench(docs);
+  ASSERT_EQ(latest.size(), 2u);
+  EXPECT_EQ(latest[0], &docs[2]);
+  EXPECT_EQ(latest[1], &docs[1]);
+
+  const obs::BenchTelemetry want =
+      obs::parse_bench_telemetry(obs::json::parse(second));
+  const obs::BenchTelemetry& got = *latest[0];
+  EXPECT_EQ(got.schema_version, 2);
+  EXPECT_EQ(got.provenance.timestamp, "2026-08-06T10:00:00Z");
+  EXPECT_EQ(got.provenance.git, "abc-dirty");
+  EXPECT_EQ(got.provenance.hostname, "m1");
+  EXPECT_EQ(got.provenance.workers, 4u);
+  EXPECT_EQ(got.provenance.obs_mode, "off");
+  EXPECT_EQ(got.provenance.repeat, 8u);
+  ASSERT_EQ(got.stages.size(), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(got.stages[i].name, want.stages[i].name);
+    EXPECT_EQ(got.stages[i].samples, want.stages[i].samples);
+    EXPECT_EQ(got.stages[i].samples, timing_draw(5 + i, 8));
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Ledger, AppendToUnwritablePathThrows) {
+  // A read-only checkout or missing directory used to drop the append on
+  // the floor, letting the gate pass against a stale ledger.
+  const obs::json::Value doc =
+      obs::json::parse(bench_document("demo", "2026-08-05T10:00:00Z", 1));
+  EXPECT_THROW(
+      obs::append_ledger(
+          testing::TempDir() + "/varpred_missing_dir/baseline.jsonl", doc),
+      std::runtime_error);
+  // A directory path opens no file either.
+  EXPECT_THROW(obs::append_ledger(testing::TempDir(), doc),
+               std::runtime_error);
+}
+
+TEST(Ledger, ErrorsNamePathAndLine) {
+  const std::string path = testing::TempDir() + "/varpred_bad_ledger.jsonl";
+  std::remove(path.c_str());
+  obs::append_ledger(
+      path, obs::json::parse(bench_document("demo", "2026-08-05", 1)));
+  obs::json::Value bad =
+      obs::json::parse(bench_document("demo", "2026-08-06", 2));
+  for (auto& [key, value] : bad.object) {
+    if (key == "workers") value = obs::json::make_number(-1);
+  }
+  obs::append_ledger(path, bad);
+  try {
+    load_ledger(path, obs::parse_bench_telemetry);
+    FAIL() << "a negative worker count must not load";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":2: \"workers\""),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+#ifndef VARPRED_SOURCE_DIR
+#define VARPRED_SOURCE_DIR "."
+#endif
+
+// The checked-in ledgers are what the CI gates compare against: every line
+// must parse as its kind, with the flat provenance of a run document.
+TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
+  const std::string root = std::string(VARPRED_SOURCE_DIR) + "/bench/baselines";
+  const auto timing = load_ledger(root, obs::parse_bench_telemetry);
+  EXPECT_EQ(timing.size(), 8u);
+  EXPECT_EQ(obs::latest_per_bench(timing).size(), 6u);
+  for (const obs::BenchTelemetry& t : timing) {
+    EXPECT_EQ(t.schema_version, 2) << t.provenance.bench;
+    EXPECT_EQ(t.provenance.hostname, "vm") << t.provenance.bench;
+    EXPECT_EQ(t.provenance.workers, 1u) << t.provenance.bench;
+    EXPECT_FALSE(t.stages.empty()) << t.provenance.bench;
+    for (const obs::StageSamples& s : t.stages) {
+      EXPECT_EQ(s.samples.size(), t.provenance.repeat)
+          << t.provenance.bench << "/" << s.name;
+    }
+  }
+  const auto quality =
+      load_ledger(root + "/quality", obs::parse_quality_document);
+  EXPECT_EQ(quality.size(), 6u);
+  for (const obs::QualityDocument& q : quality) {
+    EXPECT_FALSE(q.cells.empty()) << q.provenance.bench;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Whole-run diffs.
 
-obs::BenchTelemetry demo_candidate(double factor) {
+obs::StageSamples stage(std::string name, std::vector<double> samples) {
+  obs::StageSamples s;
+  s.name = std::move(name);
+  s.samples = std::move(samples);
+  return s;
+}
+
+/// A telemetry document of stage draws seeded from `seed`, with the
+/// "corpus" stage scaled by `factor`.
+obs::BenchTelemetry demo_telemetry(std::uint64_t seed, double factor = 1.0) {
   obs::BenchTelemetry t;
   t.schema_version = 2;
-  t.bench = "demo";
-  t.git = "def";
-  t.hostname = "m1";
-  t.timestamp = "2026-08-07T10:00:00Z";
-  t.obs_mode = "off";
-  t.workers = 4;
-  t.runs = 300;
-  t.repeat = 8;
-  t.stages.push_back({"corpus", timing_draw(11, 8, factor)});
-  t.stages.push_back({"predict", timing_draw(12, 8)});
+  t.provenance.bench = "demo";
+  t.provenance.git = "def";
+  t.provenance.hostname = "m1";
+  t.provenance.timestamp = "2026-08-07T10:00:00Z";
+  t.provenance.obs_mode = "off";
+  t.provenance.workers = 4;
+  t.provenance.runs = 300;
+  t.provenance.repeat = 8;
+  t.stages.push_back(stage("corpus", timing_draw(seed, 8, factor)));
+  t.stages.push_back(stage("predict", timing_draw(seed + 1, 8)));
   return t;
 }
 
 TEST(BenchDiff, RunDiffFlagsOnlyTheSlowedStage) {
-  obs::BaselineRecord base = demo_record();
-  base.stages[0].samples = timing_draw(21, 8);
-  base.stages[1].samples = timing_draw(22, 8);
+  const obs::BenchTelemetry base = demo_telemetry(21);
   const auto run =
-      obs::diff_telemetry(base, demo_candidate(2.0), test_config());
+      obs::diff_telemetry(base, demo_telemetry(11, 2.0), test_config());
   EXPECT_TRUE(run.env_match);
   ASSERT_EQ(run.stages.size(), 2u);
   EXPECT_EQ(run.stages[0].verdict, obs::Verdict::kRegressed);
   EXPECT_EQ(run.stages[1].verdict, obs::Verdict::kUnchanged);
-  EXPECT_EQ(run.overall, obs::Verdict::kRegressed);
+  EXPECT_EQ(run.verdict, obs::Verdict::kRegressed);
 }
 
 TEST(BenchDiff, StagesMissingOnEitherSideAreInconclusive) {
-  obs::BaselineRecord base = demo_record();
-  base.stages.push_back({"retired_stage", timing_draw(3, 8)});
-  obs::BenchTelemetry cand = demo_candidate(1.0);
-  cand.stages.push_back({"new_stage", timing_draw(4, 8)});
+  obs::BenchTelemetry base = demo_telemetry(1);
+  base.stages.push_back(stage("retired_stage", timing_draw(3, 8)));
+  obs::BenchTelemetry cand = demo_telemetry(11);
+  cand.stages.push_back(stage("new_stage", timing_draw(4, 8)));
   const auto run = obs::diff_telemetry(base, cand, test_config());
   ASSERT_EQ(run.stages.size(), 4u);
   bool saw_new = false;
@@ -354,43 +470,35 @@ TEST(BenchDiff, StagesMissingOnEitherSideAreInconclusive) {
   EXPECT_TRUE(saw_retired);
 }
 
-TEST(BenchDiff, EnvMismatchIsNotedAndOptionallyDemotes) {
-  obs::BaselineRecord base = demo_record();
-  base.stages[0].samples = timing_draw(21, 8);
-  base.stages[1].samples = timing_draw(22, 8);
-  base.env.hostname = "other-machine";
+TEST(BenchDiff, EnvMismatchIsNotedButNeverDemotes) {
+  obs::BenchTelemetry base = demo_telemetry(21);
+  base.provenance.hostname = "other-machine";
 
-  auto run = obs::diff_telemetry(base, demo_candidate(2.0), test_config());
+  const auto run =
+      obs::diff_telemetry(base, demo_telemetry(11, 2.0), test_config());
   EXPECT_FALSE(run.env_match);
   EXPECT_NE(run.env_note.find("hostname"), std::string::npos);
   EXPECT_EQ(run.stages[0].verdict, obs::Verdict::kRegressed);
-
-  obs::DiffConfig strict = test_config();
-  strict.require_env_match = true;
-  run = obs::diff_telemetry(base, demo_candidate(2.0), strict);
-  EXPECT_EQ(run.stages[0].verdict, obs::Verdict::kInconclusive);
-  EXPECT_NE(run.stages[0].note.find("environment mismatch"),
+  const std::vector<obs::RunDiff> runs{run};
+  EXPECT_NE(obs::markdown_report(runs, test_config())
+                .find("environment mismatch (hostname other-machine -> m1)"),
             std::string::npos);
 }
 
 TEST(BenchDiff, ReportsNameTheVerdicts) {
-  obs::BaselineRecord base = demo_record();
-  base.stages[0].samples = timing_draw(21, 8);
-  base.stages[1].samples = timing_draw(22, 8);
+  const obs::BenchTelemetry base = demo_telemetry(21);
   const std::vector<obs::RunDiff> runs = {
-      obs::diff_telemetry(base, demo_candidate(2.0), test_config())};
+      obs::diff_telemetry(base, demo_telemetry(11, 2.0), test_config())};
   const obs::DiffConfig config = test_config();
   const std::string md = obs::markdown_report(runs, config);
   EXPECT_NE(md.find("regressed"), std::string::npos);
   EXPECT_NE(md.find("| corpus |"), std::string::npos);
 
-  const auto doc = obs::json::parse(obs::json_report(runs));
-  ASSERT_TRUE(doc.is_object());
-  EXPECT_EQ(doc.find("overall")->str, "regressed");
-  const auto* jruns = doc.find("runs");
-  ASSERT_TRUE(jruns != nullptr && jruns->is_array());
-  ASSERT_EQ(jruns->array.size(), 1u);
-  EXPECT_EQ(jruns->array[0].find("bench")->str, "demo");
+  const obs::json::Value jruns = obs::json_report(runs);
+  ASSERT_TRUE(jruns.is_array());
+  ASSERT_EQ(jruns.array.size(), 1u);
+  EXPECT_EQ(jruns.array[0].find("bench")->str, "demo");
+  EXPECT_EQ(jruns.array[0].find("overall")->str, "regressed");
 }
 
 TEST(BenchDiff, OverallVerdictFoldsWorstCase) {

@@ -323,8 +323,8 @@ TEST(ObsJson, NumberFormattingRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// dump()/parse() round-trip property tests (the baseline store and
-// bench_diff reports ride on these).
+// dump()/parse() round-trip property tests (the ledgers and bench_diff
+// reports ride on these).
 
 bool values_equal(const obs::json::Value& a, const obs::json::Value& b) {
   using Type = obs::json::Value::Type;
@@ -940,11 +940,11 @@ TEST(ObsExpose, ExporterWritesPeriodicallyAndFlushesOnStop) {
 #endif
 
 TEST(ObsTelemetry, LoadsV1FixtureAsSingleSamples) {
-  const auto t = obs::load_bench_telemetry(std::string(VARPRED_TEST_DATA_DIR) +
-                                           "/telemetry_v1.json");
+  const auto t = obs::parse_bench_telemetry(obs::json::parse_file(
+      std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v1.json"));
   EXPECT_EQ(t.schema_version, 1);
-  EXPECT_EQ(t.bench, "fixture_v1");
-  EXPECT_EQ(t.repeat, 1u);
+  EXPECT_EQ(t.provenance.bench, "fixture_v1");
+  EXPECT_EQ(t.provenance.repeat, 1u);
   ASSERT_EQ(t.stages.size(), 2u);
   EXPECT_EQ(t.stages[0].name, "corpus");
   ASSERT_EQ(t.stages[0].samples.size(), 1u);
@@ -953,11 +953,11 @@ TEST(ObsTelemetry, LoadsV1FixtureAsSingleSamples) {
 }
 
 TEST(ObsTelemetry, LoadsV2FixtureWithoutQuantiles) {
-  const auto t = obs::load_bench_telemetry(std::string(VARPRED_TEST_DATA_DIR) +
-                                           "/telemetry_v2.json");
+  const auto t = obs::parse_bench_telemetry(obs::json::parse_file(
+      std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v2.json"));
   EXPECT_EQ(t.schema_version, 2);
-  EXPECT_EQ(t.bench, "fixture_v2");
-  EXPECT_EQ(t.repeat, 4u);
+  EXPECT_EQ(t.provenance.bench, "fixture_v2");
+  EXPECT_EQ(t.provenance.repeat, 4u);
   ASSERT_EQ(t.stages.size(), 2u);
   ASSERT_EQ(t.stages[1].samples.size(), 4u);
   EXPECT_FALSE(t.stages[0].has_quantiles);
@@ -965,10 +965,10 @@ TEST(ObsTelemetry, LoadsV2FixtureWithoutQuantiles) {
 }
 
 TEST(ObsTelemetry, LoadsV3FixtureWithQuantiles) {
-  const auto t = obs::load_bench_telemetry(std::string(VARPRED_TEST_DATA_DIR) +
-                                           "/telemetry_v3.json");
+  const auto t = obs::parse_bench_telemetry(obs::json::parse_file(
+      std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v3.json"));
   EXPECT_EQ(t.schema_version, 3);
-  EXPECT_EQ(t.bench, "fixture_v3");
+  EXPECT_EQ(t.provenance.bench, "fixture_v3");
   ASSERT_EQ(t.stages.size(), 2u);
   ASSERT_TRUE(t.stages[0].has_quantiles);
   EXPECT_DOUBLE_EQ(t.stages[0].quantiles.p50, 0.1);

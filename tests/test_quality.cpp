@@ -1,6 +1,7 @@
 // Tests for the prediction-quality telemetry stack: the overlap score, the
 // recorder, document round trips (including the non-finite JSON
-// sentinels), the ledger store, and — the acceptance criteria of the gate
+// sentinels), the ledger, the paper-reference comparison, and — the
+// acceptance criteria of the gate
 // itself — diff_cell / diff_quality verdicts: identical pipelines re-run
 // under different seeds must read `unchanged`, a +5% prediction bias must
 // read `degraded`.
@@ -214,26 +215,40 @@ TEST(QualityJson, NonFiniteNumbersRoundTripThroughDumpParse) {
   }
 }
 
-TEST(QualityLedger, AppendLoadAndLatest) {
+TEST(Ledger, QualityDocumentsRoundTripAndLatestPerBench) {
   const std::string path =
       ::testing::TempDir() + "/quality_ledger_test.jsonl";
   std::remove(path.c_str());
   auto doc1 = make_document(
       "bench_a", {{{"*", "intel", "r", "m", "ks", ""}, {0.2, 0.21}}});
   auto doc2 = make_document(
-      "bench_a", {{{"*", "intel", "r", "m", "ks", ""}, {0.22, 0.23}}});
+      "bench_a", {{{"*", "intel", "r", "m", "ks", "probes=8"}, {0.22, kInf}}});
+  doc2.provenance.git = "cafef00d";
   auto other = make_document(
       "bench_b", {{{"*", "amd", "r", "m", "ks", ""}, {0.4}}});
-  obs::append_quality(path, doc1);
-  obs::append_quality(path, other);
-  obs::append_quality(path, doc2);
+  for (const obs::QualityDocument* doc : {&doc1, &other, &doc2}) {
+    obs::append_ledger(path,
+                       obs::json::parse(obs::quality_document_json(*doc)));
+  }
 
-  const auto docs = obs::load_quality_ledger(path);
+  std::vector<obs::QualityDocument> docs;
+  obs::for_each_document(path, [&](const obs::json::Value& doc) {
+    docs.push_back(obs::parse_quality_document(doc));
+  });
   ASSERT_EQ(docs.size(), 3u);
-  const obs::QualityDocument* latest = obs::latest_quality(docs, "bench_a");
-  ASSERT_NE(latest, nullptr);
-  EXPECT_EQ(latest->cells[0].samples, (std::vector<double>{0.22, 0.23}));
-  EXPECT_EQ(obs::latest_quality(docs, "bench_c"), nullptr);
+  const auto latest = obs::latest_per_bench(docs);
+  ASSERT_EQ(latest.size(), 2u);
+  const obs::QualityDocument& got = *latest[0];
+  EXPECT_EQ(got.provenance.bench, "bench_a");
+  EXPECT_EQ(got.provenance.git, "cafef00d");
+  EXPECT_EQ(got.provenance.hostname, "testhost");
+  EXPECT_EQ(got.provenance.seed, 7u);
+  EXPECT_EQ(got.provenance.workers, 4u);
+  EXPECT_EQ(got.provenance.repeat, 2u);
+  ASSERT_EQ(got.cells.size(), 1u);
+  EXPECT_EQ(got.cells[0].key, doc2.cells[0].key);
+  EXPECT_EQ(got.cells[0].samples, (std::vector<double>{0.22, kInf}));
+  EXPECT_EQ(latest[1]->provenance.bench, "bench_b");
   std::remove(path.c_str());
 }
 
@@ -314,7 +329,7 @@ TEST(QualityDiff, MissingCellsReadInconclusive) {
       "bench_a", {{kKsKey, {0.2, 0.21}}, {kW1Key, {0.5, 0.52}}});
   const auto diff = obs::diff_quality(baseline, candidate, test_config());
   ASSERT_EQ(diff.cells.size(), 3u);
-  EXPECT_EQ(diff.overall, obs::Verdict::kInconclusive);
+  EXPECT_EQ(diff.verdict, obs::Verdict::kInconclusive);
   std::size_t inconclusive = 0;
   for (const auto& cell : diff.cells) {
     if (cell.verdict == obs::Verdict::kInconclusive) {
@@ -378,7 +393,7 @@ obs::QualityDocument pipeline_document(std::uint64_t seed, double bias,
 TEST(QualityGateE2E, SameSeedReadsUnchanged) {
   const auto baseline = pipeline_document(1001, 1.0, 4);
   const auto diff = obs::diff_quality(baseline, baseline, test_config());
-  EXPECT_EQ(diff.overall, obs::Verdict::kUnchanged);
+  EXPECT_EQ(diff.verdict, obs::Verdict::kUnchanged);
 }
 
 TEST(QualityGateE2E, DifferentSeedSamePipelineReadsUnchanged) {
@@ -387,7 +402,7 @@ TEST(QualityGateE2E, DifferentSeedSamePipelineReadsUnchanged) {
   const auto baseline = pipeline_document(1001, 1.0, 4);
   const auto candidate = pipeline_document(2002, 1.0, 4);
   const auto diff = obs::diff_quality(baseline, candidate, test_config());
-  EXPECT_EQ(diff.overall, obs::Verdict::kUnchanged)
+  EXPECT_EQ(diff.verdict, obs::Verdict::kUnchanged)
       << obs::quality_markdown_report({&diff, 1}, test_config());
 }
 
@@ -398,7 +413,7 @@ TEST(QualityGateE2E, FivePercentPredictionBiasReadsDegraded) {
   const auto baseline = pipeline_document(1001, 1.0, 4);
   const auto candidate = pipeline_document(2002, 1.05, 4);
   const auto diff = obs::diff_quality(baseline, candidate, test_config());
-  EXPECT_EQ(diff.overall, obs::Verdict::kRegressed)
+  EXPECT_EQ(diff.verdict, obs::Verdict::kRegressed)
       << obs::quality_markdown_report({&diff, 1}, test_config());
   for (const auto& cell : diff.cells) {
     EXPECT_EQ(cell.verdict, obs::Verdict::kRegressed) << cell.key.id();
@@ -415,14 +430,41 @@ TEST(QualityReports, MarkdownAndJsonCarryVerdicts) {
   EXPECT_NE(md.find("degraded"), std::string::npos);
   EXPECT_NE(md.find("tolerance"), std::string::npos);
 
-  const auto parsed = obs::json::parse(obs::quality_json_report({&diff, 1}));
-  const obs::json::Value* overall = parsed.find("overall");
-  ASSERT_NE(overall, nullptr);
-  EXPECT_EQ(overall->str, "degraded");
-  const obs::json::Value* benches = parsed.find("benches");
-  ASSERT_NE(benches, nullptr);
-  ASSERT_EQ(benches->array.size(), 1u);
-  EXPECT_EQ(benches->array[0].find("bench")->str, "bench_e2e");
+  const obs::json::Value benches = obs::quality_json_report({&diff, 1});
+  ASSERT_TRUE(benches.is_array());
+  ASSERT_EQ(benches.array.size(), 1u);
+  EXPECT_EQ(benches.array[0].find("bench")->str, "bench_e2e");
+  EXPECT_EQ(benches.array[0].find("overall")->str, "degraded");
+}
+
+TEST(QualityReference, TwoLineLedgerComparesEachCellOnceAgainstLatest) {
+  // An append-only reference ledger holding two entries of one bench used
+  // to yield every matching cell twice, stamped with whichever entry was
+  // scanned last.
+  auto old_ref = make_document("paper_reference", {{kKsKey, {0.5}}});
+  old_ref.provenance.git = "first";
+  auto new_ref = make_document("paper_reference", {{kKsKey, {0.241}}});
+  new_ref.provenance.git = "published";
+  const std::vector<obs::QualityDocument> reference{old_ref, new_ref};
+  const std::vector<obs::QualityDocument> candidates{make_document(
+      "cli_evaluate", {{kKsKey, {0.23, 0.24}}, {kOvlKey, {0.6, 0.61}}})};
+
+  const auto diffs =
+      obs::diff_against_reference(reference, candidates, test_config());
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_EQ(diffs[0].bench, "cli_evaluate vs paper_reference");
+  EXPECT_EQ(diffs[0].baseline.git, "published");
+  ASSERT_EQ(diffs[0].cells.size(), 1u) << "only the shared cell, once";
+  EXPECT_EQ(diffs[0].cells[0].key, kKsKey);
+  EXPECT_EQ(diffs[0].cells[0].baseline_mean, 0.241);
+  EXPECT_EQ(diffs[0].verdict, obs::Verdict::kUnchanged);
+
+  // No shared cell, no diff.
+  const std::vector<obs::QualityDocument> unrelated{
+      make_document("other", {{kW1Key, {0.5}}})};
+  EXPECT_TRUE(
+      obs::diff_against_reference(reference, unrelated, test_config())
+          .empty());
 }
 
 }  // namespace

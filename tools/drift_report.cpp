@@ -28,18 +28,6 @@ namespace {
 namespace json = varpred::obs::json;
 using json::Value;
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
-
 double num_or(const Value& obj, const char* key, double fallback) {
   const Value* v = obj.find(key);
   return (v != nullptr && v->is_number()) ? v->num : fallback;
@@ -250,18 +238,13 @@ int main(int argc, char** argv) {
   std::string json_entries;
   bool ok = true;
   for (const std::string& path : documents) {
-    std::string text;
-    if (!read_file(path, text)) {
-      ok = false;
-      continue;
-    }
     try {
-      const Value doc = json::parse(text);
+      const Value doc = json::parse_file(path);
       if (!report_document(path, doc, json_entries, json_entries.empty())) {
         ok = false;
       }
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
+      std::fprintf(stderr, "%s\n", e.what());
       ok = false;
     }
   }

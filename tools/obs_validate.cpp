@@ -22,8 +22,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -133,18 +131,6 @@ bool validate(const Value& doc, const Value& schema,
   return true;
 }
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
-
 /// Document families with a registered schema under tools/. A directory
 /// sweep treats telemetry-shaped files outside this registry as failures.
 constexpr const char* kKnownPrefixes[] = {"BENCH_", "QUALITY_", "DRIFT_",
@@ -233,13 +219,11 @@ int main(int argc, char** argv) {
         argv[0]);
     return 2;
   }
-  std::string text;
-  if (!read_file(argv[first], text)) return 2;
   Value schema;
   try {
-    schema = varpred::obs::json::parse(text);
+    schema = varpred::obs::json::parse_file(argv[first]);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", argv[first], e.what());
+    std::fprintf(stderr, "%s\n", e.what());
     return 2;
   }
 
@@ -257,15 +241,11 @@ int main(int argc, char** argv) {
 
   std::size_t passed = 0;
   for (const std::string& path : documents) {
-    bool ok = read_file(path, text);
-    if (ok) {
-      try {
-        const Value doc = varpred::obs::json::parse(text);
-        ok = validate(doc, schema, path + "#");
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
-        ok = false;
-      }
+    bool ok = false;
+    try {
+      ok = validate(varpred::obs::json::parse_file(path), schema, path + "#");
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "%s\n", e.what());
     }
     std::printf("%s: %s\n", path.c_str(), ok ? "ok" : "FAIL");
     passed += ok;

@@ -13,8 +13,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -24,18 +22,6 @@ namespace {
 
 namespace json = varpred::obs::json;
 using json::Value;
-
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path);
-  if (!in) {
-    std::fprintf(stderr, "cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  out = buffer.str();
-  return true;
-}
 
 double num_or(const Value& obj, const char* key, double fallback) {
   const Value* v = obj.find(key);
@@ -55,13 +41,11 @@ double tail_ms(const Value& point, const char* hist, const char* q) {
 }
 
 bool report_one(const std::string& path, std::FILE* summary, bool first) {
-  std::string text;
-  if (!read_file(path, text)) return false;
   Value doc;
   try {
-    doc = json::parse(text);
+    doc = json::parse_file(path);
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: parse error: %s\n", path.c_str(), e.what());
+    std::fprintf(stderr, "%s\n", e.what());
     return false;
   }
   if (!doc.is_object()) {

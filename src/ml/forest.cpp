@@ -39,8 +39,8 @@ void RandomForest::fit(const Matrix& x, const Matrix& y,
 
   // When splits consider all features, trees can run in column-segment mode
   // (see RegressionTree::fit_rows): build the dataset-level orders once —
-  // or take the caller's artifact — and derive each bootstrap sample's
-  // orders by a linear filter instead of per-node sorts.
+  // or take the caller's artifact — and load each bootstrap sample's
+  // column segments from them by a linear filter instead of per-node sorts.
   const bool all_features = tp.max_features == 0 || tp.max_features >= x.cols();
   SortedColumns own;
   const SortedColumns* base = nullptr;
@@ -73,8 +73,7 @@ void RandomForest::fit(const Matrix& x, const Matrix& y,
       for (auto& r : rows) r = rng.uniform_index(n);
       std::sort(rows.begin(), rows.end());  // determinism & cache locality
       if (base != nullptr) {
-        const SortedColumns sample = base->filtered(rows, /*remap=*/false);
-        tree.fit_rows(x, y, rows, &sample, &columns);
+        tree.fit_rows(x, y, rows, ColumnSegments(*base, rows), &columns);
       } else {
         tree.fit_rows(x, y, rows, nullptr, &columns);
       }

@@ -1,15 +1,134 @@
 #include "ml/gbt.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <optional>
 
 #include "common/rng.hpp"
+#include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 
+#ifdef VARPRED_SIMD_AVX2
+#include <immintrin.h>
+#endif
+
 namespace varpred::ml {
+namespace {
+
+// The per-node inputs of the split gain, and the best split found so far.
+struct NodeScan {
+  double g_total = 0.0;
+  double h_total = 0.0;
+  double parent_score = 0.0;
+  double lambda = 0.0;
+  double min_child_weight = 0.0;
+  double best_gain = 0.0;
+  std::int32_t best_feature = -1;
+  double best_threshold = 0.0;
+};
+
+#ifdef VARPRED_SIMD_AVX2
+
+// Lane j holds base[j][seg[j][i]].
+__attribute__((target("avx2"))) inline __m256d gather4(
+    const double* const* base, const std::uint32_t* const* seg,
+    std::size_t i) {
+  return _mm256_set_pd(base[3][seg[3][i]], base[2][seg[2][i]],
+                       base[1][seg[1][i]], base[0][seg[0][i]]);
+}
+
+// The column-segment scan of build_node for the four features f[0..3] side
+// by side, one AVX2 lane each. Every segment holds the node's n rows, so
+// step i has the same h_left = i, denominators and min_child_weight test in
+// every lane; per lane the kernel does exactly the scalar scan's operations
+// (no FMA: the library builds with -ffp-contract=off):
+//   - a candidate is a step whose value differs (`!=`, NaN included) from
+//     the previous one;
+//   - its gain is 0.5 * (gl*gl/(h_left+lambda) + gr*gr/(h_right+lambda)
+//     - parent_score), evaluated mul, div, add, sub, mul;
+//   - a lane keeps its first strict maximum above the incoming best gain.
+// The lanes then fold into `scan` in feature order with a strict `>`, which
+// is where the sequential scan of f[0], f[1], f[2], f[3] would end. Returns
+// the candidates scored.
+__attribute__((target("avx2"))) std::size_t scan_four(
+    const std::size_t* f, const ColumnSegments& segments, const Matrix& columns,
+    const double* grad, std::size_t begin, std::size_t end, NodeScan& scan) {
+  const std::size_t n = end - begin;
+  const std::uint32_t* seg[4];
+  const double* values[4];
+  for (std::size_t j = 0; j < 4; ++j) {
+    seg[j] = segments.segment(f[j], begin, end).data();
+    values[j] = columns.row(f[j]).data();
+  }
+  // Every lane gathers its gradients from the one row-indexed array.
+  const double* grads[4] = {grad, grad, grad, grad};
+  const __m256d g_total = _mm256_set1_pd(scan.g_total);
+  const __m256d parent_score = _mm256_set1_pd(scan.parent_score);
+  const __m256d half = _mm256_set1_pd(0.5);
+  __m256d best = _mm256_set1_pd(scan.best_gain);
+  __m256d best_step = _mm256_setzero_pd();
+  __m256d prev = gather4(values, seg, 0);
+  __m256d g_left = _mm256_add_pd(_mm256_setzero_pd(), gather4(grads, seg, 0));
+  std::size_t scored = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    const __m256d v = gather4(values, seg, i);
+    const auto h_left = static_cast<double>(i);
+    const double h_right = scan.h_total - h_left;
+    if (h_left >= scan.min_child_weight && h_right >= scan.min_child_weight) {
+      const __m256d valid = _mm256_cmp_pd(v, prev, _CMP_NEQ_UQ);
+      const int mask = _mm256_movemask_pd(valid);
+      if (mask != 0) {
+        const __m256d g_right = _mm256_sub_pd(g_total, g_left);
+        const __m256d gain = _mm256_mul_pd(
+            half,
+            _mm256_sub_pd(
+                _mm256_add_pd(
+                    _mm256_div_pd(_mm256_mul_pd(g_left, g_left),
+                                  _mm256_set1_pd(h_left + scan.lambda)),
+                    _mm256_div_pd(_mm256_mul_pd(g_right, g_right),
+                                  _mm256_set1_pd(h_right + scan.lambda))),
+                parent_score));
+        const __m256d better =
+            _mm256_and_pd(valid, _mm256_cmp_pd(gain, best, _CMP_GT_OQ));
+        best = _mm256_blendv_pd(best, gain, better);
+        best_step =
+            _mm256_blendv_pd(best_step, _mm256_set1_pd(h_left), better);
+        scored += static_cast<std::size_t>(
+            std::popcount(static_cast<unsigned>(mask)));
+      }
+    }
+    g_left = _mm256_add_pd(g_left, gather4(grads, seg, i));
+    prev = v;
+  }
+
+  alignas(32) double lane_best[4];
+  alignas(32) double lane_step[4];
+  _mm256_store_pd(lane_best, best);
+  _mm256_store_pd(lane_step, best_step);
+  for (std::size_t j = 0; j < 4; ++j) {
+    if (lane_best[j] > scan.best_gain) {
+      const auto i = static_cast<std::size_t>(lane_step[j]);
+      scan.best_gain = lane_best[j];
+      scan.best_feature = static_cast<std::int32_t>(f[j]);
+      scan.best_threshold =
+          0.5 * (values[j][seg[j][i - 1]] + values[j][seg[j][i]]);
+    }
+  }
+  return scored;
+}
+
+#endif  // VARPRED_SIMD_AVX2
+
+// Whether build_node scans column segments four features at a time.
+bool lockstep_scan() {
+  static const bool enabled = avx2_enabled();
+  return enabled;
+}
+
+}  // namespace
 
 GradientBoosting::GradientBoosting(GbtParams params) : params_(params) {
   VARPRED_CHECK_ARG(params_.n_rounds >= 1, "need at least one round");
@@ -58,17 +177,20 @@ std::int32_t GradientBoosting::build_node(
 
   if (depth >= params_.max_depth || n < 2) return leaf();
 
-  const double parent_score = g_total * g_total / (h_total + params_.lambda);
-  double best_gain = params_.gamma;
-  std::int32_t best_feature = -1;
-  double best_threshold = 0.0;
+  NodeScan scan{.g_total = g_total,
+                .h_total = h_total,
+                .parent_score = g_total * g_total / (h_total + params_.lambda),
+                .lambda = params_.lambda,
+                .min_child_weight = params_.min_child_weight,
+                .best_gain = params_.gamma};
   std::size_t scored = 0;
 
   // Evaluates split candidates along a row sequence already sorted by
   // feature f; `accept(row)` filters rows to this node's subset. Values
   // come from the column-major copy of x. The squared loss's Hessian is
   // the constant 1, so the left Hessian sum is exactly the number of rows
-  // seen (a sum of ones) and needs no per-row gather.
+  // seen (a sum of ones) and needs no per-row gather. This is the oracle
+  // scan_four reproduces lane by lane.
   auto scan_sorted = [&](std::size_t f, auto&& rows_sorted, auto&& accept) {
     const std::span<const double> values = columns.row(f);
     double g_left = 0.0;
@@ -87,12 +209,12 @@ std::int32_t GradientBoosting::build_node(
           const double gain =
               0.5 * (g_left * g_left / (h_left + params_.lambda) +
                      g_right * g_right / (h_right + params_.lambda) -
-                     parent_score);
+                     scan.parent_score);
           ++scored;
-          if (gain > best_gain) {
-            best_gain = gain;
-            best_feature = static_cast<std::int32_t>(f);
-            best_threshold = 0.5 * (prev_value + v);
+          if (gain > scan.best_gain) {
+            scan.best_gain = gain;
+            scan.best_feature = static_cast<std::int32_t>(f);
+            scan.best_threshold = 0.5 * (prev_value + v);
           }
         }
       }
@@ -104,9 +226,19 @@ std::int32_t GradientBoosting::build_node(
 
   if (segments != nullptr) {
     // Each column's [begin, end) range holds exactly this node's rows in
-    // (feature value, row index) order — scan it directly, no filtering.
-    for (const std::size_t f : cols) {
-      scan_sorted(f, segments->segment(f, begin, end),
+    // (feature value, row index) order — scan it directly, no filtering:
+    // four features per step while four remain, when dispatch allows.
+    std::size_t next = 0;
+#ifdef VARPRED_SIMD_AVX2
+    if (lockstep_scan()) {
+      for (; next + 4 <= cols.size(); next += 4) {
+        scored += scan_four(&cols[next], *segments, columns, grad.data(),
+                            begin, end, scan);
+      }
+    }
+#endif
+    for (; next < cols.size(); ++next) {
+      scan_sorted(cols[next], segments->segment(cols[next], begin, end),
                   [](std::size_t) { return true; });
     }
   } else if (presorted != nullptr) {
@@ -134,13 +266,14 @@ std::int32_t GradientBoosting::build_node(
   }
 
   VARPRED_OBS_COUNT("ml.gbt.candidates_scored", scored);
-  if (best_feature < 0) return leaf();
+  if (scan.best_feature < 0) return leaf();
 
-  const auto f = static_cast<std::size_t>(best_feature);
+  const auto f = static_cast<std::size_t>(scan.best_feature);
+  const double threshold = scan.best_threshold;
   const auto mid_it =
       std::partition(work.begin() + static_cast<std::ptrdiff_t>(begin),
                      work.begin() + static_cast<std::ptrdiff_t>(end),
-                     [&](std::size_t idx) { return x(idx, f) <= best_threshold; });
+                     [&](std::size_t idx) { return x(idx, f) <= threshold; });
   const auto mid = static_cast<std::size_t>(mid_it - work.begin());
   if (mid == begin || mid == end) return leaf();
   VARPRED_OBS_COUNT("ml.gbt.nodes_split", 1);
@@ -152,13 +285,13 @@ std::int32_t GradientBoosting::build_node(
   const bool children_scanned =
       depth + 1 < params_.max_depth && (mid - begin >= 2 || end - mid >= 2);
   if (segments != nullptr && children_scanned) {
-    segments->split(f, columns.row(f), best_threshold, begin, end);
+    segments->split(f, columns.row(f), threshold, begin, end);
   }
 
   tree.nodes.emplace_back();
   const auto self = static_cast<std::int32_t>(tree.nodes.size() - 1);
-  tree.nodes[self].feature = best_feature;
-  tree.nodes[self].threshold = best_threshold;
+  tree.nodes[self].feature = scan.best_feature;
+  tree.nodes[self].threshold = threshold;
   const std::int32_t left =
       build_node(tree, x, grad, hess, work, begin, mid, depth + 1, cols,
                  presorted, columns, segments, in_node);

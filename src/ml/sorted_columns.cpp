@@ -31,27 +31,37 @@ SortedColumns SortedColumns::build(const Matrix& x) {
   return out;
 }
 
-SortedColumns SortedColumns::filtered(std::span<const std::size_t> rows,
-                                      bool remap) const {
-  VARPRED_CHECK_ARG(!rows.empty(), "cannot filter to an empty row set");
-  VARPRED_OBS_COUNT("ml.sorted_columns.filters", 1);
-  const std::size_t n = row_count();
+namespace {
 
-  // Multiplicity of each source row in the sample, plus (for remap) its row
-  // number in the gathered submatrix.
+// Multiplicity of each of the n source rows in the sample `rows`, which
+// must be ascending (strictly, when `strict`) and index rows below n.
+std::vector<std::uint32_t> multiplicities(std::span<const std::size_t> rows,
+                                          std::size_t n, bool strict) {
+  VARPRED_CHECK_ARG(!rows.empty(), "cannot filter to an empty row set");
   std::vector<std::uint32_t> count(n, 0);
-  std::vector<std::size_t> position(remap ? n : 0, 0);
-  std::size_t prev = 0;
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const std::size_t r = rows[i];
     VARPRED_CHECK_ARG(r < n, "filtered row index out of range");
     if (i > 0) {
-      VARPRED_CHECK_ARG(remap ? r > prev : r >= prev,
+      VARPRED_CHECK_ARG(strict ? r > rows[i - 1] : r >= rows[i - 1],
                         "filtered rows must be ascending");
     }
-    prev = r;
     ++count[r];
-    if (remap) position[r] = i;
+  }
+  return count;
+}
+
+}  // namespace
+
+SortedColumns SortedColumns::filtered(std::span<const std::size_t> rows,
+                                      bool remap) const {
+  const std::vector<std::uint32_t> count =
+      multiplicities(rows, row_count(), remap);
+  VARPRED_OBS_COUNT("ml.sorted_columns.filters", 1);
+  // For remap, each source row's row number in the gathered submatrix.
+  std::vector<std::size_t> position(remap ? row_count() : 0, 0);
+  if (remap) {
+    for (std::size_t i = 0; i < rows.size(); ++i) position[rows[i]] = i;
   }
 
   SortedColumns out;
@@ -82,6 +92,25 @@ ColumnSegments::ColumnSegments(const SortedColumns& sorted)
   VARPRED_CHECK_ARG(max_row <= UINT32_MAX, "row ids do not fit 32 bits");
   spill_.resize(rows_);
   go_left_.resize(rows_ == 0 ? 0 : max_row + 1);
+}
+
+ColumnSegments::ColumnSegments(const SortedColumns& base,
+                               std::span<const std::size_t> rows)
+    : rows_(rows.size()), cols_(base.cols()) {
+  const std::vector<std::uint32_t> count =
+      multiplicities(rows, base.row_count(), /*strict=*/false);
+  VARPRED_CHECK_ARG(rows.back() <= UINT32_MAX, "row ids do not fit 32 bits");
+  order_.resize(rows_ * cols_);
+  std::uint32_t* out = order_.data();
+  for (const auto& column : base.order) {
+    for (const std::size_t r : column) {
+      for (std::uint32_t k = 0; k < count[r]; ++k) {
+        *out++ = static_cast<std::uint32_t>(r);
+      }
+    }
+  }
+  spill_.resize(rows_);
+  go_left_.resize(rows.back() + 1);
 }
 
 void ColumnSegments::split(std::size_t f, std::span<const double> values,

@@ -66,6 +66,11 @@ class ColumnSegments {
   ColumnSegments() = default;
   /// Loads `sorted`'s orders (row ids must fit 32 bits).
   explicit ColumnSegments(const SortedColumns& sorted);
+  /// Loads the orders of the sample `rows` of `base` (ascending, duplicates
+  /// allowed, e.g. a sorted bootstrap sample): exactly
+  /// ColumnSegments(base.filtered(rows, /*remap=*/false)), in one pass
+  /// without the intermediate artifact.
+  ColumnSegments(const SortedColumns& base, std::span<const std::size_t> rows);
 
   std::size_t cols() const { return cols_; }
   std::size_t rows() const { return rows_; }

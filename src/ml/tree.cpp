@@ -134,16 +134,42 @@ void RegressionTree::fit(const Matrix& x, const Matrix& y,
   fit_rows(x, y, all, presorted);
 }
 
+bool RegressionTree::all_features(std::size_t n_features) const {
+  return params_.max_features == 0 || params_.max_features >= n_features;
+}
+
 void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
                               std::span<const std::size_t> indices,
                               const SortedColumns* presorted,
                               const Matrix* columns) {
-  VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
-  VARPRED_CHECK_ARG(!indices.empty(), "cannot fit on zero rows");
   VARPRED_CHECK_ARG(presorted == nullptr ||
                         (presorted->cols() == x.cols() &&
                          presorted->row_count() == indices.size()),
                     "presorted artifact does not match sample");
+  std::optional<ColumnSegments> segments;
+  if (presorted != nullptr && all_features(x.cols())) {
+    segments.emplace(*presorted);
+  }
+  fit_sample(x, y, indices, std::move(segments), columns);
+}
+
+void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
+                              std::span<const std::size_t> indices,
+                              ColumnSegments segments, const Matrix* columns) {
+  VARPRED_CHECK_ARG(
+      segments.cols() == x.cols() && segments.rows() == indices.size(),
+      "column segments do not match sample");
+  std::optional<ColumnSegments> used;
+  if (all_features(x.cols())) used.emplace(std::move(segments));
+  fit_sample(x, y, indices, std::move(used), columns);
+}
+
+void RegressionTree::fit_sample(const Matrix& x, const Matrix& y,
+                                std::span<const std::size_t> indices,
+                                std::optional<ColumnSegments> segments,
+                                const Matrix* columns) {
+  VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
+  VARPRED_CHECK_ARG(!indices.empty(), "cannot fit on zero rows");
   VARPRED_CHECK_ARG(x.rows() <= UINT32_MAX, "row ids do not fit 32 bits");
   nodes_.clear();
   leaf_values_.clear();
@@ -157,12 +183,8 @@ void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
   }
   VARPRED_CHECK_ARG(columns->rows() == x.cols() && columns->cols() == x.rows(),
                     "column-major copy does not match training matrix");
-  ExactScan exact{*columns, ScanBuffers(indices.size(), n_outputs_), {}};
-  // Column-segment mode needs every split to consider every feature, else
-  // the candidate subset would still have to be sorted per node anyway.
-  const bool all_features =
-      params_.max_features == 0 || params_.max_features >= x.cols();
-  if (presorted != nullptr && all_features) exact.segments.emplace(*presorted);
+  ExactScan exact{*columns, ScanBuffers(indices.size(), n_outputs_),
+                  std::move(segments)};
   exact_ = &exact;
 
   Rng rng(params_.seed);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "ml/regressor.hpp"
@@ -51,6 +52,12 @@ class RegressionTree final : public Regressor {
                 std::span<const std::size_t> indices,
                 const SortedColumns* presorted = nullptr,
                 const Matrix* columns = nullptr);
+  /// As above, with the sample's orders already loaded as column segments,
+  /// e.g. ColumnSegments(dataset_artifact, indices) (shape match is
+  /// checked): a forest builds them per bootstrap sample in one pass.
+  void fit_rows(const Matrix& x, const Matrix& y,
+                std::span<const std::size_t> indices, ColumnSegments segments,
+                const Matrix* columns = nullptr);
 
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
@@ -79,6 +86,15 @@ class RegressionTree final : public Regressor {
     std::int32_t node_depth = 0;
   };
 
+  // Both fit_rows forms: `segments` is set when column-segment mode runs.
+  void fit_sample(const Matrix& x, const Matrix& y,
+                  std::span<const std::size_t> indices,
+                  std::optional<ColumnSegments> segments,
+                  const Matrix* columns);
+  // Whether every split considers every feature of an n_features matrix.
+  // Column-segment mode needs it, else the candidate subset would still
+  // have to be sorted per node anyway.
+  bool all_features(std::size_t n_features) const;
   // Recursive builder over an index range [begin, end) of work_.
   std::int32_t build(const Matrix& x, const Matrix& y, std::size_t begin,
                      std::size_t end, std::size_t depth, Rng& rng);

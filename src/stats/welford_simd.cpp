@@ -1,9 +1,8 @@
 #include "stats/welford_simd.hpp"
 
-#include <cstdlib>
+#include "common/simd.hpp"
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VARPRED_WELFORD_AVX2 1
+#ifdef VARPRED_SIMD_AVX2
 #include <immintrin.h>
 #endif
 
@@ -44,7 +43,7 @@ void blocks_scalar(Lanes& lanes, const double* x, std::size_t n_blocks) {
   }
 }
 
-#ifdef VARPRED_WELFORD_AVX2
+#ifdef VARPRED_SIMD_AVX2
 
 // Per-lane vector arithmetic mirroring lane_add term by term. AVX2 alone
 // does not enable FMA contraction, so every multiply/add below rounds
@@ -91,14 +90,7 @@ __attribute__((target("avx2"))) void blocks_avx2(Lanes& lanes,
   _mm256_storeu_pd(lanes.m4, m4);
 }
 
-bool avx2_supported() { return __builtin_cpu_supports("avx2") != 0; }
-
-#endif  // VARPRED_WELFORD_AVX2
-
-bool avx2_disabled_by_env() {
-  const char* env = std::getenv("VARPRED_NO_AVX2");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
+#endif  // VARPRED_SIMD_AVX2
 
 using BlockFn = void (*)(Lanes&, const double*, std::size_t);
 
@@ -124,10 +116,8 @@ MomentAccumulator run(BlockFn blocks, std::span<const double> sample) {
 
 BlockFn dispatched_blocks() {
   static const BlockFn chosen = [] {
-#ifdef VARPRED_WELFORD_AVX2
-    if (avx2_supported() && !avx2_disabled_by_env()) {
-      return static_cast<BlockFn>(blocks_avx2);
-    }
+#ifdef VARPRED_SIMD_AVX2
+    if (avx2_enabled()) return static_cast<BlockFn>(blocks_avx2);
 #endif
     return static_cast<BlockFn>(blocks_scalar);
   }();
@@ -145,18 +135,12 @@ MomentAccumulator accumulate_moments_scalar(std::span<const double> sample) {
 }
 
 MomentAccumulator accumulate_moments_avx2(std::span<const double> sample) {
-#ifdef VARPRED_WELFORD_AVX2
-  if (avx2_supported()) return run(blocks_avx2, sample);
+#ifdef VARPRED_SIMD_AVX2
+  if (cpu_has_avx2()) return run(blocks_avx2, sample);
 #endif
   return run(blocks_scalar, sample);
 }
 
-bool welford_avx2_active() {
-#ifdef VARPRED_WELFORD_AVX2
-  return avx2_supported() && !avx2_disabled_by_env();
-#else
-  return false;
-#endif
-}
+bool welford_avx2_active() { return avx2_enabled(); }
 
 }  // namespace varpred::stats

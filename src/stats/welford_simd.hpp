@@ -14,8 +14,8 @@
 // 4-lane grouping, the same on every machine and worker count. The parallel
 // moments path (stats/moments.cpp) uses it per chunk.
 //
-// Dispatch: AVX2 when supported and VARPRED_NO_AVX2 is unset/zero, scalar
-// otherwise (and always on non-x86 builds).
+// Dispatch (common/simd.hpp): AVX2 when supported and VARPRED_NO_AVX2 is
+// unset/zero, scalar otherwise (and always on non-x86 builds).
 #pragma once
 
 #include <span>

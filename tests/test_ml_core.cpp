@@ -304,6 +304,31 @@ TEST(ColumnSegments, SplitIsAStablePartitionOfEveryColumn) {
   }
 }
 
+TEST(ColumnSegments, SampleConstructorEqualsFilteredArtifact) {
+  // A forest loads each bootstrap sample's segments straight from the
+  // dataset artifact; they must be the segments of the filtered artifact.
+  const auto x = tie_heavy_matrix(50, 3, 19);
+  const auto base = SortedColumns::build(x);
+  Rng rng(41);
+  std::vector<std::size_t> sample(50);
+  for (auto& r : sample) r = rng.uniform_index(50);
+  std::sort(sample.begin(), sample.end());
+  const ColumnSegments direct(base, sample);
+  const ColumnSegments via(base.filtered(sample, /*remap=*/false));
+  ASSERT_EQ(direct.rows(), via.rows());
+  ASSERT_EQ(direct.cols(), via.cols());
+  for (std::size_t c = 0; c < x.cols(); ++c) {
+    const auto a = direct.segment(c, 0, sample.size());
+    const auto b = via.segment(c, 0, sample.size());
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "column " << c;
+  }
+  const std::vector<std::size_t> descending = {3, 1};
+  EXPECT_THROW(ColumnSegments(base, descending), std::invalid_argument);
+  const std::vector<std::size_t> oob = {5, 50};
+  EXPECT_THROW(ColumnSegments(base, oob), std::invalid_argument);
+}
+
 TEST(SortedColumns, FilteredValidatesRowOrder) {
   const auto x = tie_heavy_matrix(10, 2, 13);
   const auto base = SortedColumns::build(x);

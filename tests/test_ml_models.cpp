@@ -230,6 +230,38 @@ Problem make_tied_problem(std::size_t n_train, std::size_t n_test,
   return p;
 }
 
+// Eleven quantized features, so the GBT's lockstep column-segment scan
+// runs two groups of four plus a three-feature scalar tail. Training
+// columns 3 = 1 (inside the first group), 5 = 2 (across the first group
+// boundary) and 9 = 6 (from the second group into the tail) are
+// bit-identical, so their split gains tie exactly and the earlier feature
+// must win, as in a one-feature-at-a-time scan. The test rows draw those
+// columns independently: a split on the later twin predicts differently.
+Problem make_wide_tied_problem(std::size_t n_train, std::size_t n_test,
+                               std::uint64_t seed) {
+  Problem p = make_tied_problem(n_train, n_test, seed);
+  Rng rng(seed + 1);
+  const auto widen = [&](Matrix& x, Matrix& y, bool twins) {
+    Matrix wide(x.rows(), 11);
+    for (std::size_t r = 0; r < x.rows(); ++r) {
+      for (std::size_t c = 0; c < 11; ++c) {
+        wide(r, c) = c < 3 ? x(r, c)
+                           : std::floor(rng.uniform(-1.0, 1.0) * 4.0) / 4.0;
+      }
+      if (twins) {
+        wide(r, 3) = wide(r, 1);
+        wide(r, 5) = wide(r, 2);
+        wide(r, 9) = wide(r, 6);
+      }
+      y(r, 0) += wide(r, 6);
+    }
+    x = std::move(wide);
+  };
+  widen(p.x_train, p.y_train, /*twins=*/true);
+  widen(p.x_test, p.y_test, /*twins=*/false);
+  return p;
+}
+
 TEST(Tree, PresortedSegmentModeIsByteIdenticalToSortPath) {
   // The tentpole invariant at tree level: fitting with a dataset-level
   // SortedColumns artifact (segment scans + stable partitions) must produce
@@ -453,22 +485,62 @@ TEST(Forest, RejectsArtifactWithWrongColumnCount) {
 TEST(Gbt, SegmentModeIsByteIdenticalToSortPath) {
   // subsample == 1 runs the node-partitioned segment scans; a subsample just
   // below 1 rounds to the full row set (no RNG draws, identical training
-  // data) but takes the per-node sort path. Predictions must match exactly.
-  const auto p = make_tied_problem(150, 40, 61);
+  // data) but takes the per-node sort path. Predictions must match exactly:
+  // on 3 features (scalar scans only), and on 11 features, where the
+  // segment scans run four features per step plus the scalar tail.
+  const auto expect_same = [](const Problem& p, const GbtParams& seg) {
+    GbtParams sort_path = seg;
+    sort_path.subsample = 0.999999;  // llround(0.999999 * 150) == 150
+    GradientBoosting a(seg);
+    GradientBoosting b(sort_path);
+    a.fit(p.x_train, p.y_train);
+    b.fit(p.x_train, p.y_train);
+    for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
+      EXPECT_EQ(a.predict(p.x_test.row(r)), b.predict(p.x_test.row(r)))
+          << "row " << r;
+    }
+  };
   GbtParams seg;
   seg.n_rounds = 40;
   seg.subsample = 1.0;
   seg.colsample = 1.0;
+  expect_same(make_tied_problem(150, 40, 61), seg);
+  seg.min_child_weight = 3.0;
+  seg.gamma = 0.01;
+  expect_same(make_wide_tied_problem(150, 40, 63), seg);
+}
+
+TEST(Gbt, EqualGainsWithinAFeatureKeepTheFirstSplit) {
+  // Feature 2 is the row number and the target is symmetric with integer
+  // sums, so the splits after row 2 and after row 6 have bit-identical
+  // gains (a + b == b + a). The first must win on every scan path; the
+  // other three features are constant, so the lockstep scan runs one group
+  // of four with the tie in lane 2.
+  Matrix x(8, 4, 0.0);
+  Matrix y(8, 1);
+  const double target[8] = {1, 1, -1, -1, -1, -1, 1, 1};
+  for (std::size_t r = 0; r < 8; ++r) {
+    x(r, 2) = static_cast<double>(r);
+    y(r, 0) = target[r];
+  }
+  GbtParams seg;
+  seg.n_rounds = 1;
+  seg.learning_rate = 1.0;
+  seg.max_depth = 1;
+  seg.subsample = 1.0;
+  seg.colsample = 1.0;
   GbtParams sort_path = seg;
-  sort_path.subsample = 0.999999;  // llround(0.999999 * 150) == 150
+  sort_path.subsample = 0.999999;  // llround(0.999999 * 8) == 8
   GradientBoosting a(seg);
   GradientBoosting b(sort_path);
-  a.fit(p.x_train, p.y_train);
-  b.fit(p.x_train, p.y_train);
-  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
-    EXPECT_EQ(a.predict(p.x_test.row(r)), b.predict(p.x_test.row(r)))
-        << "row " << r;
+  a.fit(x, y);
+  b.fit(x, y);
+  for (std::size_t r = 0; r < 8; ++r) {
+    EXPECT_EQ(a.predict(x.row(r)), b.predict(x.row(r))) << "row " << r;
   }
+  // The stump splits at 1.5: rows 2..7 share one leaf.
+  EXPECT_EQ(a.predict(x.row(2)), a.predict(x.row(7)));
+  EXPECT_NE(a.predict(x.row(1)), a.predict(x.row(2)));
 }
 
 TEST(Gbt, FilteredScanPathIsByteIdenticalToSortPath) {
@@ -763,24 +835,28 @@ TEST(WorkCounters, TreeSegmentAndSortPathsCountTheSameWork) {
 
 TEST(WorkCounters, GbtSegmentAndSortPathsCountTheSameWork) {
   // As in Gbt.SegmentModeIsByteIdenticalToSortPath: a subsample just below
-  // 1 keeps every row but takes the per-node sort path.
-  const auto p = make_tied_problem(150, 5, 83);
-  GbtParams seg;
-  seg.n_rounds = 20;
-  seg.subsample = 1.0;
-  seg.colsample = 1.0;
-  seg.min_child_weight = 3.0;
-  GbtParams sort_path = seg;
-  sort_path.subsample = 0.999999;
-  const auto sorted = count_work(
-      "ml.gbt", [&] { GradientBoosting(sort_path).fit(p.x_train, p.y_train); });
-  const auto segments = count_work(
-      "ml.gbt", [&] { GradientBoosting(seg).fit(p.x_train, p.y_train); });
-  EXPECT_GT(sorted.candidates_scored, 0U);
-  EXPECT_GT(sorted.nodes_split, 0U);
-  EXPECT_EQ(segments.candidates_scored, sorted.candidates_scored);
-  EXPECT_EQ(segments.nodes_split, sorted.nodes_split);
-  EXPECT_EQ(segments.rows_partitioned, sorted.rows_partitioned);
+  // 1 keeps every row but takes the per-node sort path. The 11-feature
+  // problem runs the four-feature segment scans and their scalar tail.
+  for (const auto& p : {make_tied_problem(150, 5, 83),
+                        make_wide_tied_problem(150, 5, 85)}) {
+    GbtParams seg;
+    seg.n_rounds = 20;
+    seg.subsample = 1.0;
+    seg.colsample = 1.0;
+    seg.min_child_weight = 3.0;
+    GbtParams sort_path = seg;
+    sort_path.subsample = 0.999999;
+    const auto sorted = count_work("ml.gbt", [&] {
+      GradientBoosting(sort_path).fit(p.x_train, p.y_train);
+    });
+    const auto segments = count_work(
+        "ml.gbt", [&] { GradientBoosting(seg).fit(p.x_train, p.y_train); });
+    EXPECT_GT(sorted.candidates_scored, 0U);
+    EXPECT_GT(sorted.nodes_split, 0U);
+    EXPECT_EQ(segments.candidates_scored, sorted.candidates_scored);
+    EXPECT_EQ(segments.nodes_split, sorted.nodes_split);
+    EXPECT_EQ(segments.rows_partitioned, sorted.rows_partitioned);
+  }
 }
 
 TEST(Tree, RetainedSizeDoesNotGrowWithTrainingRows) {

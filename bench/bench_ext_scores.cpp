@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
             {measure::benchmark_table()[corpus.benchmarks[b].benchmark]
                  .full_name(),
              corpus.system->name(), core::to_string(repr),
-             core::to_string(config.model)},
+             core::to_string(config.model), "", ""},
             measured, predicted);
       }
       const double mean_ks = stats::mean(ks_scores);

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
         core::predict_held_out_few_runs(corpus, bench_idx, config, options);
     obs::record_prediction_scores(
         {"specomp/376", corpus.system->name(), core::to_string(config.repr),
-         core::to_string(config.model)},
+         core::to_string(config.model), "", ""},
         measured, predicted);
     const double ks = stats::ks_statistic(measured, predicted);
     const auto pred_moments = stats::compute_moments(predicted);

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
           core::predict_held_out_few_runs(corpus, idx, config, options);
       obs::record_prediction_scores(
           {name, corpus.system->name(), core::to_string(config.repr),
-           core::to_string(config.model)},
+           core::to_string(config.model), "", ""},
           measured, predicted);
       const double ks = stats::ks_statistic(measured, predicted);
       const auto mm = stats::compute_moments(measured);

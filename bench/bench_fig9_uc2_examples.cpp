@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
           amd, intel, idx, config, options);
       obs::record_prediction_scores(
           {name, systems, core::to_string(config.repr),
-           core::to_string(config.model)},
+           core::to_string(config.model), "", ""},
           measured, predicted);
       const double ks = stats::ks_statistic(measured, predicted);
       const auto mm = stats::compute_moments(measured);

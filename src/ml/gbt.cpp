@@ -120,13 +120,13 @@ __attribute__((target("avx2"))) std::size_t scan_four(
   return scored;
 }
 
-#endif  // VARPRED_SIMD_AVX2
-
 // Whether build_node scans column segments four features at a time.
 bool lockstep_scan() {
   static const bool enabled = avx2_enabled();
   return enabled;
 }
+
+#endif  // VARPRED_SIMD_AVX2
 
 }  // namespace
 

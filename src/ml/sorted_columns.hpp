@@ -86,7 +86,9 @@ class ColumnSegments {
   /// `values[row]` is <= threshold, then the others, each side in its
   /// previous order. `values` is feature f's column indexed by row id.
   /// Branch-free: each row is written to both sides and the sides advance
-  /// by its go-left flag.
+  /// by its go-left flag; on AVX2 hosts eight rows per step, left-packed
+  /// by their go-left mask (see sorted_columns.cpp). Row ids only move, so
+  /// both arms leave the same orders.
   void split(std::size_t f, std::span<const double> values, double threshold,
              std::size_t begin, std::size_t end);
 

@@ -5,7 +5,12 @@
 #include <numeric>
 #include <optional>
 
+#include "common/simd.hpp"
 #include "obs/obs.hpp"
+
+#ifdef VARPRED_SIMD_AVX2
+#include <immintrin.h>
+#endif
 
 namespace varpred::ml {
 namespace {
@@ -29,11 +34,13 @@ struct ScanBuffers {
   // (n + 3) * o: per-candidate left sums, with room for the idle lanes of
   // the last group of four
   std::vector<double> left;
-  std::vector<std::uint32_t> candidates;  // n: candidates' split positions
+  // n + 3: candidates' split positions, with room for the idle lanes of
+  // the last group of four
+  std::vector<std::uint32_t> candidates;
 
   ScanBuffers() = default;
   ScanBuffers(std::size_t n, std::size_t o)
-      : running(o), left((n + 3) * o, 0.0), candidates(n) {}
+      : running(o), left((n + 3) * o, 0.0), candidates(n + 3, 0) {}
 };
 
 // Exact split search over one feature: `rows` holds the node's rows sorted
@@ -108,15 +115,150 @@ std::size_t scan_feature(std::size_t f, std::span<const std::uint32_t> rows,
   return k;
 }
 
+#ifdef VARPRED_SIMD_AVX2
+
+// One output's step of four candidates' penalty chains: lp += ls * ls and
+// rp += (total - ls)^2, lane by lane.
+__attribute__((target("avx2"))) inline void add_penalties(
+    __m256d ls, double total, __m256d& left_penalty, __m256d& right_penalty) {
+  left_penalty = _mm256_add_pd(left_penalty, _mm256_mul_pd(ls, ls));
+  const __m256d rs = _mm256_sub_pd(_mm256_set1_pd(total), ls);
+  right_penalty = _mm256_add_pd(right_penalty, _mm256_mul_pd(rs, rs));
+}
+
+// scan_feature with four outputs per AVX2 add in the running pass and four
+// candidates per vector in the scoring, one lane each. Per output and per
+// candidate it does exactly scan_feature's floating-point operations in
+// the same order (no FMA: the library builds with -ffp-contract=off):
+//   - each running sum is the previous candidate slot's sum plus the row's
+//     value, one add per row in sorted order, stored as the next
+//     candidate's sum; outputs past the last multiple of four add scalar;
+//   - a group's 4x4 blocks of left sums (candidates x outputs) are
+//     transposed in registers, so each lane's penalty chains add ls*ls and
+//     (T_c - ls)^2 in output order; tail outputs load their four lanes
+//     one by one;
+//   - sse = total_sq - (lp / n_left + rp / n_right), with n_left the
+//     exact double of candidate + 1;
+//   - a group none of whose live lanes beats the incoming best is skipped;
+//     otherwise its lanes are compared with the running best in candidate
+//     order with a strict `<`, as in scan_feature.
+__attribute__((target("avx2"))) std::size_t scan_feature_avx2(
+    std::size_t f, std::span<const std::uint32_t> rows,
+    std::span<const double> values, const double* y, const double* total_sum,
+    double total_sq, std::size_t min_leaf, ScanBuffers& buf,
+    BestSplit& best) {
+  const std::size_t n = rows.size();
+  const std::size_t n_outputs = buf.running.size();
+  const std::size_t vector_outputs = n_outputs - n_outputs % 4;
+  double* left = buf.left.data();
+  std::uint32_t* candidates = buf.candidates.data();
+
+  std::fill(buf.running.begin(), buf.running.end(), 0.0);
+  const double* previous = buf.running.data();  // zeros before the first row
+  std::size_t k = 0;
+  for (std::size_t i = 0; i + min_leaf < n; ++i) {
+    const double* row = y + rows[i] * n_outputs;
+    double* sums = left + k * n_outputs;
+    std::size_t c = 0;
+    for (; c < vector_outputs; c += 4) {
+      _mm256_storeu_pd(sums + c, _mm256_add_pd(_mm256_loadu_pd(previous + c),
+                                               _mm256_loadu_pd(row + c)));
+    }
+    for (; c < n_outputs; ++c) sums[c] = previous[c] + row[c];
+    previous = sums;
+    candidates[k] = static_cast<std::uint32_t>(i);
+    k += (i + 1 >= min_leaf) & !(values[rows[i]] == values[rows[i + 1]]);
+  }
+
+  const __m256d total_squares = _mm256_set1_pd(total_sq);
+  const __m256d n_rows = _mm256_set1_pd(static_cast<double>(n));
+  const __m256d one = _mm256_set1_pd(1.0);
+  for (std::size_t g = 0; g < k; g += 4) {
+    // Lanes past k hold stale sums and positions; they are masked below.
+    const double* lane = left + g * n_outputs;
+    __m256d left_penalty = _mm256_setzero_pd();
+    __m256d right_penalty = _mm256_setzero_pd();
+    std::size_t c = 0;
+    for (; c < vector_outputs; c += 4) {
+      const __m256d r0 = _mm256_loadu_pd(lane + c);
+      const __m256d r1 = _mm256_loadu_pd(lane + n_outputs + c);
+      const __m256d r2 = _mm256_loadu_pd(lane + 2 * n_outputs + c);
+      const __m256d r3 = _mm256_loadu_pd(lane + 3 * n_outputs + c);
+      const __m256d lo01 = _mm256_unpacklo_pd(r0, r1);
+      const __m256d hi01 = _mm256_unpackhi_pd(r0, r1);
+      const __m256d lo23 = _mm256_unpacklo_pd(r2, r3);
+      const __m256d hi23 = _mm256_unpackhi_pd(r2, r3);
+      // Columns of the 4x4 block: output c + m of candidates g .. g + 3.
+      const __m256d ls[4] = {_mm256_permute2f128_pd(lo01, lo23, 0x20),
+                             _mm256_permute2f128_pd(hi01, hi23, 0x20),
+                             _mm256_permute2f128_pd(lo01, lo23, 0x31),
+                             _mm256_permute2f128_pd(hi01, hi23, 0x31)};
+      for (std::size_t m = 0; m < 4; ++m) {
+        add_penalties(ls[m], total_sum[c + m], left_penalty, right_penalty);
+      }
+    }
+    for (; c < n_outputs; ++c) {
+      add_penalties(_mm256_set_pd(lane[3 * n_outputs + c],
+                                  lane[2 * n_outputs + c],
+                                  lane[n_outputs + c], lane[c]),
+                    total_sum[c], left_penalty, right_penalty);
+    }
+    const __m256d n_left = _mm256_add_pd(
+        _mm256_cvtepi32_pd(_mm_loadu_si128(
+            reinterpret_cast<const __m128i*>(candidates + g))),
+        one);
+    const __m256d n_right = _mm256_sub_pd(n_rows, n_left);
+    const __m256d sse = _mm256_sub_pd(
+        total_squares, _mm256_add_pd(_mm256_div_pd(left_penalty, n_left),
+                                     _mm256_div_pd(right_penalty, n_right)));
+    const std::size_t lanes = std::min<std::size_t>(4, k - g);
+    const int live = (1 << lanes) - 1;
+    const int better = _mm256_movemask_pd(_mm256_cmp_pd(
+                           sse, _mm256_set1_pd(best.sse), _CMP_LT_OQ)) &
+                       live;
+    if (better == 0) continue;
+    alignas(32) double lane_sse[4];
+    _mm256_store_pd(lane_sse, sse);
+    for (std::size_t j = 0; j < lanes; ++j) {
+      if (lane_sse[j] < best.sse) {
+        const std::size_t i = candidates[g + j];
+        best.sse = lane_sse[j];
+        best.feature = static_cast<std::int32_t>(f);
+        best.threshold = 0.5 * (values[rows[i]] + values[rows[i + 1]]);
+      }
+    }
+  }
+  return k;
+}
+
+#endif  // VARPRED_SIMD_AVX2
+
+using ScanFn = decltype(&scan_feature);
+
+// The scan build runs over samples of n rows: scan_feature_avx2 when
+// dispatch allows and split positions fit the int32 lanes it converts to
+// double, else the scalar scan_feature, which stays the oracle.
+ScanFn feature_scan([[maybe_unused]] std::size_t n) {
+#ifdef VARPRED_SIMD_AVX2
+  static const bool avx2 = avx2_enabled();
+  if (avx2 && n <= INT32_MAX) return scan_feature_avx2;
+#endif
+  return scan_feature;
+}
+
 }  // namespace
 
 // Exact split search state for one fit: the column-major copy of x the
-// scans read values from, the scan's scratch, and — when every split
-// considers every feature — each node's rows sorted per feature, kept in
-// lockstep with work_.
+// scans read values from, the scan and its scratch, the per-node candidate
+// features and output sums (refilled at every node), and — when every
+// split considers every feature — each node's rows sorted per feature,
+// kept in lockstep with work_.
 struct RegressionTree::ExactScan {
   const Matrix& columns;
+  ScanFn scan;
   ScanBuffers buffers;
+  std::vector<std::size_t> features;  // x.cols()
+  std::vector<double> total_sum;      // n_outputs_
   std::optional<ColumnSegments> segments;
 };
 
@@ -183,7 +325,11 @@ void RegressionTree::fit_sample(const Matrix& x, const Matrix& y,
   }
   VARPRED_CHECK_ARG(columns->rows() == x.cols() && columns->cols() == x.rows(),
                     "column-major copy does not match training matrix");
-  ExactScan exact{*columns, ScanBuffers(indices.size(), n_outputs_),
+  ExactScan exact{*columns,
+                  feature_scan(indices.size()),
+                  ScanBuffers(indices.size(), n_outputs_),
+                  std::vector<std::size_t>(x.cols()),
+                  std::vector<double>(n_outputs_),
                   std::move(segments)};
   exact_ = &exact;
 
@@ -230,7 +376,7 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
 
   // Candidate features: all, or a deterministic random subset.
   const std::size_t n_features = x.cols();
-  std::vector<std::size_t> features(n_features);
+  std::vector<std::size_t>& features = exact_->features;
   std::iota(features.begin(), features.end(), std::size_t{0});
   std::size_t n_candidates = n_features;
   if (params_.max_features > 0 && params_.max_features < n_features) {
@@ -244,7 +390,8 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   }
 
   // Parent statistics: per-output sums and the total sum of squares.
-  std::vector<double> total_sum(n_outputs_, 0.0);
+  std::vector<double>& total_sum = exact_->total_sum;
+  std::fill(total_sum.begin(), total_sum.end(), 0.0);
   double total_sq = 0.0;
   for (std::size_t i = begin; i < end; ++i) {
     const auto row = y.row(work_[i]);
@@ -286,7 +433,7 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
                 });
       rows = sorted;
     }
-    scored += scan_feature(f, rows, exact_->columns.row(f), y.data().data(),
+    scored += exact_->scan(f, rows, exact_->columns.row(f), y.data().data(),
                            total_sum.data(), total_sq,
                            params_.min_samples_leaf, exact_->buffers, best);
   }

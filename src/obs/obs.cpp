@@ -181,10 +181,8 @@ std::string iso8601_utc_now() {
   gmtime_r(&now, &tm);
 #endif
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02dZ",
-                tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                tm.tm_min, tm.tm_sec);
-  return buf;
+  const std::size_t len = std::strftime(buf, sizeof buf, "%FT%TZ", &tm);
+  return std::string(buf, len);
 }
 
 void Histogram::reset() noexcept {

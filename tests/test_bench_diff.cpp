@@ -283,7 +283,8 @@ std::string bench_document(const std::string& bench,
   std::string samples[2];
   for (int s = 0; s < 2; ++s) {
     for (const double x : timing_draw(seed + s, 8)) {
-      samples[s] += (samples[s].empty() ? "" : ",") + obs::json::number(x);
+      if (!samples[s].empty()) samples[s] += ',';
+      samples[s] += obs::json::number(x);
     }
   }
   return R"({"schema_version":2,"bench":")" + bench +

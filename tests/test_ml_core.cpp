@@ -304,6 +304,73 @@ TEST(ColumnSegments, SplitIsAStablePartitionOfEveryColumn) {
   }
 }
 
+TEST(ColumnSegments, SplitMatchesStablePartitionAtBlockEdges) {
+  // split() moves eight row ids per step on AVX2 hosts and one at a time in
+  // the tail (and in the scalar arm, see the .no_avx2 registration). Nodes
+  // of 0-33 rows starting at offsets 0-9 put block and tail boundaries at
+  // every alignment. Each column holds its own order of one bootstrap
+  // sample (duplicate ids) in three parts: the node's rows [begin, end) and
+  // the rows outside it, which split() must leave untouched.
+  constexpr std::size_t kRows = 45;
+  constexpr std::size_t kCols = 3;
+  constexpr std::size_t kIds = 30;
+  Rng rng(43);
+  std::vector<std::size_t> sample(kRows);
+  for (auto& r : sample) r = rng.uniform_index(kIds);
+  std::sort(sample.begin(), sample.end());
+  enum class Pattern { kAllLeft, kAllRight, kAlternating, kRandom };
+  for (std::size_t begin = 0; begin <= 9; ++begin) {
+    for (std::size_t len = 0; len <= 33; ++len) {
+      const std::size_t end = begin + len;
+      SortedColumns sorted;
+      for (std::size_t c = 0; c < kCols; ++c) {
+        std::vector<std::size_t> order = sample;
+        for (const auto& [lo, hi] :
+             {std::pair{std::size_t{0}, begin}, std::pair{begin, end},
+              std::pair{end, kRows}}) {
+          for (std::size_t i = hi; i > lo + 1; --i) {
+            std::swap(order[i - 1], order[lo + rng.uniform_index(i - lo)]);
+          }
+        }
+        sorted.order.push_back(std::move(order));
+      }
+      const ColumnSegments root(sorted);
+      const std::size_t f = (begin + len) % kCols;
+      for (const Pattern pattern :
+           {Pattern::kAllLeft, Pattern::kAllRight, Pattern::kAlternating,
+            Pattern::kRandom}) {
+        // values[id] <= 0.5 sends id left; alternating goes by first
+        // occurrence in the split feature's node order.
+        std::vector<double> values(kIds, 0.0);
+        std::vector<bool> seen(kIds, false);
+        std::size_t distinct = 0;
+        for (const std::uint32_t id : root.segment(f, begin, end)) {
+          if (seen[id]) continue;
+          seen[id] = true;
+          if (pattern == Pattern::kAllRight) values[id] = 1.0;
+          if (pattern == Pattern::kAlternating) values[id] = double(distinct);
+          if (pattern == Pattern::kRandom) values[id] = rng.uniform();
+          distinct ^= 1;
+        }
+        ColumnSegments after = root;
+        after.split(f, values, 0.5, begin, end);
+        for (std::size_t c = 0; c < kCols; ++c) {
+          std::vector<std::uint32_t> expect(sorted.order[c].begin(),
+                                            sorted.order[c].end());
+          std::stable_partition(
+              expect.begin() + static_cast<std::ptrdiff_t>(begin),
+              expect.begin() + static_cast<std::ptrdiff_t>(end),
+              [&](std::uint32_t id) { return values[id] <= 0.5; });
+          const auto got = after.segment(c, 0, kRows);
+          EXPECT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()), expect)
+              << "column " << c << ", begin " << begin << ", length " << len
+              << ", pattern " << static_cast<int>(pattern);
+        }
+      }
+    }
+  }
+}
+
 TEST(ColumnSegments, SampleConstructorEqualsFilteredArtifact) {
   // A forest loads each bootstrap sample's segments straight from the
   // dataset artifact; they must be the segments of the filtered artifact.

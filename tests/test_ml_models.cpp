@@ -859,6 +859,56 @@ TEST(WorkCounters, GbtSegmentAndSortPathsCountTheSameWork) {
   }
 }
 
+// RF fits at the output widths 1, 3, 5 and 41, which leave every remainder
+// of four outputs (and of four candidates: 203 rows) to the split scan's
+// tails. Features are quantized to eight levels and targets to quarters, so
+// values and split scores tie often, and bootstrap samples repeat rows. The
+// constants were captured from the scalar scan before it was vectorized;
+// the .no_avx2 registration asserts them on both dispatch arms.
+std::uint64_t output_width_digest(std::size_t n_outputs) {
+  constexpr std::size_t kRows = 203;
+  constexpr std::size_t kFeatures = 6;
+  Rng rng(101 + n_outputs);
+  Matrix x(kRows, kFeatures);
+  Matrix y(kRows, n_outputs);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = 0; c < kFeatures; ++c) {
+      x(r, c) = std::floor(rng.uniform(0.0, 8.0));
+    }
+    for (std::size_t c = 0; c < n_outputs; ++c) {
+      const double signal = x(r, c % kFeatures) - x(r, (c + 2) % kFeatures);
+      y(r, c) = std::floor(4.0 * (signal + rng.uniform(-1.0, 1.0))) / 4.0;
+    }
+  }
+  ForestParams fp;
+  fp.n_trees = 12;
+  fp.tree.max_depth = 9;
+  fp.tree.min_samples_leaf = 2;
+  fp.feature_fraction = 1.0;
+  fp.seed = 3;
+  RandomForest forest(fp);
+  const SortedColumns sorted = SortedColumns::build(x);
+  forest.fit(x, y, &sorted);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (const double v : forest.predict(x.row(r))) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xFFU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(Tree, OutputWidthDigests) {
+  EXPECT_EQ(output_width_digest(1), 0x037ebf11d6509cf8ULL);
+  EXPECT_EQ(output_width_digest(3), 0x642ee022f959019bULL);
+  EXPECT_EQ(output_width_digest(5), 0x564e469c7b6ace45ULL);
+  EXPECT_EQ(output_width_digest(41), 0xb43940e34ab2aeb6ULL);
+}
+
 TEST(Tree, RetainedSizeDoesNotGrowWithTrainingRows) {
   // A depth-2 tree on a 4-level step target has the same 7 nodes at any
   // training size; fit-only state (row ranges, column segments, the

@@ -406,8 +406,9 @@ obs::json::Value random_value(Rng& rng, std::size_t depth) {
       v.type = Type::kObject;
       const std::size_t n = rng.uniform_index(4);
       for (std::size_t i = 0; i < n; ++i) {
-        v.object.emplace_back("k" + std::to_string(i),
-                              random_value(rng, depth + 1));
+        std::string key = "k";
+        key += std::to_string(i);
+        v.object.emplace_back(std::move(key), random_value(rng, depth + 1));
       }
       break;
     }
@@ -738,7 +739,9 @@ TEST(ObsProfiler, AttributesSamplesToLiveSpanStacks) {
            std::chrono::steady_clock::now() < deadline) {
       obs::Span inner("prof.inner");
       volatile std::uint64_t sink = 0;
-      for (int i = 0; i < 4000; ++i) sink += static_cast<std::uint64_t>(i);
+      for (int i = 0; i < 4000; ++i) {
+        sink = sink + static_cast<std::uint64_t>(i);
+      }
     }
   }
   const obs::ProfileReport report = obs::profiler_stop();

@@ -21,9 +21,8 @@ struct FewRunsEvalCache;
 struct CrossSystemEvalCache;
 
 /// The three paper metrics for one measured-vs-predicted sample pair.
-/// Shared by the LOGO-CV fold loops and the streaming drift harness, which
-/// scores each closed window of live measurements against the deployed
-/// prediction with exactly the evaluation-time metrics.
+/// Shared by the LOGO-CV fold loops and the config-aware evaluation
+/// (`configpred`), so both score with exactly the same metrics.
 struct WindowScore {
   double ks = 1.0;           ///< two-sample KS statistic (0 = perfect)
   double wasserstein1 = 0.0; ///< normalized 1-Wasserstein distance

@@ -54,10 +54,11 @@ struct Corpus {
 RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
                        Rng& rng);
 
-/// Simulates a single run under an operating condition (drift observatory):
-/// the ground-truth mixture is the conditioned one, and counter rates are
-/// coupled to the run's mode relative to the conditioned mean. A neutral
-/// condition reproduces the unconditioned overload exactly.
+/// Simulates a single run under an operating condition (see
+/// SystemConfig::condition()): the ground-truth mixture is the conditioned
+/// one, and counter rates are coupled to the run's mode relative to the
+/// conditioned mean. A neutral condition reproduces the unconditioned
+/// overload exactly.
 RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
                        const SystemCondition& cond, Rng& rng);
 

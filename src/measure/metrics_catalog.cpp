@@ -310,54 +310,4 @@ const std::vector<MetricInfo>& arm_metrics() {
   return metrics;
 }
 
-const std::vector<MetricInfo>& cloud_metrics() {
-  static const std::vector<MetricInfo> metrics = build({
-      // Extension: a virtualized guest's view -- the architectural events a
-      // hypervisor passes through, plus virtualization-side counters.
-      "branch-instructions",
-      "branch-misses",
-      "cache-misses",
-      "cache-references",
-      "cpu-cycles",
-      "ref-cycles",
-      "instructions",
-      "stalled-cycles-backend",
-      "stalled-cycles-frontend",
-      "L1-dcache-load-misses",
-      "L1-dcache-loads",
-      "L1-icache-load-misses",
-      "LLC-load-misses",
-      "LLC-loads",
-      "LLC-store-misses",
-      "LLC-stores",
-      "dTLB-load-misses",
-      "dTLB-loads",
-      "iTLB-load-misses",
-      "iTLB-loads",
-      "node-load-misses",
-      "node-loads",
-      "node-store-misses",
-      "node-stores",
-      "mem-loads",
-      "mem-stores",
-      "alignment-faults",
-      "context-switches",
-      "cpu-clock",
-      "cpu-migrations",
-      "emulation-faults",
-      "major-faults",
-      "minor-faults",
-      "page-faults",
-      "task-clock",
-      "duration_time",
-      "steal-clock",
-      "vcpu-migrations",
-      "vcpu-preemptions",
-      "vmexit-count",
-      "hypervisor-interrupts",
-      "throttle-events",
-  });
-  return metrics;
-}
-
 }  // namespace varpred::measure

@@ -38,12 +38,6 @@ const std::vector<MetricInfo>& amd_metrics();
 /// metric set of a simulated ARM server (Neoverse-class PMU events).
 const std::vector<MetricInfo>& arm_metrics();
 
-/// Extension (drift observatory): the metric set visible inside a
-/// virtualized cloud guest -- the architectural subset a hypervisor
-/// exposes, plus virtualization counters (steal time, vCPU scheduling,
-/// throttling) that bare-metal machines do not have.
-const std::vector<MetricInfo>& cloud_metrics();
-
 /// Infers a category from a perf metric name (keyword rules).
 MetricCategory categorize_metric(const std::string& name);
 

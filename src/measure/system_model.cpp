@@ -151,9 +151,9 @@ rngdist::Mixture SystemModel::runtime_distribution(
                        stable_hash(bench.full_name() + "/shape")));
 
   // Machine-specific mean runtime: faster machines shrink it; memory-bound
-  // codes see less benefit. The condition's speed scale models throttling
-  // (burstable instances out of CPU credit, thermal capping); multiplying
-  // by the neutral 1.0 is exact, so the unconditioned path is unchanged.
+  // codes see less benefit. The condition's speed scale models a capped
+  // frequency governor or a smaller thread budget; multiplying by the
+  // neutral 1.0 is exact, so the unconditioned path is unchanged.
   const double speed = (speed_factor_ * cond.speed_scale) *
                        (1.0 + 0.25 * (traits.compute - 0.5) -
                         0.15 * (traits.memory - 0.5));
@@ -170,8 +170,8 @@ rngdist::Mixture SystemModel::runtime_distribution(
   // KS of 0.236 reflects exactly this.
   const double structural = std::exp(0.35 * (shared.uniform() - 0.5) +
                                      1.10 * (sys.uniform() - 0.5));
-  // The cv cap stretches with the jitter scale so a conditioned 2x regime
-  // switch stays visible even for benchmarks already near the neutral cap.
+  // The cv cap stretches with the jitter scale so a jitter-raising condition
+  // stays visible even for benchmarks already near the neutral cap.
   const double cv = std::clamp(
       (jitter_base_ * cond.jitter_scale) *
           (0.05 + 2.2 * traits.sync * traits.sync +
@@ -253,23 +253,6 @@ rngdist::Mixture SystemModel::runtime_distribution(
                                    /*shift=*/base, /*scale=*/1.0});
   }
 
-  // Co-tenant interference: a noisy neighbor stealing cache and memory
-  // bandwidth creates a displaced slow mode whose weight and offset grow
-  // with pressure. The geometry draws are machine x application specific
-  // but come strictly *after* every baseline draw, so a neutral condition
-  // leaves the draw sequence (and thus all ledgers) untouched.
-  if (cond.interference > 0.0) {
-    const double pressure = std::clamp(cond.interference, 0.0, 1.0);
-    const double gap = (2.0 + 6.0 * sys.uniform()) * (0.5 + pressure) *
-                       std::max(cv, 0.004) * base;
-    const double weight = std::clamp(
-        (0.08 + 0.30 * pressure) * std::exp(0.40 * (sys.uniform() - 0.5)),
-        0.02, 0.45);
-    components.push_back(Component{Family::kNormal, weight, base + gap,
-                                   sigma * (1.0 + 1.5 * pressure), 0.0,
-                                   1.0});
-  }
-
   return Mixture(std::move(components));
 }
 
@@ -321,20 +304,8 @@ const SystemModel& SystemModel::arm() {
   return model;
 }
 
-const SystemModel& SystemModel::cloud() {
-  static const SystemModel model("cloud", &cloud_metrics(),
-                                 /*numa_factor=*/0.55,
-                                 /*jitter_base=*/0.016,
-                                 /*tail_factor=*/1.30,
-                                 /*speed_factor=*/0.85);
-  return model;
-}
-
 const SystemModel& SystemModel::by_name(const std::string& name) {
   for (const SystemModel* system : all_systems()) {
-    if (system->name() == name) return *system;
-  }
-  for (const SystemModel* system : virtual_systems()) {
     if (system->name() == name) return *system;
   }
   // Spell out the valid names: config-bearing lookups ("varpred tune
@@ -345,21 +316,12 @@ const SystemModel& SystemModel::by_name(const std::string& name) {
     if (!valid.empty()) valid += ", ";
     valid += system->name();
   }
-  for (const SystemModel* system : virtual_systems()) {
-    if (!valid.empty()) valid += ", ";
-    valid += system->name();
-  }
   VARPRED_CHECK_ARG(false, "unknown system: " + name + " (valid: " + valid +
                                ")");
 }
 
 std::span<const SystemModel* const> SystemModel::all_systems() {
   static const SystemModel* const systems[] = {&intel(), &amd(), &arm()};
-  return systems;
-}
-
-std::span<const SystemModel* const> SystemModel::virtual_systems() {
-  static const SystemModel* const systems[] = {&cloud()};
   return systems;
 }
 

@@ -33,10 +33,10 @@ struct CounterModel {
   double mode_exponent = 0.0;   ///< coupling to the drawn performance mode
 };
 
-/// Operating condition of a machine at a point in simulated time (drift
-/// observatory). The defaults are the neutral condition, and with them
-/// `runtime_distribution(bench, cond)` is byte-identical to the
-/// unconditioned overload — quality ledgers and perf baselines therefore
+/// Operating condition of a machine under a tunable configuration
+/// (`SystemConfig::condition()`). The defaults are the neutral condition,
+/// and with them `runtime_distribution(bench, cond)` is byte-identical to
+/// the unconditioned overload — quality ledgers and perf baselines therefore
 /// cannot move unless a caller opts into non-neutral conditions.
 struct SystemCondition {
   double jitter_scale = 1.0;  ///< multiplies the machine's base jitter
@@ -46,14 +46,6 @@ struct SystemCondition {
   /// < 1 models placement policies that even out page luck (interleaving
   /// suppresses the bimodal split); > 1 models policies that amplify it.
   double numa_scale = 1.0;
-  /// Co-tenant pressure in [0, 1]; > 0 adds a displaced interference mode
-  /// (a noisy neighbor stealing cache/memory bandwidth).
-  double interference = 0.0;
-
-  bool neutral() const {
-    return jitter_scale == 1.0 && tail_scale == 1.0 && speed_scale == 1.0 &&
-           numa_scale == 1.0 && interference == 0.0;
-  }
 };
 
 /// A simulated evaluation machine.
@@ -68,21 +60,11 @@ class SystemModel {
   /// clock jitter, but the strongest tail amplification (aggressive
   /// power-state transitions).
   static const SystemModel& arm();
-  /// Extension (drift observatory): a virtualized cloud guest on
-  /// Intel-like silicon behind a hypervisor — moderate NUMA visibility,
-  /// the highest baseline jitter of any system (vCPU scheduling), a
-  /// pronounced tail, and a reduced effective speed. Deliberately *not*
-  /// part of all_systems(): the paper-reproduction matrix stays
-  /// {intel, amd, arm}; see virtual_systems().
-  static const SystemModel& cloud();
-  /// Lookup by name ("intel" / "amd" / "arm" / "cloud").
+  /// Lookup by name ("intel" / "amd" / "arm").
   static const SystemModel& by_name(const std::string& name);
 
   /// The paper-matrix systems ({intel, amd, arm}).
   static std::span<const SystemModel* const> all_systems();
-  /// Virtualized systems (currently just cloud), kept out of the paper
-  /// matrix so existing evaluation sweeps and ledgers are unaffected.
-  static std::span<const SystemModel* const> virtual_systems();
 
   const std::string& name() const { return name_; }
   const std::vector<MetricInfo>& metrics() const { return *metrics_; }
@@ -93,10 +75,10 @@ class SystemModel {
   rngdist::Mixture runtime_distribution(const BenchmarkInfo& bench) const;
 
   /// Ground-truth runtime mixture under an operating condition: jitter,
-  /// tail, and speed are scaled and co-tenant interference may add a
-  /// displaced mode. Deterministic per (system, benchmark, condition);
-  /// a neutral condition reproduces `runtime_distribution(bench)` exactly
-  /// (bit-identical draws and arithmetic).
+  /// tail, speed and NUMA sensitivity are scaled. Deterministic per
+  /// (system, benchmark, condition); a neutral condition reproduces
+  /// `runtime_distribution(bench)` exactly (bit-identical draws and
+  /// arithmetic).
   rngdist::Mixture runtime_distribution(const BenchmarkInfo& bench,
                                         const SystemCondition& cond) const;
 

@@ -8,6 +8,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -96,6 +97,13 @@ void Server::accept_loop() {
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // listener shut down by stop()
+    }
+    // Every frame goes out in one write, so Nagle would only hold pipelined
+    // replies back until the client's next ACK.
+    const int one = 1;
+    if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+      ::close(fd);
+      continue;
     }
     {
       std::lock_guard<std::mutex> lock(conn_mu_);

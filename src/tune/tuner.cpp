@@ -39,7 +39,7 @@ double variability_objective(std::span<const double> runtimes) {
   // differences rise above estimator noise, which would defeat a tuner
   // whose whole point is a small measurement budget; the sd converges at
   // ~1/sqrt(2n) and still prices in both the NUMA bimodality and the
-  // interference tail.
+  // GC/JIT heavy tail.
   return stats::compute_moments(stats::to_relative(runtimes)).stddev;
 }
 

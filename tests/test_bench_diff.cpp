@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -513,6 +514,37 @@ TEST(BenchDiff, OverallVerdictFoldsWorstCase) {
   EXPECT_EQ(obs::overall_verdict(stages), Verdict::kInconclusive);
   stages[0].verdict = Verdict::kRegressed;
   EXPECT_EQ(obs::overall_verdict(stages), Verdict::kRegressed);
+}
+
+TEST(BenchDiff, WorseVerdictIsASymmetricSeverityOrder) {
+  using obs::Verdict;
+  // Severity, least to most: unchanged < improved < inconclusive <
+  // regressed (not the enum's declaration order).
+  const Verdict by_severity[] = {Verdict::kUnchanged, Verdict::kImproved,
+                                 Verdict::kInconclusive, Verdict::kRegressed};
+  for (std::size_t i = 0; i < std::size(by_severity); ++i) {
+    for (std::size_t j = 0; j < std::size(by_severity); ++j) {
+      const Verdict expected = by_severity[std::max(i, j)];
+      EXPECT_EQ(obs::worse_verdict(by_severity[i], by_severity[j]), expected)
+          << obs::to_string(by_severity[i]) << " vs "
+          << obs::to_string(by_severity[j]);
+    }
+  }
+}
+
+TEST(Provenance, DescribeNamesTheEnvironment) {
+  obs::Provenance p;
+  p.git = "abc123";
+  p.hostname = "node7";
+  p.seed = 42;
+  p.workers = 4;
+  p.repeat = 3;
+  p.obs_mode = "off";
+  EXPECT_EQ(p.describe(),
+            "git=abc123 host=node7 seed=42 workers=4 repeat=3 obs=off");
+  p.fast = true;
+  EXPECT_EQ(p.describe(),
+            "git=abc123 host=node7 seed=42 workers=4 repeat=3 obs=off fast");
 }
 
 }  // namespace

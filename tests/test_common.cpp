@@ -80,6 +80,14 @@ TEST(Rng, SplitProducesIndependentStream) {
   EXPECT_LE(matches, 1);
 }
 
+TEST(Rng, ReseedRestartsTheStream) {
+  Rng fresh(77);
+  Rng reused(5);
+  for (int i = 0; i < 10; ++i) reused();
+  reused.reseed(77);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(fresh(), reused()) << "draw " << i;
+}
+
 TEST(Rng, StableHashIsStableAndSpread) {
   EXPECT_EQ(stable_hash("specomp/376"), stable_hash("specomp/376"));
   EXPECT_NE(stable_hash("specomp/376"), stable_hash("specomp/372"));
@@ -307,6 +315,14 @@ TEST(ThreadPool, ConcurrentResetsPartitionTheCounterStream) {
   EXPECT_EQ(stolen_iters + main_iters + tail.iterations, kJobs * kIters);
 }
 
+TEST(ThreadPool, WorkerCountHonoursTheRequest) {
+  EXPECT_EQ(ThreadPool(1).worker_count(), 1u);
+  EXPECT_EQ(ThreadPool(3).worker_count(), 3u);
+  // 0 asks for the hardware concurrency, and never yields an empty pool.
+  const std::size_t hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(ThreadPool(0).worker_count(), hw == 0 ? 1u : hw);
+}
+
 TEST(ThreadPool, GrainIsPureFunctionOfN) {
   EXPECT_EQ(ThreadPool::grain_for(1), 1u);
   EXPECT_EQ(ThreadPool::grain_for(255), 1u);
@@ -375,6 +391,15 @@ TEST(Text, FormatFixed) {
   EXPECT_EQ(format_fixed(-1.0, 1), "-1.0");
 }
 
+
+TEST(Text, StartsWith) {
+  EXPECT_TRUE(starts_with("BENCH_run.json", "BENCH_"));
+  EXPECT_TRUE(starts_with("abc", ""));
+  EXPECT_TRUE(starts_with("abc", "abc"));
+  EXPECT_FALSE(starts_with("abc", "abcd"));
+  EXPECT_FALSE(starts_with("abc", "b"));
+  EXPECT_FALSE(starts_with("", "a"));
+}
 
 TEST(Parse, DoubleStrictAcceptsExactTokens) {
   EXPECT_EQ(parse_double_strict("1.5"), 1.5);

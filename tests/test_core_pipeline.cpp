@@ -16,8 +16,11 @@
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
+#include "rngdist/samplers.hpp"
 #include "stats/moments.hpp"
 #include "stats/ks.hpp"
+#include "stats/overlap.hpp"
+#include "stats/wasserstein.hpp"
 
 namespace varpred::core {
 namespace {
@@ -79,6 +82,20 @@ TEST(Profile, InvalidArguments) {
   EXPECT_THROW(
       build_profile(*corpus.system, runs, std::vector<std::size_t>{99999}),
       std::invalid_argument);
+}
+
+TEST(Profile, FullProfileEqualsProfileOverEveryRun) {
+  const auto& corpus = small_intel();
+  const auto& runs = corpus.benchmarks[6];
+  std::vector<std::size_t> every(runs.run_count());
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  for (const bool higher : {true, false}) {
+    ProfileOptions options;
+    options.include_higher_moments = higher;
+    EXPECT_EQ(build_full_profile(*corpus.system, runs, options),
+              build_profile(*corpus.system, runs, every, options))
+        << "include_higher_moments=" << higher;
+  }
 }
 
 TEST(ChooseRunIndices, DistinctAndDeterministic) {
@@ -176,6 +193,23 @@ TEST(CrossSystem, TrainPredictAndFeatureLayout) {
   EXPECT_EQ(predicted.size(), 400u);
 }
 
+TEST(CrossSystem, PredictDistributionReconstructsThePredictedEncoding) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  CrossSystemPredictor predictor;
+  const auto features =
+      predictor.make_features(*amd.system, amd.benchmarks[2]);
+  EXPECT_THROW(predictor.predict_encoded(features), CheckError);
+  predictor.train_all(amd, intel);
+  const auto encoded = predictor.predict_encoded(features);
+  EXPECT_EQ(encoded.size(), predictor.repr().dim());
+  EXPECT_EQ(encoded, predictor.predict_encoded(features));
+  Rng direct_rng(21);
+  Rng manual_rng(21);
+  EXPECT_EQ(predictor.predict_distribution(amd.benchmarks[2], 250, direct_rng),
+            predictor.repr().reconstruct(encoded, 250, manual_rng));
+}
+
 TEST(CrossSystem, MismatchedCorporaRejected) {
   const auto& amd = small_amd();
   measure::Corpus truncated = small_intel();
@@ -223,6 +257,77 @@ TEST(Evaluator, DeterministicAcrossInvocations) {
   const auto a = evaluate_few_runs(corpus, config, options);
   const auto b = evaluate_few_runs(corpus, config, options);
   EXPECT_EQ(a.ks, b.ks);
+}
+
+TEST(Evaluator, HeldOutCrossSystemPredictionIsDeterministic) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  CrossSystemConfig config;
+  EvalOptions options;
+  options.n_reconstruct = 300;
+  const auto a = predict_held_out_cross_system(amd, intel, 4, config, options);
+  const auto b = predict_held_out_cross_system(amd, intel, 4, config, options);
+  ASSERT_EQ(a.size(), 300u);
+  EXPECT_EQ(a, b);
+  // Predictions are relative times: positive, centred near 1.
+  for (const double x : a) EXPECT_GT(x, 0.0);
+  EXPECT_NEAR(stats::compute_moments(a).mean, 1.0, 0.25);
+  EXPECT_THROW(predict_held_out_cross_system(amd, intel,
+                                             intel.benchmarks.size(), config,
+                                             options),
+               std::invalid_argument);
+}
+
+// score_window is the one scoring function shared by the LOGO-CV fold loops
+// and the config-aware evaluation.
+TEST(ScoreWindow, MatchesTheStatsMetricsExactly) {
+  Rng rng(17);
+  std::vector<double> measured(300);
+  std::vector<double> predicted(500);
+  for (auto& x : measured) x = rngdist::normal(rng, 1.0, 0.05);
+  for (auto& x : predicted) x = rngdist::normal(rng, 1.02, 0.07);
+  const WindowScore score = score_window(measured, predicted);
+  EXPECT_EQ(score.ks, stats::ks_statistic(measured, predicted));
+  EXPECT_EQ(score.wasserstein1,
+            stats::wasserstein1_normalized(measured, predicted));
+  EXPECT_EQ(score.overlap, stats::overlap_coefficient(measured, predicted));
+}
+
+TEST(ScoreWindow, IdenticalSamplesScorePerfect) {
+  Rng rng(3);
+  std::vector<double> sample(400);
+  for (auto& x : sample) x = rngdist::normal(rng, 1.0, 0.1);
+  const WindowScore score = score_window(sample, sample);
+  EXPECT_EQ(score.ks, 0.0);
+  EXPECT_EQ(score.wasserstein1, 0.0);
+  EXPECT_NEAR(score.overlap, 1.0, 1e-12);
+}
+
+TEST(ScoreWindow, DisjointSamplesScoreWorst) {
+  const std::vector<double> low = {0.90, 0.92, 0.94, 0.96, 0.98};
+  const std::vector<double> high = {1.50, 1.52, 1.54, 1.56, 1.58};
+  const WindowScore score = score_window(low, high);
+  EXPECT_EQ(score.ks, 1.0);
+  EXPECT_EQ(score.overlap, 0.0);
+  EXPECT_GT(score.wasserstein1, 1.0);
+}
+
+TEST(ScoreWindow, EveryMetricWorsensWithLocationShift) {
+  Rng rng(11);
+  std::vector<double> measured(600);
+  std::vector<double> base(600);
+  for (auto& x : measured) x = rngdist::normal(rng, 1.0, 0.05);
+  for (auto& x : base) x = rngdist::normal(rng, 1.0, 0.05);
+  WindowScore last = score_window(measured, base);
+  for (const double shift : {0.02, 0.05, 0.10}) {
+    std::vector<double> shifted = base;
+    for (auto& x : shifted) x += shift;
+    const WindowScore score = score_window(measured, shifted);
+    EXPECT_GT(score.ks, last.ks) << "shift " << shift;
+    EXPECT_GT(score.wasserstein1, last.wasserstein1) << "shift " << shift;
+    EXPECT_LT(score.overlap, last.overlap) << "shift " << shift;
+    last = score;
+  }
 }
 
 // Pins VARPRED_EVAL_NO_CACHE for one evaluation, restoring on scope exit so

@@ -116,6 +116,23 @@ TEST(MaxEnt, SolveMomentSystemReportsConvergence) {
   EXPECT_THROW(MaxEntDensity(failed, 0.0, 1.0), CheckError);
 }
 
+TEST(MaxEnt, DensityExposesTheSolveItWasBuiltFrom) {
+  const auto raw = raw_moments_from_summary(make_moments(1.0, 0.1, 0.6, 3.4));
+  const auto solved = solve_moment_system(raw, 0.4, 1.6);
+  ASSERT_TRUE(solved.converged);
+  const MaxEntDensity d(solved, 0.4, 1.6);
+  EXPECT_EQ(d.lo(), 0.4);
+  EXPECT_EQ(d.hi(), 1.6);
+  EXPECT_EQ(d.lambdas(), solved.lambda);
+  EXPECT_EQ(d.iterations_used(), solved.iterations);
+  // A cold start from the uniform density needs at least one Newton step,
+  // and never more than the budget.
+  const MaxEntDensity direct(raw, 0.4, 1.6);
+  EXPECT_GT(direct.iterations_used(), 0u);
+  EXPECT_LE(direct.iterations_used(), MaxEntOptions{}.max_iterations);
+  EXPECT_EQ(direct.iterations_used(), solved.iterations);
+}
+
 TEST(MaxEnt, WarmStartConvergesToSameSolution) {
   // Seeding the Newton solver with the converged multipliers (the degrade
   // ladder's warm start) must converge immediately to the same lambda.

@@ -3,15 +3,18 @@
 // semantics, and corpus construction.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <set>
 
 #include <vector>
 
 #include "measure/benchmarks.hpp"
 #include "measure/corpus.hpp"
-#include "measure/fleet.hpp"
 #include "measure/metrics_catalog.hpp"
+#include "measure/sysconfig.hpp"
 #include "measure/system_model.hpp"
 #include "stats/moments.hpp"
 
@@ -95,6 +98,7 @@ TEST(SystemModel, LookupAndFactors) {
   EXPECT_EQ(SystemModel::amd().name(), "amd");
   EXPECT_EQ(&SystemModel::by_name("intel"), &SystemModel::intel());
   EXPECT_THROW(SystemModel::by_name("sparc"), std::invalid_argument);
+  EXPECT_THROW(SystemModel::by_name("cloud"), std::invalid_argument);
   // Unknown-name errors spell out every valid name: config-bearing lookups
   // ("varpred tune --system=...") surface this message to users directly.
   try {
@@ -103,7 +107,7 @@ TEST(SystemModel, LookupAndFactors) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("unknown system: sparc"), std::string::npos) << msg;
-    for (const char* name : {"intel", "amd", "arm", "cloud"}) {
+    for (const char* name : {"intel", "amd", "arm"}) {
       EXPECT_NE(msg.find(name), std::string::npos) << "missing " << name;
     }
   }
@@ -276,24 +280,8 @@ TEST(Corpus, ShapeDiversityAcrossBenchmarks) {
 }
 
 // ---------------------------------------------------------------------------
-// Time-varying system models: the cloud guest, conditioned distributions,
-// and the fleet condition trajectories.
-
-TEST(CloudSystem, IsAVirtualSystemNotAVendorSystem) {
-  // The UC2 vendor set stays {intel, amd, arm}; cloud rides alongside.
-  EXPECT_EQ(SystemModel::all_systems().size(), 3u);
-  const auto virt = SystemModel::virtual_systems();
-  ASSERT_EQ(virt.size(), 1u);
-  EXPECT_EQ(virt[0]->name(), "cloud");
-  EXPECT_EQ(&SystemModel::by_name("cloud"), &SystemModel::cloud());
-  EXPECT_GT(SystemModel::cloud().metric_count(), 30u);
-  // Guest-visible virtualization counters are part of the catalog.
-  bool has_steal = false;
-  for (const auto& m : cloud_metrics()) {
-    has_steal |= m.name == "steal-clock";
-  }
-  EXPECT_TRUE(has_steal);
-}
+// Conditioned system models: the operating conditions that SystemConfig
+// knobs map onto.
 
 TEST(SystemCondition, NeutralConditionIsBitIdenticalToLegacyPath) {
   // The conditioned overloads multiply by exactly 1.0 on the neutral path
@@ -314,11 +302,10 @@ TEST(SystemCondition, NeutralConditionIsBitIdenticalToLegacyPath) {
 }
 
 TEST(SystemCondition, JitterScaleWidensTheDistribution) {
-  const auto& system = SystemModel::cloud();
+  const auto& system = SystemModel::intel();
   const auto& bench = benchmark_table()[20];
   SystemCondition stressed;
   stressed.jitter_scale = 2.0;
-  stressed.interference = 0.5;
   Rng rng_a(5);
   Rng rng_b(5);
   std::vector<double> neutral_times;
@@ -332,102 +319,185 @@ TEST(SystemCondition, JitterScaleWidensTheDistribution) {
   const auto n = stats::compute_moments(neutral_times);
   const auto s = stats::compute_moments(stressed_times);
   EXPECT_GT(s.stddev / s.mean, 1.5 * n.stddev / n.mean)
-      << "2x jitter + interference must visibly widen relative spread";
+      << "2x jitter must visibly widen relative spread";
 }
 
-TEST(FleetSystem, NeighborTraceSwitchesRegimeDeterministically) {
-  FleetTraceConfig config;
-  config.kind = DriftKind::kNoisyNeighbor;
-  config.seed = 42;
-  const FleetSystem fleet(SystemModel::cloud(), config);
-  ASSERT_EQ(fleet.regime_changes().size(), 1u);
-  const double onset = fleet.regime_changes()[0];
-  EXPECT_GT(onset, 0.0);
-  EXPECT_LT(onset, config.duration_seconds);
-  EXPECT_TRUE(fleet.condition_at(onset * 0.5).neutral());
-  const SystemCondition after = fleet.condition_at(onset + 1.0);
-  EXPECT_DOUBLE_EQ(after.jitter_scale, config.severity);
-  EXPECT_GT(after.interference, 0.0);
-  // Still in force at the end of the trace (the neighbor stays).
-  EXPECT_FALSE(fleet.condition_at(config.duration_seconds - 1.0).neutral());
+using rngdist::Component;
 
-  // Same (system, config) => same geometry and same simulated runs.
-  const FleetSystem again(SystemModel::cloud(), config);
-  EXPECT_EQ(fleet.regime_changes()[0], again.regime_changes()[0]);
-  Rng r1(3);
-  Rng r2(3);
-  const auto& bench = benchmark_table()[7];
-  const RunRecord a = simulate_run_at(bench, fleet, onset + 100.0, r1);
-  const RunRecord b = simulate_run_at(bench, again, onset + 100.0, r2);
-  EXPECT_EQ(a.runtime_seconds, b.runtime_seconds);
-  EXPECT_EQ(a.counters, b.counters);
+bool bit_equal(const Component& a, const Component& b) {
+  return a.family == b.family && a.weight == b.weight && a.p1 == b.p1 &&
+         a.p2 == b.p2 && a.shift == b.shift && a.scale == b.scale;
 }
 
-TEST(FleetSystem, StationaryTraceStaysNeutral) {
-  FleetTraceConfig config;
-  config.kind = DriftKind::kStationary;
-  const FleetSystem fleet(SystemModel::intel(), config);
-  EXPECT_TRUE(fleet.regime_changes().empty());
-  for (double t = 0.0; t < config.duration_seconds; t += 9000.0) {
-    EXPECT_TRUE(fleet.condition_at(t).neutral()) << "t=" << t;
-  }
-}
-
-TEST(FleetSystem, ThermalRampIsSmoothAndMonotone) {
-  FleetTraceConfig config;
-  config.kind = DriftKind::kThermalRamp;
-  config.seed = 11;
-  const FleetSystem fleet(SystemModel::amd(), config);
-  ASSERT_EQ(fleet.regime_changes().size(), 1u);
-  double last = 1.0;
-  for (double t = 0.0; t <= config.duration_seconds; t += 1800.0) {
-    const double jitter = fleet.condition_at(t).jitter_scale;
-    EXPECT_GE(jitter, last - 1e-12) << "ramp must not retreat, t=" << t;
-    last = jitter;
-  }
-  EXPECT_NEAR(last, config.severity, 1e-9)
-      << "ramp must reach full severity by trace end";
-}
-
-TEST(FleetSystem, BurstableTraceCyclesAfterExhaustion) {
-  FleetTraceConfig config;
-  config.kind = DriftKind::kBurstable;
-  config.seed = 19;
-  const FleetSystem fleet(SystemModel::cloud(), config);
-  ASSERT_EQ(fleet.regime_changes().size(), 1u);
-  const double onset = fleet.regime_changes()[0];
-  EXPECT_TRUE(fleet.condition_at(onset * 0.5).neutral());
-  // After exhaustion the trace alternates: both throttled and recovery
-  // conditions must occur.
-  bool throttled = false;
-  bool recovering = false;
-  for (double t = onset; t < config.duration_seconds; t += 600.0) {
-    const SystemCondition c = fleet.condition_at(t);
-    if (c.speed_scale < 1.0) {
-      throttled = true;
-    } else {
-      recovering = true;
+// Calls check(system, bench, neutral, conditioned) with the component lists
+// of the neutral and the `cond` mixture, for every paper system and
+// benchmark.
+template <class Check>
+void for_each_conditioned(const SystemCondition& cond, Check check) {
+  for (const SystemModel* system : SystemModel::all_systems()) {
+    for (const auto& bench : benchmark_table()) {
+      SCOPED_TRACE(system->name() + " " + bench.full_name());
+      check(*system, bench, system->runtime_distribution(bench).components(),
+            system->runtime_distribution(bench, cond).components());
     }
   }
-  EXPECT_TRUE(throttled);
-  EXPECT_TRUE(recovering);
 }
 
-TEST(DriftKindNames, RoundTripAndRejectUnknown) {
-  DriftKind kind;
-  ASSERT_TRUE(parse_drift_kind("neighbor", &kind));
-  EXPECT_EQ(kind, DriftKind::kNoisyNeighbor);
-  ASSERT_TRUE(parse_drift_kind("stationary", &kind));
-  EXPECT_EQ(kind, DriftKind::kStationary);
-  ASSERT_TRUE(parse_drift_kind("burstable", &kind));
-  EXPECT_EQ(std::string(to_string(kind)), "burstable");
-  ASSERT_TRUE(parse_drift_kind("thermal", &kind));
-  EXPECT_EQ(kind, DriftKind::kThermalRamp);
-  EXPECT_FALSE(parse_drift_kind("volcano", &kind));
+using Components = std::vector<Component>;
+
+TEST(SystemCondition, HalfSpeedDoublesEveryTimeScaleExactly) {
+  // Halving the machine speed doubles the base runtime; every location and
+  // spread parameter is a product with it, so each doubles bit for bit
+  // (scaling by a power of two is exact) while weights and shapes stay.
+  SystemCondition throttled;
+  throttled.speed_scale = 0.5;
+  for_each_conditioned(throttled, [](const SystemModel&, const BenchmarkInfo&,
+                                     const Components& n,
+                                     const Components& c) {
+    ASSERT_EQ(c.size(), n.size());
+    for (std::size_t i = 0; i < n.size(); ++i) {
+      Component expected = n[i];
+      if (expected.family != rngdist::Family::kGamma) expected.p1 *= 2.0;
+      expected.p2 *= 2.0;
+      expected.shift *= 2.0;
+      EXPECT_TRUE(bit_equal(c[i], expected)) << "component " << i;
+    }
+  });
 }
 
-TEST(EnumNames, OutOfRangeDriftKindThrows) {
-  EXPECT_THROW(to_string(static_cast<DriftKind>(99)), std::invalid_argument);
+TEST(SystemCondition, TailScaleMovesOnlyTheHeavyTail) {
+  SystemCondition heavy;
+  heavy.tail_scale = 2.0;
+  int tails_seen = 0;
+  for_each_conditioned(heavy, [&](const SystemModel&, const BenchmarkInfo&,
+                                  const Components& n, const Components& c) {
+    ASSERT_EQ(c.size(), n.size());
+    const bool has_tail = n.back().family == rngdist::Family::kGamma;
+    for (std::size_t i = 0; i + has_tail < n.size(); ++i) {
+      EXPECT_TRUE(bit_equal(c[i], n[i])) << "component " << i;
+    }
+    if (!has_tail) return;
+    ++tails_seen;
+    EXPECT_GE(c.back().weight, n.back().weight);
+    EXPECT_EQ(c.back().p2, 2.0 * n.back().p2);
+    EXPECT_EQ(c.back().shift, n.back().shift);
+  });
+  EXPECT_GT(tails_seen, 0);
+}
+
+TEST(SystemCondition, ZeroNumaScaleRemovesThePlacementModes) {
+  // With no NUMA sensitivity no benchmark crosses the bimodal threshold.
+  // Benchmarks below it on the neutral machine are untouched; those with
+  // the two-mode NUMA split lose it.
+  SystemCondition interleaved;
+  interleaved.numa_scale = 0.0;
+  int strongly_split = 0;
+  for_each_conditioned(interleaved, [&](const SystemModel& system,
+                                        const BenchmarkInfo& bench,
+                                        const Components& n,
+                                        const Components& c) {
+    EXPECT_EQ(c[0].p1, n[0].p1);
+    EXPECT_EQ(c[0].p2, n[0].p2);
+    const double sensitivity = bench.traits.numa * system.numa_factor();
+    if (sensitivity <= 0.45) {
+      ASSERT_EQ(c.size(), n.size());
+      for (std::size_t i = 0; i < n.size(); ++i) {
+        EXPECT_TRUE(bit_equal(c[i], n[i])) << "component " << i;
+      }
+    } else if (sensitivity > 0.70) {
+      ++strongly_split;
+      EXPECT_LT(c.size(), n.size());
+    }
+  });
+  EXPECT_GT(strongly_split, 0);
+}
+
+TEST(SystemCondition, JitterScaleWidensTheMainModeAroundTheSameMean) {
+  // The main mode's spread only stays put for the quietest codes, whose
+  // coefficient of variation sits on the lower clamp.
+  SystemCondition jittery;
+  jittery.jitter_scale = 3.0;
+  int widened = 0;
+  for_each_conditioned(jittery, [&](const SystemModel&, const BenchmarkInfo&,
+                                    const Components& n,
+                                    const Components& c) {
+    EXPECT_EQ(c[0].p1, n[0].p1);
+    EXPECT_GE(c[0].p2, n[0].p2);
+    widened += c[0].p2 > n[0].p2;
+  });
+  EXPECT_GT(widened, static_cast<int>(benchmark_table().size()));
+}
+
+// FNV-1a over the little-endian bytes of 64-bit words.
+class Fnv1a {
+ public:
+  void add(std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h_ ^= (word >> (8 * byte)) & 0xFFU;
+      h_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+TEST(SystemCondition, GridConditionedMixtureDigests) {
+  // Pins, bit for bit and per paper system, every conditioned ground-truth
+  // mixture the tuner's config corpus can draw from (all 60 benchmarks x
+  // all 72 stock configs), plus a seeded run stream under one non-neutral
+  // config (every condition factor scaled).
+  struct Expected {
+    const char* system;
+    std::uint64_t mixtures;
+    std::uint64_t runs;
+  };
+  constexpr Expected kExpected[] = {
+      {"intel", 0x01a7648a34387368ULL, 0x40d33b7e2313866fULL},
+      {"amd", 0x3e987a31350f0212ULL, 0x7141793c6e4d16fcULL},
+      {"arm", 0x0a194c8fac70cbf0ULL, 0xe9f9a3e6e8b266e8ULL},
+  };
+  const auto configs = SystemConfig::grid();
+  ASSERT_EQ(configs.size(), 72u);
+  ASSERT_EQ(benchmark_table().size(), 60u);
+  const SystemConfig stressed{Governor::kPowersave, /*smt=*/false,
+                              NumaPolicy::kBalancing, /*threads=*/32};
+  const auto systems = SystemModel::all_systems();
+  ASSERT_EQ(systems.size(), std::size(kExpected));
+  for (std::size_t s = 0; s < systems.size(); ++s) {
+    const SystemModel& system = *systems[s];
+    EXPECT_EQ(system.name(), kExpected[s].system);
+    Fnv1a mixtures;
+    for (const auto& bench : benchmark_table()) {
+      for (const auto& config : configs) {
+        const auto mixture =
+            system.runtime_distribution(bench, config.condition());
+        for (const auto& c : mixture.components()) {
+          mixtures.add(static_cast<std::uint64_t>(c.family));
+          mixtures.add(c.weight);
+          mixtures.add(c.p1);
+          mixtures.add(c.p2);
+          mixtures.add(c.shift);
+          mixtures.add(c.scale);
+        }
+      }
+    }
+    Fnv1a runs;
+    Rng rng(2024);
+    for (std::size_t i = 0; i < 20; ++i) {
+      const RunRecord run = simulate_run(benchmark_table()[3 * i], system,
+                                         stressed.condition(), rng);
+      runs.add(run.runtime_seconds);
+      runs.add(static_cast<std::uint64_t>(run.mode));
+      for (const double v : run.counters) runs.add(v);
+    }
+    EXPECT_EQ(mixtures.value(), kExpected[s].mixtures)
+        << system.name() << " mixtures 0x" << std::hex << mixtures.value();
+    EXPECT_EQ(runs.value(), kExpected[s].runs)
+        << system.name() << " runs 0x" << std::hex << runs.value();
+  }
 }
 
 TEST(EnumNames, OutOfRangeMetricCategoryThrows) {

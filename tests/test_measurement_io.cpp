@@ -2,7 +2,11 @@
 // independence, and schema validation.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
+#include <string>
+
+#include <unistd.h>
 
 #include "core/profile.hpp"
 #include "measure/measurement_io.hpp"
@@ -75,6 +79,28 @@ TEST(MeasurementIo, ImportedRunsDriveThePredictor) {
   const auto a = core::build_profile(system, runs, idx);
   const auto b = core::build_profile(system, imported, idx);
   EXPECT_EQ(a, b);
+}
+
+TEST(MeasurementIo, SaveLoadMatchesTheInMemoryRoundTrip) {
+  const auto& system = SystemModel::amd();
+  const auto runs = measure_benchmark(11, system, 8, 3);
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("varpred_runs_" + std::to_string(::getpid()) + ".csv"))
+          .string();
+  save_runs(system, runs, path);
+  const auto loaded = load_runs(system, path);
+  std::filesystem::remove(path);
+  const auto in_memory = runs_from_csv(system, runs_to_csv(system, runs));
+  EXPECT_EQ(loaded.benchmark, in_memory.benchmark);
+  EXPECT_EQ(loaded.runtimes, in_memory.runtimes);
+  ASSERT_EQ(loaded.counters.rows(), in_memory.counters.rows());
+  for (std::size_t r = 0; r < loaded.run_count(); ++r) {
+    for (std::size_t m = 0; m < system.metric_count(); ++m) {
+      EXPECT_EQ(loaded.counters(r, m), in_memory.counters(r, m));
+    }
+  }
+  EXPECT_THROW(load_runs(system, path), std::invalid_argument);
 }
 
 }  // namespace

@@ -94,6 +94,26 @@ TEST(Scaler, TransformRowMatchesTransform) {
                std::invalid_argument);
 }
 
+TEST(Scaler, FromParamsRestoresAFittedScaler) {
+  const auto m = Matrix::from_rows({{1, 10, 4}, {3, 30, 4}, {8, 20, 4}});
+  StandardScaler fitted;
+  fitted.fit(m);
+  const auto restored =
+      StandardScaler::from_params(fitted.means(), fitted.scales());
+  EXPECT_TRUE(restored.fitted());
+  EXPECT_EQ(restored.means(), fitted.means());
+  EXPECT_EQ(restored.scales(), fitted.scales());
+  const auto a = fitted.transform(m);
+  const auto b = restored.transform(m);
+  for (std::size_t r = 0; r < m.rows(); ++r) {
+    for (std::size_t c = 0; c < m.cols(); ++c) EXPECT_EQ(a(r, c), b(r, c));
+  }
+  EXPECT_THROW(StandardScaler::from_params({0.0, 1.0}, {1.0}),
+               std::invalid_argument);
+  EXPECT_THROW(StandardScaler::from_params({0.0}, {0.0}),
+               std::invalid_argument);
+}
+
 TEST(Distance, CosineProperties) {
   const std::vector<double> a = {1, 0};
   const std::vector<double> b = {0, 1};
@@ -482,6 +502,11 @@ TEST(Metrics, R2DegenerateTruth) {
   const std::vector<double> t = {2, 2};
   EXPECT_DOUBLE_EQ(r2(t, std::vector<double>{2, 2}), 1.0);
   EXPECT_DOUBLE_EQ(r2(t, std::vector<double>{1, 3}), 0.0);
+}
+
+TEST(EnumNames, OutOfRangeDistanceMetricThrows) {
+  EXPECT_EQ(to_string(Metric::kManhattan), "manhattan");
+  EXPECT_THROW(to_string(static_cast<Metric>(99)), std::invalid_argument);
 }
 
 }  // namespace

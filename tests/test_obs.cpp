@@ -17,6 +17,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -311,6 +312,26 @@ TEST(ObsJson, ParserHandlesEscapesAndRejectsGarbage) {
   EXPECT_THROW(obs::json::parse("[1,]"), std::invalid_argument);
 }
 
+TEST(ObsJson, FactoryHelpersSetExactlyOneType) {
+  const auto s = obs::json::make_string("steal \"clock\"");
+  const auto t = obs::json::make_bool(true);
+  const auto f = obs::json::make_bool(false);
+  EXPECT_TRUE(s.is_string());
+  EXPECT_EQ(s.str, "steal \"clock\"");
+  EXPECT_TRUE(t.is_bool());
+  EXPECT_TRUE(t.boolean);
+  EXPECT_TRUE(f.is_bool());
+  EXPECT_FALSE(f.boolean);
+  for (const auto* v : {&s, &t}) {
+    const int kinds = v->is_null() + v->is_bool() + v->is_number() +
+                      v->is_string() + v->is_array() + v->is_object();
+    EXPECT_EQ(kinds, 1);
+  }
+  EXPECT_EQ(obs::json::dump(t), "true");
+  EXPECT_EQ(obs::json::dump(f), "false");
+  EXPECT_EQ(obs::json::parse(obs::json::dump(s)).str, s.str);
+}
+
 TEST(ObsJson, NumberFormattingRoundTrips) {
   EXPECT_EQ(obs::json::number(0.0), "0");
   EXPECT_EQ(obs::json::number(42.0), "42");
@@ -585,6 +606,27 @@ void check_hdr_against_exact(std::vector<std::uint64_t> values,
   }
 }
 
+TEST(ObsHdr, RecordNEqualsRepeatedRecord) {
+  obs::HdrHistogram bulk(2);
+  obs::HdrHistogram single(2);
+  const std::pair<std::uint64_t, std::uint64_t> batches[] = {
+      {7, 3}, {1000, 5}, {123456, 2}, {3, 1}};
+  for (const auto& [value, n] : batches) {
+    bulk.record_n(value, n);
+    for (std::uint64_t i = 0; i < n; ++i) single.record(value);
+  }
+  bulk.record_n(1, 0);  // an empty batch records nothing, not even a min
+  const obs::HdrSnapshot a = bulk.snapshot();
+  const obs::HdrSnapshot b = single.snapshot();
+  EXPECT_EQ(a.count, 11u);
+  EXPECT_EQ(a.count, b.count);
+  EXPECT_EQ(a.sum, b.sum);
+  EXPECT_EQ(a.min, 3u);
+  EXPECT_EQ(a.min, b.min);
+  EXPECT_EQ(a.max, b.max);
+  EXPECT_EQ(a.slots, b.slots);
+}
+
 TEST(ObsHdr, QuantilesMatchExactOnUniformMillionSamples) {
   Rng rng(0xD15Cu);
   std::vector<std::uint64_t> values(1'000'000);
@@ -719,6 +761,22 @@ TEST(ObsProfiler, CollapsedTextFormat) {
   EXPECT_EQ(report.collapsed_text(), "outer 2\nouter;inner 3\n");
   EXPECT_EQ(report.collapsed_text(true),
             "outer 2\nouter;inner 3\n(idle) 2\n");
+}
+
+TEST(ObsProfiler, ProfilingBitIsIndependentOfTheMetricsMode) {
+  // The profiling bit shares a state cell with the mode bits; flipping one
+  // must never change the other.
+  for (const obs::Mode mode : {obs::Mode::kOff, obs::Mode::kSummary}) {
+    obs::set_mode(mode);
+    EXPECT_FALSE(obs::profiling_active());
+    ASSERT_TRUE(obs::profiler_start(50.0));
+    EXPECT_TRUE(obs::profiling_active());
+    EXPECT_EQ(obs::mode(), mode);
+    obs::profiler_stop();
+    EXPECT_FALSE(obs::profiling_active());
+    EXPECT_EQ(obs::mode(), mode);
+  }
+  obs::set_mode(obs::Mode::kOff);
 }
 
 TEST(ObsProfiler, AttributesSamplesToLiveSpanStacks) {

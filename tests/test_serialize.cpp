@@ -3,9 +3,11 @@
 // failure behaviour on malformed input.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/crosssystem.hpp"
@@ -62,6 +64,36 @@ TEST(SerializePrimitives, LabelMismatchThrows) {
   w.u64("alpha", 1);
   io::Reader r(ss);
   EXPECT_THROW(r.u64("beta"), std::invalid_argument);
+}
+
+TEST(SerializePrimitives, VecU64RoundTripsFullRange) {
+  std::stringstream ss;
+  io::Writer w(ss);
+  const std::vector<std::uint64_t> ids = {0, 1, 4294967296ULL,
+                                          18446744073709551615ULL};
+  w.vec_u64("ids", ids);
+  w.vec_u64("none", std::vector<std::uint64_t>{});
+  io::Reader r(ss);
+  EXPECT_EQ(r.vec_u64("ids"), ids);
+  EXPECT_TRUE(r.vec_u64("none").empty());
+  // A negative element is not a u64.
+  std::stringstream bad("ids 2 5 -1");
+  io::Reader rb(bad);
+  EXPECT_THROW(rb.vec_u64("ids"), std::invalid_argument);
+}
+
+TEST(SerializePrimitives, PeekDoesNotConsume) {
+  std::stringstream ss;
+  io::Writer w(ss);
+  w.tag("forest");
+  w.u64("trees", 3);
+  io::Reader r(ss);
+  EXPECT_EQ(r.peek(), "forest");
+  EXPECT_EQ(r.peek(), "forest");
+  r.tag("forest");
+  EXPECT_EQ(r.peek(), "trees");
+  EXPECT_EQ(r.u64("trees"), 3u);
+  EXPECT_EQ(r.peek(), "");  // end of stream
 }
 
 TEST(SerializePrimitives, TruncatedStreamThrows) {

@@ -474,6 +474,36 @@ TEST(ServeBatcher, ComputeExceptionsMapToTypedErrors) {
 // ---------------------------------------------------------------------------
 // Server + client end to end over loopback TCP.
 
+TEST(ServeBatcher, ValidateRejectsEachShapeViolation) {
+  serve::PredictRequest ok;
+  ok.n_samples = 16;
+  ok.n_metrics = 2;
+  ok.runtimes = {1.0, 1.1, 0.9};
+  ok.counters = {1, 2, 3, 4, 5, 6};
+  EXPECT_NO_THROW(serve::validate_predict_request(ok));
+
+  auto no_runs = ok;
+  no_runs.runtimes.clear();
+  no_runs.counters.clear();
+  auto no_samples = ok;
+  no_samples.n_samples = 0;
+  auto too_many_samples = ok;
+  too_many_samples.n_samples = (1u << 20) + 1;
+  auto ragged = ok;
+  ragged.counters.pop_back();
+  auto zero_runtime = ok;
+  zero_runtime.runtimes[1] = 0.0;
+  auto negative_runtime = ok;
+  negative_runtime.runtimes[2] = -1.0;
+  for (const auto* bad : {&no_runs, &no_samples, &too_many_samples, &ragged,
+                          &zero_runtime, &negative_runtime}) {
+    EXPECT_THROW(serve::validate_predict_request(*bad), std::invalid_argument);
+  }
+  auto at_cap = ok;
+  at_cap.n_samples = 1u << 20;
+  EXPECT_NO_THROW(serve::validate_predict_request(at_cap));
+}
+
 TEST(ServeEndToEnd, PredictMatchesDirectComputation) {
   serve::ModelRegistry registry;
   registry.publish("demo", fresh_predictor());

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <stdexcept>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -127,6 +128,39 @@ TEST(Moments, AccumulatorMergeIsAssociative) {
   EXPECT_NEAR(lm.stddev, rm.stddev, 1e-10);
   EXPECT_NEAR(lm.skewness, rm.skewness, 1e-8);
   EXPECT_NEAR(lm.kurtosis, rm.kurtosis, 1e-8);
+}
+
+TEST(Moments, SampleAndPopulationVarianceConventions) {
+  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
+  // Squared deviations from the mean 5 sum to 32.
+  EXPECT_DOUBLE_EQ(population_variance(xs), 4.0);
+  EXPECT_DOUBLE_EQ(sample_variance(xs), 32.0 / 7.0);
+  // Moments::stddev reports the population convention.
+  EXPECT_NEAR(compute_moments(xs).stddev, 2.0, 1e-12);
+  const std::vector<double> one = {3.0};
+  EXPECT_EQ(population_variance(one), 0.0);
+  EXPECT_EQ(sample_variance(one), 0.0);
+  EXPECT_EQ(sample_variance(std::vector<double>{}), 0.0);
+}
+
+TEST(Moments, FromRawRebuildsAccumulatorState) {
+  // {1, 2, 3, 4}: mean 2.5, central sums m2 = 5, m3 = 0, m4 = 10.25.
+  const auto whole = MomentAccumulator::from_raw(4, 2.5, 5.0, 0.0, 10.25);
+  EXPECT_EQ(whole.count(), 4u);
+  const Moments m = whole.moments();
+  const Moments batch = compute_moments(std::vector<double>{1, 2, 3, 4});
+  EXPECT_DOUBLE_EQ(m.mean, batch.mean);
+  EXPECT_NEAR(m.stddev, batch.stddev, 1e-15);
+  EXPECT_NEAR(m.skewness, 0.0, 1e-15);
+  EXPECT_NEAR(m.kurtosis, 1.64, 1e-12);
+  EXPECT_NEAR(m.kurtosis, batch.kurtosis, 1e-12);
+  // Raw states of the halves {1, 2} and {3, 4} merge to the whole.
+  auto merged = MomentAccumulator::from_raw(2, 1.5, 0.5, 0.0, 0.125);
+  merged.merge(MomentAccumulator::from_raw(2, 3.5, 0.5, 0.0, 0.125));
+  EXPECT_EQ(merged.count(), 4u);
+  EXPECT_DOUBLE_EQ(merged.moments().mean, m.mean);
+  EXPECT_NEAR(merged.moments().stddev, m.stddev, 1e-15);
+  EXPECT_NEAR(merged.moments().kurtosis, m.kurtosis, 1e-12);
 }
 
 TEST(Moments, MatchesNormalTheory) {
@@ -310,6 +344,45 @@ TEST(Histogram, BinCentersAndWidth) {
   EXPECT_DOUBLE_EQ(h.bin_center(3), 1.875);
 }
 
+TEST(Histogram, BinOfClampsAndAddAllMatchesRepeatedAdd) {
+  Histogram h(0.0, 1.0, 10);
+  EXPECT_EQ(h.bin_count(), 10u);
+  EXPECT_EQ(h.bin_of(-3.0), 0u);
+  EXPECT_EQ(h.bin_of(0.0), 0u);
+  EXPECT_EQ(h.bin_of(0.15), 1u);
+  EXPECT_EQ(h.bin_of(0.999), 9u);
+  EXPECT_EQ(h.bin_of(1.0), 9u);
+  EXPECT_EQ(h.bin_of(7.0), 9u);
+
+  Rng rng(21);
+  std::vector<double> xs(500);
+  for (auto& x : xs) x = rngdist::normal(rng, 0.5, 0.3);
+  Histogram bulk(0.0, 1.0, 10);
+  bulk.add_all(xs);
+  Histogram one_by_one(0.0, 1.0, 10);
+  for (const double x : xs) one_by_one.add(x);
+  EXPECT_EQ(bulk.total(), xs.size());
+  EXPECT_EQ(bulk.counts(), one_by_one.counts());
+}
+
+TEST(Histogram, DensitiesAreMassOverWidth) {
+  EXPECT_EQ(Histogram(1.0, 3.0, 4).densities(),
+            std::vector<double>(4, 0.0));
+  Rng rng(22);
+  std::vector<double> xs(2000);
+  for (auto& x : xs) x = rngdist::normal(rng, 2.0, 0.4);
+  const auto h = Histogram::fit(xs, 1.0, 3.0, 16);
+  const auto probs = h.probabilities();
+  const auto dens = h.densities();
+  ASSERT_EQ(dens.size(), 16u);
+  double integral = 0.0;
+  for (std::size_t i = 0; i < dens.size(); ++i) {
+    EXPECT_NEAR(dens[i], probs[i] / h.bin_width(), 1e-12);
+    integral += dens[i] * h.bin_width();
+  }
+  EXPECT_NEAR(integral, 1.0, 1e-12);
+}
+
 TEST(Histogram, SampleFromProbsReproducesShape) {
   // Two-bin histogram with 80/20 mass.
   const std::vector<double> probs = {0.8, 0.2};
@@ -377,6 +450,62 @@ TEST(Kde, DegenerateSampleStaysFinite) {
   const Kde kde(xs);
   EXPECT_TRUE(std::isfinite(kde(1.0)));
   EXPECT_GT(kde(1.0), 0.0);
+}
+
+TEST(Kde, SilvermanBandwidthAndExplicitOverride) {
+  // {1..5}: IQR/1.34 (2/1.34) is below the sd (sqrt(2.5)), so it sets the
+  // spread.
+  const std::vector<double> spread_by_iqr = {1.0, 2.0, 3.0, 4.0, 5.0};
+  EXPECT_NEAR(Kde(spread_by_iqr).bandwidth(),
+              0.9 * (2.0 / 1.34) * std::pow(5.0, -0.2), 1e-12);
+  // {0, 0, 1, 1}: the sd (sqrt(1/3)) is below IQR/1.34 (1/1.34).
+  const std::vector<double> spread_by_sd = {0.0, 0.0, 1.0, 1.0};
+  EXPECT_NEAR(Kde(spread_by_sd).bandwidth(),
+              0.9 * std::sqrt(1.0 / 3.0) * std::pow(4.0, -0.2), 1e-12);
+  // A positive bandwidth is used as given; a non-positive one selects the
+  // rule of thumb.
+  EXPECT_EQ(Kde(spread_by_iqr, 0.3).bandwidth(), 0.3);
+  EXPECT_EQ(Kde(spread_by_iqr, -1.0).bandwidth(),
+            Kde(spread_by_iqr).bandwidth());
+  EXPECT_THROW(Kde(std::vector<double>{}), std::invalid_argument);
+}
+
+TEST(Kde, EvaluateGridMatchesPointwiseDensity) {
+  Rng rng(23);
+  std::vector<double> xs(300);
+  for (auto& x : xs) x = rngdist::normal(rng, 1.0, 0.2);
+  const Kde kde(xs);
+  const auto grid = Kde::make_grid(0.0, 2.0, 41);
+  const auto dens = kde.evaluate_grid(0.0, 2.0, 41);
+  ASSERT_EQ(dens.size(), grid.size());
+  EXPECT_EQ(grid.front(), 0.0);
+  EXPECT_NEAR(grid.back(), 2.0, 1e-15);
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    EXPECT_EQ(dens[i], kde(grid[i])) << "grid point " << i;
+  }
+  EXPECT_THROW(kde.evaluate_grid(0.0, 2.0, 1), std::invalid_argument);
+  EXPECT_THROW(kde.evaluate_grid(2.0, 2.0, 5), std::invalid_argument);
+}
+
+TEST(Bootstrap, ResampleDrawsWithReplacementFromTheSample) {
+  std::vector<double> xs(100);
+  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
+  Rng r1(31);
+  Rng r2(31);
+  const auto a = resample(xs, r1);
+  EXPECT_EQ(a, resample(xs, r2));
+  ASSERT_EQ(a.size(), xs.size());
+  std::vector<int> seen(xs.size(), 0);
+  for (const double x : a) {
+    ASSERT_GE(x, 0.0);
+    ASSERT_LT(x, 100.0);
+    ASSERT_EQ(x, std::floor(x));
+    ++seen[static_cast<std::size_t>(x)];
+  }
+  // With replacement: some element repeats (without replacement the
+  // resample would be a permutation).
+  EXPECT_GT(*std::max_element(seen.begin(), seen.end()), 1);
+  EXPECT_THROW(resample(std::vector<double>{}, r1), std::invalid_argument);
 }
 
 TEST(Bootstrap, CiCoversTrueMean) {

@@ -11,6 +11,7 @@
 #include <set>
 #include <vector>
 
+#include "common/check.hpp"
 #include "core/configpred.hpp"
 #include "measure/benchmarks.hpp"
 #include "measure/corpus.hpp"
@@ -334,6 +335,14 @@ TEST(ConfigAware, HeldOutEvaluationIsDeterministic) {
   }
   const auto again = core::evaluate_config_aware(corpus, pconfig, options);
   EXPECT_EQ(eval.ks, again.ks);
+}
+
+TEST(EnumNames, OutOfRangeGovernorThrows) {
+  EXPECT_THROW(measure::to_string(static_cast<Governor>(99)), CheckError);
+}
+
+TEST(EnumNames, OutOfRangeNumaPolicyThrows) {
+  EXPECT_THROW(measure::to_string(static_cast<NumaPolicy>(99)), CheckError);
 }
 
 }  // namespace

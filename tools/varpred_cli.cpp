@@ -130,23 +130,13 @@ core::ModelKind parse_model_kind(const std::string& name) {
 }
 
 int cmd_systems() {
-  io::TextTable table({"system", "kind", "metrics", "numa_factor",
-                       "jitter_base", "tail_factor"});
-  const auto add = [&table](const measure::SystemModel* system,
-                            const char* kind) {
-    table.add_row({system->name(), kind,
-                   std::to_string(system->metric_count()),
+  io::TextTable table({"system", "metrics", "numa_factor", "jitter_base",
+                       "tail_factor"});
+  for (const auto* system : measure::SystemModel::all_systems()) {
+    table.add_row({system->name(), std::to_string(system->metric_count()),
                    format_fixed(system->numa_factor(), 2),
                    format_fixed(system->jitter_base(), 4),
                    format_fixed(system->tail_factor(), 2)});
-  };
-  for (const auto* system : measure::SystemModel::all_systems()) {
-    add(system, "paper");
-  }
-  // Virtual guests (drift-observatory extension) sit outside all_systems()
-  // so every paper table stays exactly {intel, amd, arm}.
-  for (const auto* system : measure::SystemModel::virtual_systems()) {
-    add(system, "virtual");
   }
   std::printf("%s", table.render().c_str());
   return 0;

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -187,9 +188,10 @@ inline void print_pool_stats(const char* tag) {
 /// applies the --obs override, prints a reproducibility header (name, seed,
 /// corpus size, worker count, obs mode, git describe, hostname, wall-clock
 /// timestamp — enough to rerun the binary from a log alone), and starts a
-/// fresh pool-stats epoch. Mark stage boundaries with stage("name"); under
+/// fresh pool-stats epoch. Mark stage boundaries with stage("name"), or
+/// add a self-measured value with record("name", seconds); under
 /// --repeat=N the harness body runs N times (see run_repeated) and each
-/// stage accumulates one wall-time sample per repetition. The destructor
+/// stage accumulates one sample per repetition. The destructor
 /// closes the last stage and writes BENCH_<name>.json — telemetry schema
 /// v3: per-stage sample vectors, streaming moments, and HDR tail quantiles
 /// (p50/p90/p99/p999) — (and BENCH_<name>.trace.json in trace mode). With
@@ -262,6 +264,14 @@ class Run {
     close_stage();
     current_stage_ = name;
     stage_start_ = clock::now();
+  }
+
+  /// Appends one sample (seconds, lower is better) to the series `name`
+  /// without timing anything, for quantities the harness measures itself
+  /// (bench_serve's latency quantiles). Recorded once per repetition, a
+  /// series reads exactly like a stage in the document and in bench_diff.
+  void record(std::string_view name, double seconds) {
+    series(name).samples.push_back(seconds);
   }
 
   /// Repetition boundary (run_repeated calls this before every pass):
@@ -403,21 +413,17 @@ class Run {
     return path + ".trace.json";
   }
 
+  StageAgg& series(std::string_view name) {
+    for (StageAgg& s : stages_) {
+      if (s.name == name) return s;
+    }
+    stages_.push_back(StageAgg{std::string(name), {}});
+    return stages_.back();
+  }
+
   void close_stage() {
     if (current_stage_ == nullptr) return;
-    const double secs = seconds_since(stage_start_);
-    StageAgg* agg = nullptr;
-    for (StageAgg& s : stages_) {
-      if (s.name == current_stage_) {
-        agg = &s;
-        break;
-      }
-    }
-    if (agg == nullptr) {
-      stages_.push_back(StageAgg{current_stage_, {}});
-      agg = &stages_.back();
-    }
-    agg->samples.push_back(secs);
+    record(current_stage_, seconds_since(stage_start_));
     current_stage_ = nullptr;
   }
 

@@ -1,7 +1,7 @@
 // Saturation load harness for the varpredd serving path.
 //
 //   bench_serve [--port=N] [--conns=N] [--qps=F] [--duration-s=F]
-//               [--probes=N] [--samples=N] [--queue-max=N] [--serve-out=PATH]
+//               [--probes=N] [--samples=N] [--queue-max=N]
 //               [--fast] [--runs=N] [--repeat=N] [--obs=...] [--obs-out=...]
 //
 // Drives the daemon through three load points and reports tail latency,
@@ -24,11 +24,16 @@
 // with no process orchestration. With --port it drives an already-running
 // varpredd instead.
 //
-// Emits two documents: BENCH_serve.json (one stage per load point, so
-// bench_diff gates wall-time regressions against bench/baselines/) and
-// SERVE_serve.json (schema tools/serve_schema.json; rendered by
-// tools/serve_report). Every numeric flag goes through the strict parse
-// helpers — malformed values abort instead of parsing as zero.
+// Emits BENCH_serve.json with seven series, one sample per repetition, all
+// in seconds and lower-is-better, so bench_diff gates them against
+// bench/baselines/serve.jsonl like any timed stage:
+//   closed_c1.p50_s, closed_c1.p99_s, closed_cN.p50_s, closed_cN.p99_s,
+//   open_sat.p50_s, open_sat.p99_s   request latency quantiles
+//   closed_cN.s_per_request          1 / achieved QPS
+// Latency counts answered requests only: successes and admission
+// rejections. Any other failed predict makes the run exit 1. Every numeric
+// flag goes through the strict parse helpers — malformed values abort
+// instead of parsing as zero.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -44,7 +49,6 @@
 #include "bench_common.hpp"
 #include "common/parse.hpp"
 #include "obs/hdr.hpp"
-#include "obs/json.hpp"
 #include "serve/client.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
@@ -66,7 +70,6 @@ struct ServeArgs {
   std::size_t probes = 10;
   std::uint32_t n_samples = 100;
   std::size_t queue_max = 64;
-  std::string serve_out;
 };
 
 ServeArgs parse_args(int argc, char** argv) {
@@ -116,8 +119,6 @@ ServeArgs parse_args(int argc, char** argv) {
         if (args.queue_max == 0) {
           throw std::invalid_argument("--queue-max must be positive");
         }
-      } else if (std::strncmp(arg, "--serve-out=", 12) == 0) {
-        args.serve_out = arg + 12;
       } else {
         throw std::invalid_argument(std::string("unknown flag: ") + arg);
       }
@@ -129,27 +130,6 @@ ServeArgs parse_args(int argc, char** argv) {
   return args;
 }
 
-/// Tail summary of one HDR sketch, for the JSON document.
-struct Tails {
-  std::uint64_t count = 0;
-  double min = 0.0, max = 0.0, mean = 0.0;
-  double p50 = 0.0, p90 = 0.0, p99 = 0.0, p999 = 0.0;
-};
-
-Tails tails_of(const HdrSnapshot& snap) {
-  Tails t;
-  t.count = snap.count;
-  if (snap.count == 0) return t;
-  t.min = static_cast<double>(snap.min);
-  t.max = static_cast<double>(snap.max);
-  t.mean = static_cast<double>(snap.sum) / static_cast<double>(snap.count);
-  t.p50 = static_cast<double>(snap.quantile(0.50));
-  t.p90 = static_cast<double>(snap.quantile(0.90));
-  t.p99 = static_cast<double>(snap.quantile(0.99));
-  t.p999 = static_cast<double>(snap.quantile(0.999));
-  return t;
-}
-
 struct LoadPoint {
   std::string label;
   std::string mode;  // "closed" | "open"
@@ -157,12 +137,11 @@ struct LoadPoint {
   double target_qps = 0.0;
   double duration_s = 0.0;
   std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
   std::uint64_t overloaded = 0;
   std::uint64_t errors = 0;  ///< non-overload failures
   double achieved_qps = 0.0;
   double error_rate = 0.0;
-  Tails latency_ns, queue_ns, compute_ns;
+  HdrSnapshot latency_ns, queue_ns, compute_ns;
 };
 
 /// Per-sender tallies, merged after the threads join.
@@ -171,7 +150,6 @@ struct SenderStats {
   HdrHistogram queue{3};
   HdrHistogram compute{3};
   std::uint64_t requests = 0;
-  std::uint64_t ok = 0;
   std::uint64_t overloaded = 0;
   std::uint64_t errors = 0;
 };
@@ -187,13 +165,13 @@ void record_outcome(SenderStats& stats, const varpred::serve::PredictOutcome&
                                             outcome,
                     std::uint64_t latency) {
   ++stats.requests;
-  stats.latency.record(latency);
   if (outcome.ok) {
-    ++stats.ok;
+    stats.latency.record(latency);
     stats.queue.record(outcome.response.queue_ns);
     stats.compute.record(outcome.response.compute_ns);
   } else if (outcome.code == ErrorCode::kOverloaded) {
     ++stats.overloaded;
+    stats.latency.record(latency);
   } else {
     ++stats.errors;
   }
@@ -266,7 +244,6 @@ LoadPoint drive(std::uint16_t port, const PredictRequest& request,
   HdrSnapshot compute = stats[0].compute.snapshot();
   for (std::size_t j = 0; j < conns; ++j) {
     point.requests += stats[j].requests;
-    point.ok += stats[j].ok;
     point.overloaded += stats[j].overloaded;
     point.errors += stats[j].errors;
     if (j > 0) {
@@ -282,10 +259,18 @@ LoadPoint drive(std::uint16_t port, const PredictRequest& request,
           ? 0.0
           : static_cast<double>(point.overloaded + point.errors) /
                 static_cast<double>(point.requests);
-  point.latency_ns = tails_of(latency);
-  point.queue_ns = tails_of(queue);
-  point.compute_ns = tails_of(compute);
+  point.latency_ns = std::move(latency);
+  point.queue_ns = std::move(queue);
+  point.compute_ns = std::move(compute);
   return point;
+}
+
+/// Quantile of an ns sketch in milliseconds / seconds.
+double ms(const HdrSnapshot& snap, double q) {
+  return static_cast<double>(snap.quantile(q)) * 1e-6;
+}
+double seconds(const HdrSnapshot& snap, double q) {
+  return static_cast<double>(snap.quantile(q)) * 1e-9;
 }
 
 void print_point(const LoadPoint& p) {
@@ -294,79 +279,23 @@ void print_point(const LoadPoint& p) {
       "p50=%7.2fms p99=%7.2fms p999=%7.2fms queue.p99=%7.2fms "
       "compute.p99=%7.2fms\n",
       p.label.c_str(), p.mode.c_str(), p.connections, p.achieved_qps,
-      p.target_qps, p.error_rate * 100.0, p.latency_ns.p50 * 1e-6,
-      p.latency_ns.p99 * 1e-6, p.latency_ns.p999 * 1e-6,
-      p.queue_ns.p99 * 1e-6, p.compute_ns.p99 * 1e-6);
+      p.target_qps, p.error_rate * 100.0, ms(p.latency_ns, 0.50),
+      ms(p.latency_ns, 0.99), ms(p.latency_ns, 0.999), ms(p.queue_ns, 0.99),
+      ms(p.compute_ns, 0.99));
 }
 
-void write_tails(std::FILE* f, const char* key, const Tails& t) {
-  namespace json = varpred::obs::json;
-  std::fprintf(f,
-               "\"%s\":{\"count\":%llu,\"min\":%s,\"max\":%s,\"mean\":%s,"
-               "\"p50\":%s,\"p90\":%s,\"p99\":%s,\"p999\":%s}",
-               key, static_cast<unsigned long long>(t.count),
-               json::number(t.min).c_str(), json::number(t.max).c_str(),
-               json::number(t.mean).c_str(), json::number(t.p50).c_str(),
-               json::number(t.p90).c_str(), json::number(t.p99).c_str(),
-               json::number(t.p999).c_str());
-}
-
-void write_serve_json(const std::string& path, const ServeArgs& args,
-                      std::uint16_t port, const std::string& model_name,
-                      std::uint64_t model_version,
-                      const std::string& source_system,
-                      const std::vector<LoadPoint>& points,
-                      double saturation_qps) {
-  namespace json = varpred::obs::json;
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_serve: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\"schema_version\":1,\"name\":\"serve\",\"git\":\"%s\","
-               "\"hostname\":\"%s\",\"timestamp\":\"%s\",",
-               json::escape(VARPRED_GIT_DESCRIBE).c_str(),
-               json::escape(varpred::obs::hostname()).c_str(),
-               json::escape(varpred::obs::iso8601_utc_now()).c_str());
-  std::fprintf(f,
-               "\"model\":{\"name\":\"%s\",\"version\":%llu,"
-               "\"source_system\":\"%s\"},",
-               json::escape(model_name).c_str(),
-               static_cast<unsigned long long>(model_version),
-               json::escape(source_system).c_str());
-  std::fprintf(f,
-               "\"daemon\":{\"port\":%u,\"queue_max\":%zu},"
-               "\"load_points\":[",
-               static_cast<unsigned>(port), args.queue_max);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const LoadPoint& p = points[i];
-    if (i > 0) std::fputc(',', f);
-    std::fprintf(f,
-                 "{\"label\":\"%s\",\"mode\":\"%s\",\"connections\":%zu,"
-                 "\"target_qps\":%s,\"duration_s\":%s,\"requests\":%llu,"
-                 "\"ok\":%llu,\"overloaded\":%llu,\"errors\":%llu,"
-                 "\"achieved_qps\":%s,\"error_rate\":%s,",
-                 json::escape(p.label).c_str(), p.mode.c_str(),
-                 p.connections, json::number(p.target_qps).c_str(),
-                 json::number(p.duration_s).c_str(),
-                 static_cast<unsigned long long>(p.requests),
-                 static_cast<unsigned long long>(p.ok),
-                 static_cast<unsigned long long>(p.overloaded),
-                 static_cast<unsigned long long>(p.errors),
-                 json::number(p.achieved_qps).c_str(),
-                 json::number(p.error_rate).c_str());
-    write_tails(f, "latency_ns", p.latency_ns);
-    std::fputc(',', f);
-    write_tails(f, "queue_ns", p.queue_ns);
-    std::fputc(',', f);
-    write_tails(f, "compute_ns", p.compute_ns);
-    std::fputc('}', f);
-  }
-  std::fprintf(f, "],\"saturation_qps\":%s}\n",
-               json::number(saturation_qps).c_str());
-  std::fclose(f);
-  std::printf("[bench] serve report -> %s\n", path.c_str());
+/// Drives one load point, prints it, records its latency series, and adds
+/// its non-overload failures to `errors`.
+LoadPoint run_point(varpred::bench::Run& run, std::uint64_t& errors,
+                    std::uint16_t port, const PredictRequest& request,
+                    const std::string& label, std::size_t conns,
+                    double target_qps, double duration_s) {
+  LoadPoint p = drive(port, request, label, conns, target_qps, duration_s);
+  print_point(p);
+  errors += p.errors;
+  run.record(label + ".p50_s", seconds(p.latency_ns, 0.50));
+  run.record(label + ".p99_s", seconds(p.latency_ns, 0.99));
+  return p;
 }
 
 }  // namespace
@@ -381,7 +310,6 @@ int main(int argc, char** argv) {
   serve::ModelRegistry registry;
   std::unique_ptr<serve::Server> own_server;
   std::string model_name;
-  std::uint64_t model_version = 0;
   std::string source_system;
   std::uint16_t port = 0;
 
@@ -395,7 +323,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     model_name = listing.entries.front().model;
-    model_version = listing.entries.front().version;
     source_system = listing.entries.front().source_system;
   } else {
     const std::size_t corpus_runs = std::min<std::size_t>(
@@ -407,7 +334,7 @@ int main(int argc, char** argv) {
     core::CrossSystemPredictor predictor;
     predictor.train_all(source, target);
     model_name = "amd_intel";
-    model_version = registry.publish(model_name, std::move(predictor));
+    registry.publish(model_name, std::move(predictor));
     source_system = "amd";
 
     serve::ServerConfig config;
@@ -440,21 +367,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<LoadPoint> points;
-  double saturation_qps = 0.0;
+  std::uint64_t errors = 0;
   const int rc = bench::run_repeated(
       "serve", args.harness, [&](bench::Run& run) {
-        points.clear();
-        run.stage("closed_c1");
-        points.push_back(
-            drive(port, request, "closed_c1", 1, 0.0, args.duration_s));
-        print_point(points.back());
-
-        run.stage("closed_cN");
-        points.push_back(drive(port, request, "closed_cN", args.conns, 0.0,
-                               args.duration_s));
-        print_point(points.back());
-        saturation_qps = points.back().achieved_qps;
+        run_point(run, errors, port, request, "closed_c1", 1, 0.0,
+                  args.duration_s);
+        const LoadPoint closed = run_point(run, errors, port, request,
+                                           "closed_cN", args.conns, 0.0,
+                                           args.duration_s);
+        run.record("closed_cN.s_per_request",
+                   closed.duration_s /
+                       static_cast<double>(std::max<std::uint64_t>(
+                           closed.requests, 1)));
 
         // Past saturation: schedule arrivals 25% faster than the closed
         // loop could complete them (or at the explicit --qps), so the
@@ -462,18 +386,18 @@ int main(int argc, char** argv) {
         // in flight, so the admission cap rejects only when --conns
         // exceeds --queue-max.
         const double target =
-            args.qps > 0.0 ? args.qps : saturation_qps * 1.25;
-        run.stage("open_sat");
-        points.push_back(drive(port, request, "open_sat", args.conns, target,
-                               args.duration_s));
-        print_point(points.back());
+            args.qps > 0.0 ? args.qps : closed.achieved_qps * 1.25;
+        run_point(run, errors, port, request, "open_sat", args.conns, target,
+                  args.duration_s);
       });
 
   if (own_server != nullptr) own_server->stop();
-
-  const std::string serve_path =
-      args.serve_out.empty() ? "SERVE_serve.json" : args.serve_out;
-  write_serve_json(serve_path, args, port, model_name, model_version,
-                   source_system, points, saturation_qps);
+  if (errors > 0) {
+    std::fprintf(stderr,
+                 "bench_serve: %llu predicts failed with a non-overload "
+                 "error\n",
+                 static_cast<unsigned long long>(errors));
+    return 1;
+  }
   return rc;
 }

@@ -110,23 +110,8 @@ std::string prometheus_text(const MetricsSnapshot& snap) {
     out << "# TYPE " << p << " gauge\n"
         << p << " " << json::number(value) << "\n";
   }
-  for (const auto& h : snap.histograms) {
-    const std::string p = prom_name(h.name);
-    out << "# TYPE " << p << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (const auto& [bucket, n] : h.buckets) {
-      cumulative += n;
-      out << p << "_bucket{le=\"" << Histogram::bucket_hi(bucket) << "\"} "
-          << cumulative << "\n";
-    }
-    out << p << "_bucket{le=\"+Inf\"} " << h.count << "\n"
-        << p << "_sum " << h.sum << "\n"
-        << p << "_count " << h.count << "\n";
-  }
-  // HDR histograms render as summaries under a `_tail` suffix so they
-  // never collide with the log2 histogram family of the same span name.
   for (const auto& [name, h] : snap.hdr) {
-    const std::string p = prom_name(name) + "_tail";
+    const std::string p = prom_name(name);
     out << "# TYPE " << p << " summary\n";
     static constexpr double kQuantiles[] = {0.5, 0.9, 0.99, 0.999};
     static constexpr const char* kLabels[] = {"0.5", "0.9", "0.99", "0.999"};

@@ -7,11 +7,12 @@
 // re-renders on a fixed period:
 //
 //   * Prometheus text exposition (version 0.0.4): counters and gauges map
-//     directly; log2 histograms become cumulative `_bucket{le="..."}`
-//     series; HDR histograms become summaries with
-//     `{quantile="0.5|0.9|0.99|0.999"}` series. The file is replaced
-//     atomically (write to <path>.tmp, then rename), so a scraper reading
-//     via node_exporter's textfile collector never sees a torn document.
+//     directly; HDR histograms become summaries with
+//     `{quantile="0.5|0.9|0.99|0.999"}`, `_sum` and `_count` series (the
+//     quantiles carry the histogram's relative-error bound). The file is
+//     replaced atomically (write to <path>.tmp, then rename), so a scraper
+//     reading via node_exporter's textfile collector never sees a torn
+//     document.
 //   * JSONL time series: one `{"time": <iso8601>, "metrics": {...}}` line
 //     appended per period — the longitudinal monitoring stream the paper's
 //     related work (Costello & Bhatele) predicts from.

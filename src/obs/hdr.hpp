@@ -1,15 +1,15 @@
 // HDR-style log-linear histogram for tail-accurate latency telemetry.
 //
-// The log2 obs::Histogram trades accuracy for 64 buckets: a reported p99
-// can be off by up to 2x, which is useless for the p50/p99/p999 telemetry
-// the serving path needs. HdrHistogram keeps the O(1) lock-free record but
-// bounds the relative error: values below 2^k are stored exactly (one slot
-// per value), and every doubling above that is split into 2^(k-1) linear
-// sub-slots, so a slot's width is at most lo * 2^-(k-1). k is derived from
-// the requested number of significant decimal digits sd via
-// k = ceil(log2(2 * 10^sd)) — the same guarantee hdrhistogram.org makes:
-// sd=2 (the default) gives k=8 and <=1/128 (~0.8%) relative error at
-// ~58 KB per histogram.
+// The one histogram of the metrics registry: spans, VARPRED_OBS_HIST and
+// the serving path's latency sketches all record here. A plain log2 bucket
+// scheme would put a reported p99 up to 2x off; HdrHistogram keeps the O(1)
+// lock-free record but bounds the relative error: values below 2^k are
+// stored exactly (one slot per value), and every doubling above that is
+// split into 2^(k-1) linear sub-slots, so a slot's width is at most
+// lo * 2^-(k-1). k is derived from the requested number of significant
+// decimal digits sd via k = ceil(log2(2 * 10^sd)) — the same guarantee
+// hdrhistogram.org makes: sd=2 (the default) gives k=8 and <=1/128 (~0.8%)
+// relative error at ~58 KB per histogram.
 //
 // Concurrency model: record() is wait-free (relaxed fetch_add on the slot,
 // count, and sum; relaxed CAS loops on min/max). snapshot() is a relaxed

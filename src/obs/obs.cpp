@@ -185,12 +185,6 @@ std::string iso8601_utc_now() {
   return std::string(buf, len);
 }
 
-void Histogram::reset() noexcept {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 
@@ -200,7 +194,6 @@ struct Registry::Stripe {
   // objects a stable address across rehashing-free inserts.
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges;
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms;
   std::map<std::string, std::unique_ptr<HdrHistogram>, std::less<>> hdrs;
 };
 
@@ -243,18 +236,6 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-Histogram& Registry::histogram(std::string_view name) {
-  Stripe& s = stripe_for(name);
-  std::lock_guard lock(s.mutex);
-  auto it = s.histograms.find(name);
-  if (it == s.histograms.end()) {
-    it = s.histograms
-             .emplace(std::string(name), std::make_unique<Histogram>())
-             .first;
-  }
-  return *it->second;
-}
-
 HdrHistogram& Registry::hdr(std::string_view name, int significant_digits) {
   Stripe& s = stripe_for(name);
   std::lock_guard lock(s.mutex);
@@ -279,17 +260,6 @@ MetricsSnapshot Registry::snapshot() const {
     for (const auto& [name, g] : s.gauges) {
       out.gauges.emplace_back(name, g->value());
     }
-    for (const auto& [name, h] : s.histograms) {
-      HistogramSnapshot snap;
-      snap.name = name;
-      snap.count = h->count();
-      snap.sum = h->sum();
-      for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-        const std::uint64_t n = h->bucket_count(b);
-        if (n != 0) snap.buckets.emplace_back(b, n);
-      }
-      out.histograms.push_back(std::move(snap));
-    }
     for (const auto& [name, h] : s.hdrs) {
       out.hdr.emplace_back(name, h->snapshot());
     }
@@ -299,8 +269,6 @@ MetricsSnapshot Registry::snapshot() const {
   };
   std::sort(out.counters.begin(), out.counters.end(), by_name);
   std::sort(out.gauges.begin(), out.gauges.end(), by_name);
-  std::sort(out.histograms.begin(), out.histograms.end(),
-            [](const auto& a, const auto& b) { return a.name < b.name; });
   std::sort(out.hdr.begin(), out.hdr.end(), by_name);
   return out;
 }
@@ -311,7 +279,6 @@ void Registry::reset_values() {
     std::lock_guard lock(s.mutex);
     for (auto& [name, c] : s.counters) c->reset();
     for (auto& [name, g] : s.gauges) g->reset();
-    for (auto& [name, h] : s.histograms) h->reset();
     for (auto& [name, h] : s.hdrs) h->reset();
   }
 }
@@ -345,9 +312,7 @@ Span::~Span() {
   if (m == Mode::kOff) return;  // switched off mid-span: just unwind depth
 
   const std::uint64_t dur = end_ns - start_ns_;
-  const std::string hist_name = std::string("span.") + name_;
-  Registry::global().histogram(hist_name).record(dur);
-  Registry::global().hdr(hist_name).record(dur);
+  Registry::global().hdr(std::string("span.") + name_).record(dur);
 
   if (m != Mode::kTrace) return;
   TraceEvent event;
@@ -455,23 +420,6 @@ void write_metrics_json(std::ostream& out, const MetricsSnapshot& snap) {
     first = false;
     out << "\"" << json::escape(name) << "\":" << json::number(value);
   }
-  out << "},\"histograms\":{";
-  first = true;
-  for (const auto& h : snap.histograms) {
-    if (!first) out << ",";
-    first = false;
-    out << "\"" << json::escape(h.name) << "\":{\"count\":" << h.count
-        << ",\"sum\":" << h.sum << ",\"buckets\":[";
-    bool bfirst = true;
-    for (const auto& [bucket, n] : h.buckets) {
-      if (!bfirst) out << ",";
-      bfirst = false;
-      out << "{\"lo\":" << Histogram::bucket_lo(bucket)
-          << ",\"hi\":" << Histogram::bucket_hi(bucket) << ",\"count\":" << n
-          << "}";
-    }
-    out << "]}";
-  }
   out << "},\"hdr\":{";
   first = true;
   for (const auto& [name, h] : snap.hdr) {
@@ -505,16 +453,12 @@ std::string summary_text() {
     if (value == 0.0) continue;
     out << "[obs] " << name << " = " << json::number(value) << "\n";
   }
-  for (const auto& h : snap.histograms) {
+  for (const auto& [name, h] : snap.hdr) {
     if (h.count == 0) continue;
     const double mean =
         static_cast<double>(h.sum) / static_cast<double>(h.count);
-    out << "[obs] " << h.name << ": count=" << h.count << " sum=" << h.sum
-        << " mean=" << json::number(mean) << "\n";
-  }
-  for (const auto& [name, h] : snap.hdr) {
-    if (h.count == 0) continue;
-    out << "[obs] " << name << " tails: p50=" << h.quantile(0.50)
+    out << "[obs] " << name << ": count=" << h.count << " sum=" << h.sum
+        << " mean=" << json::number(mean) << " p50=" << h.quantile(0.50)
         << " p90=" << h.quantile(0.90) << " p99=" << h.quantile(0.99)
         << " p999=" << h.quantile(0.999) << "\n";
   }

@@ -7,7 +7,7 @@
 //     observability off, constructing a span costs one relaxed atomic load
 //     and a branch; nothing is allocated or recorded.
 //   * Registry: a lock-striped global table of named counters, gauges,
-//     log2-bucketed histograms, and HDR tail histograms (obs/hdr.hpp).
+//     and HDR histograms (obs/hdr.hpp, bounded relative error).
 //     Metric objects are never deleted, so hot paths cache a reference once
 //     (see VARPRED_OBS_COUNT) and afterwards pay one relaxed fetch_add per
 //     event.
@@ -22,7 +22,6 @@
 #pragma once
 
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -110,71 +109,14 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Log-scaled histogram over non-negative integer values (latencies in ns,
-/// iteration counts, ...). Bucket b holds values whose bit width is b:
-/// bucket 0 = {0}, bucket 1 = {1}, bucket 2 = [2, 3], bucket 3 = [4, 7],
-/// ..., bucket 63 = [2^62, 2^63 - 1]; larger values clamp into the last
-/// bucket. Doubling bucket widths mirror the fixed-ratio bin convention of
-/// stats::Histogram while staying O(1) and lock-free to record.
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 64;
-
-  static std::size_t bucket_index(std::uint64_t value) noexcept {
-    const std::size_t bits = static_cast<std::size_t>(std::bit_width(value));
-    return bits < kBuckets ? bits : kBuckets - 1;
-  }
-  /// Smallest value landing in bucket `b`.
-  static std::uint64_t bucket_lo(std::size_t b) noexcept {
-    return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
-  }
-  /// Largest value landing in bucket `b` (inclusive).
-  static std::uint64_t bucket_hi(std::size_t b) noexcept {
-    if (b == 0) return 0;
-    if (b >= kBuckets - 1) return ~std::uint64_t{0};
-    return (std::uint64_t{1} << b) - 1;
-  }
-
-  void record(std::uint64_t value) noexcept {
-    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
-  }
-
-  std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t sum() const noexcept {
-    return sum_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t bucket_count(std::size_t b) const noexcept {
-    return buckets_[b].load(std::memory_order_relaxed);
-  }
-  void reset() noexcept;
-
- private:
-  std::atomic<std::uint64_t> buckets_[kBuckets]{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-};
-
 // ---------------------------------------------------------------------------
 // Registry: named metrics behind striped locks. Lookup is a per-stripe
 // mutex + map walk; the returned references stay valid for the process
 // lifetime (reset_values zeroes, never deletes), so call sites cache them.
 
-struct HistogramSnapshot {
-  std::string name;
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  /// (bucket index, count) for every non-empty bucket, ascending.
-  std::vector<std::pair<std::size_t, std::uint64_t>> buckets;
-};
-
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;  // name-sorted
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
   /// Tail-accurate histograms, name-sorted (obs/hdr.hpp).
   std::vector<std::pair<std::string, HdrSnapshot>> hdr;
 };
@@ -185,7 +127,6 @@ class Registry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  Histogram& histogram(std::string_view name);
   /// HDR-style log-linear histogram for tail quantiles. The significant
   /// digits apply on first creation; later lookups of the same name return
   /// the existing histogram unchanged.
@@ -242,13 +183,13 @@ class TraceIdScope {
 };
 
 /// RAII scoped timer. In summary/trace mode the destructor records the
-/// duration into log2 histogram "span.<name>" and HDR histogram
-/// "span.<name>" (ns); in trace mode it also appends a TraceEvent. Pass
-/// kPoolStats to attach the global ThreadPool's counter deltas over the
-/// span's lifetime to the trace event. While the sampling profiler runs,
-/// the span additionally pushes its name onto the calling thread's frame
-/// stack (obs/profiler.hpp) — `name` must be a string literal (or outlive
-/// the profiler run), which every call site already satisfies.
+/// duration into HDR histogram "span.<name>" (ns); in trace mode it also
+/// appends a TraceEvent. Pass kPoolStats to attach the global ThreadPool's
+/// counter deltas over the span's lifetime to the trace event. While the
+/// sampling profiler runs, the span additionally pushes its name onto the
+/// calling thread's frame stack (obs/profiler.hpp) — `name` must be a
+/// string literal (or outlive the profiler run), which every call site
+/// already satisfies.
 class Span {
  public:
   enum Flags : unsigned { kNone = 0, kPoolStats = 1u };
@@ -288,7 +229,6 @@ void write_trace_json(std::ostream& out);
 std::string trace_json();
 
 /// Flat metrics document: {"counters":{...},"gauges":{...},
-/// "histograms":{name:{count,sum,buckets:[{lo,hi,count}]}},
 /// "hdr":{name:{count,sum,min,max,p50,p90,p99,p999,max_relative_error}}}.
 void write_metrics_json(std::ostream& out);
 /// Same document from an already-taken snapshot (the exposition exporter
@@ -317,12 +257,12 @@ void reset();
     }                                                             \
   } while (0)
 
-/// Records a value into a named log2 histogram (same caching scheme).
+/// Records a value into a named HDR histogram (same caching scheme).
 #define VARPRED_OBS_HIST(name, value)                             \
   do {                                                            \
     if (::varpred::obs::enabled()) {                              \
-      static ::varpred::obs::Histogram& varpred_obs_hist_ =       \
-          ::varpred::obs::Registry::global().histogram(name);     \
+      static ::varpred::obs::HdrHistogram& varpred_obs_hist_ =    \
+          ::varpred::obs::Registry::global().hdr(name);           \
       varpred_obs_hist_.record(value);                            \
     }                                                             \
   } while (0)

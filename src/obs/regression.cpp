@@ -242,6 +242,14 @@ std::string percent(double value) {
   return buf;
 }
 
+/// Four significant digits: a 0.36 ms latency stage reads 0.0003612, not
+/// the 0.0004 a fixed four decimals would print.
+std::string significant(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.4g", value);
+  return buf;
+}
+
 }  // namespace
 
 std::string markdown_report(std::span<const RunDiff> runs,
@@ -264,8 +272,8 @@ std::string markdown_report(std::span<const RunDiff> runs,
     for (const StageDiff& d : run.stages) {
       out += "| " + d.stage + " | " + std::to_string(d.n_baseline) + " | " +
              std::to_string(d.n_candidate) + " | " +
-             fixed(d.baseline_median, 4) + " | " +
-             fixed(d.candidate_median, 4) + " | " + percent(d.shift) + " [" +
+             significant(d.baseline_median) + " | " +
+             significant(d.candidate_median) + " | " + percent(d.shift) + " [" +
              percent(d.shift_lo) + ", " + percent(d.shift_hi) + "] | " +
              (d.has_tails ? percent(d.p50_shift) : std::string("—")) + " | " +
              (d.has_tails ? percent(d.p99_shift) : std::string("—")) + " | " +

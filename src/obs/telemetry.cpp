@@ -38,40 +38,20 @@ BenchTelemetry parse_bench_telemetry(const json::Value& doc) {
     if (s.name.empty()) {
       throw std::invalid_argument("telemetry: stage without a \"name\"");
     }
-    if (const json::Value* samples = stage.find("samples");
-        samples != nullptr && samples->is_array()) {
-      s.samples.reserve(samples->array.size());
-      for (const json::Value& v : samples->array) {
-        if (!v.is_number()) {
-          throw std::invalid_argument(
-              "telemetry: non-numeric entry in stage \"" + s.name +
-              "\" samples");
-        }
-        s.samples.push_back(v.num);
-      }
-    } else {
-      // v1 document: the single timed pass is the whole sample.
-      s.samples.push_back(get_number(stage, "seconds", 0.0));
+    const json::Value* samples = stage.find("samples");
+    if (samples == nullptr || !samples->is_array() ||
+        samples->array.empty()) {
+      throw std::invalid_argument("telemetry: stage \"" + s.name +
+                                  "\" needs a non-empty \"samples\" array");
     }
-    // v3 tail quantiles; older documents simply don't carry them. Require
-    // the full set — a document with only some of the four is malformed.
-    const json::Value* p50 = stage.find("p50");
-    if (p50 != nullptr) {
-      const json::Value* p90 = stage.find("p90");
-      const json::Value* p99 = stage.find("p99");
-      const json::Value* p999 = stage.find("p999");
-      if (!p50->is_number() || p90 == nullptr || !p90->is_number() ||
-          p99 == nullptr || !p99->is_number() || p999 == nullptr ||
-          !p999->is_number()) {
+    s.samples.reserve(samples->array.size());
+    for (const json::Value& v : samples->array) {
+      if (!v.is_number()) {
         throw std::invalid_argument(
-            "telemetry: stage \"" + s.name +
-            "\" has a partial or non-numeric p50/p90/p99/p999 set");
+            "telemetry: non-numeric entry in stage \"" + s.name +
+            "\" samples");
       }
-      s.has_quantiles = true;
-      s.quantiles.p50 = p50->num;
-      s.quantiles.p90 = p90->num;
-      s.quantiles.p99 = p99->num;
-      s.quantiles.p999 = p999->num;
+      s.samples.push_back(v.num);
     }
     t.stages.push_back(std::move(s));
   }

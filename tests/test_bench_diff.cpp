@@ -1,5 +1,6 @@
-// Tests for the regression-detection stack: telemetry parsing (v1 compat
-// and v2), provenance validation, the JSONL ledger (round trip, errors,
+// Tests for the regression-detection stack: telemetry parsing (one stage
+// shape: a numeric sample vector), bench::Run's recorded series,
+// provenance validation, the JSONL ledger (round trip, errors,
 // and the checked-in ledgers under bench/baselines/), and — the acceptance
 // criteria of the detector itself — bench_diff verdicts on seeded
 // synthetic timing distributions: two independent draws from the same
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.hpp"
 #include "common/rng.hpp"
 #include "obs/ledger.hpp"
 #include "obs/quality.hpp"
@@ -173,7 +175,7 @@ TEST(BenchDiff, TailBlowupAloneNeverFlipsTheGateVerdict) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry parsing: v2 and the v1 compat path.
+// Telemetry parsing: every stage is a numeric sample vector.
 
 TEST(Telemetry, ParsesV2Document) {
   const char* doc = R"({
@@ -194,20 +196,29 @@ TEST(Telemetry, ParsesV2Document) {
   EXPECT_EQ(t.stages[0].samples, (std::vector<double>{0.4, 0.4, 0.4}));
 }
 
-TEST(Telemetry, V1DocumentMapsSecondsToSingleSample) {
+TEST(Telemetry, RejectsV1DocumentWithoutSamples) {
+  // v1 stages carried one "seconds" point; no ledger line or fixture is v1
+  // any more, and a point is not a distribution to compare.
   const char* doc = R"({
     "bench": "legacy", "git": "abc", "seed": 7, "runs": 1000,
     "fast": false, "workers": 2, "obs_mode": "off", "wall_seconds": 2.0,
     "stages": [{"name": "corpus", "seconds": 1.25},
                {"name": "predict", "seconds": 0.75}]
   })";
-  const auto t = obs::parse_bench_telemetry(obs::json::parse(doc));
-  EXPECT_EQ(t.schema_version, 1);
-  EXPECT_EQ(t.provenance.repeat, 1u);
-  EXPECT_TRUE(t.provenance.hostname.empty());
-  ASSERT_EQ(t.stages.size(), 2u);
-  EXPECT_EQ(t.stages[0].samples, (std::vector<double>{1.25}));
-  EXPECT_EQ(t.stages[1].samples, (std::vector<double>{0.75}));
+  EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse(doc)),
+               std::invalid_argument);
+}
+
+TEST(Telemetry, RejectsEmptyOrNonNumericSamples) {
+  for (const char* samples : {R"([])", R"("0.1")", R"([0.1, "x"])",
+                              R"([0.1, null])", R"({"a": 0.1})"}) {
+    const std::string doc =
+        std::string(R"({"bench":"b","stages":[{"name":"s","samples":)") +
+        samples + "}]}";
+    EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse(doc)),
+                 std::invalid_argument)
+        << doc;
+  }
 }
 
 TEST(Telemetry, RejectsDocumentsWithoutBenchOrStages) {
@@ -216,6 +227,41 @@ TEST(Telemetry, RejectsDocumentsWithoutBenchOrStages) {
   EXPECT_THROW(
       obs::parse_bench_telemetry(obs::json::parse(R"({"bench":"x"})")),
       std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// bench::Run: recorded series sit beside timed stages in the document.
+
+TEST(BenchRun, RecordAddsOneSamplePerRepetitionBesideTimedStages) {
+  bench::HarnessArgs args;
+  args.repeat = 3;
+  args.obs_out = ::testing::TempDir() + "BENCH_record_test.json";
+  args.quality_out = ::testing::TempDir() + "QUALITY_record_test.json";
+  double rep = 0.0;
+  bench::run_repeated("record_test", args, [&](bench::Run& run) {
+    run.stage("timed");
+    run.record("lat.p50_s", 0.0001 * (rep + 1.0));
+    run.record("lat.p99_s", 0.0003 * (rep + 1.0));
+    rep += 1.0;
+  });
+
+  const auto t =
+      obs::parse_bench_telemetry(obs::json::parse_file(args.obs_out));
+  EXPECT_EQ(t.provenance.bench, "record_test");
+  EXPECT_EQ(t.provenance.repeat, 3u);
+  ASSERT_EQ(t.stages.size(), 3u);
+  // Series appear in first-touch order; "timed" closes at the next
+  // repetition boundary, after both records of its repetition.
+  EXPECT_EQ(t.stages[0].name, "lat.p50_s");
+  EXPECT_EQ(t.stages[0].samples,
+            (std::vector<double>{0.0001 * 1.0, 0.0001 * 2.0, 0.0001 * 3.0}));
+  EXPECT_EQ(t.stages[1].name, "lat.p99_s");
+  EXPECT_EQ(t.stages[1].samples,
+            (std::vector<double>{0.0003 * 1.0, 0.0003 * 2.0, 0.0003 * 3.0}));
+  EXPECT_EQ(t.stages[2].name, "timed");
+  EXPECT_EQ(t.stages[2].samples.size(), 3u);
+  std::remove(args.obs_out.c_str());
+  std::remove(args.quality_out.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -388,18 +434,38 @@ TEST(Ledger, ErrorsNamePathAndLine) {
 TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
   const std::string root = std::string(VARPRED_SOURCE_DIR) + "/bench/baselines";
   const auto timing = load_ledger(root, obs::parse_bench_telemetry);
-  EXPECT_EQ(timing.size(), 8u);
-  EXPECT_EQ(obs::latest_per_bench(timing).size(), 6u);
+  EXPECT_EQ(timing.size(), 9u);
+  const auto latest = obs::latest_per_bench(timing);
+  EXPECT_EQ(latest.size(), 6u);
   for (const obs::BenchTelemetry& t : timing) {
-    EXPECT_EQ(t.schema_version, 2) << t.provenance.bench;
+    // The serving ledger's series-shaped line (schema 3) was taken on the
+    // same host with its pool at the machine's 4 cores; every older line
+    // is a schema-2 run at 1 worker.
+    const bool serve_series =
+        t.provenance.bench == "serve" && t.schema_version == 3;
+    EXPECT_EQ(t.schema_version, serve_series ? 3 : 2) << t.provenance.bench;
     EXPECT_EQ(t.provenance.hostname, "vm") << t.provenance.bench;
-    EXPECT_EQ(t.provenance.workers, 1u) << t.provenance.bench;
+    EXPECT_EQ(t.provenance.workers, serve_series ? 4u : 1u)
+        << t.provenance.bench;
     EXPECT_FALSE(t.stages.empty()) << t.provenance.bench;
     for (const obs::StageSamples& s : t.stages) {
       EXPECT_EQ(s.samples.size(), t.provenance.repeat)
           << t.provenance.bench << "/" << s.name;
     }
   }
+  // The serving baseline bench_diff reads is the latest line: the seven
+  // latency/throughput series, with no fixed-duration window stages.
+  const auto serve = std::find_if(
+      latest.begin(), latest.end(), [](const obs::BenchTelemetry* t) {
+        return t->provenance.bench == "serve";
+      });
+  ASSERT_NE(serve, latest.end());
+  std::vector<std::string> names;
+  for (const obs::StageSamples& s : (*serve)->stages) names.push_back(s.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "closed_c1.p50_s", "closed_c1.p99_s", "closed_cN.p50_s",
+                       "closed_cN.p99_s", "closed_cN.s_per_request",
+                       "open_sat.p50_s", "open_sat.p99_s"}));
   const auto quality =
       load_ledger(root + "/quality", obs::parse_quality_document);
   EXPECT_EQ(quality.size(), 6u);
@@ -488,13 +554,21 @@ TEST(BenchDiff, EnvMismatchIsNotedButNeverDemotes) {
 }
 
 TEST(BenchDiff, ReportsNameTheVerdicts) {
-  const obs::BenchTelemetry base = demo_telemetry(21);
+  obs::BenchTelemetry base = demo_telemetry(21);
+  obs::BenchTelemetry cand = demo_telemetry(11, 2.0);
+  // A sub-millisecond series (a serving latency quantile) keeps four
+  // significant digits in the median columns instead of rounding to 0.0004.
+  base.stages.push_back(stage("lat.p50_s", std::vector<double>(8, 0.0003614)));
+  cand.stages.push_back(stage("lat.p50_s", std::vector<double>(8, 0.0003614)));
   const std::vector<obs::RunDiff> runs = {
-      obs::diff_telemetry(base, demo_telemetry(11, 2.0), test_config())};
+      obs::diff_telemetry(base, cand, test_config())};
   const obs::DiffConfig config = test_config();
   const std::string md = obs::markdown_report(runs, config);
   EXPECT_NE(md.find("regressed"), std::string::npos);
   EXPECT_NE(md.find("| corpus |"), std::string::npos);
+  EXPECT_NE(md.find("| lat.p50_s | 8 | 8 | 0.0003614 | 0.0003614 |"),
+            std::string::npos)
+      << md;
 
   const obs::json::Value jruns = obs::json_report(runs);
   ASSERT_TRUE(jruns.is_array());

@@ -1,5 +1,5 @@
 // Tests for varpred::obs: span nesting (including across pool workers),
-// histogram bucket boundaries, counter wrap-around, the JSON sinks (parsed
+// HDR histogram slot boundaries, counter wrap-around, the JSON sinks (parsed
 // back with the in-repo parser), and the off-mode no-op guarantee.
 //
 // gtest_discover_tests runs every TEST in its own process, so set_mode()
@@ -49,42 +49,37 @@ TEST(ObsMode, ParsesKnownNamesAndRejectsOthers) {
 }
 
 TEST(ObsHistogram, BucketBoundaries) {
-  // Bucket b holds values of bit width b: 0 -> 0, 1 -> 1, [2,3] -> 2, ...
-  EXPECT_EQ(obs::Histogram::bucket_index(0), 0u);
-  EXPECT_EQ(obs::Histogram::bucket_index(1), 1u);
-  EXPECT_EQ(obs::Histogram::bucket_index(2), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_index(3), 2u);
-  EXPECT_EQ(obs::Histogram::bucket_index(4), 3u);
-  EXPECT_EQ(obs::Histogram::bucket_index(7), 3u);
-  EXPECT_EQ(obs::Histogram::bucket_index(8), 4u);
-  EXPECT_EQ(obs::Histogram::bucket_index((1ull << 62) - 1), 62u);
-  EXPECT_EQ(obs::Histogram::bucket_index(1ull << 62), 63u);
-  EXPECT_EQ(obs::Histogram::bucket_index((1ull << 63) - 1), 63u);
-  // Bit width 64 would index bucket 64; these clamp into the last bucket.
-  EXPECT_EQ(obs::Histogram::bucket_index(1ull << 63), 63u);
-  EXPECT_EQ(obs::Histogram::bucket_index(~std::uint64_t{0}), 63u);
-  EXPECT_EQ(obs::Histogram::bucket_lo(63), 1ull << 62);
-  EXPECT_EQ(obs::Histogram::bucket_hi(63), ~std::uint64_t{0});
+  // Registry histograms use the default 2 significant digits, k = 8: values
+  // 0..255 get one slot each, [256, 511] splits into 128 slots of width 2,
+  // [512, 1023] into 128 slots of width 4, and so on.
+  obs::HdrHistogram& h = obs::Registry::global().hdr("test.slot_bounds");
+  const obs::HdrLayout& layout = h.layout();
+  ASSERT_EQ(layout.sub_bits, 8);
+  EXPECT_EQ(layout.index(0), 0u);
+  EXPECT_EQ(layout.index(255), 255u);
+  EXPECT_EQ(layout.index(256), 256u);
+  EXPECT_EQ(layout.index(257), 256u);
+  EXPECT_EQ(layout.index(258), 257u);
+  EXPECT_EQ(layout.index(511), 383u);
+  EXPECT_EQ(layout.index(512), 384u);
+  EXPECT_EQ(layout.slot_lo(506), 1000u);
+  EXPECT_EQ(layout.slot_hi(506), 1003u);
 
-  // lo/hi invert bucket_index at the edges of every bucket.
-  for (std::size_t b = 0; b < obs::Histogram::kBuckets; ++b) {
-    EXPECT_EQ(obs::Histogram::bucket_index(obs::Histogram::bucket_lo(b)), b);
-    EXPECT_EQ(obs::Histogram::bucket_index(obs::Histogram::bucket_hi(b)), b);
-  }
-
-  obs::Histogram h;
   h.record(0);
   h.record(3);
   h.record(3);
-  h.record(1000);  // bit width 10
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.sum(), 1006u);
-  EXPECT_EQ(h.bucket_count(0), 1u);
-  EXPECT_EQ(h.bucket_count(2), 2u);
-  EXPECT_EQ(h.bucket_count(10), 1u);
+  h.record(1000);
+  const obs::HdrSnapshot snap = h.snapshot();
+  EXPECT_EQ(snap.count, 4u);
+  EXPECT_EQ(snap.sum, 1006u);
+  using Slot = std::pair<std::size_t, std::uint64_t>;
+  EXPECT_EQ(snap.slots,
+            (std::vector<Slot>{Slot{0, 1}, Slot{3, 2}, Slot{506, 1}}));
+  // The top quantile is the exact max, not the slot's upper bound.
+  EXPECT_EQ(snap.quantile(1.0), 1000u);
   h.reset();
   EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.bucket_count(2), 0u);
+  EXPECT_TRUE(h.snapshot().slots.empty());
 }
 
 TEST(ObsCounter, WrapsModulo64Bits) {
@@ -108,13 +103,29 @@ TEST(ObsRegistry, StableReferencesAndSortedSnapshot) {
   // Same name returns the same object (hot paths cache the reference).
   EXPECT_EQ(&reg.counter("test.alpha"), &a1);
   reg.gauge("test.gamma").set(1.5);
-  reg.histogram("test.delta").record(9);
+  obs::HdrHistogram& d1 = reg.hdr("test.delta");
+  d1.record(9);
+  EXPECT_EQ(&reg.hdr("test.delta"), &d1);
+  reg.hdr("test.char").record(4);
 
   const auto snap = reg.snapshot();
   ASSERT_GE(snap.counters.size(), 2u);
   for (std::size_t i = 1; i < snap.counters.size(); ++i) {
     EXPECT_LT(snap.counters[i - 1].first, snap.counters[i].first);
   }
+  ASSERT_GE(snap.hdr.size(), 2u);
+  for (std::size_t i = 1; i < snap.hdr.size(); ++i) {
+    EXPECT_LT(snap.hdr[i - 1].first, snap.hdr[i].first);
+  }
+  bool saw_delta = false;
+  for (const auto& [name, h] : snap.hdr) {
+    if (name == "test.delta") {
+      saw_delta = true;
+      EXPECT_EQ(h.count, 1u);
+      EXPECT_EQ(h.max, 9u);
+    }
+  }
+  EXPECT_TRUE(saw_delta);
   bool saw_alpha = false;
   for (const auto& [name, value] : snap.counters) {
     if (name == "test.alpha") {
@@ -124,11 +135,14 @@ TEST(ObsRegistry, StableReferencesAndSortedSnapshot) {
   }
   EXPECT_TRUE(saw_alpha);
 
-  // reset zeroes values but keeps the reference usable.
+  // reset zeroes values but keeps the references usable.
   obs::reset();
   EXPECT_EQ(a1.value(), 0u);
+  EXPECT_EQ(d1.count(), 0u);
   a1.add(7);
   EXPECT_EQ(reg.counter("test.alpha").value(), 7u);
+  d1.record(2);
+  EXPECT_EQ(reg.hdr("test.delta").count(), 1u);
 }
 
 TEST(ObsSpan, NestsWithinAThread) {
@@ -208,9 +222,8 @@ TEST(ObsSpan, NestsAcrossParallelForWorkers) {
     }
   }
   EXPECT_TRUE(saw_iters);
-  // The summary histogram recorded every span too.
-  const auto& hist = obs::Registry::global().histogram("span.test.body");
-  EXPECT_EQ(hist.count(), kIters);
+  // The span histogram recorded every span too.
+  EXPECT_EQ(obs::Registry::global().hdr("span.test.body").count(), kIters);
 }
 
 TEST(ObsSinks, TraceJsonRoundTrips) {
@@ -244,8 +257,16 @@ TEST(ObsSinks, MetricsJsonRoundTrips) {
   obs::reset();
   obs::Registry::global().counter("test.metric_count").add(42);
   obs::Registry::global().gauge("test.metric_gauge").set(2.25);
-  obs::Registry::global().histogram("test.metric_hist").record(5);
-  obs::Registry::global().histogram("test.metric_hist").record(6);
+  for (const std::uint64_t v : {5u, 6u}) {
+    VARPRED_OBS_HIST("test.metric_hist", v);
+  }
+
+  // VARPRED_OBS_HIST lands in the registry's HDR family.
+  bool in_snapshot = false;
+  for (const auto& [name, h] : obs::Registry::global().snapshot().hdr) {
+    if (name == "test.metric_hist") in_snapshot = h.count == 2;
+  }
+  EXPECT_TRUE(in_snapshot);
 
   const auto doc = obs::json::parse(obs::metrics_json());
   ASSERT_TRUE(doc.is_object());
@@ -257,16 +278,33 @@ TEST(ObsSinks, MetricsJsonRoundTrips) {
   const auto* gauge = doc.find("gauges")->find("test.metric_gauge");
   ASSERT_NE(gauge, nullptr);
   EXPECT_EQ(gauge->num, 2.25);
-  const auto* hist = doc.find("histograms")->find("test.metric_hist");
+  EXPECT_EQ(doc.find("histograms"), nullptr) << "one histogram family";
+  const auto* hist = doc.find("hdr")->find("test.metric_hist");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->find("count")->num, 2.0);
   EXPECT_EQ(hist->find("sum")->num, 11.0);
-  const auto* buckets = hist->find("buckets");
-  ASSERT_TRUE(buckets->is_array());
-  ASSERT_EQ(buckets->array.size(), 1u);  // 5 and 6 share bucket [4, 7]
-  EXPECT_EQ(buckets->array[0].find("lo")->num, 4.0);
-  EXPECT_EQ(buckets->array[0].find("hi")->num, 7.0);
-  EXPECT_EQ(buckets->array[0].find("count")->num, 2.0);
+  EXPECT_EQ(hist->find("min")->num, 5.0);
+  EXPECT_EQ(hist->find("max")->num, 6.0);
+  // Small values are stored exactly: the quantiles are the samples.
+  EXPECT_EQ(hist->find("p50")->num, 5.0);
+  EXPECT_EQ(hist->find("p99")->num, 6.0);
+}
+
+TEST(ObsSinks, SummaryTextPrintsOneLinePerHistogram) {
+  obs::set_mode(obs::Mode::kSummary);
+  obs::reset();
+  obs::Registry::global().counter("test.summary_count").add(3);
+  for (const std::uint64_t v : {10u, 20u, 30u}) {
+    VARPRED_OBS_HIST("test.summary_hist", v);
+  }
+  const std::string text = obs::summary_text();
+  EXPECT_NE(text.find("[obs] test.summary_count = 3\n"), std::string::npos)
+      << text;
+  // Count, sum and mean sit beside the tails on the histogram's one line.
+  EXPECT_NE(text.find("[obs] test.summary_hist: count=3 sum=60 mean=20 "
+                      "p50=20 p90=30 p99=30 p999=30\n"),
+            std::string::npos)
+      << text;
 }
 
 TEST(ObsOffMode, EmitsNothingAndCountsNothing) {
@@ -284,8 +322,8 @@ TEST(ObsOffMode, EmitsNothingAndCountsNothing) {
   for (const auto& [name, value] : snap.counters) {
     EXPECT_EQ(value, 0u) << name;
   }
-  for (const auto& h : snap.histograms) {
-    EXPECT_EQ(h.count, 0u) << h.name;
+  for (const auto& [name, h] : snap.hdr) {
+    EXPECT_EQ(h.count, 0u) << name;
   }
 }
 
@@ -731,7 +769,7 @@ TEST(ObsHdr, RegistryKeepsStableReferencesAndSnapshotsHdr) {
     }
   }
   EXPECT_TRUE(found);
-  // Spans feed both histogram families under summary mode.
+  // Spans record into the HDR family under summary mode.
   { obs::Span span("test.hdr.span"); }
   bool span_hdr = false;
   for (const auto& [name, hs] : reg.snapshot().hdr) {
@@ -816,9 +854,6 @@ TEST(ObsProfiler, AttributesSamplesToLiveSpanStacks) {
   }
   // Off-mode guarantee: the frames went to the profiler, not the registry.
   const auto snap = obs::Registry::global().snapshot();
-  for (const auto& h : snap.histograms) {
-    EXPECT_EQ(h.name.rfind("span.prof.", 0), std::string::npos) << h.name;
-  }
   for (const auto& [name, hs] : snap.hdr) {
     EXPECT_EQ(name.rfind("span.prof.", 0), std::string::npos) << name;
   }
@@ -870,9 +905,8 @@ TEST(ObsExpose, PrometheusTextCoversEveryMetricKind) {
   auto& reg = obs::Registry::global();
   reg.counter("exp.events").add(3);
   reg.gauge("exp.load").set(1.5);
-  reg.histogram("exp.lat").record(10);
-  reg.histogram("exp.lat").record(100);
   for (std::uint64_t v = 1; v <= 1000; ++v) reg.hdr("exp.hdr").record(v);
+  { obs::Span span("exp.span"); }
 
   const std::string text = obs::prometheus_text(reg.snapshot());
   EXPECT_NE(text.find("# TYPE varpred_exp_events counter\n"
@@ -880,19 +914,20 @@ TEST(ObsExpose, PrometheusTextCoversEveryMetricKind) {
             std::string::npos)
       << text;
   EXPECT_NE(text.find("# TYPE varpred_exp_load gauge\n"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE varpred_exp_lat histogram"),
-            std::string::npos);
-  EXPECT_NE(text.find("varpred_exp_lat_bucket{le=\"+Inf\"} 2"),
-            std::string::npos);
-  EXPECT_NE(text.find("varpred_exp_lat_count 2"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE varpred_exp_hdr_tail summary"),
-            std::string::npos);
+  EXPECT_NE(text.find("# TYPE varpred_exp_hdr summary"), std::string::npos);
   // p99 of 1..1000 under sd=2: the exact order stat is 990; the HDR answer
   // is its slot's inclusive upper bound 991 (within the 1/128 error bound).
-  EXPECT_NE(text.find("varpred_exp_hdr_tail{quantile=\"0.99\"} 991"),
+  EXPECT_NE(text.find("varpred_exp_hdr{quantile=\"0.99\"} 991"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("varpred_exp_hdr_tail_count 1000"), std::string::npos);
+  EXPECT_NE(text.find("varpred_exp_hdr_sum 500500"), std::string::npos);
+  EXPECT_NE(text.find("varpred_exp_hdr_count 1000"), std::string::npos);
+  // Spans export as summaries of their one histogram.
+  EXPECT_NE(text.find("# TYPE varpred_span_exp_span summary"),
+            std::string::npos);
+  EXPECT_NE(text.find("varpred_span_exp_span_count 1"), std::string::npos);
+  EXPECT_EQ(text.find(" histogram\n"), std::string::npos) << text;
+  EXPECT_EQ(text.find("_bucket{"), std::string::npos) << text;
 }
 
 TEST(ObsExpose, WritesAtomicPromAndAppendsJsonl) {
@@ -994,23 +1029,17 @@ TEST(ObsExpose, ExporterWritesPeriodicallyAndFlushesOnStop) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry compat readers (schema v1 / v2 / v3)
+// Telemetry reader: one stage shape, a numeric "samples" array
 
 #ifndef VARPRED_TEST_DATA_DIR
 #define VARPRED_TEST_DATA_DIR "tests/data"
 #endif
 
-TEST(ObsTelemetry, LoadsV1FixtureAsSingleSamples) {
-  const auto t = obs::parse_bench_telemetry(obs::json::parse_file(
-      std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v1.json"));
-  EXPECT_EQ(t.schema_version, 1);
-  EXPECT_EQ(t.provenance.bench, "fixture_v1");
-  EXPECT_EQ(t.provenance.repeat, 1u);
-  ASSERT_EQ(t.stages.size(), 2u);
-  EXPECT_EQ(t.stages[0].name, "corpus");
-  ASSERT_EQ(t.stages[0].samples.size(), 1u);
-  EXPECT_DOUBLE_EQ(t.stages[0].samples[0], 0.5);
-  EXPECT_FALSE(t.stages[0].has_quantiles);
+TEST(ObsTelemetry, RejectsV1FixtureWithoutSamples) {
+  // A v1 stage is {"name", "seconds"}: a point, not a sample vector.
+  EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse_file(
+                   std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v1.json")),
+               std::invalid_argument);
 }
 
 TEST(ObsTelemetry, LoadsV2FixtureWithoutQuantiles) {
@@ -1020,37 +1049,24 @@ TEST(ObsTelemetry, LoadsV2FixtureWithoutQuantiles) {
   EXPECT_EQ(t.provenance.bench, "fixture_v2");
   EXPECT_EQ(t.provenance.repeat, 4u);
   ASSERT_EQ(t.stages.size(), 2u);
-  ASSERT_EQ(t.stages[1].samples.size(), 4u);
-  EXPECT_FALSE(t.stages[0].has_quantiles);
-  EXPECT_FALSE(t.stages[1].has_quantiles);
+  EXPECT_EQ(t.stages[0].samples, (std::vector<double>{0.1, 0.11, 0.1, 0.1}));
+  EXPECT_EQ(t.stages[1].samples,
+            (std::vector<double>{0.2, 0.21, 0.2, 0.21}));
 }
 
 TEST(ObsTelemetry, LoadsV3FixtureWithQuantiles) {
+  // The per-stage p50..p999 the harness writes are not part of what the
+  // reader returns: the samples are the distribution.
   const auto t = obs::parse_bench_telemetry(obs::json::parse_file(
       std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v3.json"));
   EXPECT_EQ(t.schema_version, 3);
   EXPECT_EQ(t.provenance.bench, "fixture_v3");
   ASSERT_EQ(t.stages.size(), 2u);
-  ASSERT_TRUE(t.stages[0].has_quantiles);
-  EXPECT_DOUBLE_EQ(t.stages[0].quantiles.p50, 0.1);
-  EXPECT_DOUBLE_EQ(t.stages[0].quantiles.p90, 0.11);
-  ASSERT_TRUE(t.stages[1].has_quantiles);
-  EXPECT_DOUBLE_EQ(t.stages[1].quantiles.p50, 0.205);
-  EXPECT_DOUBLE_EQ(t.stages[1].quantiles.p999, 0.21);
-}
-
-TEST(ObsTelemetry, RejectsPartialQuantileSets) {
-  const std::string doc =
-      "{\"schema_version\":3,\"bench\":\"b\",\"stages\":"
-      "[{\"name\":\"s\",\"samples\":[0.1],\"p50\":0.1,\"p90\":0.1}]}";
-  EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse(doc)),
-               std::invalid_argument);
-  const std::string bad_type =
-      "{\"schema_version\":3,\"bench\":\"b\",\"stages\":"
-      "[{\"name\":\"s\",\"samples\":[0.1],\"p50\":0.1,\"p90\":0.1,"
-      "\"p99\":\"x\",\"p999\":0.1}]}";
-  EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse(bad_type)),
-               std::invalid_argument);
+  EXPECT_EQ(t.stages[0].name, "corpus");
+  EXPECT_EQ(t.stages[0].samples, (std::vector<double>{0.1, 0.11, 0.1, 0.1}));
+  EXPECT_EQ(t.stages[1].name, "predict");
+  EXPECT_EQ(t.stages[1].samples,
+            (std::vector<double>{0.2, 0.21, 0.2, 0.21}));
 }
 
 TEST(EnumNames, OutOfRangeModeThrows) {

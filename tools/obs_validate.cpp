@@ -6,17 +6,16 @@
 //   obs_validate [--prefix=NAME_] <schema.json> <document.json | dir> [...]
 //
 // A directory argument expands to every <prefix>*.json inside it — the
-// prefix defaults to "BENCH_"; pass --prefix=QUALITY_ or --prefix=SERVE_
-// to sweep quality or serving-load documents instead (Chrome *.trace.json
-// files are always skipped — they follow the trace_event format, not these
-// schemas). Directory sweeps also police coverage: a telemetry-shaped file
-// (UPPERCASE_ prefix + .json) whose prefix is not in the known-schema
-// registry (BENCH_ / QUALITY_ / SERVE_) is reported as a failure instead of
-// silently skipped, so a new document family cannot ship without
-// registering a schema for it. Every input is validated —
-// failures do not stop the run — and a pass/fail summary is printed at the
-// end. Exit code 0 when every document validates, 1 when any fails, 2 on
-// usage/schema errors or when no documents were found.
+// prefix defaults to "BENCH_"; pass --prefix=QUALITY_ to sweep quality
+// documents instead (Chrome *.trace.json files are always skipped — they
+// follow the trace_event format, not these schemas). Directory sweeps also
+// police coverage: a telemetry-shaped file (UPPERCASE_ prefix + .json)
+// whose prefix is not in the known-schema registry (BENCH_ / QUALITY_) is
+// reported as a failure instead of silently skipped, so a new (or retired)
+// document family cannot ship without a registered schema. Every input is
+// validated — failures do not stop the run — and a pass/fail summary is
+// printed at the end. Exit code 0 when every document validates, 1 when
+// any fails, 2 on usage/schema errors or when no documents were found.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -132,7 +131,7 @@ bool validate(const Value& doc, const Value& schema,
 
 /// Document families with a registered schema under tools/. A directory
 /// sweep treats telemetry-shaped files outside this registry as failures.
-constexpr const char* kKnownPrefixes[] = {"BENCH_", "QUALITY_", "SERVE_"};
+constexpr const char* kKnownPrefixes[] = {"BENCH_", "QUALITY_"};
 
 bool has_prefix(const std::string& name, const std::string& prefix) {
   return name.size() >= prefix.size() &&
@@ -251,7 +250,7 @@ int main(int argc, char** argv) {
   for (const std::string& path : unknown) {
     std::fprintf(stderr,
                  "%s: telemetry-shaped document matches no known schema "
-                 "prefix (known: BENCH_ QUALITY_ SERVE_)\n",
+                 "prefix (known: BENCH_ QUALITY_)\n",
                  path.c_str());
     std::printf("%s: FAIL\n", path.c_str());
   }

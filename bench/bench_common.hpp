@@ -19,15 +19,15 @@
 #include <utility>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/text.hpp"
 #include "common/thread_pool.hpp"
 #include "core/varpred.hpp"
-#include "obs/expose.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "obs/quality.hpp"
+#include "stats/ecdf.hpp"
 #include "stats/moments.hpp"
 
 #if defined(__linux__) || defined(__unix__) || defined(__APPLE__)
@@ -65,29 +65,14 @@ struct HarnessArgs {
   /// --quality-out=<path>: prediction-quality JSON path (default
   /// QUALITY_<name>.json).
   std::string quality_out;
-  /// --prof=HZ: run the span-attributed sampling profiler over the harness
-  /// body at HZ samples/s (0 = off, the default).
-  double prof_hz = 0.0;
-  /// --prof-out=<path>: collapsed-stack output path (default
-  /// PROF_<name>.collapsed).
-  std::string prof_out;
 
-  /// Strict positive-integer flag value: rejects empty, non-numeric, and
-  /// trailing-garbage values (e.g. --repeat=bogus) instead of reading 0.
+  /// Strict positive-integer flag value: rejects empty, signed,
+  /// non-numeric, and trailing-garbage values (e.g. --repeat=bogus,
+  /// --runs=-5) instead of reading 0 or a wrapped count.
   static bool parse_count(const char* text, std::size_t& out) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0' || v == 0) return false;
-    out = static_cast<std::size_t>(v);
-    return true;
-  }
-
-  /// Strict sampling-rate value: a finite number in [1, 1000] Hz.
-  static bool parse_hz(const char* text, double& out) {
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !(v >= 1.0) || v > 1000.0) return false;
-    out = v;
+    const std::optional<std::uint64_t> v = parse_u64_strict(text);
+    if (!v || *v == 0) return false;
+    out = static_cast<std::size_t>(*v);
     return true;
   }
 
@@ -110,10 +95,6 @@ struct HarnessArgs {
       obs_out = arg + 10;
     } else if (std::strncmp(arg, "--quality-out=", 14) == 0) {
       quality_out = arg + 14;
-    } else if (std::strncmp(arg, "--prof=", 7) == 0) {
-      if (!parse_hz(arg + 7, prof_hz)) return false;
-    } else if (std::strncmp(arg, "--prof-out=", 11) == 0) {
-      prof_out = arg + 11;
     } else {
       return false;
     }
@@ -127,7 +108,7 @@ struct HarnessArgs {
         std::fprintf(stderr,
                      "usage: %s [--fast] [--runs=N] [--repeat=N] "
                      "[--obs=off|summary|trace] [--obs-out=PATH] "
-                     "[--quality-out=PATH] [--prof=HZ] [--prof-out=PATH]\n",
+                     "[--quality-out=PATH]\n",
                      argv[0]);
         std::exit(2);
       }
@@ -193,10 +174,8 @@ inline void print_pool_stats(const char* tag) {
 /// --repeat=N the harness body runs N times (see run_repeated) and each
 /// stage accumulates one sample per repetition. The destructor
 /// closes the last stage and writes BENCH_<name>.json — telemetry schema
-/// v3: per-stage sample vectors, streaming moments, and HDR tail quantiles
-/// (p50/p90/p99/p999) — (and BENCH_<name>.trace.json in trace mode). With
-/// --prof=HZ it also runs the sampling profiler over the harness body and
-/// writes PROF_<name>.collapsed flamegraph input.
+/// v4: each stage is {name, samples, mean, stddev, min, max} — (and
+/// BENCH_<name>.trace.json in trace mode).
 class Run {
  public:
   Run(std::string name, const HarnessArgs& args,
@@ -220,19 +199,6 @@ class Run {
     obs::QualityRecorder::set_enabled(true);
     obs::QualityRecorder::instance().reset();
     ThreadPool::global().reset_stats();
-    if (args_.prof_hz > 0.0) {
-      profiling_ = obs::profiler_start(args_.prof_hz);
-      if (profiling_) {
-        std::printf("[bench] profiling at %.0f Hz\n", args_.prof_hz);
-      } else {
-        std::fprintf(stderr, "[bench] profiler already running; --prof=%g "
-                             "ignored\n",
-                     args_.prof_hz);
-      }
-    }
-    // Long-running exposition (VARPRED_OBS_EXPOSE=prom:...|jsonl:...):
-    // scoped to the harness body so the sink ends with the final state.
-    exposing_ = obs::maybe_start_exporter_from_env();
     start_ = clock::now();
     stage_start_ = start_;
   }
@@ -286,34 +252,15 @@ class Run {
     close_stage();
     const double wall = seconds_since(start_);
     const PoolStats pool = ThreadPool::global().stats();
-    if (exposing_) obs::exporter_stop();
-    if (profiling_) {
-      const obs::ProfileReport profile = obs::profiler_stop();
-      const std::string prof_path = args_.prof_out.empty()
-                                        ? "PROF_" + name_ + ".collapsed"
-                                        : args_.prof_out;
-      std::ofstream pout(prof_path);
-      if (pout) {
-        pout << profile.collapsed_text();
-        std::printf(
-            "[bench] profile -> %s (%llu samples, %llu idle, %.1f Hz over "
-            "%.2fs)\n",
-            prof_path.c_str(),
-            static_cast<unsigned long long>(profile.samples),
-            static_cast<unsigned long long>(profile.idle_samples), profile.hz,
-            profile.duration_seconds);
-      } else {
-        std::fprintf(stderr, "[bench] cannot write %s\n", prof_path.c_str());
-      }
-    }
-    // Reproducibility footer: per-stage tails whenever --repeat produced a
-    // distribution, so repeat runs show p50/p99 without opening the JSON.
+    // Reproducibility footer: exact sample quantiles whenever --repeat
+    // produced a distribution, so repeat runs show them without opening
+    // the JSON.
     for (const StageAgg& stage : stages_) {
       if (stage.samples.size() < 2) continue;
-      const StageTails tails = stage_tails(stage.samples);
       std::printf("[bench] stage %s: n=%zu p50=%.6fs p99=%.6fs\n",
-                  stage.name.c_str(), stage.samples.size(), tails.p50,
-                  tails.p99);
+                  stage.name.c_str(), stage.samples.size(),
+                  stats::quantile(stage.samples, 0.50),
+                  stats::quantile(stage.samples, 0.99));
     }
     const std::string path =
         args_.obs_out.empty() ? "BENCH_" + name_ + ".json" : args_.obs_out;
@@ -374,31 +321,6 @@ class Run {
     std::vector<double> samples;
   };
 
-  struct StageTails {
-    double p50 = 0.0;
-    double p90 = 0.0;
-    double p99 = 0.0;
-    double p999 = 0.0;
-  };
-
-  /// Tail quantiles of a stage's wall-time samples (seconds) through an
-  /// HDR sketch at ns resolution — the same machinery the registry uses,
-  /// so the JSON quantiles inherit its <=0.1% relative-error bound
-  /// (3 significant digits).
-  static StageTails stage_tails(const std::vector<double>& samples) {
-    obs::HdrHistogram hdr(3);
-    for (const double s : samples) {
-      hdr.record(static_cast<std::uint64_t>(std::max(0.0, s) * 1e9));
-    }
-    const obs::HdrSnapshot snap = hdr.snapshot();
-    StageTails tails;
-    tails.p50 = static_cast<double>(snap.quantile(0.50)) * 1e-9;
-    tails.p90 = static_cast<double>(snap.quantile(0.90)) * 1e-9;
-    tails.p99 = static_cast<double>(snap.quantile(0.99)) * 1e-9;
-    tails.p999 = static_cast<double>(snap.quantile(0.999)) * 1e-9;
-    return tails;
-  }
-
   static double seconds_since(clock::time_point t0) {
     return std::chrono::duration<double>(clock::now() - t0).count();
   }
@@ -429,7 +351,7 @@ class Run {
 
   void write_json(std::ofstream& out, double wall, const PoolStats& pool) {
     namespace json = obs::json;
-    out << "{\"schema_version\":3"
+    out << "{\"schema_version\":4"
         << ",\"bench\":\"" << json::escape(name_) << "\""
         << ",\"git\":\"" << json::escape(VARPRED_GIT_DESCRIBE) << "\""
         << ",\"hostname\":\"" << json::escape(hostname_) << "\""
@@ -444,36 +366,28 @@ class Run {
     for (const StageAgg& stage : stages_) {
       if (!first) out << ",";
       first = false;
-      // Streaming moments + extremes alongside the raw sample vector:
-      // "seconds" keeps the v1 meaning (total over all repetitions).
+      // Streaming moments + extremes alongside the raw sample vector.
       stats::MomentAccumulator acc;
-      double total = 0.0;
       double min = stage.samples.front();
       double max = stage.samples.front();
       for (const double s : stage.samples) {
         acc.add(s);
-        total += s;
         min = std::min(min, s);
         max = std::max(max, s);
       }
       const stats::Moments m = acc.moments();
       out << "{\"name\":\"" << json::escape(stage.name)
-          << "\",\"seconds\":" << json::number(total) << ",\"samples\":[";
+          << "\",\"samples\":[";
       bool first_sample = true;
       for (const double s : stage.samples) {
         if (!first_sample) out << ",";
         first_sample = false;
         out << json::number(s);
       }
-      const StageTails tails = stage_tails(stage.samples);
       out << "],\"mean\":" << json::number(m.mean)
           << ",\"stddev\":" << json::number(m.stddev)
           << ",\"min\":" << json::number(min)
-          << ",\"max\":" << json::number(max)
-          << ",\"p50\":" << json::number(tails.p50)
-          << ",\"p90\":" << json::number(tails.p90)
-          << ",\"p99\":" << json::number(tails.p99)
-          << ",\"p999\":" << json::number(tails.p999) << "}";
+          << ",\"max\":" << json::number(max) << "}";
     }
     out << "],\"pool\":{"
         << "\"spans\":" << pool.jobs << ",\"chunks\":" << pool.chunks
@@ -502,8 +416,6 @@ class Run {
   const char* current_stage_ = nullptr;
   std::size_t repetition_ = 0;
   bool started_ = false;
-  bool profiling_ = false;  ///< this Run owns an active profiler session
-  bool exposing_ = false;   ///< this Run started the exposition exporter
   std::vector<StageAgg> stages_;
 };
 

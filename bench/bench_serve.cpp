@@ -1,4 +1,4 @@
-// Saturation load harness for the varpredd serving path.
+// Load harness for the varpredd serving path.
 //
 //   bench_serve [--port=N] [--conns=N] [--qps=F] [--duration-s=F]
 //               [--probes=N] [--samples=N] [--queue-max=N]
@@ -11,10 +11,11 @@
 //   closed_c1  — closed loop, 1 connection: unloaded baseline latency.
 //   closed_cN  — closed loop, --conns connections: throughput at natural
 //                concurrency; its achieved QPS estimates saturation.
-//   open_sat   — open loop at --qps (default 1.25x the closed_cN rate, i.e.
-//                past saturation): arrivals are scheduled, latency is
-//                measured from the *scheduled* arrival time, so queueing
-//                delay from falling behind is charged to the server
+//   open_half  — open loop at --qps (default half the closed_cN rate, so
+//                below saturation and the backlog does not grow with the
+//                window): arrivals are scheduled, latency is measured from
+//                the *scheduled* arrival time, so queueing delay from
+//                falling behind is charged to the server
 //                (coordinated-omission aware), and admission rejections
 //                surface as the error rate.
 //
@@ -28,7 +29,7 @@
 // in seconds and lower-is-better, so bench_diff gates them against
 // bench/baselines/serve.jsonl like any timed stage:
 //   closed_c1.p50_s, closed_c1.p99_s, closed_cN.p50_s, closed_cN.p99_s,
-//   open_sat.p50_s, open_sat.p99_s   request latency quantiles
+//   open_half.p50_s, open_half.p99_s request latency quantiles
 //   closed_cN.s_per_request          1 / achieved QPS
 // Latency counts answered requests only: successes and admission
 // rejections. Any other failed predict makes the run exit 1. Every numeric
@@ -380,14 +381,14 @@ int main(int argc, char** argv) {
                        static_cast<double>(std::max<std::uint64_t>(
                            closed.requests, 1)));
 
-        // Past saturation: schedule arrivals 25% faster than the closed
-        // loop could complete them (or at the explicit --qps), so the
-        // backlog is charged to latency. Each connection keeps one predict
-        // in flight, so the admission cap rejects only when --conns
-        // exceeds --queue-max.
+        // Below saturation: schedule arrivals at half the rate the closed
+        // loop completed (or at the explicit --qps), so latency measures
+        // the server rather than a backlog that grows with the window.
+        // Each connection keeps one predict in flight, so the admission cap
+        // rejects only when --conns exceeds --queue-max.
         const double target =
-            args.qps > 0.0 ? args.qps : closed.achieved_qps * 1.25;
-        run_point(run, errors, port, request, "open_sat", args.conns, target,
+            args.qps > 0.0 ? args.qps : closed.achieved_qps * 0.5;
+        run_point(run, errors, port, request, "open_half", args.conns, target,
                   args.duration_s);
       });
 

@@ -18,7 +18,6 @@
 
 #include "common/check.hpp"
 #include "obs/json.hpp"
-#include "obs/profiler.hpp"
 
 namespace varpred::obs {
 namespace {
@@ -30,16 +29,9 @@ Mode env_mode() {
   return m;
 }
 
-// One shared state cell holds the mode (low bits) and the profiler's
-// "maintain frame stacks" bit, so a span's fast path stays a single
-// relaxed load + branch even now that two subsystems can activate it.
-constexpr int kModeMask = 3;
-constexpr int kProfilingBit = 4;
-
-std::atomic<int>& state_cell() noexcept {
-  // Initialized from the environment exactly once; set_mode overwrites the
-  // mode bits, set_profiling_active the profiling bit.
-  static std::atomic<int> cell{static_cast<int>(env_mode())};
+std::atomic<Mode>& mode_cell() noexcept {
+  // Initialized from the environment exactly once; set_mode overwrites it.
+  static std::atomic<Mode> cell{env_mode()};
   return cell;
 }
 
@@ -104,34 +96,12 @@ const char* to_string(Mode mode) {
 }
 
 Mode mode() noexcept {
-  return static_cast<Mode>(state_cell().load(std::memory_order_relaxed) &
-                           kModeMask);
+  return mode_cell().load(std::memory_order_relaxed);
 }
 
 void set_mode(Mode mode) noexcept {
-  std::atomic<int>& cell = state_cell();
-  int old = cell.load(std::memory_order_relaxed);
-  while (!cell.compare_exchange_weak(
-      old, (old & ~kModeMask) | static_cast<int>(mode),
-      std::memory_order_relaxed)) {
-  }
+  mode_cell().store(mode, std::memory_order_relaxed);
 }
-
-bool profiling_active() noexcept {
-  return (state_cell().load(std::memory_order_relaxed) & kProfilingBit) != 0;
-}
-
-namespace detail {
-
-void set_profiling_active(bool active) noexcept {
-  if (active) {
-    state_cell().fetch_or(kProfilingBit, std::memory_order_relaxed);
-  } else {
-    state_cell().fetch_and(~kProfilingBit, std::memory_order_relaxed);
-  }
-}
-
-}  // namespace detail
 
 std::uint64_t now_ns() noexcept {
   return static_cast<std::uint64_t>(
@@ -287,27 +257,18 @@ void Registry::reset_values() {
 // Span
 
 Span::Span(const char* name, unsigned flags) noexcept : name_(name) {
-  const int state = state_cell().load(std::memory_order_relaxed);
-  if (state == 0) return;  // off and not profiling: the one-load fast path
-  entered_ = true;
-  depth_ = t_open_spans++;
-  if ((state & kProfilingBit) != 0) {
-    profiler_internal::push_frame(name);
-    framed_ = true;
-  }
-  if ((state & kModeMask) == static_cast<int>(Mode::kOff)) return;
+  if (mode() == Mode::kOff) return;  // the one-load fast path
   active_ = true;
+  depth_ = t_open_spans++;
   pool_delta_ = (flags & kPoolStats) != 0;
   if (pool_delta_) pool_before_ = ThreadPool::global().stats();
   start_ns_ = now_ns();
 }
 
 Span::~Span() {
-  if (!entered_) return;
-  const std::uint64_t end_ns = active_ ? now_ns() : 0;
-  --t_open_spans;
-  if (framed_) profiler_internal::pop_frame();
   if (!active_) return;
+  const std::uint64_t end_ns = now_ns();
+  --t_open_spans;
   const Mode m = mode();
   if (m == Mode::kOff) return;  // switched off mid-span: just unwind depth
 
@@ -402,10 +363,7 @@ std::string trace_json() {
 }
 
 void write_metrics_json(std::ostream& out) {
-  write_metrics_json(out, Registry::global().snapshot());
-}
-
-void write_metrics_json(std::ostream& out, const MetricsSnapshot& snap) {
+  const MetricsSnapshot snap = Registry::global().snapshot();
   out << "{\"counters\":{";
   bool first = true;
   for (const auto& [name, value] : snap.counters) {
@@ -439,6 +397,49 @@ void write_metrics_json(std::ostream& out, const MetricsSnapshot& snap) {
 std::string metrics_json() {
   std::ostringstream out;
   write_metrics_json(out);
+  return out.str();
+}
+
+namespace {
+
+/// "varpred_" + name with every character outside [a-zA-Z0-9_:] mapped to
+/// '_' (Prometheus metric-name alphabet; the prefix guarantees a valid
+/// first character).
+std::string prom_name(std::string_view name) {
+  std::string out = "varpred_";
+  out.reserve(out.size() + name.size());
+  for (const char c : name) {
+    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+                    (c >= '0' && c <= '9') || c == '_' || c == ':';
+    out.push_back(ok ? c : '_');
+  }
+  return out;
+}
+
+}  // namespace
+
+std::string prometheus_text(const MetricsSnapshot& snap) {
+  std::ostringstream out;
+  for (const auto& [name, value] : snap.counters) {
+    const std::string p = prom_name(name);
+    out << "# TYPE " << p << " counter\n" << p << " " << value << "\n";
+  }
+  for (const auto& [name, value] : snap.gauges) {
+    const std::string p = prom_name(name);
+    out << "# TYPE " << p << " gauge\n"
+        << p << " " << json::number(value) << "\n";
+  }
+  for (const auto& [name, h] : snap.hdr) {
+    const std::string p = prom_name(name);
+    out << "# TYPE " << p << " summary\n";
+    static constexpr double kQuantiles[] = {0.5, 0.9, 0.99, 0.999};
+    static constexpr const char* kLabels[] = {"0.5", "0.9", "0.99", "0.999"};
+    for (std::size_t i = 0; i < 4; ++i) {
+      out << p << "{quantile=\"" << kLabels[i] << "\"} "
+          << h.quantile(kQuantiles[i]) << "\n";
+    }
+    out << p << "_sum " << h.sum << "\n" << p << "_count " << h.count << "\n";
+  }
   return out.str();
 }
 

@@ -11,8 +11,9 @@
 //     Metric objects are never deleted, so hot paths cache a reference once
 //     (see VARPRED_OBS_COUNT) and afterwards pay one relaxed fetch_add per
 //     event.
-//   * Sinks: a Chrome trace_event JSON exporter for spans, a flat metrics
-//     JSON document, and a compact text reporter.
+//   * Sinks: a Chrome trace_event JSON writer for spans, a flat metrics
+//     JSON document, Prometheus text exposition, and a compact text
+//     reporter.
 //
 // The mode is read from the VARPRED_OBS environment variable
 // (off | summary | trace, default off) on first use and may be overridden
@@ -47,17 +48,6 @@ const char* to_string(Mode mode);
 Mode mode() noexcept;
 void set_mode(Mode mode) noexcept;
 inline bool enabled() noexcept { return mode() != Mode::kOff; }
-
-/// True while the sampling profiler (obs/profiler.hpp) is running. Spans
-/// maintain the per-thread frame stack whenever this is set, even with the
-/// metrics mode off; with both off a span stays one relaxed load + branch.
-bool profiling_active() noexcept;
-
-namespace detail {
-/// Flips the profiling bit in the shared mode/profiling state cell. Only
-/// profiler_start/profiler_stop call this.
-void set_profiling_active(bool active) noexcept;
-}  // namespace detail
 
 /// Nanoseconds on the monotonic clock since the process's trace epoch
 /// (the first obs call). Small values keep trace timestamps readable.
@@ -185,11 +175,9 @@ class TraceIdScope {
 /// RAII scoped timer. In summary/trace mode the destructor records the
 /// duration into HDR histogram "span.<name>" (ns); in trace mode it also
 /// appends a TraceEvent. Pass kPoolStats to attach the global ThreadPool's
-/// counter deltas over the span's lifetime to the trace event. While the
-/// sampling profiler runs, the span additionally pushes its name onto the
-/// calling thread's frame stack (obs/profiler.hpp) — `name` must be a
-/// string literal (or outlive the profiler run), which every call site
-/// already satisfies.
+/// counter deltas over the span's lifetime to the trace event. With the
+/// mode off the constructor is one relaxed load and a branch, and the
+/// destructor a branch on a member.
 class Span {
  public:
   enum Flags : unsigned { kNone = 0, kPoolStats = 1u };
@@ -211,9 +199,7 @@ class Span {
   std::uint64_t start_ns_ = 0;
   PoolStats pool_before_{};
   std::uint32_t depth_ = 0;
-  bool entered_ = false;  ///< depth counter bumped (mode on or profiling)
-  bool active_ = false;   ///< timing recorded (mode on)
-  bool framed_ = false;   ///< pushed onto the profiler frame stack
+  bool active_ = false;  ///< mode was on at construction
   bool pool_delta_ = false;
 };
 
@@ -231,10 +217,14 @@ std::string trace_json();
 /// Flat metrics document: {"counters":{...},"gauges":{...},
 /// "hdr":{name:{count,sum,min,max,p50,p90,p99,p999,max_relative_error}}}.
 void write_metrics_json(std::ostream& out);
-/// Same document from an already-taken snapshot (the exposition exporter
-/// stamps one snapshot into several sinks).
-void write_metrics_json(std::ostream& out, const MetricsSnapshot& snap);
 std::string metrics_json();
+
+/// Prometheus text exposition (version 0.0.4) of a snapshot: counters and
+/// gauges map directly; HDR histograms become summaries with
+/// `{quantile="0.5|0.9|0.99|0.999"}`, `_sum` and `_count` series. Metric
+/// names are prefixed "varpred_" and every character outside
+/// [a-zA-Z0-9_:] becomes '_'. The server's stats message returns this.
+std::string prometheus_text(const MetricsSnapshot& snap);
 
 /// Compact human-readable report of every non-zero metric; empty string
 /// when nothing was recorded.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/ecdf.hpp"
@@ -23,7 +24,7 @@ const char* to_string(Verdict verdict) {
     case Verdict::kInconclusive:
       return "inconclusive";
   }
-  return "inconclusive";
+  VARPRED_CHECK_ARG(false, "unknown verdict");
 }
 
 Verdict worse_verdict(Verdict a, Verdict b) {
@@ -39,7 +40,7 @@ Verdict worse_verdict(Verdict a, Verdict b) {
       case Verdict::kRegressed:
         return 3;
     }
-    return 2;
+    VARPRED_CHECK_ARG(false, "unknown verdict");
   };
   return rank(b) > rank(a) ? b : a;
 }
@@ -199,6 +200,9 @@ RunDiff diff_telemetry(const BenchTelemetry& baseline,
       StageDiff d;
       d.stage = cand.name;
       d.n_candidate = cand.samples.size();
+      if (!cand.samples.empty()) {
+        d.candidate_median = stats::median(cand.samples);
+      }
       d.verdict = Verdict::kInconclusive;
       d.note = "stage missing from baseline";
       run.stages.push_back(std::move(d));
@@ -219,6 +223,9 @@ RunDiff diff_telemetry(const BenchTelemetry& baseline,
       StageDiff d;
       d.stage = base.name;
       d.n_baseline = base.samples.size();
+      if (!base.samples.empty()) {
+        d.baseline_median = stats::median(base.samples);
+      }
       d.verdict = Verdict::kInconclusive;
       d.note = "stage missing from candidate";
       run.stages.push_back(std::move(d));

@@ -109,10 +109,10 @@ struct StageDiff {
   double shift = 0.0;     ///< point estimate of the relative median shift
   double shift_lo = 0.0;  ///< bootstrap CI lower bound
   double shift_hi = 0.0;  ///< bootstrap CI upper bound
-  /// Advisory tail columns (schema v3 territory): p50/p99 of the raw
-  /// samples on each side plus their relative shifts. Purely informational
-  /// — tails of small repeat counts are too noisy to gate on, so they
-  /// never influence the verdict. Present when both sides have samples.
+  /// Advisory tail columns: exact p50/p99 of the raw samples on each side
+  /// plus their relative shifts. Purely informational — tails of small
+  /// repeat counts are too noisy to gate on, so they never influence the
+  /// verdict. Present when both sides have samples.
   bool has_tails = false;
   double baseline_p50 = 0.0;
   double candidate_p50 = 0.0;
@@ -143,7 +143,8 @@ StageDiff diff_stage(std::string name, std::span<const double> baseline,
                      const DiffConfig& config);
 
 /// Compares a candidate telemetry document against its baseline document.
-/// Stages present on only one side come back inconclusive with a note.
+/// Stages present on only one side come back inconclusive with a note and
+/// the present side's median (the missing side's stays 0).
 RunDiff diff_telemetry(const BenchTelemetry& baseline,
                        const BenchTelemetry& candidate,
                        const DiffConfig& config);

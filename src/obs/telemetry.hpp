@@ -3,8 +3,9 @@
 // samples, one per repetition — wall seconds for a timed stage, or any
 // lower-is-better seconds value a harness records (bench_serve's latency
 // quantiles). Every stage must carry a non-empty numeric "samples" array;
-// the moments and quantiles the harness writes beside it are for readers
-// of the raw document and are not parsed here. Ledger lines under
+// the moments the harness writes beside it (and the quantiles older
+// documents carry) are for readers of the raw document and are not parsed
+// here. Ledger lines under
 // bench/baselines/ are these same documents, one per line (obs/ledger.hpp).
 #pragma once
 

@@ -13,7 +13,6 @@
 #include <unistd.h>
 
 #include "common/check.hpp"
-#include "obs/expose.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::serve {

@@ -264,6 +264,53 @@ TEST(BenchRun, RecordAddsOneSamplePerRepetitionBesideTimedStages) {
   std::remove(args.quality_out.c_str());
 }
 
+TEST(BenchRun, EmitsSchemaV4StagesWithExactlyTheSummaryKeys) {
+  bench::HarnessArgs args;
+  args.repeat = 4;
+  args.obs_out = ::testing::TempDir() + "BENCH_v4_keys_test.json";
+  args.quality_out = ::testing::TempDir() + "QUALITY_v4_keys_test.json";
+  double rep = 0.0;
+  bench::run_repeated("v4_keys_test", args, [&](bench::Run& run) {
+    rep += 1.0;
+    run.record("lat.p50_s", 0.001 * rep);
+  });
+
+  const obs::json::Value doc = obs::json::parse_file(args.obs_out);
+  ASSERT_NE(doc.find("schema_version"), nullptr);
+  EXPECT_EQ(doc.find("schema_version")->num, 4.0);
+  const obs::json::Value* stages = doc.find("stages");
+  ASSERT_NE(stages, nullptr);
+  ASSERT_EQ(stages->array.size(), 1u);
+  const obs::json::Value& stage = stages->array[0];
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : stage.object) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<std::string>{"name", "samples", "mean",
+                                            "stddev", "min", "max"}));
+  EXPECT_EQ(stage.find("name")->str, "lat.p50_s");
+  EXPECT_EQ(stage.find("samples")->array.size(), 4u);
+  EXPECT_DOUBLE_EQ(stage.find("mean")->num, 0.0025);
+  EXPECT_DOUBLE_EQ(stage.find("min")->num, 0.001);
+  EXPECT_DOUBLE_EQ(stage.find("max")->num, 0.004);
+  std::remove(args.obs_out.c_str());
+  std::remove(args.quality_out.c_str());
+}
+
+TEST(HarnessArgs, RejectsMalformedCountsAndUnknownFlags) {
+  bench::HarnessArgs args;
+  for (const char* bad : {"--repeat=0", "--runs=1e3", "--repeat=",
+                          "--runs=-5", "--repeat=+2", "--obs=verbose",
+                          "--no-such-flag"}) {
+    EXPECT_FALSE(args.consume(bad)) << bad;
+  }
+  // A rejected value leaves the field as it was.
+  EXPECT_EQ(args.repeat, 1u);
+  EXPECT_EQ(args.runs, bench::kRuns);
+  EXPECT_TRUE(args.consume("--repeat=3"));
+  EXPECT_TRUE(args.consume("--runs=250"));
+  EXPECT_EQ(args.repeat, 3u);
+  EXPECT_EQ(args.runs, 250u);
+}
+
 // ---------------------------------------------------------------------------
 // Provenance: one parser for the top-level fields of every run document.
 
@@ -434,16 +481,21 @@ TEST(Ledger, ErrorsNamePathAndLine) {
 TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
   const std::string root = std::string(VARPRED_SOURCE_DIR) + "/bench/baselines";
   const auto timing = load_ledger(root, obs::parse_bench_telemetry);
-  EXPECT_EQ(timing.size(), 9u);
+  EXPECT_EQ(timing.size(), 10u);
   const auto latest = obs::latest_per_bench(timing);
   EXPECT_EQ(latest.size(), 6u);
   for (const obs::BenchTelemetry& t : timing) {
-    // The serving ledger's series-shaped line (schema 3) was taken on the
-    // same host with its pool at the machine's 4 cores; every older line
-    // is a schema-2 run at 1 worker.
+    // The serving ledger's series-shaped lines (schema 3, then schema 4)
+    // were taken on the same host with its pool at the machine's 4 cores;
+    // every older line is a schema-2 run at 1 worker.
     const bool serve_series =
-        t.provenance.bench == "serve" && t.schema_version == 3;
-    EXPECT_EQ(t.schema_version, serve_series ? 3 : 2) << t.provenance.bench;
+        t.provenance.bench == "serve" && t.schema_version >= 3;
+    if (serve_series) {
+      EXPECT_TRUE(t.schema_version == 3 || t.schema_version == 4)
+          << t.schema_version;
+    } else {
+      EXPECT_EQ(t.schema_version, 2) << t.provenance.bench;
+    }
     EXPECT_EQ(t.provenance.hostname, "vm") << t.provenance.bench;
     EXPECT_EQ(t.provenance.workers, serve_series ? 4u : 1u)
         << t.provenance.bench;
@@ -454,7 +506,8 @@ TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
     }
   }
   // The serving baseline bench_diff reads is the latest line: the seven
-  // latency/throughput series, with no fixed-duration window stages.
+  // latency/throughput series, with no fixed-duration window stages, and
+  // the open-loop point below saturation.
   const auto serve = std::find_if(
       latest.begin(), latest.end(), [](const obs::BenchTelemetry* t) {
         return t->provenance.bench == "serve";
@@ -465,7 +518,8 @@ TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
   EXPECT_EQ(names, (std::vector<std::string>{
                        "closed_c1.p50_s", "closed_c1.p99_s", "closed_cN.p50_s",
                        "closed_cN.p99_s", "closed_cN.s_per_request",
-                       "open_sat.p50_s", "open_sat.p99_s"}));
+                       "open_half.p50_s", "open_half.p99_s"}));
+  EXPECT_EQ((*serve)->schema_version, 4);
   const auto quality =
       load_ledger(root + "/quality", obs::parse_quality_document);
   EXPECT_EQ(quality.size(), 6u);
@@ -538,6 +592,42 @@ TEST(BenchDiff, StagesMissingOnEitherSideAreInconclusive) {
   EXPECT_TRUE(saw_retired);
 }
 
+TEST(BenchDiff, OneSidedStageReportsThePresentSideMedian) {
+  obs::BenchTelemetry base = demo_telemetry(1);
+  base.stages.push_back(stage("retired_stage", {0.3, 0.1, 0.2}));
+  obs::BenchTelemetry cand = demo_telemetry(11);
+  cand.stages.push_back(stage("new_stage", {0.005, 0.004, 0.006, 0.009}));
+  const std::vector<obs::RunDiff> runs = {
+      obs::diff_telemetry(base, cand, test_config())};
+
+  const std::string md = obs::markdown_report(runs, test_config());
+  EXPECT_NE(md.find("| new_stage | 0 | 4 | 0 | 0.0055 |"), std::string::npos)
+      << md;
+  EXPECT_NE(md.find("| retired_stage | 3 | 0 | 0.2 | 0 |"), std::string::npos)
+      << md;
+
+  const obs::json::Value jruns = obs::json_report(runs);
+  ASSERT_EQ(jruns.array.size(), 1u);
+  const obs::json::Value* stages = jruns.array[0].find("stages");
+  ASSERT_NE(stages, nullptr);
+  int seen = 0;
+  for (const obs::json::Value& js : stages->array) {
+    const std::string& name = js.find("stage")->str;
+    if (name == "new_stage") {
+      ++seen;
+      EXPECT_EQ(js.find("verdict")->str, "inconclusive");
+      EXPECT_DOUBLE_EQ(js.find("candidate_median")->num, 0.0055);
+      EXPECT_EQ(js.find("baseline_median")->num, 0.0);
+    } else if (name == "retired_stage") {
+      ++seen;
+      EXPECT_EQ(js.find("verdict")->str, "inconclusive");
+      EXPECT_DOUBLE_EQ(js.find("baseline_median")->num, 0.2);
+      EXPECT_EQ(js.find("candidate_median")->num, 0.0);
+    }
+  }
+  EXPECT_EQ(seen, 2);
+}
+
 TEST(BenchDiff, EnvMismatchIsNotedButNeverDemotes) {
   obs::BenchTelemetry base = demo_telemetry(21);
   base.provenance.hostname = "other-machine";
@@ -604,6 +694,15 @@ TEST(BenchDiff, WorseVerdictIsASymmetricSeverityOrder) {
           << obs::to_string(by_severity[j]);
     }
   }
+}
+
+TEST(EnumNames, OutOfRangeVerdictThrows) {
+  const auto bogus = static_cast<obs::Verdict>(99);
+  EXPECT_THROW(obs::to_string(bogus), std::invalid_argument);
+  EXPECT_THROW(obs::worse_verdict(obs::Verdict::kUnchanged, bogus),
+               std::invalid_argument);
+  EXPECT_THROW(obs::worse_verdict(bogus, obs::Verdict::kRegressed),
+               std::invalid_argument);
 }
 
 TEST(Provenance, DescribeNamesTheEnvironment) {

@@ -8,13 +8,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -22,11 +18,9 @@
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
-#include "obs/expose.hpp"
 #include "obs/hdr.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "obs/profiler.hpp"
 #include "obs/telemetry.hpp"
 
 namespace varpred {
@@ -325,6 +319,32 @@ TEST(ObsOffMode, EmitsNothingAndCountsNothing) {
   for (const auto& [name, h] : snap.hdr) {
     EXPECT_EQ(h.count, 0u) << name;
   }
+}
+
+TEST(ObsOffMode, ModeSwitchMidSpanKeepsDepthBalanced) {
+  // A span opened while on and closed after the mode went off unwinds the
+  // depth counter but records nothing; a span opened while off stays
+  // inactive even if the mode comes on before it closes.
+  obs::set_mode(obs::Mode::kSummary);
+  obs::reset();
+  {
+    obs::Span on("test.switched_off");
+    EXPECT_TRUE(on.active());
+    EXPECT_EQ(obs::Span::current_depth(), 1u);
+    obs::set_mode(obs::Mode::kOff);
+  }
+  EXPECT_EQ(obs::Span::current_depth(), 0u);
+  {
+    obs::Span off("test.switched_on");
+    EXPECT_FALSE(off.active());
+    EXPECT_EQ(obs::Span::current_depth(), 0u);
+    obs::set_mode(obs::Mode::kSummary);
+  }
+  EXPECT_EQ(obs::Span::current_depth(), 0u);
+  for (const auto& [name, h] : obs::Registry::global().snapshot().hdr) {
+    EXPECT_EQ(h.count, 0u) << name;
+  }
+  obs::set_mode(obs::Mode::kOff);
 }
 
 TEST(ObsJson, ParserHandlesEscapesAndRejectsGarbage) {
@@ -788,118 +808,9 @@ TEST(ObsHdr, RegistryKeepsStableReferencesAndSnapshotsHdr) {
 }
 
 // ---------------------------------------------------------------------------
-// Sampling profiler (obs/profiler.hpp)
+// Prometheus text exposition (the server's stats message)
 
-TEST(ObsProfiler, CollapsedTextFormat) {
-  obs::ProfileReport report;
-  report.samples = 5;
-  report.idle_samples = 2;
-  report.stacks["outer"] = 2;
-  report.stacks["outer;inner"] = 3;
-  EXPECT_EQ(report.collapsed_text(), "outer 2\nouter;inner 3\n");
-  EXPECT_EQ(report.collapsed_text(true),
-            "outer 2\nouter;inner 3\n(idle) 2\n");
-}
-
-TEST(ObsProfiler, ProfilingBitIsIndependentOfTheMetricsMode) {
-  // The profiling bit shares a state cell with the mode bits; flipping one
-  // must never change the other.
-  for (const obs::Mode mode : {obs::Mode::kOff, obs::Mode::kSummary}) {
-    obs::set_mode(mode);
-    EXPECT_FALSE(obs::profiling_active());
-    ASSERT_TRUE(obs::profiler_start(50.0));
-    EXPECT_TRUE(obs::profiling_active());
-    EXPECT_EQ(obs::mode(), mode);
-    obs::profiler_stop();
-    EXPECT_FALSE(obs::profiling_active());
-    EXPECT_EQ(obs::mode(), mode);
-  }
-  obs::set_mode(obs::Mode::kOff);
-}
-
-TEST(ObsProfiler, AttributesSamplesToLiveSpanStacks) {
-  // Profiling must work with the metrics mode off — and leave the
-  // registry untouched while doing so.
-  obs::set_mode(obs::Mode::kOff);
-  obs::reset();
-  EXPECT_FALSE(obs::profiler_running());
-  ASSERT_TRUE(obs::profiler_start(500.0));
-  EXPECT_TRUE(obs::profiler_running());
-  EXPECT_FALSE(obs::profiler_start(500.0)) << "one run at a time";
-
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  {
-    obs::Span outer("prof.outer");
-    while (obs::profiler_sweep_count() < 25 &&
-           std::chrono::steady_clock::now() < deadline) {
-      obs::Span inner("prof.inner");
-      volatile std::uint64_t sink = 0;
-      for (int i = 0; i < 4000; ++i) {
-        sink = sink + static_cast<std::uint64_t>(i);
-      }
-    }
-  }
-  const obs::ProfileReport report = obs::profiler_stop();
-  EXPECT_FALSE(obs::profiler_running());
-
-  EXPECT_DOUBLE_EQ(report.hz, 500.0);
-  EXPECT_GT(report.duration_seconds, 0.0);
-  ASSERT_GT(report.samples, 0u);
-  ASSERT_FALSE(report.stacks.empty());
-  // Every sample was taken with prof.outer as the root frame.
-  for (const auto& [stack, n] : report.stacks) {
-    EXPECT_EQ(stack.rfind("prof.outer", 0), 0u) << stack;
-    EXPECT_GT(n, 0u);
-  }
-  // Off-mode guarantee: the frames went to the profiler, not the registry.
-  const auto snap = obs::Registry::global().snapshot();
-  for (const auto& [name, hs] : snap.hdr) {
-    EXPECT_EQ(name.rfind("span.prof.", 0), std::string::npos) << name;
-  }
-
-  // A second run starts cleanly after the first.
-  ASSERT_TRUE(obs::profiler_start(200.0));
-  const obs::ProfileReport empty_run = obs::profiler_stop();
-  EXPECT_DOUBLE_EQ(empty_run.hz, 200.0);
-  EXPECT_EQ(empty_run.stacks.count("prof.outer"), 0u)
-      << "reports must not leak across runs";
-  // Stopping with no run active returns an empty report.
-  const obs::ProfileReport idle = obs::profiler_stop();
-  EXPECT_EQ(idle.samples, 0u);
-  EXPECT_DOUBLE_EQ(idle.hz, 0.0);
-}
-
-// ---------------------------------------------------------------------------
-// Metrics exposition (obs/expose.hpp)
-
-TEST(ObsExpose, ParsesSpecsStrictly) {
-  obs::ExposeSpec spec;
-  ASSERT_TRUE(obs::parse_expose_spec("prom:/tmp/metrics.prom", spec));
-  EXPECT_EQ(spec.format, obs::ExpositionFormat::kPrometheus);
-  EXPECT_EQ(spec.path, "/tmp/metrics.prom");
-  EXPECT_EQ(spec.period.count(), 1000);
-
-  ASSERT_TRUE(obs::parse_expose_spec("jsonl:series.jsonl:250", spec));
-  EXPECT_EQ(spec.format, obs::ExpositionFormat::kJsonl);
-  EXPECT_EQ(spec.path, "series.jsonl");
-  EXPECT_EQ(spec.period.count(), 250);
-
-  // Period clamps; a non-numeric trailing segment stays part of the path.
-  ASSERT_TRUE(obs::parse_expose_spec("prom:out.prom:1", spec));
-  EXPECT_EQ(spec.period.count(), 10);
-  ASSERT_TRUE(obs::parse_expose_spec("prom:dir:v2/out.prom", spec));
-  EXPECT_EQ(spec.path, "dir:v2/out.prom");
-
-  obs::ExposeSpec untouched;
-  untouched.path = "sentinel";
-  EXPECT_FALSE(obs::parse_expose_spec("csv:/tmp/x", untouched));
-  EXPECT_FALSE(obs::parse_expose_spec("prom:", untouched));
-  EXPECT_FALSE(obs::parse_expose_spec("", untouched));
-  EXPECT_EQ(untouched.path, "sentinel") << "failed parse must not clobber";
-}
-
-TEST(ObsExpose, PrometheusTextCoversEveryMetricKind) {
+TEST(ObsSinks, PrometheusTextCoversEveryMetricKind) {
   obs::set_mode(obs::Mode::kSummary);
   obs::reset();
   auto& reg = obs::Registry::global();
@@ -930,102 +841,19 @@ TEST(ObsExpose, PrometheusTextCoversEveryMetricKind) {
   EXPECT_EQ(text.find("_bucket{"), std::string::npos) << text;
 }
 
-TEST(ObsExpose, WritesAtomicPromAndAppendsJsonl) {
-  obs::set_mode(obs::Mode::kSummary);
-  obs::reset();
-  obs::Registry::global().counter("exp.write").add(7);
-  const auto snap = obs::Registry::global().snapshot();
-  const std::string dir = ::testing::TempDir();
-
-  obs::ExposeSpec prom;
-  prom.format = obs::ExpositionFormat::kPrometheus;
-  prom.path = dir + "varpred_test_metrics.prom";
-  ASSERT_TRUE(obs::write_exposition(snap, prom));
-  ASSERT_TRUE(obs::write_exposition(snap, prom));  // replace, not append
-  {
-    std::ifstream in(prom.path);
-    ASSERT_TRUE(in.good());
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    EXPECT_NE(buf.str().find("varpred_exp_write 7"), std::string::npos);
-    // Exactly one copy: atomic replace, no append.
-    EXPECT_EQ(buf.str().find("varpred_exp_write 7"),
-              buf.str().rfind("varpred_exp_write 7"));
-  }
-  EXPECT_FALSE(std::ifstream(prom.path + ".tmp").good())
-      << "tmp file must be renamed away";
-
-  obs::ExposeSpec jsonl;
-  jsonl.format = obs::ExpositionFormat::kJsonl;
-  jsonl.path = dir + "varpred_test_series.jsonl";
-  std::remove(jsonl.path.c_str());
-  ASSERT_TRUE(obs::write_exposition(snap, jsonl));
-  ASSERT_TRUE(obs::write_exposition(snap, jsonl));
-  {
-    std::ifstream in(jsonl.path);
-    ASSERT_TRUE(in.good());
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-      ++lines;
-      const auto doc = obs::json::parse(line);  // every line parses alone
-      ASSERT_NE(doc.find("time"), nullptr);
-      ASSERT_NE(doc.find("uptime_ns"), nullptr);
-      const auto* metrics = doc.find("metrics");
-      ASSERT_NE(metrics, nullptr);
-      EXPECT_NE(metrics->find("counters"), nullptr);
-    }
-    EXPECT_EQ(lines, 2u) << "jsonl appends one line per write";
-  }
-  // An unwritable path fails loudly instead of silently dropping data.
-  obs::ExposeSpec bad;
-  bad.path = dir + "no/such/dir/metrics.prom";
-  EXPECT_FALSE(obs::write_exposition(snap, bad));
-
-  std::remove(prom.path.c_str());
-  std::remove(jsonl.path.c_str());
-}
-
-TEST(ObsExpose, ExporterWritesPeriodicallyAndFlushesOnStop) {
-  obs::set_mode(obs::Mode::kSummary);
-  obs::reset();
-  obs::Registry::global().counter("exp.exporter").add(1);
-  obs::ExposeSpec spec;
-  spec.format = obs::ExpositionFormat::kJsonl;
-  spec.path = ::testing::TempDir() + "varpred_test_exporter.jsonl";
-  spec.period = std::chrono::milliseconds(10);
-  std::remove(spec.path.c_str());
-
-  EXPECT_FALSE(obs::exporter_running());
-  ASSERT_TRUE(obs::exporter_start(spec));
-  EXPECT_TRUE(obs::exporter_running());
-  EXPECT_FALSE(obs::exporter_start(spec)) << "one exporter per process";
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (obs::exporter_write_count() < 3 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  obs::exporter_stop();
-  EXPECT_FALSE(obs::exporter_running());
-
-  std::ifstream in(spec.path);
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_NO_THROW(obs::json::parse(line));
-  }
-  // Start probe + >=2 periodic ticks + final flush on stop.
-  EXPECT_GE(lines, 4u);
-  EXPECT_EQ(lines, obs::exporter_write_count());
-  // A bad path fails at start, not in the background.
-  obs::ExposeSpec bad = spec;
-  bad.path = ::testing::TempDir() + "no/such/dir/exporter.jsonl";
-  EXPECT_FALSE(obs::exporter_start(bad));
-  EXPECT_FALSE(obs::exporter_running());
-  std::remove(spec.path.c_str());
+TEST(ObsSinks, PrometheusNamesMapOtherCharactersToUnderscore) {
+  // Only [a-zA-Z0-9_:] survive; the prefix keeps a digit-first name valid.
+  obs::MetricsSnapshot snap;
+  snap.counters.emplace_back("a-b/c", 1);
+  snap.gauges.emplace_back("9lives:x.y", 2.0);
+  const std::string text = obs::prometheus_text(snap);
+  EXPECT_NE(text.find("# TYPE varpred_a_b_c counter\nvarpred_a_b_c 1\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find("# TYPE varpred_9lives:x_y gauge\nvarpred_9lives:x_y 2\n"),
+      std::string::npos)
+      << text;
 }
 
 // ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@
 #include "common/rng.hpp"
 #include "core/crosssystem.hpp"
 #include "measure/corpus.hpp"
-#include "obs/expose.hpp"
 #include "obs/obs.hpp"
 #include "serve/batcher.hpp"
 #include "serve/client.hpp"
@@ -787,7 +786,7 @@ TEST(ServeTracing, ComputeSpanNestsInRequestSpanUnderClientTraceId) {
 
 // ---------------------------------------------------------------------------
 // Prometheus exposition under concurrent load (TSan coverage): worker
-// threads hammer the serve metrics while the exporter path snapshots and
+// threads hammer the serve metrics while the stats path snapshots and
 // renders the registry.
 
 TEST(ServeStats, PrometheusSnapshotUnderConcurrentLoad) {

@@ -58,8 +58,7 @@ struct Args {
   std::string command;
   std::map<std::string, std::string> options;
   /// Telemetry flags shared with the bench harnesses (--obs=, --obs-out=,
-  /// --quality-out=, --repeat=, --prof=, --prof-out=). When any is present
-  /// the command runs under
+  /// --quality-out=, --repeat=). When any is present the command runs under
   /// bench::run_repeated and emits BENCH_cli_<command>.json /
   /// QUALITY_cli_<command>.json; otherwise the CLI behaves exactly as
   /// before (no telemetry files, no extra output).
@@ -86,8 +85,7 @@ struct Args {
 bool is_telemetry_flag(const std::string& token) {
   return starts_with(token, "--obs=") || starts_with(token, "--obs-out=") ||
          starts_with(token, "--quality-out=") ||
-         starts_with(token, "--repeat=") || starts_with(token, "--prof=") ||
-         starts_with(token, "--prof-out=");
+         starts_with(token, "--repeat=");
 }
 
 Args parse_args(int argc, char** argv) {
@@ -480,8 +478,7 @@ void usage() {
       "            [--exhaustive]  also measure every config, report regret\n"
       "telemetry (any of these runs the command under the bench harness and\n"
       "emits BENCH_cli_<command>.json + QUALITY_cli_<command>.json):\n"
-      "  --obs=off|summary|trace --obs-out=F --quality-out=F --repeat=N\n"
-      "  --prof=HZ --prof-out=F  span-attributed sampling profiler\n");
+      "  --obs=off|summary|trace --obs-out=F --quality-out=F --repeat=N\n");
 }
 
 /// One command invocation. `run` is non-null only under the telemetry

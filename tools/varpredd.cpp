@@ -2,8 +2,7 @@
 //
 //   varpredd --model=NAME=PATH [--model=...] [--port=N]
 //            [--queue-max=N]
-//            [--obs=off|summary|trace] [--expose=prom:PATH[:MS]|jsonl:...]
-//            [--max-seconds=N] [--trace-out=PATH]
+//            [--obs=off|summary|trace] [--max-seconds=N] [--trace-out=PATH]
 //
 // Loads one or more checksummed model files (varpred train-x writes them)
 // into the versioned registry and serves the binary protocol
@@ -13,10 +12,9 @@
 // version they were admitted with.
 //
 // Observability defaults to summary (RED metrics live in the registry and
-// are served by the stats message); --expose= additionally runs the
-// periodic Prometheus/JSONL exporter, and --obs=trace + --trace-out=
-// writes the Chrome-trace span buffer (request trace ids included) at
-// shutdown. Every numeric flag goes through the strict parse helpers — a
+// the stats message returns them as Prometheus text); --obs=trace +
+// --trace-out= writes the Chrome-trace span buffer (request trace ids
+// included) at shutdown. Every numeric flag goes through the strict parse helpers — a
 // malformed value aborts startup instead of silently becoming zero.
 #include <atomic>
 #include <chrono>
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "common/parse.hpp"
-#include "obs/expose.hpp"
 #include "obs/obs.hpp"
 #include "serve/registry.hpp"
 #include "serve/server.hpp"
@@ -47,8 +44,8 @@ void usage() {
       stderr,
       "usage: varpredd --model=NAME=PATH [--model=...] [--port=N]\n"
       "                [--queue-max=N]\n"
-      "                [--obs=off|summary|trace] [--expose=SPEC]\n"
-      "                [--max-seconds=N] [--trace-out=PATH]\n");
+      "                [--obs=off|summary|trace] [--max-seconds=N]\n"
+      "                [--trace-out=PATH]\n");
 }
 
 }  // namespace
@@ -62,8 +59,6 @@ int main(int argc, char** argv) {
   std::uint64_t max_seconds = 0;
   std::string trace_out;
   varpred::obs::Mode mode = varpred::obs::Mode::kSummary;
-  varpred::obs::ExposeSpec expose;
-  bool have_expose = false;
 
   try {
     for (int i = 1; i < argc; ++i) {
@@ -96,12 +91,6 @@ int main(int argc, char** argv) {
           throw std::invalid_argument(std::string("bad --obs value: ") +
                                       (arg + 6));
         }
-      } else if (std::strncmp(arg, "--expose=", 9) == 0) {
-        if (!varpred::obs::parse_expose_spec(arg + 9, expose)) {
-          throw std::invalid_argument(std::string("bad --expose value: ") +
-                                      (arg + 9));
-        }
-        have_expose = true;
       } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
         trace_out = arg + 12;
       } else {
@@ -136,12 +125,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (have_expose && !varpred::obs::exporter_start(expose)) {
-    std::fprintf(stderr, "varpredd: cannot start exporter on %s\n",
-                 expose.path.c_str());
-    return 1;
-  }
-
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
   std::signal(SIGPIPE, SIG_IGN);  // peer-closed sockets fail the write call
@@ -169,7 +152,6 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (varpred::obs::exporter_running()) varpred::obs::exporter_stop();
   if (!trace_out.empty() && mode == varpred::obs::Mode::kTrace) {
     std::ofstream out(trace_out);
     varpred::obs::write_trace_json(out);

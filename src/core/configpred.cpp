@@ -37,30 +37,41 @@ void ConfigAwarePredictor::train(const measure::ConfigCorpus& corpus,
   VARPRED_CHECK_ARG(corpus.benchmark_count() >= 1, "empty config corpus");
   obs::Span span("configpred.train");
   system_ = corpus.system;
-  ml::Matrix x;
-  ml::Matrix y;
   for (const std::size_t c : train_configs) {
     VARPRED_CHECK_ARG(c < corpus.config_count(), "config index out of range");
-    const auto config_features = corpus.configs[c].to_features();
-    for (std::size_t b = 0; b < corpus.benchmark_count(); ++b) {
-      const auto& cell = corpus.cell_runs[c][b];
-      const auto target = repr_->encode(cell.relative_times());
-      // Profiles come from the neutral probe runs -- the only measurements
-      // a tuner has before trying a config -- resampled per replicate.
-      const auto& probe = corpus.probe_runs[b];
-      Rng rng = cell_rng(config_, corpus, c, b);
-      const std::size_t probes =
-          std::min(config_.n_probe_runs, probe.run_count());
-      for (std::size_t rep = 0; rep < config_.train_replicates; ++rep) {
-        const auto idx = choose_run_indices(probe.run_count(), probes, rng);
-        auto row = config_features;
-        const auto profile =
-            build_profile(*corpus.system, probe, idx, config_.profile);
-        row.insert(row.end(), profile.begin(), profile.end());
-        x.push_row(row);
-        y.push_row(target);
-      }
+  }
+  // One pool iteration per (config, benchmark) cell, each writing its
+  // target and its replicate rows into the cell's slots; every cell's RNG
+  // stream is its own, so the rows do not depend on the worker count.
+  const std::size_t n_benchmarks = corpus.benchmark_count();
+  const std::size_t replicates = config_.train_replicates;
+  const std::size_t n_cells = train_configs.size() * n_benchmarks;
+  std::vector<std::vector<double>> targets(n_cells);
+  std::vector<std::vector<double>> rows(n_cells * replicates);
+  parallel_for(n_cells, [&](std::size_t cell) {
+    const std::size_t c = train_configs[cell / n_benchmarks];
+    const std::size_t b = cell % n_benchmarks;
+    targets[cell] = repr_->encode(corpus.cell_runs[c][b].relative_times());
+    // Profiles come from the neutral probe runs -- the only measurements
+    // a tuner has before trying a config -- resampled per replicate.
+    const auto& probe = corpus.probe_runs[b];
+    Rng rng = cell_rng(config_, corpus, c, b);
+    const std::size_t probes =
+        std::min(config_.n_probe_runs, probe.run_count());
+    for (std::size_t rep = 0; rep < replicates; ++rep) {
+      const auto idx = choose_run_indices(probe.run_count(), probes, rng);
+      auto row = corpus.configs[c].to_features();
+      const auto profile =
+          build_profile(*corpus.system, probe, idx, config_.profile);
+      row.insert(row.end(), profile.begin(), profile.end());
+      rows[cell * replicates + rep] = std::move(row);
     }
+  });
+  ml::Matrix x;
+  ml::Matrix y;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    x.push_row(rows[i]);
+    y.push_row(targets[i / replicates]);
   }
   model_ = make_model(config_.model, config_.seed);
   model_->fit(x, y);

@@ -8,16 +8,23 @@
 
 namespace varpred::core {
 
+std::vector<double> cross_system_features(const measure::SystemModel& system,
+                                          const measure::BenchmarkRuns& runs,
+                                          const ProfileOptions& profile,
+                                          const DistributionRepr& repr) {
+  auto features = build_full_profile(system, runs, profile);
+  const auto encoded = repr.encode(runs.relative_times());
+  features.insert(features.end(), encoded.begin(), encoded.end());
+  return features;
+}
+
 CrossSystemPredictor::CrossSystemPredictor(CrossSystemConfig config)
     : config_(config), repr_(DistributionRepr::create(config.repr)) {}
 
 std::vector<double> CrossSystemPredictor::make_features(
     const measure::SystemModel& system,
     const measure::BenchmarkRuns& source_runs) const {
-  auto features = build_full_profile(system, source_runs, config_.profile);
-  const auto encoded = repr_->encode(source_runs.relative_times());
-  features.insert(features.end(), encoded.begin(), encoded.end());
-  return features;
+  return cross_system_features(system, source_runs, config_.profile, *repr_);
 }
 
 void CrossSystemPredictor::train(
@@ -35,21 +42,20 @@ void CrossSystemPredictor::train(
   std::optional<ml::SortedColumns> presorted;
   if (cache != nullptr) {
     // Fold-shared artifacts (feature rows and targets are pure functions of
-    // the corpora, so gathering is byte-identical to the loop below).
+    // the corpora, so gathering is byte-identical to building them).
     VARPRED_CHECK_ARG(cache->targets.size() == source.benchmarks.size(),
                       "evaluation cache does not match corpus");
-    x = cache->features.gather_rows(train_benchmarks);
+    const auto rows = cache->rows_for(train_benchmarks);
+    x = cache->features.gather_rows(rows);
     for (const std::size_t b : train_benchmarks) y.push_row(cache->targets[b]);
     if (cache->presorted != nullptr) {
-      presorted = cache->presorted->filtered(train_benchmarks, /*remap=*/true);
+      presorted = cache->presorted->filtered(rows, /*remap=*/true);
     }
   } else {
-    for (const std::size_t b : train_benchmarks) {
-      VARPRED_CHECK_ARG(b < source.benchmarks.size(),
-                        "benchmark index out of range");
-      x.push_row(make_features(*source.system, source.benchmarks[b]));
-      y.push_row(repr_->encode(target.benchmarks[b].relative_times()));
-    }
+    auto rows =
+        cross_system_rows(source, target, train_benchmarks, config_, *repr_);
+    x = std::move(rows.features);
+    for (const auto& t : rows.targets) y.push_row(t);
   }
   model_ = config_.model_factory ? config_.model_factory()
                                  : make_model(config_.model, config_.seed);

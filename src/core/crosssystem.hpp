@@ -30,6 +30,13 @@ struct CrossSystemConfig {
   std::function<std::unique_ptr<ml::Regressor>()> model_factory;
 };
 
+/// Feature vector of one application: its full profile on `system`
+/// followed by its encoded distribution there.
+std::vector<double> cross_system_features(const measure::SystemModel& system,
+                                          const measure::BenchmarkRuns& runs,
+                                          const ProfileOptions& profile,
+                                          const DistributionRepr& repr);
+
 class CrossSystemPredictor {
  public:
   explicit CrossSystemPredictor(CrossSystemConfig config = {});
@@ -42,10 +49,10 @@ class CrossSystemPredictor {
 
   /// Trains on benchmarks measured in both corpora (row b of each corpus is
   /// the same benchmark). `train_benchmarks` selects the training subset.
-  /// `cache` (optional): fold-shared artifacts from
-  /// CrossSystemEvalCache::build for this exact (corpora, config) — see
-  /// FewRunsPredictor::train; requires strictly ascending
-  /// `train_benchmarks`.
+  /// The rows come from cross_system_rows, or with `cache` from the
+  /// fold-shared artifacts CrossSystemEvalCache::build made for this exact
+  /// (corpora, config) — see FewRunsPredictor::train; a cache requires
+  /// strictly ascending `train_benchmarks`.
   void train(const measure::Corpus& source, const measure::Corpus& target,
              std::span<const std::size_t> train_benchmarks,
              const CrossSystemEvalCache* cache = nullptr);
@@ -55,9 +62,9 @@ class CrossSystemPredictor {
 
   bool trained() const { return model_ != nullptr && model_->trained(); }
 
-  /// Feature vector for one application: full source profile + encoded
-  /// source distribution. `system` is the source system the runs were
-  /// measured on.
+  /// cross_system_features under this predictor's profile options and
+  /// representation. `system` is the source system the runs were measured
+  /// on.
   std::vector<double> make_features(
       const measure::SystemModel& system,
       const measure::BenchmarkRuns& source_runs) const;

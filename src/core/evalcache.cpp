@@ -1,24 +1,112 @@
 #include "core/evalcache.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 
 #include "common/check.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace varpred::core {
+namespace {
+
+void check_benchmarks(std::span<const std::size_t> benchmarks,
+                      std::size_t n) {
+  for (const std::size_t b : benchmarks) {
+    VARPRED_CHECK_ARG(b < n, "benchmark index out of range");
+  }
+}
+
+void check_strictly_ascending(std::span<const std::size_t> benchmarks) {
+  VARPRED_CHECK_ARG(std::adjacent_find(benchmarks.begin(), benchmarks.end(),
+                                       std::greater_equal<>()) ==
+                        benchmarks.end(),
+                    "training benchmarks must be strictly ascending");
+}
+
+// The presorted artifact, built only when the configured learner reads it:
+// the tree learners do, and a model_factory's learner is unknown.
+template <typename Config>
+std::shared_ptr<const ml::SortedColumns> presort_for(
+    const ml::Matrix& features, const Config& config) {
+  const bool reads_presort = config.model_factory ||
+                             config.model == ModelKind::kRandomForest ||
+                             config.model == ModelKind::kXgBoost;
+  if (!reads_presort || features.rows() < 2) return nullptr;
+  return std::make_shared<const ml::SortedColumns>(
+      ml::SortedColumns::build(features));
+}
+
+// Stacks per-benchmark row slots into one matrix, in slot order.
+ml::Matrix stack(const std::vector<std::vector<double>>& rows) {
+  ml::Matrix out;
+  for (const auto& row : rows) out.push_row(row);
+  return out;
+}
+
+}  // namespace
+
+TrainingRows few_runs_rows(const measure::Corpus& corpus,
+                           std::span<const std::size_t> benchmarks,
+                           const FewRunsConfig& config,
+                           const DistributionRepr& repr) {
+  check_benchmarks(benchmarks, corpus.benchmarks.size());
+  const std::size_t replicates = config.train_replicates;
+  const std::uint64_t system_hash = stable_hash(corpus.system->name());
+  TrainingRows out;
+  out.targets.resize(benchmarks.size());
+  std::vector<std::vector<double>> rows(benchmarks.size() * replicates);
+  parallel_for(benchmarks.size(), [&](std::size_t i) {
+    const std::size_t b = benchmarks[i];
+    const auto& runs = corpus.benchmarks[b];
+    out.targets[i] = repr.encode(runs.relative_times());
+    // Seeded by the benchmark alone, never by the subset or the slot.
+    Rng rng(seed_combine(config.seed, system_hash ^ (b * 0x9E37ULL + 17)));
+    const std::size_t probes =
+        std::min(config.n_probe_runs, runs.run_count());
+    for (std::size_t rep = 0; rep < replicates; ++rep) {
+      const auto idx = choose_run_indices(runs.run_count(), probes, rng);
+      rows[i * replicates + rep] =
+          build_profile(*corpus.system, runs, idx, config.profile);
+    }
+  });
+  out.features = stack(rows);
+  return out;
+}
+
+TrainingRows cross_system_rows(const measure::Corpus& source,
+                               const measure::Corpus& target,
+                               std::span<const std::size_t> benchmarks,
+                               const CrossSystemConfig& config,
+                               const DistributionRepr& repr) {
+  VARPRED_CHECK_ARG(source.benchmarks.size() == target.benchmarks.size(),
+                    "corpora must cover the same benchmark set");
+  check_benchmarks(benchmarks, source.benchmarks.size());
+  TrainingRows out;
+  out.targets.resize(benchmarks.size());
+  std::vector<std::vector<double>> rows(benchmarks.size());
+  parallel_for(benchmarks.size(), [&](std::size_t i) {
+    const std::size_t b = benchmarks[i];
+    rows[i] = cross_system_features(*source.system, source.benchmarks[b],
+                                    config.profile, repr);
+    out.targets[i] = repr.encode(target.benchmarks[b].relative_times());
+  });
+  out.features = stack(rows);
+  return out;
+}
 
 std::vector<std::size_t> FewRunsEvalCache::rows_for(
     std::span<const std::size_t> benchmarks) const {
+  check_benchmarks(benchmarks, targets.size());
+  check_strictly_ascending(benchmarks);
   std::vector<std::size_t> rows;
   rows.reserve(benchmarks.size() * replicates);
   for (const std::size_t b : benchmarks) {
-    VARPRED_CHECK_ARG(b < targets.size(), "benchmark index out of range");
     for (std::size_t rep = 0; rep < replicates; ++rep) {
       rows.push_back(b * replicates + rep);
     }
   }
-  VARPRED_CHECK_ARG(std::is_sorted(rows.begin(), rows.end()),
-                    "training benchmarks must be strictly ascending");
   return rows;
 }
 
@@ -26,60 +114,38 @@ FewRunsEvalCache FewRunsEvalCache::build(const measure::Corpus& corpus,
                                          const FewRunsConfig& config) {
   obs::Span span("eval.cache.build");
   VARPRED_OBS_COUNT("eval.cache.builds", 1);
-  const auto repr = DistributionRepr::create(config.repr);
+  std::vector<std::size_t> all(corpus.benchmarks.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  auto rows = few_runs_rows(corpus, all, config,
+                            *DistributionRepr::create(config.repr));
   FewRunsEvalCache cache;
+  cache.features = std::move(rows.features);
+  cache.targets = std::move(rows.targets);
   cache.replicates = config.train_replicates;
-  cache.targets.reserve(corpus.benchmarks.size());
-  for (std::size_t b = 0; b < corpus.benchmarks.size(); ++b) {
-    const auto& runs = corpus.benchmarks[b];
-    cache.targets.push_back(repr->encode(runs.relative_times()));
-    // Same per-benchmark stream as FewRunsPredictor::train's uncached loop:
-    // seeded independently of the training subset, so every fold sees these
-    // exact rows.
-    Rng rng(seed_combine(config.seed, stable_hash(corpus.system->name()) ^
-                                          (b * 0x9E37ULL + 17)));
-    const std::size_t probes =
-        std::min(config.n_probe_runs, runs.run_count());
-    for (std::size_t rep = 0; rep < config.train_replicates; ++rep) {
-      const auto idx = choose_run_indices(runs.run_count(), probes, rng);
-      cache.features.push_row(
-          build_profile(*corpus.system, runs, idx, config.profile));
-    }
-  }
-  if (cache.features.rows() >= 2) {
-    cache.presorted = std::make_shared<const ml::SortedColumns>(
-        ml::SortedColumns::build(cache.features));
-  }
+  cache.presorted = presort_for(cache.features, config);
   return cache;
+}
+
+std::vector<std::size_t> CrossSystemEvalCache::rows_for(
+    std::span<const std::size_t> benchmarks) const {
+  check_benchmarks(benchmarks, targets.size());
+  check_strictly_ascending(benchmarks);
+  return {benchmarks.begin(), benchmarks.end()};
 }
 
 CrossSystemEvalCache CrossSystemEvalCache::build(
     const measure::Corpus& source, const measure::Corpus& target,
     const CrossSystemConfig& config) {
-  VARPRED_CHECK_ARG(source.benchmarks.size() == target.benchmarks.size(),
-                    "corpora must cover the same benchmark set");
   obs::Span span("eval.cache.build");
   VARPRED_OBS_COUNT("eval.cache.builds", 1);
-  const auto repr = DistributionRepr::create(config.repr);
+  std::vector<std::size_t> all(source.benchmarks.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  auto rows = cross_system_rows(source, target, all, config,
+                                *DistributionRepr::create(config.repr));
   CrossSystemEvalCache cache;
-  cache.targets.reserve(source.benchmarks.size());
-  for (std::size_t b = 0; b < source.benchmarks.size(); ++b) {
-    // Same construction as CrossSystemPredictor::make_features: full source
-    // profile with the encoded source distribution appended.
-    auto features =
-        build_full_profile(*source.system, source.benchmarks[b],
-                           config.profile);
-    const auto encoded =
-        repr->encode(source.benchmarks[b].relative_times());
-    features.insert(features.end(), encoded.begin(), encoded.end());
-    cache.features.push_row(features);
-    cache.targets.push_back(
-        repr->encode(target.benchmarks[b].relative_times()));
-  }
-  if (cache.features.rows() >= 2) {
-    cache.presorted = std::make_shared<const ml::SortedColumns>(
-        ml::SortedColumns::build(cache.features));
-  }
+  cache.features = std::move(rows.features);
+  cache.targets = std::move(rows.targets);
+  cache.presorted = presort_for(cache.features, config);
   return cache;
 }
 

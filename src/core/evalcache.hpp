@@ -1,9 +1,12 @@
-// Fold-shared evaluation caches for the leave-one-group-out loops.
+// Training rows and the fold-shared evaluation caches built from them.
 //
-// The LOGO-CV evaluators train one predictor per held-out benchmark; without
-// a cache every fold rebuilds the same profiles, encoded targets, and tree
-// training artifacts from scratch. Both training-row constructions are fold
-// independent by design:
+// Each use case has one training-row builder, few_runs_rows or
+// cross_system_rows. The uncached FewRunsPredictor::train /
+// CrossSystemPredictor::train call it for their training subset; the
+// caches below call it once for every benchmark. The builder runs on the
+// pool, one benchmark per iteration, each writing its target and its rows
+// into that benchmark's pre-sized slot, so the bytes do not depend on the
+// worker count. Both row constructions are also fold independent by design:
 //
 //   * Few-runs rows use a per-benchmark RNG stream seeded from
 //     (config.seed, system name, benchmark index) — never from the training
@@ -11,14 +14,18 @@
 //     fold that includes b.
 //   * Cross-system rows are pure functions of the corpora.
 //
-// The caches therefore precompute the full feature matrix and targets once,
-// and folds gather their rows — byte-identical to rebuilding them (proved by
-// the EvalCache.*MatchUncachedPath tests against VARPRED_EVAL_NO_CACHE=1).
+// The LOGO-CV evaluators train one predictor per held-out benchmark, so the
+// caches precompute the full feature matrix and targets once, and folds
+// gather their rows — byte-identical to rebuilding them (proved by the
+// EvalCache.*MatchUncachedPath tests against VARPRED_EVAL_NO_CACHE=1).
 //
-// The caches also carry the dataset-level sorted-column artifact of the
-// feature matrix. Each fold derives its own orders by a linear filtered()
-// pass and hands them to the tree learner's fit, which then skips its
-// per-fit column sorts (see ml/sorted_columns.hpp).
+// For the tree learners (RF, XGBoost, or any model_factory, whose learner
+// is unknown) the caches also carry the dataset-level sorted-column
+// artifact of the feature matrix. Each fold derives its own orders by a
+// linear filtered() pass and hands them to the tree learner's fit, which
+// then skips its per-fit column sorts (see ml/sorted_columns.hpp). kNN and
+// ridge never read it, so their caches have none and their folds skip the
+// filter.
 #pragma once
 
 #include <memory>
@@ -33,6 +40,30 @@
 
 namespace varpred::core {
 
+/// Training rows of a list of benchmarks: `features` holds the rows of
+/// benchmarks[0], then those of benchmarks[1], ...; `targets[i]` is the
+/// encoded target of benchmarks[i].
+struct TrainingRows {
+  ml::Matrix features;
+  std::vector<std::vector<double>> targets;
+};
+
+/// Use case 1: config.train_replicates rows per benchmark, each a profile
+/// of n_probe_runs runs drawn from the benchmark's own RNG stream; the
+/// target encodes every measured run.
+TrainingRows few_runs_rows(const measure::Corpus& corpus,
+                           std::span<const std::size_t> benchmarks,
+                           const FewRunsConfig& config,
+                           const DistributionRepr& repr);
+
+/// Use case 2: one row per benchmark, cross_system_features of its source
+/// runs; the target encodes its runs on the target system.
+TrainingRows cross_system_rows(const measure::Corpus& source,
+                               const measure::Corpus& target,
+                               std::span<const std::size_t> benchmarks,
+                               const CrossSystemConfig& config,
+                               const DistributionRepr& repr);
+
 /// Precomputed training artifacts for evaluate_few_runs (one corpus).
 /// Row layout: benchmark b's replicates occupy rows
 /// [b * replicates, (b + 1) * replicates).
@@ -41,16 +72,16 @@ struct FewRunsEvalCache {
   std::vector<std::vector<double>> targets; ///< encoded target per benchmark
   std::size_t replicates = 0;               ///< train_replicates at build time
   /// Sorted-column orders of `features` (dataset-level; folds filter it).
+  /// Null unless the configured learner is a tree learner.
   std::shared_ptr<const ml::SortedColumns> presorted;
 
-  /// Row indices of the given training benchmarks (ascending benchmark
-  /// order, replicates expanded).
+  /// Row indices of the given training benchmarks, which must be strictly
+  /// ascending (replicates expanded).
   std::vector<std::size_t> rows_for(
       std::span<const std::size_t> benchmarks) const;
 
-  /// Precomputes the artifacts for this exact (corpus, config) pair. The
-  /// feature/target construction replicates FewRunsPredictor::train's
-  /// uncached loop operation for operation.
+  /// Precomputes the artifacts for this exact (corpus, config) pair:
+  /// few_runs_rows over every benchmark.
   static FewRunsEvalCache build(const measure::Corpus& corpus,
                                 const FewRunsConfig& config);
 };
@@ -60,8 +91,15 @@ struct FewRunsEvalCache {
 struct CrossSystemEvalCache {
   ml::Matrix features;
   std::vector<std::vector<double>> targets;
+  /// As FewRunsEvalCache::presorted.
   std::shared_ptr<const ml::SortedColumns> presorted;
 
+  /// Row indices of the given training benchmarks, which must be strictly
+  /// ascending (one row per benchmark, so the indices themselves).
+  std::vector<std::size_t> rows_for(
+      std::span<const std::size_t> benchmarks) const;
+
+  /// cross_system_rows over every benchmark.
   static CrossSystemEvalCache build(const measure::Corpus& source,
                                     const measure::Corpus& target,
                                     const CrossSystemConfig& config);

@@ -25,8 +25,9 @@ void FewRunsPredictor::train(const measure::Corpus& corpus,
   std::optional<ml::SortedColumns> presorted;
   if (cache != nullptr) {
     // Fold-shared artifacts: gather the precomputed rows — byte-identical
-    // to the loop below, since its RNG stream is subset-independent — and
-    // derive the fold's sorted-column orders by filtering.
+    // to few_runs_rows over this subset, since its RNG streams are
+    // subset-independent — and derive the fold's sorted-column orders by
+    // filtering.
     VARPRED_CHECK_ARG(cache->targets.size() == corpus.benchmarks.size() &&
                           cache->replicates == config_.train_replicates,
                       "evaluation cache does not match corpus/config");
@@ -41,20 +42,10 @@ void FewRunsPredictor::train(const measure::Corpus& corpus,
       presorted = cache->presorted->filtered(rows, /*remap=*/true);
     }
   } else {
-    for (const std::size_t b : train_benchmarks) {
-      VARPRED_CHECK_ARG(b < corpus.benchmarks.size(),
-                        "benchmark index out of range");
-      const auto& runs = corpus.benchmarks[b];
-      const auto target = repr_->encode(runs.relative_times());
-      // Deterministic per-benchmark probe resampling (independent of the
-      // training subset, so folds see identical rows for shared benchmarks).
-      Rng rng(seed_combine(config_.seed, stable_hash(corpus.system->name()) ^
-                                             (b * 0x9E37ULL + 17)));
-      const std::size_t probes =
-          std::min(config_.n_probe_runs, runs.run_count());
+    auto rows = few_runs_rows(corpus, train_benchmarks, config_, *repr_);
+    x = std::move(rows.features);
+    for (const auto& target : rows.targets) {
       for (std::size_t rep = 0; rep < config_.train_replicates; ++rep) {
-        const auto idx = choose_run_indices(runs.run_count(), probes, rng);
-        x.push_row(build_profile(*corpus.system, runs, idx, config_.profile));
         y.push_row(target);
       }
     }

@@ -47,10 +47,11 @@ class FewRunsPredictor {
   /// corpus.benchmarks). Pass all indices for a production model; the
   /// evaluator passes leave-one-out folds.
   ///
-  /// `cache` (optional) supplies the fold-shared artifacts built by
+  /// The rows come from few_runs_rows (core/evalcache.hpp). `cache`
+  /// (optional) supplies the fold-shared artifacts built by
   /// FewRunsEvalCache::build for this exact (corpus, config) pair; training
   /// then gathers its rows from the cache — byte-identical to rebuilding
-  /// them — and hands the model presorted column orders. With a cache,
+  /// them — and hands a tree learner presorted column orders. With a cache,
   /// `train_benchmarks` must be strictly ascending (leave-one-out folds
   /// are).
   void train(const measure::Corpus& corpus,

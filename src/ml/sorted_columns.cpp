@@ -8,6 +8,7 @@
 
 #include "common/check.hpp"
 #include "common/simd.hpp"
+#include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 #ifdef VARPRED_SIMD_AVX2
@@ -21,11 +22,10 @@ SortedColumns SortedColumns::build(const Matrix& x) {
   obs::Span span("ml.sorted_columns.build");
   VARPRED_OBS_COUNT("ml.sorted_columns.builds", 1);
   SortedColumns out;
-  out.order.resize(x.cols());
-  std::vector<std::size_t> base(x.rows());
-  std::iota(base.begin(), base.end(), std::size_t{0});
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    auto col_order = base;
+  out.order.assign(x.cols(), std::vector<std::size_t>(x.rows()));
+  parallel_for(x.cols(), [&](std::size_t c) {
+    auto& col_order = out.order[c];
+    std::iota(col_order.begin(), col_order.end(), std::size_t{0});
     std::sort(col_order.begin(), col_order.end(),
               [&](std::size_t a, std::size_t b) {
                 const double va = x(a, c);
@@ -33,8 +33,7 @@ SortedColumns SortedColumns::build(const Matrix& x) {
                 if (va != vb) return va < vb;
                 return a < b;
               });
-    out.order[c] = std::move(col_order);
-  }
+  });
   return out;
 }
 

@@ -34,7 +34,8 @@ struct SortedColumns {
   std::size_t row_count() const { return order.empty() ? 0 : order[0].size(); }
 
   /// Sorts every column of `x` from scratch: order[c] = rows of x sorted by
-  /// (x(r, c), r). O(cols * n log n); do this once per dataset.
+  /// (x(r, c), r). O(cols * n log n), one column per pool iteration; do
+  /// this once per dataset.
   static SortedColumns build(const Matrix& x);
 
   /// Derives the orders of the submatrix formed by `rows` (ascending,

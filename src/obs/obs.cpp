@@ -206,14 +206,14 @@ Gauge& Registry::gauge(std::string_view name) {
   return *it->second;
 }
 
-HdrHistogram& Registry::hdr(std::string_view name, int significant_digits) {
+HdrHistogram& Registry::hdr(std::string_view name) {
   Stripe& s = stripe_for(name);
   std::lock_guard lock(s.mutex);
   auto it = s.hdrs.find(name);
   if (it == s.hdrs.end()) {
     it = s.hdrs
              .emplace(std::string(name),
-                      std::make_unique<HdrHistogram>(significant_digits))
+                      std::make_unique<HdrHistogram>())
              .first;
   }
   return *it->second;

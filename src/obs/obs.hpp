@@ -117,10 +117,9 @@ class Registry {
 
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
-  /// HDR-style log-linear histogram for tail quantiles. The significant
-  /// digits apply on first creation; later lookups of the same name return
-  /// the existing histogram unchanged.
-  HdrHistogram& hdr(std::string_view name, int significant_digits = 2);
+  /// HDR-style log-linear histogram for tail quantiles (2 significant
+  /// digits).
+  HdrHistogram& hdr(std::string_view name);
 
   /// Name-sorted copy of every metric's current value.
   MetricsSnapshot snapshot() const;

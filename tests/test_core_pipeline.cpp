@@ -3,6 +3,7 @@
 // fast while exercising the full training/prediction paths.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
@@ -442,6 +443,140 @@ TEST(EvalCache, TrainRejectsMismatchedCache) {
   const std::vector<std::size_t> training = {0, 1, 2, 3};
   EXPECT_THROW(predictor.train(corpus, training, &cache),
                std::invalid_argument);
+}
+
+// With a cache, training benchmarks must be strictly ascending: a repeated
+// benchmark would silently double its rows. kNN caches carry no presorted
+// artifact, so the cache's own row gather has to refuse it.
+TEST(EvalCache, TrainRejectsDuplicateBenchmarks) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  const std::vector<std::size_t> training = {0, 1, 1, 2};
+  FewRunsConfig few;
+  few.train_replicates = 1;
+  const auto few_cache = FewRunsEvalCache::build(intel, few);
+  EXPECT_THROW(FewRunsPredictor(few).train(intel, training, &few_cache),
+               std::invalid_argument);
+  const CrossSystemConfig cross;
+  const auto cross_cache = CrossSystemEvalCache::build(amd, intel, cross);
+  EXPECT_THROW(
+      CrossSystemPredictor(cross).train(amd, intel, training, &cross_cache),
+      std::invalid_argument);
+}
+
+// The presorted artifact is built only for learners that read it: kNN (and
+// ridge) folds never touch it.
+TEST(EvalCache, KnnCacheHasNoPresort) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  for (const ModelKind model : {ModelKind::kKnn, ModelKind::kRidge}) {
+    FewRunsConfig few;
+    few.model = model;
+    EXPECT_EQ(FewRunsEvalCache::build(intel, few).presorted, nullptr)
+        << to_string(model);
+    CrossSystemConfig cross;
+    cross.model = model;
+    EXPECT_EQ(CrossSystemEvalCache::build(amd, intel, cross).presorted,
+              nullptr)
+        << to_string(model);
+  }
+}
+
+// Tree learners, and any model_factory (whose learner is unknown), get the
+// dataset-level orders of the full feature matrix.
+TEST(EvalCache, TreeCacheHasPresort) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  const auto expect_presort = [](const ml::Matrix& features,
+                                 const ml::SortedColumns* presorted) {
+    ASSERT_NE(presorted, nullptr);
+    EXPECT_EQ(presorted->order, ml::SortedColumns::build(features).order);
+  };
+  const std::function<std::unique_ptr<ml::Regressor>()> knn_factory = [] {
+    return std::make_unique<ml::KnnRegressor>();
+  };
+  for (const ModelKind model :
+       {ModelKind::kRandomForest, ModelKind::kXgBoost, ModelKind::kKnn}) {
+    FewRunsConfig few;
+    few.model = model;
+    CrossSystemConfig cross;
+    cross.model = model;
+    if (model == ModelKind::kKnn) {
+      few.model_factory = knn_factory;
+      cross.model_factory = knn_factory;
+    }
+    const auto few_cache = FewRunsEvalCache::build(intel, few);
+    expect_presort(few_cache.features, few_cache.presorted.get());
+    const auto cross_cache = CrossSystemEvalCache::build(amd, intel, cross);
+    expect_presort(cross_cache.features, cross_cache.presorted.get());
+  }
+}
+
+// FNV-1a over the little-endian bytes of a cache's feature matrix and then
+// its targets.
+std::uint64_t rows_digest(const ml::Matrix& features,
+                          const std::vector<std::vector<double>>& targets) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto add = [&h](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const double v : features.data()) add(v);
+  for (const auto& target : targets) {
+    for (const double v : target) add(v);
+  }
+  return h;
+}
+
+// Pins the training rows bit for bit: the row builders may change how they
+// schedule the work, never the bytes they produce.
+TEST(EvalCache, FewRunsRowDigests) {
+  // PyMaxEnt and PearsonRnd share the moment encoding, hence one digest.
+  struct Expected {
+    ReprKind repr;
+    std::uint64_t digest;
+  };
+  constexpr Expected kExpected[] = {
+      {ReprKind::kHistogram, 0x2e8ca36921fe05b0ULL},
+      {ReprKind::kMaxEnt, 0x002cf5e46a31fd97ULL},
+      {ReprKind::kPearson, 0x002cf5e46a31fd97ULL},
+      {ReprKind::kQuantile, 0x4eb055035bf93a5eULL},
+  };
+  for (const auto& [repr, digest] : kExpected) {
+    FewRunsConfig config;
+    config.repr = repr;
+    const auto cache = FewRunsEvalCache::build(small_intel(), config);
+    ASSERT_EQ(cache.features.rows(), 60u * config.train_replicates);
+    EXPECT_EQ(rows_digest(cache.features, cache.targets), digest)
+        << to_string(repr) << " 0x" << std::hex
+        << rows_digest(cache.features, cache.targets);
+  }
+}
+
+TEST(EvalCache, CrossSystemRowDigests) {
+  struct Expected {
+    ReprKind repr;
+    std::uint64_t digest;
+  };
+  constexpr Expected kExpected[] = {
+      {ReprKind::kHistogram, 0x0d9f9c0b71381b2dULL},
+      {ReprKind::kMaxEnt, 0x23c3f38e3008a0f8ULL},
+      {ReprKind::kPearson, 0x23c3f38e3008a0f8ULL},
+      {ReprKind::kQuantile, 0xa29e9b9872fa88f2ULL},
+  };
+  for (const auto& [repr, digest] : kExpected) {
+    CrossSystemConfig config;
+    config.repr = repr;
+    const auto cache =
+        CrossSystemEvalCache::build(small_amd(), small_intel(), config);
+    ASSERT_EQ(cache.features.rows(), 60u);
+    EXPECT_EQ(rows_digest(cache.features, cache.targets), digest)
+        << to_string(repr) << " 0x" << std::hex
+        << rows_digest(cache.features, cache.targets);
+  }
 }
 
 }  // namespace

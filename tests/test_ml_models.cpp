@@ -713,6 +713,7 @@ GoldenFold uc1_pearson_fold() {
   const auto& corpus = golden_intel();
   core::FewRunsConfig config;
   config.repr = core::ReprKind::kPearson;
+  config.model = core::ModelKind::kRandomForest;  // a cache with a presort
   const auto cache = core::FewRunsEvalCache::build(corpus, config);
   const auto train = all_but(corpus.benchmarks.size(), kGoldenHeldOut);
   const auto rows = cache.rows_for(train);
@@ -733,6 +734,7 @@ GoldenFold uc2_histogram_fold() {
   const auto& intel = golden_intel();
   core::CrossSystemConfig config;
   config.repr = core::ReprKind::kHistogram;
+  config.model = core::ModelKind::kRandomForest;  // a cache with a presort
   const auto cache = core::CrossSystemEvalCache::build(amd, intel, config);
   const auto train = all_but(amd.benchmarks.size(), kGoldenHeldOut);
   GoldenFold fold;

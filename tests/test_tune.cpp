@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <set>
@@ -335,6 +336,34 @@ TEST(ConfigAware, HeldOutEvaluationIsDeterministic) {
   }
   const auto again = core::evaluate_config_aware(corpus, pconfig, options);
   EXPECT_EQ(eval.ks, again.ks);
+}
+
+// Pins the surrogate's training rows bit for bit through one prediction:
+// the (config, benchmark) cells may be built in any order or on any worker,
+// never into other bytes.
+TEST(ConfigAware, PredictEncodedDigest) {
+  const auto& system = measure::SystemModel::intel();
+  const auto configs = measure::sample_configs(SystemConfig::grid(), 4, 7);
+  const std::vector<std::size_t> benchmarks = {0, 5, 21, 33};
+  const auto corpus =
+      measure::build_config_corpus(system, configs, benchmarks, 60, 7);
+  core::ConfigAwarePredictor predictor{core::ConfigAwareConfig{}};
+  predictor.train_all(corpus);
+  const auto probe = measure::measure_benchmark(12, system, 10, 11);
+  std::vector<std::size_t> idx(probe.run_count());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  const auto profile = core::build_profile(system, probe, idx);
+  const SystemConfig stressed{Governor::kPowersave, /*smt=*/false,
+                              NumaPolicy::kBalancing, /*threads=*/32};
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over the output bytes
+  for (const double v : predictor.predict_encoded(stressed, profile)) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(h, 0xf463c2d1f76abe5aULL) << "0x" << std::hex << h;
 }
 
 TEST(EnumNames, OutOfRangeGovernorThrows) {

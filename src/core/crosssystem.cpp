@@ -49,7 +49,7 @@ void CrossSystemPredictor::train(
     x = cache->features.gather_rows(rows);
     for (const std::size_t b : train_benchmarks) y.push_row(cache->targets[b]);
     if (cache->presorted != nullptr) {
-      presorted = cache->presorted->filtered(rows, /*remap=*/true);
+      presorted = cache->presorted->filtered(rows);
     }
   } else {
     auto rows =

@@ -28,7 +28,8 @@ std::span<const ModelKind> all_model_kinds();
 std::span<const ModelKind> extended_model_kinds();
 
 /// Builds a fresh regressor with the library defaults for `kind`.
-/// `seed` controls any internal randomness (bagging, subsampling).
+/// `seed` controls the only internal randomness: the forest's bootstrap
+/// samples.
 std::unique_ptr<ml::Regressor> make_model(ModelKind kind,
                                           std::uint64_t seed = 1);
 

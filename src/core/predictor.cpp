@@ -39,7 +39,7 @@ void FewRunsPredictor::train(const measure::Corpus& corpus,
       }
     }
     if (cache->presorted != nullptr) {
-      presorted = cache->presorted->filtered(rows, /*remap=*/true);
+      presorted = cache->presorted->filtered(rows);
     }
   } else {
     auto rows = few_runs_rows(corpus, train_benchmarks, config_, *repr_);

@@ -1,6 +1,8 @@
 // Random forest regressor: bagged multi-output CART trees, trained in
-// parallel on the global thread pool. Deterministic: tree t is seeded from
-// (seed, t) regardless of worker count.
+// parallel on the global thread pool. Every tree fits a bootstrap sample
+// and considers every feature at every split (scikit-learn's regression
+// defaults). Deterministic: tree t draws its sample from (seed, t)
+// regardless of worker count.
 #pragma once
 
 #include "ml/tree.hpp"
@@ -10,10 +12,6 @@ namespace varpred::ml {
 struct ForestParams {
   std::size_t n_trees = 150;
   TreeParams tree;
-  bool bootstrap = true;
-  /// Fraction of features considered per split (0 < f <= 1); translated to
-  /// tree.max_features at fit time. 1.0 means all features.
-  double feature_fraction = 1.0 / 3.0;
   std::uint64_t seed = 2;
 };
 
@@ -23,7 +21,7 @@ class RandomForest final : public Regressor {
 
   using Regressor::fit;
   /// A non-null `presorted` must be SortedColumns::build(x) (dimension
-  /// match is checked, whatever feature_fraction is).
+  /// match is checked).
   void fit(const Matrix& x, const Matrix& y,
            const SortedColumns* presorted) override;
   std::vector<double> predict(std::span<const double> row) const override;

@@ -4,9 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
-#include <optional>
 
-#include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
@@ -40,28 +38,29 @@ __attribute__((target("avx2"))) inline __m256d gather4(
                        base[1][seg[1][i]], base[0][seg[0][i]]);
 }
 
-// The column-segment scan of build_node for the four features f[0..3] side
-// by side, one AVX2 lane each. Every segment holds the node's n rows, so
-// step i has the same h_left = i, denominators and min_child_weight test in
-// every lane; per lane the kernel does exactly the scalar scan's operations
-// (no FMA: the library builds with -ffp-contract=off):
+// The column-segment scan of build_node for the four features first ..
+// first + 3 side by side, one AVX2 lane each. Every segment holds the
+// node's n rows, so step i has the same h_left = i, denominators and
+// min_child_weight test in every lane; per lane the kernel does exactly
+// the scalar scan's operations (no FMA: the library builds with
+// -ffp-contract=off):
 //   - a candidate is a step whose value differs (`!=`, NaN included) from
 //     the previous one;
 //   - its gain is 0.5 * (gl*gl/(h_left+lambda) + gr*gr/(h_right+lambda)
 //     - parent_score), evaluated mul, div, add, sub, mul;
 //   - a lane keeps its first strict maximum above the incoming best gain.
 // The lanes then fold into `scan` in feature order with a strict `>`, which
-// is where the sequential scan of f[0], f[1], f[2], f[3] would end. Returns
-// the candidates scored.
+// is where the sequential scan of the four features would end. Returns the
+// candidates scored.
 __attribute__((target("avx2"))) std::size_t scan_four(
-    const std::size_t* f, const ColumnSegments& segments, const Matrix& columns,
+    std::size_t first, const ColumnSegments& segments, const Matrix& columns,
     const double* grad, std::size_t begin, std::size_t end, NodeScan& scan) {
   const std::size_t n = end - begin;
   const std::uint32_t* seg[4];
   const double* values[4];
   for (std::size_t j = 0; j < 4; ++j) {
-    seg[j] = segments.segment(f[j], begin, end).data();
-    values[j] = columns.row(f[j]).data();
+    seg[j] = segments.segment(first + j, begin, end).data();
+    values[j] = columns.row(first + j).data();
   }
   // Every lane gathers its gradients from the one row-indexed array.
   const double* grads[4] = {grad, grad, grad, grad};
@@ -112,7 +111,7 @@ __attribute__((target("avx2"))) std::size_t scan_four(
     if (lane_best[j] > scan.best_gain) {
       const auto i = static_cast<std::size_t>(lane_step[j]);
       scan.best_gain = lane_best[j];
-      scan.best_feature = static_cast<std::int32_t>(f[j]);
+      scan.best_feature = static_cast<std::int32_t>(first + j);
       scan.best_threshold =
           0.5 * (values[j][seg[j][i - 1]] + values[j][seg[j][i]]);
     }
@@ -133,10 +132,6 @@ bool lockstep_scan() {
 GradientBoosting::GradientBoosting(GbtParams params) : params_(params) {
   VARPRED_CHECK_ARG(params_.n_rounds >= 1, "need at least one round");
   VARPRED_CHECK_ARG(params_.learning_rate > 0.0, "learning rate must be > 0");
-  VARPRED_CHECK_ARG(params_.subsample > 0.0 && params_.subsample <= 1.0,
-                    "subsample must be in (0, 1]");
-  VARPRED_CHECK_ARG(params_.colsample > 0.0 && params_.colsample <= 1.0,
-                    "colsample must be in (0, 1]");
   VARPRED_CHECK_ARG(params_.lambda >= 0.0, "lambda must be >= 0");
 }
 
@@ -146,6 +141,8 @@ double GradientBoosting::BoostTree::predict_one(
   for (;;) {
     const Node& node = nodes[static_cast<std::size_t>(idx)];
     if (node.feature < 0) return node.weight;
+    VARPRED_CHECK(static_cast<std::size_t>(node.feature) < row.size(),
+                  "feature index out of range in predict");
     idx = row[static_cast<std::size_t>(node.feature)] <= node.threshold
               ? node.left
               : node.right;
@@ -156,9 +153,7 @@ std::int32_t GradientBoosting::build_node(
     BoostTree& tree, const Matrix& x, std::span<const double> grad,
     std::span<const double> hess, std::vector<std::size_t>& work,
     std::size_t begin, std::size_t end, std::size_t depth,
-    std::span<const std::size_t> cols, const SortedColumns* presorted,
-    const Matrix& columns, ColumnSegments* segments,
-    std::vector<char>& in_node) const {
+    const Matrix& columns, ColumnSegments& segments) const {
   const std::size_t n = end - begin;
   double g_total = 0.0;
   double h_total = 0.0;
@@ -185,19 +180,18 @@ std::int32_t GradientBoosting::build_node(
                 .best_gain = params_.gamma};
   std::size_t scored = 0;
 
-  // Evaluates split candidates along a row sequence already sorted by
-  // feature f; `accept(row)` filters rows to this node's subset. Values
-  // come from the column-major copy of x. The squared loss's Hessian is
-  // the constant 1, so the left Hessian sum is exactly the number of rows
-  // seen (a sum of ones) and needs no per-row gather. This is the oracle
-  // scan_four reproduces lane by lane.
-  auto scan_sorted = [&](std::size_t f, auto&& rows_sorted, auto&& accept) {
+  // Evaluates split candidates along feature f's column segment: this
+  // node's rows in (feature value, row index) order. Values come from the
+  // column-major copy of x. The squared loss's Hessian is the constant 1,
+  // so the left Hessian sum is exactly the number of rows seen (a sum of
+  // ones) and needs no per-row gather. This is the oracle scan_four
+  // reproduces lane by lane.
+  auto scan_segment = [&](std::size_t f) {
     const std::span<const double> values = columns.row(f);
     double g_left = 0.0;
     std::size_t seen = 0;
     double prev_value = 0.0;
-    for (const std::size_t row : rows_sorted) {
-      if (!accept(row)) continue;
+    for (const std::uint32_t row : segments.segment(f, begin, end)) {
       const double v = values[row];
       if (seen > 0 && v != prev_value) {
         // Candidate split between prev_value and v.
@@ -224,46 +218,18 @@ std::int32_t GradientBoosting::build_node(
     }
   };
 
-  if (segments != nullptr) {
-    // Each column's [begin, end) range holds exactly this node's rows in
-    // (feature value, row index) order — scan it directly, no filtering:
-    // four features per step while four remain, when dispatch allows.
-    std::size_t next = 0;
+  // Four features per step while four remain, when dispatch allows.
+  const std::size_t n_features = x.cols();
+  std::size_t next = 0;
 #ifdef VARPRED_SIMD_AVX2
-    if (lockstep_scan()) {
-      for (; next + 4 <= cols.size(); next += 4) {
-        scored += scan_four(&cols[next], *segments, columns, grad.data(),
-                            begin, end, scan);
-      }
-    }
-#endif
-    for (; next < cols.size(); ++next) {
-      scan_sorted(cols[next], segments->segment(cols[next], begin, end),
-                  [](std::size_t) { return true; });
-    }
-  } else if (presorted != nullptr) {
-    // Filtered linear scan over the fit-level sorted order (no sorting).
-    for (std::size_t i = begin; i < end; ++i) in_node[work[i]] = 1;
-    for (const std::size_t f : cols) {
-      scan_sorted(f, presorted->order[f],
-                  [&](std::size_t row) { return in_node[row] != 0; });
-    }
-    for (std::size_t i = begin; i < end; ++i) in_node[work[i]] = 0;
-  } else {
-    std::vector<std::size_t> order(
-        work.begin() + static_cast<std::ptrdiff_t>(begin),
-        work.begin() + static_cast<std::ptrdiff_t>(end));
-    for (const std::size_t f : cols) {
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const double va = x(a, f);
-                  const double vb = x(b, f);
-                  if (va != vb) return va < vb;
-                  return a < b;
-                });
-      scan_sorted(f, order, [](std::size_t) { return true; });
+  if (lockstep_scan()) {
+    for (; next + 4 <= n_features; next += 4) {
+      scored += scan_four(next, segments, columns, grad.data(), begin, end,
+                          scan);
     }
   }
+#endif
+  for (; next < n_features; ++next) scan_segment(next);
 
   VARPRED_OBS_COUNT("ml.gbt.candidates_scored", scored);
   if (scan.best_feature < 0) return leaf();
@@ -284,20 +250,18 @@ std::int32_t GradientBoosting::build_node(
   // the segments again.
   const bool children_scanned =
       depth + 1 < params_.max_depth && (mid - begin >= 2 || end - mid >= 2);
-  if (segments != nullptr && children_scanned) {
-    segments->split(f, columns.row(f), threshold, begin, end);
+  if (children_scanned) {
+    segments.split(f, columns.row(f), threshold, begin, end);
   }
 
   tree.nodes.emplace_back();
   const auto self = static_cast<std::int32_t>(tree.nodes.size() - 1);
   tree.nodes[self].feature = scan.best_feature;
   tree.nodes[self].threshold = threshold;
-  const std::int32_t left =
-      build_node(tree, x, grad, hess, work, begin, mid, depth + 1, cols,
-                 presorted, columns, segments, in_node);
-  const std::int32_t right =
-      build_node(tree, x, grad, hess, work, mid, end, depth + 1, cols,
-                 presorted, columns, segments, in_node);
+  const std::int32_t left = build_node(tree, x, grad, hess, work, begin, mid,
+                                       depth + 1, columns, segments);
+  const std::int32_t right = build_node(tree, x, grad, hess, work, mid, end,
+                                        depth + 1, columns, segments);
   tree.nodes[self].left = left;
   tree.nodes[self].right = right;
   return self;
@@ -305,15 +269,12 @@ std::int32_t GradientBoosting::build_node(
 
 GradientBoosting::BoostTree GradientBoosting::fit_tree(
     const Matrix& x, std::span<const double> grad,
-    std::span<const double> hess, std::span<const std::size_t> rows,
-    std::span<const std::size_t> cols, const SortedColumns* presorted,
-    const Matrix& columns, ColumnSegments* segments) const {
+    std::span<const double> hess, const Matrix& columns,
+    ColumnSegments& segments) const {
   BoostTree tree;
-  std::vector<std::size_t> work(rows.begin(), rows.end());
-  std::vector<char> in_node;
-  if (presorted != nullptr && segments == nullptr) in_node.assign(x.rows(), 0);
-  build_node(tree, x, grad, hess, work, 0, work.size(), 0, cols, presorted,
-             columns, segments, in_node);
+  std::vector<std::size_t> work(x.rows());
+  std::iota(work.begin(), work.end(), std::size_t{0});
+  build_node(tree, x, grad, hess, work, 0, work.size(), 0, columns, segments);
   return tree;
 }
 
@@ -332,16 +293,12 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y,
   const std::size_t n_outputs = y.cols();
   ensembles_.assign(n_outputs, Ensemble{});
 
-  // With subsample == 1 every tree trains on the same rows, so the
-  // per-column sorted orders are shared by every node of every tree of every
-  // output ensemble (exact, just faster). A caller-provided artifact skips
-  // even that one dataset-level sort — the evaluator builds it once per
-  // corpus and shares it across all folds.
-  const bool share_rows = params_.subsample >= 1.0;
+  // Every tree trains on every row, so the per-column sorted orders are
+  // shared by every node of every tree of every output ensemble. A
+  // caller-provided artifact skips even that one dataset-level sort — the
+  // evaluator builds it once per corpus and shares it across all folds.
   SortedColumns own;
-  if (!share_rows) {
-    presorted = nullptr;  // subsampled rounds sort each node's own rows
-  } else if (presorted != nullptr) {
+  if (presorted != nullptr) {
     VARPRED_OBS_COUNT("ml.gbt.presort_reused", 1);
   } else {
     own = SortedColumns::build(x);
@@ -349,19 +306,13 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y,
   }
 
   // The scans read values from one column-major copy of x, shared
-  // read-only by every output ensemble. When every tree also sees every
-  // row and column, the per-feature orders are kept as node-partitioned
-  // segments: each ensemble restores its copy from the shared root orders
-  // every round.
-  const auto n_cols = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::llround(
-             params_.colsample * static_cast<double>(x.cols()))));
+  // read-only by every output ensemble. The per-feature orders are kept as
+  // node-partitioned segments: each ensemble restores its copy from the
+  // shared root orders every round.
   const Matrix columns = x.transposed();
-  std::optional<const ColumnSegments> root;
-  if (share_rows && n_cols == x.cols()) root.emplace(*presorted);
+  const ColumnSegments root(*presorted);
 
   parallel_for(n_outputs, [&](std::size_t out) {
-    Rng rng(seed_combine(params_.seed, out));
     Ensemble& ens = ensembles_[out];
 
     // Base score: mean of this output.
@@ -375,44 +326,11 @@ void GradientBoosting::fit(const Matrix& x, const Matrix& y,
     const std::vector<double> hess(n, 1.0);  // squared loss
     ens.trees.reserve(params_.n_rounds);
 
-    const auto n_rows = std::max<std::size_t>(
-        2, static_cast<std::size_t>(std::llround(
-               params_.subsample * static_cast<double>(n))));
-
-    std::vector<std::size_t> all_cols(x.cols());
-    std::iota(all_cols.begin(), all_cols.end(), std::size_t{0});
-    std::vector<std::size_t> all_rows(n);
-    std::iota(all_rows.begin(), all_rows.end(), std::size_t{0});
-
-    std::optional<ColumnSegments> segments = root;
-
+    ColumnSegments segments = root;
     for (std::size_t round = 0; round < params_.n_rounds; ++round) {
       for (std::size_t r = 0; r < n; ++r) grad[r] = pred[r] - y(r, out);
-
-      // Column subsample (per tree) and row subsample (without replacement).
-      std::vector<std::size_t> cols = all_cols;
-      if (n_cols < cols.size()) {
-        for (std::size_t i = 0; i < n_cols; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(rng.uniform_index(cols.size() - i));
-          std::swap(cols[i], cols[j]);
-        }
-        cols.resize(n_cols);
-      }
-      std::vector<std::size_t> rows = all_rows;
-      if (n_rows < n) {
-        for (std::size_t i = 0; i < n_rows; ++i) {
-          const std::size_t j =
-              i + static_cast<std::size_t>(rng.uniform_index(rows.size() - i));
-          std::swap(rows[i], rows[j]);
-        }
-        rows.resize(n_rows);
-        std::sort(rows.begin(), rows.end());
-      }
-
-      if (segments && round > 0) segments->reset_to(*root);
-      BoostTree tree = fit_tree(x, grad, hess, rows, cols, presorted, columns,
-                                segments ? &*segments : nullptr);
+      if (round > 0) segments.reset_to(root);
+      BoostTree tree = fit_tree(x, grad, hess, columns, segments);
       for (std::size_t r = 0; r < n; ++r) {
         pred[r] += params_.learning_rate * tree.predict_one(x.row(r));
       }

@@ -6,8 +6,9 @@
 //   gain = 1/2 [ G_L^2/(H_L+lambda) + G_R^2/(H_R+lambda) - G^2/(H+lambda) ]
 //          - gamma
 // Multi-output targets are handled as one boosted ensemble per output column
-// (as XGBoost does), trained in parallel. Supports shrinkage, row
-// subsampling, and per-tree column subsampling.
+// (as XGBoost does), trained in parallel. Supports shrinkage; every tree
+// sees every row and every feature (XGBoost's defaults, no subsampling), so
+// all trees share one presort, scanned as column segments.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +25,6 @@ struct GbtParams {
   double lambda = 1.0;          ///< L2 regularization on leaf weights
   double gamma = 0.0;           ///< minimum split gain
   double min_child_weight = 1.0;
-  double subsample = 0.8;       ///< row sampling fraction per round
-  double colsample = 0.5;       ///< column sampling fraction per tree
-  std::uint64_t seed = 3;
 };
 
 class GradientBoosting final : public Regressor {
@@ -35,7 +33,7 @@ class GradientBoosting final : public Regressor {
 
   using Regressor::fit;
   /// A non-null `presorted` must be SortedColumns::build(x) (dimension
-  /// match is checked, whatever subsample is).
+  /// match is checked); when null, the fit builds it.
   void fit(const Matrix& x, const Matrix& y,
            const SortedColumns* presorted) override;
   std::vector<double> predict(std::span<const double> row) const override;
@@ -65,21 +63,18 @@ class GradientBoosting final : public Regressor {
     std::vector<BoostTree> trees;
   };
 
+  // `segments` holds the root orders of every row on entry; the fit
+  // partitions them in place.
   BoostTree fit_tree(const Matrix& x, std::span<const double> grad,
-                     std::span<const double> hess,
-                     std::span<const std::size_t> rows,
-                     std::span<const std::size_t> cols,
-                     const SortedColumns* presorted, const Matrix& columns,
-                     ColumnSegments* segments) const;
+                     std::span<const double> hess, const Matrix& columns,
+                     ColumnSegments& segments) const;
   std::int32_t build_node(BoostTree& tree, const Matrix& x,
                           std::span<const double> grad,
                           std::span<const double> hess,
                           std::vector<std::size_t>& work, std::size_t begin,
                           std::size_t end, std::size_t depth,
-                          std::span<const std::size_t> cols,
-                          const SortedColumns* presorted,
-                          const Matrix& columns, ColumnSegments* segments,
-                          std::vector<char>& in_node) const;
+                          const Matrix& columns,
+                          ColumnSegments& segments) const;
 
   GbtParams params_;
   std::vector<Ensemble> ensembles_;  // one per output column

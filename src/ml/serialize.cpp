@@ -1,6 +1,8 @@
 // Serialization of the ML models (see ml/serialize.hpp).
 #include "ml/serialize.hpp"
 
+#include <cmath>
+#include <cstdint>
 #include <istream>
 #include <ostream>
 
@@ -15,7 +17,36 @@
 namespace varpred::ml {
 namespace {
 
-constexpr std::uint64_t kFormatVersion = 1;
+constexpr std::uint64_t kKnnFormatVersion = 1;
+// Tree, forest and GBT records. v2 dropped the row and feature sampling
+// settings (and the tree and GBT seeds) v1 carried; v1 records are
+// rejected.
+constexpr std::uint64_t kTreeFormatVersion = 2;
+
+// A packed node index (feature, child, leaf offset or depth): it must be an
+// integral, finite double within int32 range.
+std::int32_t packed_index(double value) {
+  VARPRED_CHECK_ARG(std::isfinite(value) && value == std::trunc(value) &&
+                        value >= INT32_MIN && value <= INT32_MAX,
+                    "node index is not an int32");
+  return static_cast<std::int32_t>(value);
+}
+
+// Node i of an n-node tree with `feature` (-1 marks a leaf): an internal
+// node's children must lie in range and come after it. The builders append
+// a node's children after the node, so this holds for every saved tree,
+// and it guarantees that predict's walk from the root ends.
+void check_links(std::size_t i, std::size_t n, std::int32_t feature,
+                 std::int32_t left, std::int32_t right) {
+  VARPRED_CHECK_ARG(feature >= -1, "node feature index out of range");
+  if (feature < 0) return;
+  const auto after = [&](std::int32_t child) {
+    return child >= 0 && static_cast<std::size_t>(child) > i &&
+           static_cast<std::size_t>(child) < n;
+  };
+  VARPRED_CHECK_ARG(after(left) && after(right),
+                    "node child index out of range");
+}
 
 void save_scaler(io::Writer& w, const StandardScaler& scaler) {
   w.boolean("fitted", scaler.fitted());
@@ -59,7 +90,7 @@ Matrix load_matrix(io::Reader& reader, const std::string& name) {
 void KnnRegressor::save(std::ostream& out) const {
   io::Writer w(out);
   w.tag("varpred.knn");
-  w.u64("version", kFormatVersion);
+  w.u64("version", kKnnFormatVersion);
   w.u64("k", params_.k);
   w.u64("metric", static_cast<std::uint64_t>(params_.metric));
   w.u64("weighting", static_cast<std::uint64_t>(params_.weighting));
@@ -76,7 +107,7 @@ KnnRegressor KnnRegressor::load(std::istream& in) {
   io::Reader r(in);
   r.tag("varpred.knn");
   const auto version = r.u64("version");
-  VARPRED_CHECK_ARG(version == kFormatVersion, "unsupported knn version");
+  VARPRED_CHECK_ARG(version == kKnnFormatVersion, "unsupported knn version");
   KnnParams params;
   params.k = static_cast<std::size_t>(r.u64("k"));
   params.metric = static_cast<Metric>(r.u64("metric"));
@@ -97,12 +128,10 @@ KnnRegressor KnnRegressor::load(std::istream& in) {
 void RegressionTree::save(std::ostream& out) const {
   io::Writer w(out);
   w.tag("varpred.tree");
-  w.u64("version", kFormatVersion);
+  w.u64("version", kTreeFormatVersion);
   w.u64("max_depth", params_.max_depth);
   w.u64("min_samples_leaf", params_.min_samples_leaf);
   w.u64("min_samples_split", params_.min_samples_split);
-  w.u64("max_features", params_.max_features);
-  w.u64("seed", params_.seed);
   w.u64("n_outputs", n_outputs_);
   w.u64("n_nodes", nodes_.size());
   std::vector<double> packed;
@@ -122,7 +151,7 @@ void RegressionTree::save(std::ostream& out) const {
 RegressionTree RegressionTree::load(std::istream& in) {
   io::Reader r(in);
   r.tag("varpred.tree");
-  VARPRED_CHECK_ARG(r.u64("version") == kFormatVersion,
+  VARPRED_CHECK_ARG(r.u64("version") == kTreeFormatVersion,
                     "unsupported tree version");
   TreeParams params;
   params.max_depth = static_cast<std::size_t>(r.u64("max_depth"));
@@ -130,24 +159,33 @@ RegressionTree RegressionTree::load(std::istream& in) {
       static_cast<std::size_t>(r.u64("min_samples_leaf"));
   params.min_samples_split =
       static_cast<std::size_t>(r.u64("min_samples_split"));
-  params.max_features = static_cast<std::size_t>(r.u64("max_features"));
-  params.seed = r.u64("seed");
   RegressionTree tree(params);
   tree.n_outputs_ = static_cast<std::size_t>(r.u64("n_outputs"));
   const auto n_nodes = static_cast<std::size_t>(r.u64("n_nodes"));
   const auto packed = r.vec("nodes");
-  VARPRED_CHECK_ARG(packed.size() == n_nodes * 6, "tree node payload size");
+  VARPRED_CHECK_ARG(packed.size() % 6 == 0 && packed.size() / 6 == n_nodes,
+                    "tree node payload size");
+  tree.leaf_values_ = r.vec("leaves");
   tree.nodes_.resize(n_nodes);
   for (std::size_t i = 0; i < n_nodes; ++i) {
     auto& node = tree.nodes_[i];
-    node.feature = static_cast<std::int32_t>(packed[i * 6 + 0]);
+    node.feature = packed_index(packed[i * 6 + 0]);
     node.threshold = packed[i * 6 + 1];
-    node.left = static_cast<std::int32_t>(packed[i * 6 + 2]);
-    node.right = static_cast<std::int32_t>(packed[i * 6 + 3]);
-    node.value_offset = static_cast<std::int32_t>(packed[i * 6 + 4]);
-    node.node_depth = static_cast<std::int32_t>(packed[i * 6 + 5]);
+    node.left = packed_index(packed[i * 6 + 2]);
+    node.right = packed_index(packed[i * 6 + 3]);
+    node.value_offset = packed_index(packed[i * 6 + 4]);
+    node.node_depth = packed_index(packed[i * 6 + 5]);
+    check_links(i, n_nodes, node.feature, node.left, node.right);
+    if (node.feature < 0) {
+      // value_offset + n_outputs <= leaves, without overflow.
+      const std::size_t n_leaf_values = tree.leaf_values_.size();
+      VARPRED_CHECK_ARG(node.value_offset >= 0 &&
+                            tree.n_outputs_ <= n_leaf_values &&
+                            static_cast<std::size_t>(node.value_offset) <=
+                                n_leaf_values - tree.n_outputs_,
+                        "leaf value offset out of range");
+    }
   }
-  tree.leaf_values_ = r.vec("leaves");
   return tree;
 }
 
@@ -156,10 +194,8 @@ RegressionTree RegressionTree::load(std::istream& in) {
 void RandomForest::save(std::ostream& out) const {
   io::Writer w(out);
   w.tag("varpred.forest");
-  w.u64("version", kFormatVersion);
+  w.u64("version", kTreeFormatVersion);
   w.u64("n_trees", params_.n_trees);
-  w.boolean("bootstrap", params_.bootstrap);
-  w.f64("feature_fraction", params_.feature_fraction);
   w.u64("seed", params_.seed);
   w.u64("n_outputs", n_outputs_);
   w.u64("trained_trees", trees_.size());
@@ -169,12 +205,10 @@ void RandomForest::save(std::ostream& out) const {
 RandomForest RandomForest::load(std::istream& in) {
   io::Reader r(in);
   r.tag("varpred.forest");
-  VARPRED_CHECK_ARG(r.u64("version") == kFormatVersion,
+  VARPRED_CHECK_ARG(r.u64("version") == kTreeFormatVersion,
                     "unsupported forest version");
   ForestParams params;
   params.n_trees = static_cast<std::size_t>(r.u64("n_trees"));
-  params.bootstrap = r.boolean("bootstrap");
-  params.feature_fraction = r.f64("feature_fraction");
   params.seed = r.u64("seed");
   RandomForest forest(params);
   forest.n_outputs_ = static_cast<std::size_t>(r.u64("n_outputs"));
@@ -182,6 +216,11 @@ RandomForest RandomForest::load(std::istream& in) {
   forest.trees_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     forest.trees_.push_back(RegressionTree::load(in));
+    // predict sums n_outputs values from every tree.
+    VARPRED_CHECK_ARG(forest.trees_.back().trained() &&
+                          forest.trees_.back().output_count() ==
+                              forest.n_outputs_,
+                      "forest tree does not match the forest's outputs");
   }
   return forest;
 }
@@ -191,16 +230,13 @@ RandomForest RandomForest::load(std::istream& in) {
 void GradientBoosting::save(std::ostream& out) const {
   io::Writer w(out);
   w.tag("varpred.gbt");
-  w.u64("version", kFormatVersion);
+  w.u64("version", kTreeFormatVersion);
   w.u64("n_rounds", params_.n_rounds);
   w.f64("learning_rate", params_.learning_rate);
   w.u64("max_depth", params_.max_depth);
   w.f64("lambda", params_.lambda);
   w.f64("gamma", params_.gamma);
   w.f64("min_child_weight", params_.min_child_weight);
-  w.f64("subsample", params_.subsample);
-  w.f64("colsample", params_.colsample);
-  w.u64("seed", params_.seed);
   w.u64("n_ensembles", ensembles_.size());
   for (const auto& ens : ensembles_) {
     w.f64("base_score", ens.base_score);
@@ -223,7 +259,7 @@ void GradientBoosting::save(std::ostream& out) const {
 GradientBoosting GradientBoosting::load(std::istream& in) {
   io::Reader r(in);
   r.tag("varpred.gbt");
-  VARPRED_CHECK_ARG(r.u64("version") == kFormatVersion,
+  VARPRED_CHECK_ARG(r.u64("version") == kTreeFormatVersion,
                     "unsupported gbt version");
   GbtParams params;
   params.n_rounds = static_cast<std::size_t>(r.u64("n_rounds"));
@@ -232,9 +268,6 @@ GradientBoosting GradientBoosting::load(std::istream& in) {
   params.lambda = r.f64("lambda");
   params.gamma = r.f64("gamma");
   params.min_child_weight = r.f64("min_child_weight");
-  params.subsample = r.f64("subsample");
-  params.colsample = r.f64("colsample");
-  params.seed = r.u64("seed");
   GradientBoosting gbt(params);
   const auto n_ens = static_cast<std::size_t>(r.u64("n_ensembles"));
   gbt.ensembles_.resize(n_ens);
@@ -244,15 +277,18 @@ GradientBoosting GradientBoosting::load(std::istream& in) {
     ens.trees.resize(n_trees);
     for (auto& tree : ens.trees) {
       const auto packed = r.vec("tree");
-      VARPRED_CHECK_ARG(packed.size() % 5 == 0, "gbt tree payload size");
+      VARPRED_CHECK_ARG(!packed.empty() && packed.size() % 5 == 0,
+                        "gbt tree payload size");
       tree.nodes.resize(packed.size() / 5);
       for (std::size_t i = 0; i < tree.nodes.size(); ++i) {
         auto& node = tree.nodes[i];
-        node.feature = static_cast<std::int32_t>(packed[i * 5 + 0]);
+        node.feature = packed_index(packed[i * 5 + 0]);
         node.threshold = packed[i * 5 + 1];
-        node.left = static_cast<std::int32_t>(packed[i * 5 + 2]);
-        node.right = static_cast<std::int32_t>(packed[i * 5 + 3]);
+        node.left = packed_index(packed[i * 5 + 2]);
+        node.right = packed_index(packed[i * 5 + 3]);
         node.weight = packed[i * 5 + 4];
+        check_links(i, tree.nodes.size(), node.feature, node.left,
+                    node.right);
       }
     }
   }

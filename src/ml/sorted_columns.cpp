@@ -59,16 +59,14 @@ std::vector<std::uint32_t> multiplicities(std::span<const std::size_t> rows,
 
 }  // namespace
 
-SortedColumns SortedColumns::filtered(std::span<const std::size_t> rows,
-                                      bool remap) const {
+SortedColumns SortedColumns::filtered(
+    std::span<const std::size_t> rows) const {
   const std::vector<std::uint32_t> count =
-      multiplicities(rows, row_count(), remap);
+      multiplicities(rows, row_count(), /*strict=*/true);
   VARPRED_OBS_COUNT("ml.sorted_columns.filters", 1);
-  // For remap, each source row's row number in the gathered submatrix.
-  std::vector<std::size_t> position(remap ? row_count() : 0, 0);
-  if (remap) {
-    for (std::size_t i = 0; i < rows.size(); ++i) position[rows[i]] = i;
-  }
+  // Each source row's row number in the gathered submatrix.
+  std::vector<std::size_t> position(row_count(), 0);
+  for (std::size_t i = 0; i < rows.size(); ++i) position[rows[i]] = i;
 
   SortedColumns out;
   out.order.resize(order.size());
@@ -76,9 +74,7 @@ SortedColumns SortedColumns::filtered(std::span<const std::size_t> rows,
     std::vector<std::size_t> col_order;
     col_order.reserve(rows.size());
     for (const std::size_t r : order[c]) {
-      for (std::uint32_t k = 0; k < count[r]; ++k) {
-        col_order.push_back(remap ? position[r] : r);
-      }
+      if (count[r] != 0) col_order.push_back(position[r]);
     }
     out.order[c] = std::move(col_order);
   }

@@ -10,6 +10,9 @@
 // (value, new index), so a filtered order is bit-for-bit the order a fresh
 // sort of the submatrix would produce. Tree fits that consume a filtered
 // artifact therefore build byte-identical trees.
+//
+// ColumnSegments is the one split-search layout of both tree learners: it
+// holds these orders partitioned node by node as a tree grows.
 #pragma once
 
 #include <cstddef>
@@ -26,8 +29,7 @@ namespace varpred::ml {
 struct SortedColumns {
   /// order[c] holds the matrix's row indices sorted ascending by column c,
   /// ties broken by row index. All columns have the same length: the number
-  /// of rows the artifact was built over (with multiplicity, for orders
-  /// derived over a bootstrap sample).
+  /// of rows the artifact was built over.
   std::vector<std::vector<std::size_t>> order;
 
   std::size_t cols() const { return order.size(); }
@@ -38,18 +40,13 @@ struct SortedColumns {
   /// this once per dataset.
   static SortedColumns build(const Matrix& x);
 
-  /// Derives the orders of the submatrix formed by `rows` (ascending,
-  /// duplicates allowed — a fold subset or a sorted bootstrap sample) by a
-  /// counted linear filter over this artifact: O(cols * n). `rows` must
-  /// index rows this artifact was built over.
-  ///
-  /// When `remap` is true, `rows` must be strictly ascending and the output
-  /// indices are positions into `rows` (i.e. row numbers of the gathered
-  /// submatrix); the result is exactly build(x.gather_rows(rows)). When
-  /// false, output indices stay in this artifact's row numbering, each
-  /// emitted once per occurrence in `rows` — the order a sort of the sample
-  /// multiset by (value, index) would produce.
-  SortedColumns filtered(std::span<const std::size_t> rows, bool remap) const;
+  /// Derives the orders of the submatrix formed by `rows` (strictly
+  /// ascending, e.g. a fold's training subset) by a linear filter over this
+  /// artifact: O(cols * n). Output indices are positions into `rows` (row
+  /// numbers of the gathered submatrix): the result is exactly
+  /// build(x.gather_rows(rows)). A sample with duplicated rows (a bootstrap
+  /// sample) loads straight into ColumnSegments(base, rows) instead.
+  SortedColumns filtered(std::span<const std::size_t> rows) const;
 };
 
 /// The exact split search's working layout, shared by RegressionTree and
@@ -57,8 +54,7 @@ struct SortedColumns {
 /// tree being grown. Every node owns the same [begin, end) range of each
 /// column, and that range holds the node's rows sorted by that feature.
 /// split() stable-partitions every column's range, so each child's range
-/// stays in (value, index) order — exactly the sequence a per-node sort
-/// would produce, without sorting past the root.
+/// stays in (value, index) order without sorting past the root.
 ///
 /// Fit-scoped: a learner builds one per tree (or per boosting ensemble) and
 /// drops it when the fit returns.
@@ -68,9 +64,9 @@ class ColumnSegments {
   /// Loads `sorted`'s orders (row ids must fit 32 bits).
   explicit ColumnSegments(const SortedColumns& sorted);
   /// Loads the orders of the sample `rows` of `base` (ascending, duplicates
-  /// allowed, e.g. a sorted bootstrap sample): exactly
-  /// ColumnSegments(base.filtered(rows, /*remap=*/false)), in one pass
-  /// without the intermediate artifact.
+  /// allowed, e.g. a sorted bootstrap sample) by a counted linear filter:
+  /// column f lists base's row ids, each once per occurrence in `rows`, in
+  /// the order a sort of the sample multiset by (value, index) gives.
   ColumnSegments(const SortedColumns& base, std::span<const std::size_t> rows);
 
   std::size_t cols() const { return cols_; }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <optional>
 
 #include "common/simd.hpp"
 #include "obs/obs.hpp"
@@ -249,17 +248,15 @@ ScanFn feature_scan([[maybe_unused]] std::size_t n) {
 }  // namespace
 
 // Exact split search state for one fit: the column-major copy of x the
-// scans read values from, the scan and its scratch, the per-node candidate
-// features and output sums (refilled at every node), and — when every
-// split considers every feature — each node's rows sorted per feature,
+// scans read values from, the scan and its scratch, the per-node output
+// sums (refilled at every node), and each node's rows sorted per feature,
 // kept in lockstep with work_.
 struct RegressionTree::ExactScan {
   const Matrix& columns;
   ScanFn scan;
   ScanBuffers buffers;
-  std::vector<std::size_t> features;  // x.cols()
-  std::vector<double> total_sum;      // n_outputs_
-  std::optional<ColumnSegments> segments;
+  std::vector<double> total_sum;  // n_outputs_
+  ColumnSegments segments;
 };
 
 RegressionTree::RegressionTree(TreeParams params) : params_(params) {
@@ -270,49 +267,30 @@ RegressionTree::RegressionTree(TreeParams params) : params_(params) {
 
 void RegressionTree::fit(const Matrix& x, const Matrix& y,
                          const SortedColumns* presorted) {
+  VARPRED_CHECK_ARG(presorted == nullptr ||
+                        (presorted->cols() == x.cols() &&
+                         presorted->row_count() == x.rows()),
+                    "presorted artifact does not match training matrix");
+  SortedColumns own;
+  if (presorted == nullptr) {
+    own = SortedColumns::build(x);
+    presorted = &own;
+  }
   std::vector<std::size_t> all(x.rows());
   std::iota(all.begin(), all.end(), std::size_t{0});
   // A dataset-level artifact over x is exactly the all-rows sample order.
-  fit_rows(x, y, all, presorted);
-}
-
-bool RegressionTree::all_features(std::size_t n_features) const {
-  return params_.max_features == 0 || params_.max_features >= n_features;
-}
-
-void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
-                              std::span<const std::size_t> indices,
-                              const SortedColumns* presorted,
-                              const Matrix* columns) {
-  VARPRED_CHECK_ARG(presorted == nullptr ||
-                        (presorted->cols() == x.cols() &&
-                         presorted->row_count() == indices.size()),
-                    "presorted artifact does not match sample");
-  std::optional<ColumnSegments> segments;
-  if (presorted != nullptr && all_features(x.cols())) {
-    segments.emplace(*presorted);
-  }
-  fit_sample(x, y, indices, std::move(segments), columns);
+  fit_rows(x, y, all, ColumnSegments(*presorted));
 }
 
 void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
                               std::span<const std::size_t> indices,
                               ColumnSegments segments, const Matrix* columns) {
-  VARPRED_CHECK_ARG(
-      segments.cols() == x.cols() && segments.rows() == indices.size(),
-      "column segments do not match sample");
-  std::optional<ColumnSegments> used;
-  if (all_features(x.cols())) used.emplace(std::move(segments));
-  fit_sample(x, y, indices, std::move(used), columns);
-}
-
-void RegressionTree::fit_sample(const Matrix& x, const Matrix& y,
-                                std::span<const std::size_t> indices,
-                                std::optional<ColumnSegments> segments,
-                                const Matrix* columns) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(!indices.empty(), "cannot fit on zero rows");
   VARPRED_CHECK_ARG(x.rows() <= UINT32_MAX, "row ids do not fit 32 bits");
+  VARPRED_CHECK_ARG(
+      segments.cols() == x.cols() && segments.rows() == indices.size(),
+      "column segments do not match sample");
   nodes_.clear();
   leaf_values_.clear();
   n_outputs_ = y.cols();
@@ -325,16 +303,12 @@ void RegressionTree::fit_sample(const Matrix& x, const Matrix& y,
   }
   VARPRED_CHECK_ARG(columns->rows() == x.cols() && columns->cols() == x.rows(),
                     "column-major copy does not match training matrix");
-  ExactScan exact{*columns,
-                  feature_scan(indices.size()),
+  ExactScan exact{*columns, feature_scan(indices.size()),
                   ScanBuffers(indices.size(), n_outputs_),
-                  std::vector<std::size_t>(x.cols()),
-                  std::vector<double>(n_outputs_),
-                  std::move(segments)};
+                  std::vector<double>(n_outputs_), std::move(segments)};
   exact_ = &exact;
 
-  Rng rng(params_.seed);
-  build(x, y, 0, work_.size(), 0, rng);
+  build(x, y, 0, work_.size(), 0);
 
   release(work_);
   exact_ = nullptr;
@@ -367,26 +341,11 @@ std::int32_t RegressionTree::make_leaf(const Matrix& y, std::size_t begin,
 
 std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
                                    std::size_t begin, std::size_t end,
-                                   std::size_t depth, Rng& rng) {
+                                   std::size_t depth) {
   const std::size_t n = end - begin;
   if (depth >= params_.max_depth || n < params_.min_samples_split ||
       n < 2 * params_.min_samples_leaf) {
     return make_leaf(y, begin, end, depth);
-  }
-
-  // Candidate features: all, or a deterministic random subset.
-  const std::size_t n_features = x.cols();
-  std::vector<std::size_t>& features = exact_->features;
-  std::iota(features.begin(), features.end(), std::size_t{0});
-  std::size_t n_candidates = n_features;
-  if (params_.max_features > 0 && params_.max_features < n_features) {
-    // Fisher-Yates prefix shuffle.
-    n_candidates = params_.max_features;
-    for (std::size_t i = 0; i < n_candidates; ++i) {
-      const std::size_t j =
-          i + static_cast<std::size_t>(rng.uniform_index(n_features - i));
-      std::swap(features[i], features[j]);
-    }
   }
 
   // Parent statistics: per-output sums and the total sum of squares.
@@ -408,32 +367,12 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
 
   BestSplit best{.sse = parent_sse - 1e-12};
 
-  // Exact search over each candidate feature's rows in (value, index)
-  // order: the node's column segment, or else a per-node sort — the
-  // oracle the segments are tested against, and the path that runs when
-  // splits sample features.
-  std::vector<std::uint32_t> sorted;
-  if (!exact_->segments) {
-    sorted.assign(work_.begin() + static_cast<std::ptrdiff_t>(begin),
-                  work_.begin() + static_cast<std::ptrdiff_t>(end));
-  }
+  // Exact search over each feature's rows in (value, index) order: the
+  // node's column segment.
   std::size_t scored = 0;
-  for (std::size_t fi = 0; fi < n_candidates; ++fi) {
-    const std::size_t f = features[fi];
-    std::span<const std::uint32_t> rows;
-    if (exact_->segments) {
-      rows = exact_->segments->segment(f, begin, end);
-    } else {
-      std::sort(sorted.begin(), sorted.end(),
-                [&](std::size_t a, std::size_t b) {
-                  const double va = x(a, f);
-                  const double vb = x(b, f);
-                  if (va != vb) return va < vb;
-                  return a < b;  // deterministic ties
-                });
-      rows = sorted;
-    }
-    scored += exact_->scan(f, rows, exact_->columns.row(f), y.data().data(),
+  for (std::size_t f = 0; f < x.cols(); ++f) {
+    scored += exact_->scan(f, exact_->segments.segment(f, begin, end),
+                           exact_->columns.row(f), y.data().data(),
                            total_sum.data(), total_sq,
                            params_.min_samples_leaf, exact_->buffers, best);
   }
@@ -463,9 +402,9 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
            rows >= params_.min_samples_split &&
            rows >= 2 * params_.min_samples_leaf;
   };
-  if (exact_->segments && (may_split(mid - begin) || may_split(end - mid))) {
-    exact_->segments->split(f, exact_->columns.row(f), best.threshold, begin,
-                            end);
+  if (may_split(mid - begin) || may_split(end - mid)) {
+    exact_->segments.split(f, exact_->columns.row(f), best.threshold, begin,
+                           end);
   }
 
   // Reserve this node's slot before building children.
@@ -474,8 +413,8 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   nodes_[self].feature = best.feature;
   nodes_[self].threshold = best.threshold;
   nodes_[self].node_depth = static_cast<std::int32_t>(depth);
-  const std::int32_t left = build(x, y, begin, mid, depth + 1, rng);
-  const std::int32_t right = build(x, y, mid, end, depth + 1, rng);
+  const std::int32_t left = build(x, y, begin, mid, depth + 1);
+  const std::int32_t right = build(x, y, mid, end, depth + 1);
   nodes_[self].left = left;
   nodes_[self].right = right;
   return self;

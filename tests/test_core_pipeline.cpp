@@ -400,8 +400,6 @@ TEST(EvalCache, TreeModelScoresMatchUncachedPath) {
     ml::ForestParams fp;
     fp.n_trees = 8;
     fp.tree.max_depth = 6;
-    fp.bootstrap = true;
-    fp.feature_fraction = 1.0;
     fp.seed = 3;
     return std::make_unique<ml::RandomForest>(fp);
   };
@@ -409,8 +407,6 @@ TEST(EvalCache, TreeModelScoresMatchUncachedPath) {
       []() -> std::unique_ptr<ml::Regressor> {
     ml::GbtParams gp;
     gp.n_rounds = 6;
-    gp.subsample = 1.0;
-    gp.colsample = 1.0;
     return std::make_unique<ml::GradientBoosting>(gp);
   };
   for (const auto& factory : {forest_factory, gbt_factory}) {

@@ -214,6 +214,33 @@ std::vector<std::size_t> sorted_column(const Matrix& x, std::size_t c) {
   return order;
 }
 
+// Brute-force reference for a sample with duplicated rows (ascending, e.g. a
+// sorted bootstrap sample): per column, the sample's row ids sorted by
+// (value, index), each once per occurrence.
+SortedColumns multiset_order(const Matrix& x,
+                             const std::vector<std::size_t>& sample) {
+  SortedColumns out;
+  for (std::size_t c = 0; c < x.cols(); ++c) {
+    std::vector<std::size_t> order = sample;
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::size_t a, std::size_t b) {
+                       if (x(a, c) != x(b, c)) return x(a, c) < x(b, c);
+                       return a < b;
+                     });
+    out.order.push_back(std::move(order));
+  }
+  return out;
+}
+
+// A bootstrap sample of n rows out of n: sorted, with duplicates.
+std::vector<std::size_t> bootstrap_sample(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::size_t> sample(n);
+  for (auto& r : sample) r = rng.uniform_index(n);
+  std::sort(sample.begin(), sample.end());
+  return sample;
+}
+
 Matrix tie_heavy_matrix(std::size_t n, std::size_t cols, std::uint64_t seed) {
   Rng rng(seed);
   Matrix x(n, cols);
@@ -237,7 +264,7 @@ TEST(SortedColumns, BuildMatchesFreshSortWithTieBreak) {
   }
 }
 
-TEST(SortedColumns, FilteredWithRemapEqualsBuildOfSubmatrix) {
+TEST(SortedColumns, FilteredEqualsBuildOfSubmatrix) {
   // The fold-cache invariant: filtering the dataset artifact down to a
   // strictly ascending row subset must be bit-for-bit what a fresh build
   // over the gathered submatrix produces.
@@ -245,32 +272,11 @@ TEST(SortedColumns, FilteredWithRemapEqualsBuildOfSubmatrix) {
   const auto base = SortedColumns::build(x);
   std::vector<std::size_t> rows;
   for (std::size_t r = 0; r < 90; r += 1 + r % 3) rows.push_back(r);
-  const auto filtered = base.filtered(rows, /*remap=*/true);
+  const auto filtered = base.filtered(rows);
   const auto fresh = SortedColumns::build(x.gather_rows(rows));
   ASSERT_EQ(filtered.cols(), fresh.cols());
   for (std::size_t c = 0; c < fresh.cols(); ++c) {
     EXPECT_EQ(filtered.order[c], fresh.order[c]) << "column " << c;
-  }
-}
-
-TEST(SortedColumns, FilteredBootstrapEmitsMultiplicities) {
-  // Bootstrap mode (remap=false): duplicated sample rows appear once per
-  // occurrence, in the order a (value, index) sort of the multiset gives.
-  const auto x = tie_heavy_matrix(40, 2, 11);
-  const auto base = SortedColumns::build(x);
-  Rng rng(31);
-  std::vector<std::size_t> sample(40);
-  for (auto& r : sample) r = rng.uniform_index(40);
-  std::sort(sample.begin(), sample.end());
-  const auto filtered = base.filtered(sample, /*remap=*/false);
-  for (std::size_t c = 0; c < 2; ++c) {
-    std::vector<std::size_t> expect = sample;
-    std::stable_sort(expect.begin(), expect.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       if (x(a, c) != x(b, c)) return x(a, c) < x(b, c);
-                       return a < b;
-                     });
-    EXPECT_EQ(filtered.order[c], expect) << "column " << c;
   }
 }
 
@@ -280,12 +286,7 @@ TEST(ColumnSegments, SplitIsAStablePartitionOfEveryColumn) {
   // rows going left, and the right range the rest — on a bootstrap sample
   // whose duplicated rows and tied values stress the stability.
   const auto x = tie_heavy_matrix(60, 3, 17);
-  const auto base = SortedColumns::build(x);
-  Rng rng(37);
-  std::vector<std::size_t> sample(60);
-  for (auto& r : sample) r = rng.uniform_index(60);
-  std::sort(sample.begin(), sample.end());
-  const ColumnSegments root(base.filtered(sample, /*remap=*/false));
+  const ColumnSegments root(multiset_order(x, bootstrap_sample(60, 37)));
   ColumnSegments segments = root;
   const auto xt = x.transposed();
   const auto expect_split = [&](const ColumnSegments& before,
@@ -391,23 +392,21 @@ TEST(ColumnSegments, SplitMatchesStablePartitionAtBlockEdges) {
   }
 }
 
-TEST(ColumnSegments, SampleConstructorEqualsFilteredArtifact) {
+TEST(ColumnSegments, SampleConstructorEqualsSortOfTheMultiset) {
   // A forest loads each bootstrap sample's segments straight from the
-  // dataset artifact; they must be the segments of the filtered artifact.
+  // dataset artifact: duplicated sample rows appear once per occurrence, in
+  // the order a (value, index) sort of the sample multiset gives.
   const auto x = tie_heavy_matrix(50, 3, 19);
   const auto base = SortedColumns::build(x);
-  Rng rng(41);
-  std::vector<std::size_t> sample(50);
-  for (auto& r : sample) r = rng.uniform_index(50);
-  std::sort(sample.begin(), sample.end());
+  const auto sample = bootstrap_sample(50, 41);
   const ColumnSegments direct(base, sample);
-  const ColumnSegments via(base.filtered(sample, /*remap=*/false));
-  ASSERT_EQ(direct.rows(), via.rows());
-  ASSERT_EQ(direct.cols(), via.cols());
+  const SortedColumns expect = multiset_order(x, sample);
+  ASSERT_EQ(direct.rows(), sample.size());
+  ASSERT_EQ(direct.cols(), x.cols());
   for (std::size_t c = 0; c < x.cols(); ++c) {
-    const auto a = direct.segment(c, 0, sample.size());
-    const auto b = via.segment(c, 0, sample.size());
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+    const auto got = direct.segment(c, 0, sample.size());
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.order[c].begin(),
+                           expect.order[c].end()))
         << "column " << c;
   }
   const std::vector<std::size_t> descending = {3, 1};
@@ -420,14 +419,13 @@ TEST(SortedColumns, FilteredValidatesRowOrder) {
   const auto x = tie_heavy_matrix(10, 2, 13);
   const auto base = SortedColumns::build(x);
   const std::vector<std::size_t> descending = {3, 1};
-  EXPECT_THROW(base.filtered(descending, /*remap=*/false),
-               std::invalid_argument);
-  // remap requires *strictly* ascending rows; duplicates must be rejected.
+  EXPECT_THROW(base.filtered(descending), std::invalid_argument);
+  // Rows must be *strictly* ascending; duplicates must be rejected.
   const std::vector<std::size_t> dup = {1, 1, 2};
-  EXPECT_THROW(base.filtered(dup, /*remap=*/true), std::invalid_argument);
-  EXPECT_NO_THROW(base.filtered(dup, /*remap=*/false));
+  EXPECT_THROW(base.filtered(dup), std::invalid_argument);
   const std::vector<std::size_t> oob = {5, 25};
-  EXPECT_THROW(base.filtered(oob, /*remap=*/false), std::invalid_argument);
+  EXPECT_THROW(base.filtered(oob), std::invalid_argument);
+  EXPECT_THROW(base.filtered({}), std::invalid_argument);
 }
 
 TEST(Dataset, ValidateAndSubset) {

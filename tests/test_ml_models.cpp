@@ -57,6 +57,22 @@ Problem make_problem(std::size_t n_train, std::size_t n_test,
   return p;
 }
 
+// FNV-1a over the little-endian bytes of the bit pattern of every
+// prediction `model` makes for the rows of `queries`.
+std::uint64_t prediction_digest(const Regressor& model, const Matrix& queries) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (std::size_t r = 0; r < queries.rows(); ++r) {
+    for (const double v : model.predict(queries.row(r))) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int byte = 0; byte < 8; ++byte) {
+        h ^= (bits >> (8 * byte)) & 0xFFU;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
 TEST(Knn, ExactNeighborRecovery) {
   // With k=1 and train points far apart, prediction equals nearest target.
   const auto x = Matrix::from_rows({{0, 0}, {10, 0}, {0, 10}});
@@ -212,9 +228,8 @@ TEST(Tree, MultiOutputSplitsJointly) {
   EXPECT_GT(r2(p.y_test.col(1), pred.col(1)), 0.5);
 }
 
-// Quantized features create many tied values, which is where the presorted
-// segment scans and the per-node sorts could diverge if the tie-break or
-// partition stability were wrong.
+// Quantized features create many tied values, which is where the segment
+// scans would go wrong if the tie-break or partition stability were wrong.
 Problem make_tied_problem(std::size_t n_train, std::size_t n_test,
                           std::uint64_t seed) {
   Problem p = make_problem(n_train, n_test, seed, /*noise=*/0.2);
@@ -262,25 +277,27 @@ Problem make_wide_tied_problem(std::size_t n_train, std::size_t n_test,
   return p;
 }
 
+// The sort-path tests below pin constants recorded from the per-node sort
+// path the split search used to keep as its oracle, on both dispatch arms,
+// before that path was deleted: the segment scans must still answer
+// exactly what a fresh sort of every node's rows answered.
+
 TEST(Tree, PresortedSegmentModeIsByteIdenticalToSortPath) {
-  // The tentpole invariant at tree level: fitting with a dataset-level
-  // SortedColumns artifact (segment scans + stable partitions) must produce
-  // exactly the tree the per-node sort path produces.
+  // Fitting with a dataset-level SortedColumns artifact (segment scans +
+  // stable partitions), or with the artifact the fit builds itself, must
+  // produce exactly the tree the per-node sorts produced.
   const auto p = make_tied_problem(200, 60, 41);
   TreeParams params;
   params.max_depth = 8;
-  RegressionTree plain(params);
-  plain.fit(p.x_train, p.y_train);  // no hint: per-node sorts
   RegressionTree presorted(params);
   const SortedColumns sorted = SortedColumns::build(p.x_train);
   presorted.fit(p.x_train, p.y_train, &sorted);
-  EXPECT_EQ(plain.leaf_count(), presorted.leaf_count());
-  EXPECT_EQ(plain.depth(), presorted.depth());
-  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
-    EXPECT_EQ(plain.predict(p.x_test.row(r)),
-              presorted.predict(p.x_test.row(r)))
-        << "row " << r;
-  }
+  EXPECT_EQ(presorted.leaf_count(), 121U);
+  EXPECT_EQ(presorted.depth(), 8U);
+  EXPECT_EQ(prediction_digest(presorted, p.x_test), 0x3e5416f4706b0f80ULL);
+  RegressionTree own(params);
+  own.fit(p.x_train, p.y_train);
+  EXPECT_EQ(prediction_digest(own, p.x_test), 0x3e5416f4706b0f80ULL);
 }
 
 TEST(Tree, FilteredBootstrapArtifactIsByteIdenticalToSortPath) {
@@ -294,16 +311,10 @@ TEST(Tree, FilteredBootstrapArtifactIsByteIdenticalToSortPath) {
   std::sort(rows.begin(), rows.end());
   TreeParams params;
   params.max_depth = 8;
-  RegressionTree plain(params);
-  plain.fit_rows(p.x_train, p.y_train, rows);
-  RegressionTree filtered(params);
-  const SortedColumns sample = base.filtered(rows, /*remap=*/false);
-  filtered.fit_rows(p.x_train, p.y_train, rows, &sample);
-  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
-    EXPECT_EQ(plain.predict(p.x_test.row(r)),
-              filtered.predict(p.x_test.row(r)))
-        << "row " << r;
-  }
+  RegressionTree tree(params);
+  tree.fit_rows(p.x_train, p.y_train, rows, ColumnSegments(base, rows));
+  EXPECT_EQ(tree.leaf_count(), 68U);
+  EXPECT_EQ(prediction_digest(tree, p.x_test), 0x115dd6b9a8105055ULL);
 }
 
 // The presorted orders of a 10-row matrix with `cols` columns: an artifact
@@ -334,43 +345,12 @@ TEST(Tree, RejectsMismatchedPresortedArtifact) {
   EXPECT_THROW(tree.fit(p.x_train, p.y_train, &other), std::invalid_argument);
 }
 
-TEST(Tree, RejectsMismatchedArtifactWhenSamplingFeatures) {
-  // Splits that sample features never read the artifact; a mismatched one
-  // is still a caller error, not something to skip silently.
-  const auto p = make_problem(50, 5, 47);
-  TreeParams params;
-  params.max_features = 1;
-  RegressionTree tree(params);
-  const SortedColumns other = mismatched_artifact(p.x_train.cols());
-  EXPECT_THROW(tree.fit(p.x_train, p.y_train, &other), std::invalid_argument);
-}
-
 TEST(Tree, RejectsArtifactWithWrongColumnCount) {
   // Right row count, one column short: still not the artifact of x.
   const auto p = make_problem(50, 5, 47);
   const SortedColumns other = narrow_artifact(p.x_train);
   RegressionTree tree;
   EXPECT_THROW(tree.fit(p.x_train, p.y_train, &other), std::invalid_argument);
-}
-
-TEST(Tree, MatchingArtifactIsIgnoredWhenSamplingFeatures) {
-  // Splits over a random feature subset sort per node; a matching artifact
-  // must leave the tree exactly as a fit without one builds it.
-  const auto p = make_tied_problem(140, 30, 22);
-  TreeParams params;
-  params.max_depth = 8;
-  params.max_features = 2;
-  params.seed = 5;
-  RegressionTree plain(params);
-  plain.fit(p.x_train, p.y_train);
-  RegressionTree hinted(params);
-  const SortedColumns sorted = SortedColumns::build(p.x_train);
-  hinted.fit(p.x_train, p.y_train, &sorted);
-  EXPECT_EQ(plain.node_count(), hinted.node_count());
-  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
-    EXPECT_EQ(plain.predict(p.x_test.row(r)), hinted.predict(p.x_test.row(r)))
-        << "row " << r;
-  }
 }
 
 TEST(Forest, OutperformsOrMatchesSingleTreeOnNoisyData) {
@@ -416,8 +396,6 @@ TEST(Forest, SharedPresortedArtifactIsByteIdentical) {
   ForestParams fp;
   fp.n_trees = 25;
   fp.tree.max_depth = 8;
-  fp.bootstrap = true;
-  fp.feature_fraction = 1.0;
   fp.seed = 11;
   RandomForest own(fp);
   own.fit(p.x_train, p.y_train);
@@ -430,35 +408,11 @@ TEST(Forest, SharedPresortedArtifactIsByteIdentical) {
   }
 }
 
-TEST(Forest, FeatureSubsamplingIgnoresPresortedHintSafely) {
-  // With feature_fraction < 1 splits only see a random feature subset, so
-  // segment mode does not apply; a matching artifact must be ignored, not
-  // crash or change results.
-  const auto p = make_tied_problem(120, 30, 59);
-  ForestParams fp;
-  fp.n_trees = 15;
-  fp.tree.max_depth = 6;
-  fp.bootstrap = true;
-  fp.feature_fraction = 0.5;
-  fp.seed = 13;
-  RandomForest plain(fp);
-  plain.fit(p.x_train, p.y_train);
-  RandomForest hinted(fp);
-  const SortedColumns sorted = SortedColumns::build(p.x_train);
-  hinted.fit(p.x_train, p.y_train, &sorted);
-  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
-    EXPECT_EQ(plain.predict(p.x_test.row(r)), hinted.predict(p.x_test.row(r)))
-        << "row " << r;
-  }
-}
-
-TEST(Forest, RejectsMismatchedArtifactWhenSamplingFeatures) {
-  // Neither feature subsampling nor a single training row (both regimes
-  // build no segments) may skip the artifact's dimension check.
+TEST(Forest, RejectsMismatchedPresortedArtifact) {
+  // Also on a single training row, where every tree is one leaf.
   const auto p = make_problem(50, 5, 47);
   ForestParams fp;
   fp.n_trees = 3;
-  fp.feature_fraction = 0.5;
   const SortedColumns other = mismatched_artifact(p.x_train.cols());
   RandomForest forest(fp);
   EXPECT_THROW(forest.fit(p.x_train, p.y_train, &other),
@@ -466,16 +420,33 @@ TEST(Forest, RejectsMismatchedArtifactWhenSamplingFeatures) {
   const std::vector<std::size_t> first = {0};
   const Matrix one_x = p.x_train.gather_rows(first);
   const Matrix one_y = p.y_train.gather_rows(first);
-  fp.feature_fraction = 1.0;
   RandomForest single(fp);
   EXPECT_THROW(single.fit(one_x, one_y, &other), std::invalid_argument);
+}
+
+TEST(Forest, SingleRowFitPredictsItsTarget) {
+  // Every bootstrap sample of one row is that row, once: each tree is a
+  // leaf holding its target, whatever the query.
+  const auto p = make_problem(4, 3, 49);
+  const std::vector<std::size_t> first = {0};
+  ForestParams fp;
+  fp.n_trees = 4;
+  RandomForest forest(fp);
+  forest.fit(p.x_train.gather_rows(first), p.y_train.gather_rows(first));
+  const auto target = p.y_train.row(0);
+  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
+    const auto pred = forest.predict(p.x_test.row(r));
+    ASSERT_EQ(pred.size(), target.size());
+    for (std::size_t c = 0; c < pred.size(); ++c) {
+      EXPECT_DOUBLE_EQ(pred[c], target[c]) << "row " << r;
+    }
+  }
 }
 
 TEST(Forest, RejectsArtifactWithWrongColumnCount) {
   const auto p = make_problem(50, 5, 47);
   ForestParams fp;
   fp.n_trees = 3;
-  fp.feature_fraction = 1.0;
   RandomForest forest(fp);
   const SortedColumns other = narrow_artifact(p.x_train);
   EXPECT_THROW(forest.fit(p.x_train, p.y_train, &other),
@@ -483,39 +454,29 @@ TEST(Forest, RejectsArtifactWithWrongColumnCount) {
 }
 
 TEST(Gbt, SegmentModeIsByteIdenticalToSortPath) {
-  // subsample == 1 runs the node-partitioned segment scans; a subsample just
-  // below 1 rounds to the full row set (no RNG draws, identical training
-  // data) but takes the per-node sort path. Predictions must match exactly:
+  // The column-segment scans must answer what the per-node sorts answered:
   // on 3 features (scalar scans only), and on 11 features, where the
   // segment scans run four features per step plus the scalar tail.
-  const auto expect_same = [](const Problem& p, const GbtParams& seg) {
-    GbtParams sort_path = seg;
-    sort_path.subsample = 0.999999;  // llround(0.999999 * 150) == 150
-    GradientBoosting a(seg);
-    GradientBoosting b(sort_path);
-    a.fit(p.x_train, p.y_train);
-    b.fit(p.x_train, p.y_train);
-    for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
-      EXPECT_EQ(a.predict(p.x_test.row(r)), b.predict(p.x_test.row(r)))
-          << "row " << r;
-    }
-  };
-  GbtParams seg;
-  seg.n_rounds = 40;
-  seg.subsample = 1.0;
-  seg.colsample = 1.0;
-  expect_same(make_tied_problem(150, 40, 61), seg);
-  seg.min_child_weight = 3.0;
-  seg.gamma = 0.01;
-  expect_same(make_wide_tied_problem(150, 40, 63), seg);
+  GbtParams gp;
+  gp.n_rounds = 40;
+  const auto tied = make_tied_problem(150, 40, 61);
+  GradientBoosting a(gp);
+  a.fit(tied.x_train, tied.y_train);
+  EXPECT_EQ(prediction_digest(a, tied.x_test), 0xf8fdd76206410937ULL);
+  gp.min_child_weight = 3.0;
+  gp.gamma = 0.01;
+  const auto wide = make_wide_tied_problem(150, 40, 63);
+  GradientBoosting b(gp);
+  b.fit(wide.x_train, wide.y_train);
+  EXPECT_EQ(prediction_digest(b, wide.x_test), 0x8f234e20dc3d9201ULL);
 }
 
 TEST(Gbt, EqualGainsWithinAFeatureKeepTheFirstSplit) {
   // Feature 2 is the row number and the target is symmetric with integer
   // sums, so the splits after row 2 and after row 6 have bit-identical
-  // gains (a + b == b + a). The first must win on every scan path; the
-  // other three features are constant, so the lockstep scan runs one group
-  // of four with the tie in lane 2.
+  // gains (a + b == b + a). The first must win, as it did on the per-node
+  // sort path; the other three features are constant, so the lockstep scan
+  // runs one group of four with the tie in lane 2.
   Matrix x(8, 4, 0.0);
   Matrix y(8, 1);
   const double target[8] = {1, 1, -1, -1, -1, -1, 1, 1};
@@ -523,53 +484,22 @@ TEST(Gbt, EqualGainsWithinAFeatureKeepTheFirstSplit) {
     x(r, 2) = static_cast<double>(r);
     y(r, 0) = target[r];
   }
-  GbtParams seg;
-  seg.n_rounds = 1;
-  seg.learning_rate = 1.0;
-  seg.max_depth = 1;
-  seg.subsample = 1.0;
-  seg.colsample = 1.0;
-  GbtParams sort_path = seg;
-  sort_path.subsample = 0.999999;  // llround(0.999999 * 8) == 8
-  GradientBoosting a(seg);
-  GradientBoosting b(sort_path);
+  GbtParams gp;
+  gp.n_rounds = 1;
+  gp.learning_rate = 1.0;
+  gp.max_depth = 1;
+  GradientBoosting a(gp);
   a.fit(x, y);
-  b.fit(x, y);
-  for (std::size_t r = 0; r < 8; ++r) {
-    EXPECT_EQ(a.predict(x.row(r)), b.predict(x.row(r))) << "row " << r;
-  }
+  EXPECT_EQ(prediction_digest(a, x), 0xcc09bc14ab168c6dULL);
   // The stump splits at 1.5: rows 2..7 share one leaf.
   EXPECT_EQ(a.predict(x.row(2)), a.predict(x.row(7)));
   EXPECT_NE(a.predict(x.row(1)), a.predict(x.row(2)));
-}
-
-TEST(Gbt, FilteredScanPathIsByteIdenticalToSortPath) {
-  // With colsample < 1 (segment mode off) the shared-rows fit scans the
-  // fit-level sorted orders with an in-node filter; the same near-1
-  // subsample trick pins it against the per-node sort path.
-  const auto p = make_tied_problem(150, 40, 67);
-  GbtParams filtered;
-  filtered.n_rounds = 40;
-  filtered.subsample = 1.0;
-  filtered.colsample = 0.67;  // 2 of 3 columns per tree
-  GbtParams sort_path = filtered;
-  sort_path.subsample = 0.999999;
-  GradientBoosting a(filtered);
-  GradientBoosting b(sort_path);
-  a.fit(p.x_train, p.y_train);
-  b.fit(p.x_train, p.y_train);
-  for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
-    EXPECT_EQ(a.predict(p.x_test.row(r)), b.predict(p.x_test.row(r)))
-        << "row " << r;
-  }
 }
 
 TEST(Gbt, SharedPresortedArtifactIsByteIdentical) {
   const auto p = make_tied_problem(150, 40, 71);
   GbtParams gp;
   gp.n_rounds = 30;
-  gp.subsample = 1.0;
-  gp.colsample = 1.0;
   GradientBoosting own(gp);
   own.fit(p.x_train, p.y_train);
   GradientBoosting shared(gp);
@@ -591,45 +521,31 @@ TEST(Gbt, SharedPresortedArtifactIsByteIdentical) {
                std::invalid_argument);
 }
 
-TEST(Gbt, RejectsMismatchedArtifactWhenSubsamplingRows) {
-  // Subsampled rounds never read the artifact; a mismatched one is still
-  // rejected rather than skipped.
-  const auto p = make_problem(50, 5, 47);
-  GbtParams gp;
-  gp.n_rounds = 3;
-  gp.subsample = 0.5;
-  GradientBoosting gbt(gp);
-  const SortedColumns other = mismatched_artifact(p.x_train.cols());
-  EXPECT_THROW(gbt.fit(p.x_train, p.y_train, &other), std::invalid_argument);
-}
-
 TEST(Gbt, RejectsArtifactWithWrongColumnCount) {
   const auto p = make_problem(50, 5, 47);
   GbtParams gp;
   gp.n_rounds = 3;
-  gp.subsample = 1.0;
-  gp.colsample = 1.0;
   GradientBoosting gbt(gp);
   const SortedColumns other = narrow_artifact(p.x_train);
   EXPECT_THROW(gbt.fit(p.x_train, p.y_train, &other), std::invalid_argument);
 }
 
-TEST(Gbt, MatchingArtifactIsByteIdenticalWithSubsampleAndColsample) {
-  // Per-round row subsets and per-tree column subsets both take the
-  // per-node sort path; a matching artifact must not change a prediction.
-  const auto p = make_tied_problem(150, 30, 42);
+TEST(Gbt, SingleRowFitPredictsItsTarget) {
+  // One training row: the base score is its target, so every gradient is
+  // zero and every tree is one leaf of weight zero, whatever the query.
+  const auto p = make_problem(4, 3, 51);
+  const std::vector<std::size_t> first = {0};
   GbtParams gp;
-  gp.n_rounds = 25;
-  gp.subsample = 0.8;
-  gp.colsample = 0.6;
-  GradientBoosting plain(gp);
-  plain.fit(p.x_train, p.y_train);
-  GradientBoosting hinted(gp);
-  const SortedColumns sorted = SortedColumns::build(p.x_train);
-  hinted.fit(p.x_train, p.y_train, &sorted);
+  gp.n_rounds = 5;
+  GradientBoosting gbt(gp);
+  gbt.fit(p.x_train.gather_rows(first), p.y_train.gather_rows(first));
+  const auto target = p.y_train.row(0);
   for (std::size_t r = 0; r < p.x_test.rows(); ++r) {
-    EXPECT_EQ(plain.predict(p.x_test.row(r)), hinted.predict(p.x_test.row(r)))
-        << "row " << r;
+    const auto pred = gbt.predict(p.x_test.row(r));
+    ASSERT_EQ(pred.size(), target.size());
+    for (std::size_t c = 0; c < pred.size(); ++c) {
+      EXPECT_DOUBLE_EQ(pred[c], target[c]) << "row " << r;
+    }
   }
 }
 
@@ -638,8 +554,6 @@ TEST(Gbt, FitsTrainingDataClosely) {
   GbtParams gp;
   gp.n_rounds = 150;
   gp.learning_rate = 0.2;
-  gp.subsample = 1.0;
-  gp.colsample = 1.0;
   GradientBoosting gbt(gp);
   gbt.fit(p.x_train, p.y_train);
   const auto pred = gbt.predict_batch(p.x_train);
@@ -724,7 +638,7 @@ GoldenFold uc1_pearson_fold() {
       fold.y.push_row(cache.targets[b]);
     }
   }
-  fold.presorted = cache.presorted->filtered(rows, /*remap=*/true);
+  fold.presorted = cache.presorted->filtered(rows);
   fold.queries = cache.features;
   return fold;
 }
@@ -740,26 +654,15 @@ GoldenFold uc2_histogram_fold() {
   GoldenFold fold;
   fold.x = cache.features.gather_rows(train);
   for (const std::size_t b : train) fold.y.push_row(cache.targets[b]);
-  fold.presorted = cache.presorted->filtered(train, /*remap=*/true);
+  fold.presorted = cache.presorted->filtered(train);
   fold.queries = cache.features;
   return fold;
 }
 
-// FNV-1a over the little-endian bytes of every prediction's bit pattern.
 std::uint64_t golden_digest(const GoldenFold& fold, core::ModelKind kind) {
   auto model = core::make_model(kind, 1001);
   model->fit(fold.x, fold.y, &fold.presorted);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t r = 0; r < fold.queries.rows(); ++r) {
-    for (const double v : model->predict(fold.queries.row(r))) {
-      const auto bits = std::bit_cast<std::uint64_t>(v);
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (bits >> (8 * byte)) & 0xFFU;
-        h *= 0x100000001b3ULL;
-      }
-    }
-  }
-  return h;
+  return prediction_digest(*model, fold.queries);
 }
 
 TEST(GoldenFold, Uc1PearsonRandomForest) {
@@ -820,45 +723,54 @@ TEST(WorkCounters, TreeSegmentAndSortPathsCountTheSameWork) {
   TreeParams params;
   params.max_depth = 12;
   params.min_samples_leaf = 2;
-  const SortedColumns sample =
-      SortedColumns::build(p.x_train).filtered(rows, /*remap=*/false);
-  const auto sorted = count_work("ml.tree", [&] {
-    RegressionTree(params).fit_rows(p.x_train, p.y_train, rows);
+  const auto base = SortedColumns::build(p.x_train);
+  const auto counts = count_work("ml.tree", [&] {
+    RegressionTree(params).fit_rows(p.x_train, p.y_train, rows,
+                                    ColumnSegments(base, rows));
   });
-  const auto segments = count_work("ml.tree", [&] {
-    RegressionTree(params).fit_rows(p.x_train, p.y_train, rows, &sample);
-  });
-  EXPECT_GT(sorted.candidates_scored, 0U);
-  EXPECT_GT(sorted.nodes_split, 0U);
-  EXPECT_EQ(segments.candidates_scored, sorted.candidates_scored);
-  EXPECT_EQ(segments.nodes_split, sorted.nodes_split);
-  EXPECT_EQ(segments.rows_partitioned, sorted.rows_partitioned);
+  EXPECT_EQ(counts.nodes_split, 45U);
+  EXPECT_EQ(counts.candidates_scored, 268U);
+  EXPECT_EQ(counts.rows_partitioned, 711U);
 }
 
 TEST(WorkCounters, GbtSegmentAndSortPathsCountTheSameWork) {
-  // As in Gbt.SegmentModeIsByteIdenticalToSortPath: a subsample just below
-  // 1 keeps every row but takes the per-node sort path. The 11-feature
-  // problem runs the four-feature segment scans and their scalar tail.
-  for (const auto& p : {make_tied_problem(150, 5, 83),
-                        make_wide_tied_problem(150, 5, 85)}) {
-    GbtParams seg;
-    seg.n_rounds = 20;
-    seg.subsample = 1.0;
-    seg.colsample = 1.0;
-    seg.min_child_weight = 3.0;
-    GbtParams sort_path = seg;
-    sort_path.subsample = 0.999999;
-    const auto sorted = count_work("ml.gbt", [&] {
-      GradientBoosting(sort_path).fit(p.x_train, p.y_train);
-    });
-    const auto segments = count_work(
-        "ml.gbt", [&] { GradientBoosting(seg).fit(p.x_train, p.y_train); });
-    EXPECT_GT(sorted.candidates_scored, 0U);
-    EXPECT_GT(sorted.nodes_split, 0U);
-    EXPECT_EQ(segments.candidates_scored, sorted.candidates_scored);
-    EXPECT_EQ(segments.nodes_split, sorted.nodes_split);
-    EXPECT_EQ(segments.rows_partitioned, sorted.rows_partitioned);
+  // The 11-feature problem runs the four-feature segment scans and their
+  // scalar tail.
+  const WorkCounts expect[2] = {{265, 4194, 17722}, {276, 17974, 17954}};
+  const Problem problems[2] = {make_tied_problem(150, 5, 83),
+                               make_wide_tied_problem(150, 5, 85)};
+  for (int i = 0; i < 2; ++i) {
+    const Problem& p = problems[i];
+    GbtParams gp;
+    gp.n_rounds = 20;
+    gp.min_child_weight = 3.0;
+    const auto counts = count_work(
+        "ml.gbt", [&] { GradientBoosting(gp).fit(p.x_train, p.y_train); });
+    EXPECT_EQ(counts.nodes_split, expect[i].nodes_split) << "problem " << i;
+    EXPECT_EQ(counts.candidates_scored, expect[i].candidates_scored)
+        << "problem " << i;
+    EXPECT_EQ(counts.rows_partitioned, expect[i].rows_partitioned)
+        << "problem " << i;
   }
+}
+
+TEST(WorkCounters, TreeFitSortsOnlyWithoutAnArtifact) {
+  // A fit without an artifact builds its own, once; a caller's artifact
+  // saves that sort.
+  const auto p = make_tied_problem(60, 1, 87);
+  const SortedColumns sorted = SortedColumns::build(p.x_train);
+  std::uint64_t builds[2] = {0, 0};
+  for (int hinted = 0; hinted < 2; ++hinted) {
+    obs::set_mode(obs::Mode::kSummary);
+    obs::Registry::global().reset_values();
+    RegressionTree tree;
+    tree.fit(p.x_train, p.y_train, hinted != 0 ? &sorted : nullptr);
+    builds[hinted] =
+        obs::Registry::global().counter("ml.sorted_columns.builds").value();
+    obs::set_mode(obs::Mode::kOff);
+  }
+  EXPECT_EQ(builds[0], 1U);
+  EXPECT_EQ(builds[1], 0U);
 }
 
 // RF fits at the output widths 1, 3, 5 and 41, which leave every remainder
@@ -886,22 +798,11 @@ std::uint64_t output_width_digest(std::size_t n_outputs) {
   fp.n_trees = 12;
   fp.tree.max_depth = 9;
   fp.tree.min_samples_leaf = 2;
-  fp.feature_fraction = 1.0;
   fp.seed = 3;
   RandomForest forest(fp);
   const SortedColumns sorted = SortedColumns::build(x);
   forest.fit(x, y, &sorted);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t r = 0; r < kRows; ++r) {
-    for (const double v : forest.predict(x.row(r))) {
-      const auto bits = std::bit_cast<std::uint64_t>(v);
-      for (int byte = 0; byte < 8; ++byte) {
-        h ^= (bits >> (8 * byte)) & 0xFFU;
-        h *= 0x100000001b3ULL;
-      }
-    }
-  }
-  return h;
+  return prediction_digest(forest, x);
 }
 
 TEST(Tree, OutputWidthDigests) {
@@ -951,8 +852,7 @@ TEST(AllModels, CloneIsIndependentAndEquivalent) {
   std::vector<std::unique_ptr<Regressor>> models;
   models.push_back(std::make_unique<KnnRegressor>());
   models.push_back(std::make_unique<RandomForest>(
-      ForestParams{.n_trees = 10, .tree = {}, .bootstrap = true,
-                   .feature_fraction = 1.0, .seed = 3}));
+      ForestParams{.n_trees = 10, .tree = {}, .seed = 3}));
   models.push_back(std::make_unique<GradientBoosting>(
       GbtParams{.n_rounds = 10}));
   for (auto& m : models) {
@@ -1002,8 +902,7 @@ TEST_P(ModelSweep, BeatsMeanBaseline) {
       break;
     case 1:
       model = std::make_unique<RandomForest>(
-          ForestParams{.n_trees = 50, .tree = {}, .bootstrap = true,
-                       .feature_fraction = 1.0, .seed = 9});
+          ForestParams{.n_trees = 50, .tree = {}, .seed = 9});
       break;
     default:
       model = std::make_unique<GradientBoosting>();
@@ -1033,11 +932,9 @@ class FitArtifact : public ::testing::TestWithParam<std::string> {
     }
     if (kind == "Forest") {
       return std::make_unique<RandomForest>(
-          ForestParams{.n_trees = 8, .tree = {}, .bootstrap = true,
-                       .feature_fraction = 1.0, .seed = 3});
+          ForestParams{.n_trees = 8, .tree = {}, .seed = 3});
     }
-    return std::make_unique<GradientBoosting>(
-        GbtParams{.n_rounds = 15, .subsample = 1.0, .colsample = 1.0});
+    return std::make_unique<GradientBoosting>(GbtParams{.n_rounds = 15});
   }
 
   static void expect_same_predictions(const Regressor& a, const Regressor& b,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -16,6 +17,7 @@
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
+#include "ml/ridge.hpp"
 #include "ml/serialize.hpp"
 #include "ml/tree.hpp"
 
@@ -198,8 +200,7 @@ TEST(SerializeModels, DispatcherRestoresEveryType) {
   models.push_back(std::make_unique<ml::KnnRegressor>());
   models.push_back(std::make_unique<ml::RegressionTree>());
   models.push_back(std::make_unique<ml::RandomForest>(
-      ml::ForestParams{.n_trees = 5, .tree = {}, .bootstrap = true,
-                       .feature_fraction = 1.0, .seed = 2}));
+      ml::ForestParams{.n_trees = 5, .tree = {}, .seed = 2}));
   models.push_back(std::make_unique<ml::GradientBoosting>(
       ml::GbtParams{.n_rounds = 5}));
   for (auto& model : models) {
@@ -330,6 +331,270 @@ TEST(SerializeModels, CorruptedNumericFieldInSavedGbtThrows) {
   doc.insert(pos + 14, "x");  // "learning_rate 0.1" -> "learning_rate x0.1"
   std::stringstream corrupted(doc);
   EXPECT_THROW(ml::GradientBoosting::load(corrupted), std::invalid_argument);
+}
+
+// Hand-made tree, forest and GBT records. A model file's checksum guards
+// against corruption, not against a crafted record (anyone can recompute
+// it), so the loaders check every node index themselves: a record that
+// would send predict out of bounds or around a cycle fails at load.
+
+// A version-2 tree record over one feature: `nodes` packs (feature,
+// threshold, left, right, value_offset, depth) per node.
+std::string tree_record(const std::vector<double>& nodes,
+                        const std::vector<double>& leaves,
+                        std::uint64_t n_outputs = 1) {
+  std::ostringstream out;
+  io::Writer w(out);
+  w.tag("varpred.tree");
+  w.u64("version", 2);
+  w.u64("max_depth", 1);
+  w.u64("min_samples_leaf", 1);
+  w.u64("min_samples_split", 2);
+  w.u64("n_outputs", n_outputs);
+  w.u64("n_nodes", nodes.size() / 6);
+  w.vec("nodes", nodes);
+  w.vec("leaves", leaves);
+  return out.str();
+}
+
+// The stump x0 <= 0.5 ? 0 : 1 as packed tree nodes.
+std::vector<double> stump_nodes() {
+  return {0, 0.5, 1, 2, -1, 0,     // root
+          -1, 0, -1, -1, 0, 1,     // leaf: value 0
+          -1, 0, -1, -1, 1, 1};    // leaf: value 1
+}
+
+// A version-2 GBT record with one single-output ensemble of one tree:
+// `nodes` packs (feature, threshold, left, right, weight) per node.
+std::string gbt_record(const std::vector<double>& nodes) {
+  std::ostringstream out;
+  io::Writer w(out);
+  w.tag("varpred.gbt");
+  w.u64("version", 2);
+  w.u64("n_rounds", 1);
+  w.f64("learning_rate", 1.0);
+  w.u64("max_depth", 1);
+  w.f64("lambda", 1.0);
+  w.f64("gamma", 0.0);
+  w.f64("min_child_weight", 1.0);
+  w.u64("n_ensembles", 1);
+  w.f64("base_score", 0.5);
+  w.u64("n_trees", 1);
+  w.vec("tree", nodes);
+  return out.str();
+}
+
+// The stump x0 <= 0.5 ? -0.25 : 0.25 as packed GBT nodes.
+std::vector<double> gbt_stump_nodes() {
+  return {0, 0.5, 1, 2, 0,         // root
+          -1, 0, -1, -1, -0.25,    // leaf
+          -1, 0, -1, -1, 0.25};    // leaf
+}
+
+// Loads `record` through the concrete loader and through the dispatcher.
+template <typename Model>
+void expect_rejected(const std::string& record) {
+  std::stringstream direct(record);
+  EXPECT_THROW(Model::load(direct), std::invalid_argument);
+  std::stringstream dispatched(record);
+  EXPECT_THROW(ml::load_regressor(dispatched), std::invalid_argument);
+}
+
+TEST(ModelRecords, HandMadeTreeAndGbtRecordsLoadAndPredict) {
+  std::stringstream tree_in(tree_record(stump_nodes(), {0.0, 1.0}));
+  const auto tree = ml::RegressionTree::load(tree_in);
+  EXPECT_EQ(tree.predict(std::vector<double>{0.2}),
+            std::vector<double>{0.0});
+  EXPECT_EQ(tree.predict(std::vector<double>{0.9}),
+            std::vector<double>{1.0});
+  std::stringstream gbt_in(gbt_record(gbt_stump_nodes()));
+  const auto gbt = ml::GradientBoosting::load(gbt_in);
+  EXPECT_EQ(gbt.predict(std::vector<double>{0.2}),
+            std::vector<double>{0.25});
+  EXPECT_EQ(gbt.predict(std::vector<double>{0.9}),
+            std::vector<double>{0.75});
+}
+
+TEST(ModelRecords, TreeRejectsChildThatDoesNotComeAfterItsNode) {
+  auto self = stump_nodes();
+  self[2] = 0;  // the root is its own left child: predict would never end
+  expect_rejected<ml::RegressionTree>(tree_record(self, {0.0, 1.0}));
+  // Node 1 made internal, pointing back at the root.
+  auto back = stump_nodes();
+  back[6] = 0;
+  back[8] = 0;
+  back[9] = 2;
+  expect_rejected<ml::RegressionTree>(tree_record(back, {0.0, 1.0}));
+}
+
+TEST(ModelRecords, TreeRejectsOutOfRangeChild) {
+  for (const double child : {99999.0, 3.0, -1.0}) {
+    auto nodes = stump_nodes();
+    nodes[2] = child;
+    expect_rejected<ml::RegressionTree>(tree_record(nodes, {0.0, 1.0}));
+    nodes = stump_nodes();
+    nodes[3] = child;
+    expect_rejected<ml::RegressionTree>(tree_record(nodes, {0.0, 1.0}));
+  }
+}
+
+TEST(ModelRecords, TreeRejectsOutOfRangeLeafOffset) {
+  for (const double offset : {2.0, -1.0, 1e6}) {
+    auto nodes = stump_nodes();
+    nodes[16] = offset;
+    expect_rejected<ml::RegressionTree>(tree_record(nodes, {0.0, 1.0}));
+  }
+  // Two outputs per leaf: the second leaf's values would end past the
+  // leaves, and an output count near 2^64 must not wrap the bound.
+  expect_rejected<ml::RegressionTree>(
+      tree_record(stump_nodes(), {0.0, 1.0}, 2));
+  expect_rejected<ml::RegressionTree>(tree_record(
+      stump_nodes(), {0.0, 1.0}, std::numeric_limits<std::uint64_t>::max()));
+}
+
+TEST(ModelRecords, TreeRejectsNonIntegralOrOutOfRangeIndex) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Each field that holds an index: feature, left, right, value_offset and
+  // depth, of the root or of a leaf.
+  for (const std::size_t field : {0U, 2U, 3U, 10U, 16U, 17U}) {
+    for (const double bad : {0.5, 1.5, 3e9, -3e9, nan, inf}) {
+      auto nodes = stump_nodes();
+      nodes[field] = bad;
+      expect_rejected<ml::RegressionTree>(tree_record(nodes, {0.0, 1.0}));
+    }
+  }
+  // A feature below the leaf marker -1.
+  auto nodes = stump_nodes();
+  nodes[0] = -2;
+  expect_rejected<ml::RegressionTree>(tree_record(nodes, {0.0, 1.0}));
+}
+
+TEST(ModelRecords, TreeRejectsNodeCountThatDisagreesWithPayload) {
+  for (const std::uint64_t n_nodes : {std::uint64_t{2}, std::uint64_t{4},
+                                      // 6 * n_nodes wraps to 18.
+                                      (std::uint64_t{1} << 63) + 3}) {
+    std::string record = tree_record(stump_nodes(), {0.0, 1.0});
+    const std::string field = "n_nodes 3\n";
+    const auto pos = record.find(field);
+    ASSERT_NE(pos, std::string::npos);
+    record.replace(pos, field.size(),
+                   "n_nodes " + std::to_string(n_nodes) + "\n");
+    expect_rejected<ml::RegressionTree>(record);
+  }
+}
+
+TEST(ModelRecords, ForestRejectsTreeOfAnotherOutputWidth) {
+  // predict sums n_outputs values from every tree; a one-output tree in a
+  // two-output forest would be read past its leaf.
+  const auto forest_record = [](std::uint64_t n_outputs) {
+    std::ostringstream out;
+    io::Writer w(out);
+    w.tag("varpred.forest");
+    w.u64("version", 2);
+    w.u64("n_trees", 1);
+    w.u64("seed", 2);
+    w.u64("n_outputs", n_outputs);
+    w.u64("trained_trees", 1);
+    return out.str() + tree_record(stump_nodes(), {0.0, 1.0});
+  };
+  std::stringstream good(forest_record(1));
+  EXPECT_EQ(ml::RandomForest::load(good).predict(std::vector<double>{0.9}),
+            std::vector<double>{1.0});
+  expect_rejected<ml::RandomForest>(forest_record(2));
+}
+
+TEST(ModelRecords, GbtRejectsChildThatDoesNotComeAfterItsNode) {
+  auto self = gbt_stump_nodes();
+  self[3] = 0;  // the root is its own right child
+  expect_rejected<ml::GradientBoosting>(gbt_record(self));
+  auto back = gbt_stump_nodes();
+  back[10] = 0;  // node 2 made internal, pointing back at node 1
+  back[12] = 1;
+  back[13] = 1;
+  expect_rejected<ml::GradientBoosting>(gbt_record(back));
+}
+
+TEST(ModelRecords, GbtRejectsOutOfRangeChild) {
+  for (const double child : {99999.0, 3.0, -1.0}) {
+    auto nodes = gbt_stump_nodes();
+    nodes[2] = child;
+    expect_rejected<ml::GradientBoosting>(gbt_record(nodes));
+  }
+}
+
+TEST(ModelRecords, GbtRejectsNonIntegralOrOutOfRangeIndex) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::size_t field : {0U, 2U, 3U, 5U}) {
+    for (const double bad : {0.5, 3e9, nan}) {
+      auto nodes = gbt_stump_nodes();
+      nodes[field] = bad;
+      expect_rejected<ml::GradientBoosting>(gbt_record(nodes));
+    }
+  }
+}
+
+TEST(ModelRecords, GbtRejectsEmptyTree) {
+  expect_rejected<ml::GradientBoosting>(gbt_record({}));
+}
+
+TEST(ModelRecords, GbtPredictRejectsOutOfRangeFeature) {
+  // A well-formed record may still split on a feature the query lacks.
+  auto nodes = gbt_stump_nodes();
+  nodes[0] = 3;
+  std::stringstream in(gbt_record(nodes));
+  const auto gbt = ml::GradientBoosting::load(in);
+  EXPECT_THROW(gbt.predict(std::vector<double>{0.2}), CheckError);
+  EXPECT_EQ(gbt.predict(std::vector<double>{0, 0, 0, 0.9}),
+            std::vector<double>{0.75});
+}
+
+TEST(ModelRecords, Version1TreeForestAndGbtRecordsAreRejected) {
+  // Version 1 carried the sampling fields (tree max_features and seed,
+  // forest bootstrap and feature_fraction, GBT subsample, colsample and
+  // seed).
+  const std::string v1_tree =
+      "varpred.tree\nversion 1\nmax_depth 1\nmin_samples_leaf 1\n"
+      "min_samples_split 2\nmax_features 0\nseed 1\nn_outputs 1\n"
+      "n_nodes 3\nnodes 18 0 0.5 1 2 -1 0 -1 0 -1 -1 0 1 -1 0 -1 -1 1 1\n"
+      "leaves 2 0 1\n";
+  expect_rejected<ml::RegressionTree>(v1_tree);
+  expect_rejected<ml::RandomForest>(
+      "varpred.forest\nversion 1\nn_trees 1\nbootstrap 1\n"
+      "feature_fraction 1\nseed 2\nn_outputs 1\ntrained_trees 1\n" +
+      v1_tree);
+  expect_rejected<ml::GradientBoosting>(
+      "varpred.gbt\nversion 1\nn_rounds 1\nlearning_rate 0.1\nmax_depth 1\n"
+      "lambda 1\ngamma 0\nmin_child_weight 1\nsubsample 1\ncolsample 1\n"
+      "seed 3\nn_ensembles 1\nbase_score 0.5\nn_trees 1\n"
+      "tree 15 0 0.5 1 2 0 -1 0 -1 -1 -0.25 -1 0 -1 -1 0.25\n");
+}
+
+TEST(ModelRecords, FormatVersions) {
+  // Tree, forest and GBT records are at version 2; kNN and ridge records
+  // did not change and stay at version 1.
+  const auto x = random_matrix(20, 2, 41);
+  const auto y = random_matrix(20, 1, 42);
+  std::vector<std::unique_ptr<ml::Regressor>> models;
+  models.push_back(std::make_unique<ml::KnnRegressor>());
+  models.push_back(std::make_unique<ml::RidgeRegressor>());
+  models.push_back(std::make_unique<ml::RegressionTree>());
+  models.push_back(std::make_unique<ml::RandomForest>(
+      ml::ForestParams{.n_trees = 2, .tree = {}, .seed = 2}));
+  models.push_back(std::make_unique<ml::GradientBoosting>(
+      ml::GbtParams{.n_rounds = 2}));
+  const char* versions[] = {"1", "1", "2", "2", "2"};
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    models[i]->fit(x, y);
+    std::stringstream ss;
+    models[i]->save(ss);
+    std::string tag;
+    std::string label;
+    std::string version;
+    ss >> tag >> label >> version;
+    EXPECT_EQ(label, "version") << tag;
+    EXPECT_EQ(version, versions[i]) << tag;
+  }
 }
 
 // Model artifacts carry an FNV-1a checksum trailer (serialization v2) so a

@@ -133,6 +133,16 @@ RidgeRegressor RidgeRegressor::load(std::istream& in) {
     model.center_ = r.vec("center");
     model.weights_ = load_matrix(r, "weights");
     model.intercepts_ = r.vec("intercepts");
+    // predict indexes center and the scaler by feature (weights rows) and
+    // intercepts by output (weights columns).
+    const std::size_t features = model.weights_.rows();
+    VARPRED_CHECK_ARG(model.center_.size() == features,
+                      "ridge center size differs from weights rows");
+    VARPRED_CHECK_ARG(!model.scaler_.fitted() ||
+                          model.scaler_.means().size() == features,
+                      "ridge scaler width differs from weights rows");
+    VARPRED_CHECK_ARG(model.intercepts_.size() == model.weights_.cols(),
+                      "ridge intercepts size differs from weights columns");
     model.trained_ = true;
   }
   return model;

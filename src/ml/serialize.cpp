@@ -76,7 +76,9 @@ Matrix load_matrix(io::Reader& reader, const std::string& name) {
   const auto rows = static_cast<std::size_t>(reader.u64(name + ".rows"));
   const auto cols = static_cast<std::size_t>(reader.u64(name + ".cols"));
   const auto data = reader.vec(name + ".data");
-  VARPRED_CHECK_ARG(data.size() == rows * cols,
+  // Divide rather than multiply: rows * cols can wrap to the payload size.
+  VARPRED_CHECK_ARG((rows == 0 || cols <= data.size() / rows) &&
+                        data.size() == rows * cols,
                     "matrix payload size mismatch for " + name);
   Matrix out(rows, cols);
   for (std::size_t r = 0; r < rows; ++r) {
@@ -110,14 +112,29 @@ KnnRegressor KnnRegressor::load(std::istream& in) {
   VARPRED_CHECK_ARG(version == kKnnFormatVersion, "unsupported knn version");
   KnnParams params;
   params.k = static_cast<std::size_t>(r.u64("k"));
-  params.metric = static_cast<Metric>(r.u64("metric"));
-  params.weighting = static_cast<KnnWeighting>(r.u64("weighting"));
+  const auto metric = r.u64("metric");
+  VARPRED_CHECK_ARG(metric <= static_cast<std::uint64_t>(Metric::kManhattan),
+                    "knn metric out of range");
+  params.metric = static_cast<Metric>(metric);
+  const auto weighting = r.u64("weighting");
+  VARPRED_CHECK_ARG(
+      weighting <= static_cast<std::uint64_t>(KnnWeighting::kDistance),
+      "knn weighting out of range");
+  params.weighting = static_cast<KnnWeighting>(weighting);
   params.standardize = r.boolean("standardize");
   KnnRegressor model(params);
   if (r.boolean("trained")) {
     model.scaler_ = load_scaler(r);
     model.x_ = load_matrix(r, "x");
     model.y_ = load_matrix(r, "y");
+    // The same shapes fit() guarantees: predict averages rows of y for
+    // neighbours found in x, and standardizes queries to x's width.
+    VARPRED_CHECK_ARG(model.x_.rows() == model.y_.rows(),
+                      "knn x/y row count mismatch");
+    VARPRED_CHECK_ARG(model.x_.rows() >= 1, "knn record has no rows");
+    VARPRED_CHECK_ARG(!model.scaler_.fitted() ||
+                          model.scaler_.means().size() == model.x_.cols(),
+                      "knn scaler width differs from x");
     model.trained_ = true;
   }
   return model;

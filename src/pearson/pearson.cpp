@@ -1,6 +1,7 @@
 #include "pearson/pearson.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -44,6 +45,41 @@ Coeffs pearson_coeffs(double skew, double kurt) {
 double beta_skew(double alpha, double beta) {
   return 2.0 * (beta - alpha) * std::sqrt(alpha + beta + 1.0) /
          ((alpha + beta + 2.0) * std::sqrt(alpha * beta));
+}
+
+// The type IV inverse-CDF grid: kIvGrid equal steps in
+// theta = arctan((x - lambda) / a) over (-pi/2, pi/2), kept 1e-7 off either
+// end. theta and log(cos theta) depend on nothing but these constants, so
+// one table, built on first use (a thread-safe static), serves every sampler
+// in the process.
+constexpr std::size_t kIvGrid = 4096;
+
+struct IvGrid {
+  std::array<double, kIvGrid + 1> theta;
+  std::array<double, kIvGrid + 1> log_cos;
+};
+
+// A named function rather than a lambda, so it is not constexpr: GCC would
+// otherwise fold the table at compile time, where cos and log round
+// correctly and so differ from the run-time libm in the last bit at a few
+// grid points, and every sample drawn there would change.
+IvGrid make_iv_grid() {
+  constexpr double kEdge = 1e-7;
+  const double lo = -M_PI_2 + kEdge;
+  const double hi = M_PI_2 - kEdge;
+  IvGrid grid{};
+  for (std::size_t i = 0; i <= kIvGrid; ++i) {
+    const double t = lo + (hi - lo) * static_cast<double>(i) /
+                              static_cast<double>(kIvGrid);
+    grid.theta[i] = t;
+    grid.log_cos[i] = std::log(std::cos(t));
+  }
+  return grid;
+}
+
+const IvGrid& iv_grid() {
+  static const IvGrid grid = make_iv_grid();
+  return grid;
 }
 
 }  // namespace
@@ -210,29 +246,27 @@ PearsonSampler::PearsonSampler(const stats::Moments& target)
       raw_mean_ = 0.0;  // standardized by construction
       raw_sd_ = 1.0;
 
-      // Build the inverse-CDF table in theta = arctan((x - lambda) / a):
-      // the transformed density is cos(theta)^(2m-2) * exp(-nu * theta) on
-      // (-pi/2, pi/2), which is bounded and smooth.
-      constexpr std::size_t kGrid = 4096;
-      constexpr double kEdge = 1e-7;
-      iv_theta_.resize(kGrid + 1);
-      std::vector<double> logg(kGrid + 1);
-      const double lo = -M_PI_2 + kEdge;
-      const double hi = M_PI_2 - kEdge;
+      // Build the inverse-CDF table over the shared theta grid: the
+      // transformed density is cos(theta)^(2m-2) * exp(-nu * theta) on
+      // (-pi/2, pi/2), which is bounded and smooth. iv_cdf_ first holds the
+      // log density, then the trapezoid sum replaces it in place, each
+      // point's exp carried forward as the next step's left edge.
+      const IvGrid& grid = iv_grid();
+      iv_theta_ = grid.theta;
+      iv_cdf_.resize(kIvGrid + 1);
+      const double power = 2.0 * m - 2.0;
       double max_logg = -1e300;
-      for (std::size_t i = 0; i <= kGrid; ++i) {
-        const double t = lo + (hi - lo) * static_cast<double>(i) /
-                                  static_cast<double>(kGrid);
-        iv_theta_[i] = t;
-        logg[i] = (2.0 * m - 2.0) * std::log(std::cos(t)) - nu * t;
-        max_logg = std::max(max_logg, logg[i]);
+      for (std::size_t i = 0; i <= kIvGrid; ++i) {
+        iv_cdf_[i] = power * grid.log_cos[i] - nu * grid.theta[i];
+        max_logg = std::max(max_logg, iv_cdf_[i]);
       }
-      iv_cdf_.assign(kGrid + 1, 0.0);
-      for (std::size_t i = 1; i <= kGrid; ++i) {
-        const double g_prev = std::exp(logg[i - 1] - max_logg);
-        const double g_here = std::exp(logg[i] - max_logg);
-        iv_cdf_[i] = iv_cdf_[i - 1] +
-                     0.5 * (g_prev + g_here) * (iv_theta_[i] - iv_theta_[i - 1]);
+      double g_prev = std::exp(iv_cdf_[0] - max_logg);
+      iv_cdf_[0] = 0.0;
+      for (std::size_t i = 1; i <= kIvGrid; ++i) {
+        const double g_here = std::exp(iv_cdf_[i] - max_logg);
+        iv_cdf_[i] = iv_cdf_[i - 1] + 0.5 * (g_prev + g_here) *
+                                          (grid.theta[i] - grid.theta[i - 1]);
+        g_prev = g_here;
       }
       const double total = iv_cdf_.back();
       VARPRED_CHECK(total > 0.0, "type IV density integrated to zero");

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -90,8 +91,9 @@ class PearsonSampler {
   // Orientation: -1 when the family was fitted to the mirrored moments.
   double flip_ = 1.0;
 
-  // Type IV inverse-CDF table over theta in (-pi/2, pi/2).
-  std::vector<double> iv_theta_;
+  // Type IV inverse-CDF table: iv_theta_ views the process-wide theta grid
+  // over (-pi/2, pi/2) (see pearson.cpp), iv_cdf_ is this sampler's CDF on it.
+  std::span<const double> iv_theta_;
   std::vector<double> iv_cdf_;
 };
 

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -117,6 +119,44 @@ TEST(SerializeMatrix, RoundTripExact) {
     for (std::size_t j = 0; j < m.cols(); ++j) {
       EXPECT_DOUBLE_EQ(back(i, j), m(i, j));
     }
+  }
+}
+
+// A matrix record with the given dimensions and payload.
+std::string matrix_record(std::uint64_t rows, std::uint64_t cols,
+                          const std::vector<double>& data) {
+  std::ostringstream out;
+  io::Writer w(out);
+  w.u64("m.rows", rows);
+  w.u64("m.cols", cols);
+  w.vec("m.data", data);
+  return out.str();
+}
+
+TEST(SerializeMatrix, RejectsDimensionsWhoseProductWraps) {
+  // 2^32 * 2^32 wraps to 0 and (2^63 + 1) * 2 wraps to 2: both products
+  // equal the payload size, and a multiply-only check would then fill a
+  // matrix far past its buffer.
+  const std::uint64_t two_32 = std::uint64_t{1} << 32;
+  const std::uint64_t two_63_plus_1 = (std::uint64_t{1} << 63) + 1;
+  for (const auto& [rows, cols, data] :
+       {std::tuple{two_32, two_32, std::vector<double>{}},
+        std::tuple{two_63_plus_1, std::uint64_t{2},
+                   std::vector<double>{1.0, 2.0}},
+        std::tuple{std::uint64_t{2}, two_63_plus_1,
+                   std::vector<double>{1.0, 2.0}}}) {
+    std::stringstream in(matrix_record(rows, cols, data));
+    io::Reader r(in);
+    EXPECT_THROW(ml::load_matrix(r, "m"), std::invalid_argument)
+        << rows << " x " << cols;
+  }
+  // An empty matrix of either shape still loads.
+  for (const auto& [rows, cols] :
+       {std::pair{std::uint64_t{0}, two_32},
+        std::pair{std::uint64_t{3}, std::uint64_t{0}}}) {
+    std::stringstream in(matrix_record(rows, cols, {}));
+    io::Reader r(in);
+    EXPECT_EQ(ml::load_matrix(r, "m").rows(), rows);
   }
 }
 
@@ -547,6 +587,129 @@ TEST(ModelRecords, GbtPredictRejectsOutOfRangeFeature) {
   EXPECT_THROW(gbt.predict(std::vector<double>{0.2}), CheckError);
   EXPECT_EQ(gbt.predict(std::vector<double>{0, 0, 0, 0.9}),
             std::vector<double>{0.75});
+}
+
+// Hand-made kNN and ridge records: the loaders check the enum fields and
+// every shape predict indexes by, as fit() would have left them.
+
+// A trained version-1 kNN record; a scaler of width `scaler_width` is written
+// when that is nonzero.
+struct KnnRecord {
+  std::uint64_t metric = 1;     // Euclidean
+  std::uint64_t weighting = 0;  // uniform
+  std::size_t scaler_width = 2;
+  ml::Matrix x = random_matrix(3, 2, 51);
+  ml::Matrix y = random_matrix(3, 1, 52);
+
+  std::string str() const {
+    std::ostringstream out;
+    io::Writer w(out);
+    w.tag("varpred.knn");
+    w.u64("version", 1);
+    w.u64("k", 2);
+    w.u64("metric", metric);
+    w.u64("weighting", weighting);
+    w.boolean("standardize", scaler_width != 0);
+    w.boolean("trained", true);
+    w.boolean("fitted", scaler_width != 0);
+    if (scaler_width != 0) {
+      w.vec("means", std::vector<double>(scaler_width, 0.0));
+      w.vec("scales", std::vector<double>(scaler_width, 1.0));
+    }
+    ml::save_matrix(w, "x", x);
+    ml::save_matrix(w, "y", y);
+    return out.str();
+  }
+};
+
+// A trained version-1 ridge record: 2 features by 3 outputs when every
+// length agrees with `weights`; a scaler of width `scaler_width` is written
+// when that is nonzero.
+struct RidgeRecord {
+  std::size_t scaler_width = 2;
+  std::size_t center = 2;
+  ml::Matrix weights = random_matrix(2, 3, 53);
+  std::size_t intercepts = 3;
+
+  std::string str() const {
+    std::ostringstream out;
+    io::Writer w(out);
+    w.tag("varpred.ridge");
+    w.u64("version", 1);
+    w.f64("lambda", 1.0);
+    w.boolean("standardize", scaler_width != 0);
+    w.boolean("trained", true);
+    w.boolean("scaled", scaler_width != 0);
+    if (scaler_width != 0) {
+      w.vec("means", std::vector<double>(scaler_width, 0.0));
+      w.vec("scales", std::vector<double>(scaler_width, 1.0));
+    }
+    w.vec("center", std::vector<double>(center, 0.0));
+    ml::save_matrix(w, "weights", weights);
+    w.vec("intercepts", std::vector<double>(intercepts, 0.5));
+    return out.str();
+  }
+};
+
+TEST(ModelRecords, HandMadeKnnAndRidgeRecordsLoadAndPredict) {
+  std::stringstream knn_in(KnnRecord{}.str());
+  EXPECT_EQ(ml::KnnRegressor::load(knn_in)
+                .predict(std::vector<double>{0.1, 0.2})
+                .size(),
+            1U);
+  std::stringstream ridge_in(RidgeRecord{}.str());
+  EXPECT_EQ(ml::RidgeRegressor::load(ridge_in)
+                .predict(std::vector<double>{0.1, 0.2})
+                .size(),
+            3U);
+}
+
+TEST(ModelRecords, KnnRejectsOutOfRangeMetric) {
+  for (const std::uint64_t metric :
+       {std::uint64_t{3}, std::uint64_t{7},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    expect_rejected<ml::KnnRegressor>(KnnRecord{.metric = metric}.str());
+  }
+}
+
+TEST(ModelRecords, KnnRejectsOutOfRangeWeighting) {
+  // Weighting 7 used to predict silently with uniform weights.
+  for (const std::uint64_t weighting : {std::uint64_t{2}, std::uint64_t{7}}) {
+    expect_rejected<ml::KnnRegressor>(
+        KnnRecord{.weighting = weighting}.str());
+  }
+}
+
+TEST(ModelRecords, KnnRejectsXAndYOfDifferentRowCounts) {
+  expect_rejected<ml::KnnRegressor>(
+      KnnRecord{.y = random_matrix(2, 1, 54)}.str());
+  expect_rejected<ml::KnnRegressor>(
+      KnnRecord{.y = random_matrix(4, 1, 54)}.str());
+}
+
+TEST(ModelRecords, KnnRejectsTrainedRecordWithoutRows) {
+  expect_rejected<ml::KnnRegressor>(
+      KnnRecord{.x = ml::Matrix(0, 2), .y = ml::Matrix(0, 1)}.str());
+}
+
+TEST(ModelRecords, KnnRejectsScalerOfAnotherWidth) {
+  expect_rejected<ml::KnnRegressor>(KnnRecord{.scaler_width = 1}.str());
+  expect_rejected<ml::KnnRegressor>(KnnRecord{.scaler_width = 3}.str());
+}
+
+TEST(ModelRecords, RidgeRejectsCenterOfAnotherLength) {
+  expect_rejected<ml::RidgeRegressor>(RidgeRecord{.center = 1}.str());
+  expect_rejected<ml::RidgeRegressor>(RidgeRecord{.center = 3}.str());
+}
+
+TEST(ModelRecords, RidgeRejectsScalerOfAnotherWidth) {
+  expect_rejected<ml::RidgeRegressor>(RidgeRecord{.scaler_width = 1}.str());
+  expect_rejected<ml::RidgeRegressor>(RidgeRecord{.scaler_width = 3}.str());
+}
+
+TEST(ModelRecords, RidgeRejectsInterceptsOfAnotherLength) {
+  expect_rejected<ml::RidgeRegressor>(RidgeRecord{.intercepts = 2}.str());
+  expect_rejected<ml::RidgeRegressor>(RidgeRecord{.intercepts = 4}.str());
 }
 
 TEST(ModelRecords, Version1TreeForestAndGbtRecordsAreRejected) {

@@ -45,6 +45,11 @@ void CrossSystemPredictor::train(
     // the corpora, so gathering is byte-identical to building them).
     VARPRED_CHECK_ARG(cache->targets.size() == source.benchmarks.size(),
                       "evaluation cache does not match corpus");
+    check_cache_shape(cache->features, cache->targets,
+                      source.system->metric_count() *
+                              config_.profile.features_per_metric() +
+                          repr_->dim(),
+                      repr_->dim());
     const auto rows = cache->rows_for(train_benchmarks);
     x = cache->features.gather_rows(rows);
     for (const std::size_t b : train_benchmarks) y.push_row(cache->targets[b]);
@@ -76,14 +81,20 @@ std::vector<double> CrossSystemPredictor::predict_encoded(
 }
 
 std::vector<double> CrossSystemPredictor::predict_distribution(
+    std::span<const double> features, std::size_t n_samples,
+    Rng& rng) const {
+  obs::Span span("xsys.predict");
+  VARPRED_OBS_COUNT("xsys.predictions", 1);
+  const auto encoded = predict_encoded(features);
+  return repr_->reconstruct(encoded, n_samples, rng);
+}
+
+std::vector<double> CrossSystemPredictor::predict_distribution(
     const measure::BenchmarkRuns& source_runs, std::size_t n_samples,
     Rng& rng) const {
   VARPRED_CHECK(source_system_ != nullptr, "predict before train");
-  obs::Span span("xsys.predict");
-  VARPRED_OBS_COUNT("xsys.predictions", 1);
-  const auto features = make_features(*source_system_, source_runs);
-  const auto encoded = predict_encoded(features);
-  return repr_->reconstruct(encoded, n_samples, rng);
+  return predict_distribution(make_features(*source_system_, source_runs),
+                              n_samples, rng);
 }
 
 }  // namespace varpred::core

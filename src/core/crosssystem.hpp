@@ -73,8 +73,15 @@ class CrossSystemPredictor {
   std::vector<double> predict_encoded(
       std::span<const double> features) const;
 
-  /// End-to-end: predicts and reconstructs `n_samples` relative times on the
-  /// target system for an application measured as `source_runs`.
+  /// Predicts and reconstructs `n_samples` relative times on the target
+  /// system for an application given by its features: make_features of its
+  /// source runs, or the row a CrossSystemEvalCache holds for it.
+  std::vector<double> predict_distribution(std::span<const double> features,
+                                           std::size_t n_samples,
+                                           Rng& rng) const;
+
+  /// End-to-end: the above for an application measured as `source_runs` on
+  /// the source system.
   std::vector<double> predict_distribution(
       const measure::BenchmarkRuns& source_runs, std::size_t n_samples,
       Rng& rng) const;

@@ -96,6 +96,19 @@ TrainingRows cross_system_rows(const measure::Corpus& source,
   return out;
 }
 
+void check_cache_shape(const ml::Matrix& features,
+                       const std::vector<std::vector<double>>& targets,
+                       std::size_t feature_width, std::size_t target_width) {
+  VARPRED_CHECK_ARG(features.cols() == feature_width,
+                    "evaluation cache features have another width (built "
+                    "for another representation or profile)");
+  for (const auto& target : targets) {
+    VARPRED_CHECK_ARG(target.size() == target_width,
+                      "evaluation cache targets have another width (built "
+                      "for another representation)");
+  }
+}
+
 std::vector<std::size_t> FewRunsEvalCache::rows_for(
     std::span<const std::size_t> benchmarks) const {
   check_benchmarks(benchmarks, targets.size());

@@ -64,6 +64,16 @@ TrainingRows cross_system_rows(const measure::Corpus& source,
                                const CrossSystemConfig& config,
                                const DistributionRepr& repr);
 
+/// Throws std::invalid_argument unless every cached feature row is
+/// `feature_width` wide and every cached target `target_width` wide. A
+/// trainer calls it on the cache it is handed: a cache built for another
+/// representation or profile shape would fit targets the trainer cannot
+/// decode. (PyMaxEnt and PearsonRnd share one encoding, so a cache of one
+/// serves the other.)
+void check_cache_shape(const ml::Matrix& features,
+                       const std::vector<std::vector<double>>& targets,
+                       std::size_t feature_width, std::size_t target_width);
+
 /// Precomputed training artifacts for evaluate_few_runs (one corpus).
 /// Row layout: benchmark b's replicates occupy rows
 /// [b * replicates, (b + 1) * replicates).

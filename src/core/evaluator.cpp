@@ -101,6 +101,13 @@ std::vector<double> predict_held_out_cross_system(
   predictor.train(source, target, all_but(source.benchmarks.size(), bench),
                   cache);
   Rng rng(seed_combine(options.seed, 0xC105500ULL + bench));
+  // The cache also holds the held-out benchmark's features: its row is
+  // make_features of the benchmark's source runs, byte for byte, so the
+  // fold reads it instead of building the profile a second time.
+  if (cache != nullptr) {
+    return predictor.predict_distribution(cache->features.row(bench),
+                                          options.n_reconstruct, rng);
+  }
   return predictor.predict_distribution(source.benchmarks[bench],
                                         options.n_reconstruct, rng);
 }

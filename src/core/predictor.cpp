@@ -31,6 +31,10 @@ void FewRunsPredictor::train(const measure::Corpus& corpus,
     VARPRED_CHECK_ARG(cache->targets.size() == corpus.benchmarks.size() &&
                           cache->replicates == config_.train_replicates,
                       "evaluation cache does not match corpus/config");
+    check_cache_shape(cache->features, cache->targets,
+                      corpus.system->metric_count() *
+                          config_.profile.features_per_metric(),
+                      repr_->dim());
     const auto rows = cache->rows_for(train_benchmarks);
     x = cache->features.gather_rows(rows);
     for (const std::size_t b : train_benchmarks) {

@@ -21,14 +21,26 @@ std::vector<double> build_profile(const measure::SystemModel& system,
   const std::size_t per_metric = options.features_per_metric();
   std::vector<double> features(n_metrics * per_metric, 0.0);
 
-  std::vector<stats::MomentAccumulator> acc(n_metrics);
+  // One Welford pass over the runs, every metric side by side: the
+  // accumulator state is four arrays over metrics, and each run's step
+  // factors depend only on the run count, so they are formed once per run
+  // and the metric loop is straight-line arithmetic the compiler vectorizes.
+  std::vector<double> state(4 * n_metrics, 0.0);
+  double* const mean = state.data();
+  double* const m2 = mean + n_metrics;
+  double* const m3 = m2 + n_metrics;
+  double* const m4 = m3 + n_metrics;
+  double count = 0.0;
   for (const std::size_t r : run_indices) {
     VARPRED_CHECK_ARG(r < runs.run_count(), "run index out of range");
     const double runtime = runs.runtimes[r];
-    const auto counters = runs.counters.row(r);
+    const double* const counters = runs.counters.row(r).data();
+    const stats::WelfordCounts step = stats::WelfordCounts::after(count);
     for (std::size_t m = 0; m < n_metrics; ++m) {
-      acc[m].add(counters[m] / runtime);  // events per second
+      stats::welford_step(step, counters[m] / runtime,  // events per second
+                          mean[m], m2[m], m3[m], m4[m]);
     }
+    count = step.n;
   }
 
   // Note on duration_time: normalized per second it is identically 1, so it
@@ -37,7 +49,9 @@ std::vector<double> build_profile(const measure::SystemModel& system,
   // no direct runtime-width feature, and distribution width must be
   // inferred from the counters' behaviour.
   for (std::size_t m = 0; m < n_metrics; ++m) {
-    const auto moments = acc[m].moments();
+    const auto moments = stats::MomentAccumulator::from_raw(
+                             run_indices.size(), mean[m], m2[m], m3[m], m4[m])
+                             .moments();
     features[m * per_metric] = moments.mean;
     if (options.include_higher_moments) {
       features[m * per_metric + 1] = moments.stddev;

@@ -19,25 +19,51 @@ const BenchmarkRuns& Corpus::runs_of(const std::string& full_name) const {
   return benchmarks[benchmark_index(full_name)];
 }
 
-RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
-                       Rng& rng) {
-  return simulate_run(bench, system, SystemCondition{}, rng);
+namespace {
+
+// What every run of one (benchmark, system, condition) shares: the
+// ground-truth mixture and its mean, and per metric the mode-independent
+// log-rate, category and noise sigma. measure_benchmark builds it once for
+// all of its runs.
+struct RunInputs {
+  const SystemModel* system = nullptr;
+  rngdist::Mixture mixture;
+  double mixture_mean = 0.0;
+  std::vector<double> trait_log_rates;
+  std::vector<MetricCategory> categories;
+  std::vector<double> sigmas;
+};
+
+RunInputs run_inputs(const BenchmarkInfo& bench, const SystemModel& system,
+                     const SystemCondition& cond) {
+  RunInputs in;
+  in.system = &system;
+  in.mixture = system.runtime_distribution(bench, cond);
+  in.mixture_mean = in.mixture.mean();
+  in.trait_log_rates = system.trait_log_rates(bench);
+  in.categories.reserve(system.metric_count());
+  in.sigmas.reserve(system.metric_count());
+  for (std::size_t m = 0; m < system.metric_count(); ++m) {
+    in.categories.push_back(system.metrics()[m].category);
+    in.sigmas.push_back(system.counter_model(m).noise_sigma);
+  }
+  return in;
 }
 
-RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
-                       const SystemCondition& cond, Rng& rng) {
-  const auto mixture = system.runtime_distribution(bench, cond);
-  RunRecord run;
-  run.runtime_seconds = mixture.sample(rng, &run.mode);
-  VARPRED_CHECK(run.runtime_seconds > 0.0, "non-positive simulated runtime");
+// One run: draws the runtime (returned) and its mode, and writes the
+// absolute counts into `counters` (one per metric).
+double simulate_into(const RunInputs& in, Rng& rng, std::size_t& mode,
+                     std::span<double> counters) {
+  const double runtime = in.mixture.sample(rng, &mode);
+  VARPRED_CHECK(runtime > 0.0, "non-positive simulated runtime");
 
   // Counter rates react to how slow this particular run was relative to the
   // benchmark's typical run (its mixture mean): runs that landed in a slow
   // NUMA mode or caught a GC pause show elevated memory-side traffic per
   // second and depressed instruction throughput. This coupling is what makes
   // runtime variability observable in a profile built from a few runs.
-  const double mode_ratio = run.runtime_seconds / mixture.mean();
-  const auto rates = system.expected_rates(bench, mode_ratio);
+  in.system->rates_at_mode(in.trait_log_rates, runtime / in.mixture_mean,
+                           counters);
 
   // Run-level noise has three components: a machine-wide factor (frequency
   // and thermal state of this particular run), a per-category factor (e.g.
@@ -54,21 +80,35 @@ RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
   std::array<double, 6> z_category;
   for (auto& z : z_category) z = rngdist::student_t(rng, 4.0);
 
-  run.counters.resize(rates.size());
-  for (std::size_t m = 0; m < rates.size(); ++m) {
-    const auto category = system.metrics()[m].category;
+  for (std::size_t m = 0; m < counters.size(); ++m) {
+    const auto category = in.categories[m];
     if (category == MetricCategory::kDuration) {
       // The wall clock is measured exactly.
-      run.counters[m] = run.runtime_seconds;
+      counters[m] = runtime;
       continue;
     }
-    const double sigma = system.counter_model(m).noise_sigma;
     const double log_noise =
-        sigma * rngdist::normal(rng) +
+        in.sigmas[m] * rngdist::normal(rng) +
         kCategoryNoise * z_category[static_cast<std::size_t>(category)] +
         kGlobalNoise * z_global;
-    run.counters[m] = rates[m] * std::exp(log_noise) * run.runtime_seconds;
+    counters[m] = counters[m] * std::exp(log_noise) * runtime;
   }
+  return runtime;
+}
+
+}  // namespace
+
+RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
+                       Rng& rng) {
+  return simulate_run(bench, system, SystemCondition{}, rng);
+}
+
+RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
+                       const SystemCondition& cond, Rng& rng) {
+  RunRecord run;
+  run.counters.resize(system.metric_count());
+  run.runtime_seconds = simulate_into(run_inputs(bench, system, cond), rng,
+                                      run.mode, run.counters);
   return run;
 }
 
@@ -92,18 +132,16 @@ BenchmarkRuns measure_benchmark(std::size_t benchmark_index,
 
   BenchmarkRuns out;
   out.benchmark = benchmark_index;
-  out.runtimes.reserve(n_runs);
-  out.modes.reserve(n_runs);
+  out.runtimes.resize(n_runs);
+  out.modes.resize(n_runs);
   out.counters = ml::Matrix(n_runs, system.metric_count());
 
+  const RunInputs inputs = run_inputs(bench, system, cond);
   Rng rng(seed_combine(seed, seed_combine(stable_hash(system.name()),
                                           stable_hash(bench.full_name()))));
   for (std::size_t r = 0; r < n_runs; ++r) {
-    const RunRecord run = simulate_run(bench, system, cond, rng);
-    out.runtimes.push_back(run.runtime_seconds);
-    out.modes.push_back(run.mode);
-    auto row = out.counters.row(r);
-    std::copy(run.counters.begin(), run.counters.end(), row.begin());
+    out.runtimes[r] =
+        simulate_into(inputs, rng, out.modes[r], out.counters.row(r));
   }
   return out;
 }

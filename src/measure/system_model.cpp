@@ -258,23 +258,42 @@ rngdist::Mixture SystemModel::runtime_distribution(
 
 std::vector<double> SystemModel::expected_rates(const BenchmarkInfo& bench,
                                                 double mode_ratio) const {
+  std::vector<double> rates(counter_models_.size());
+  rates_at_mode(trait_log_rates(bench), mode_ratio, rates);
+  return rates;
+}
+
+std::vector<double> SystemModel::trait_log_rates(
+    const BenchmarkInfo& bench) const {
   const auto traits = bench.traits.to_array();
-  std::vector<double> rates(counter_models_.size(), 0.0);
-  const double log_mode = std::log(std::max(mode_ratio, 1e-6));
+  std::vector<double> log_rates(counter_models_.size(), 0.0);
   for (std::size_t m = 0; m < counter_models_.size(); ++m) {
+    if ((*metrics_)[m].category == MetricCategory::kDuration) continue;
     const auto& model = counter_models_[m];
-    if ((*metrics_)[m].category == MetricCategory::kDuration) {
-      rates[m] = 1.0;  // duration_time accumulates at one second per second
-      continue;
-    }
     double log_rate = model.base_log_rate;
     for (std::size_t t = 0; t < AppCharacteristics::kCount; ++t) {
       log_rate += model.trait_weights[t] * (traits[t] - 0.5);
     }
-    log_rate += model.mode_exponent * log_mode;
-    rates[m] = std::exp(log_rate);
+    log_rates[m] = log_rate;
   }
-  return rates;
+  return log_rates;
+}
+
+void SystemModel::rates_at_mode(std::span<const double> trait_log_rates,
+                                double mode_ratio,
+                                std::span<double> rates) const {
+  VARPRED_CHECK_ARG(trait_log_rates.size() == counter_models_.size() &&
+                        rates.size() == counter_models_.size(),
+                    "rates need one entry per metric");
+  const double log_mode = std::log(std::max(mode_ratio, 1e-6));
+  for (std::size_t m = 0; m < counter_models_.size(); ++m) {
+    if ((*metrics_)[m].category == MetricCategory::kDuration) {
+      rates[m] = 1.0;  // duration_time accumulates at one second per second
+      continue;
+    }
+    rates[m] = std::exp(trait_log_rates[m] +
+                        counter_models_[m].mode_exponent * log_mode);
+  }
 }
 
 const SystemModel& SystemModel::intel() {

@@ -88,6 +88,17 @@ class SystemModel {
   std::vector<double> expected_rates(const BenchmarkInfo& bench,
                                      double mode_ratio) const;
 
+  /// The part of expected_rates that is the same for every run of `bench`:
+  /// per metric, its base log-rate plus its response to the benchmark's
+  /// traits (0 for duration_time).
+  std::vector<double> trait_log_rates(const BenchmarkInfo& bench) const;
+
+  /// expected_rates from trait_log_rates(bench), written into `rates`
+  /// (metric_count() wide). The run simulator forms the trait part once per
+  /// benchmark and calls this once per run.
+  void rates_at_mode(std::span<const double> trait_log_rates,
+                     double mode_ratio, std::span<double> rates) const;
+
   const CounterModel& counter_model(std::size_t metric) const {
     return counter_models_[metric];
   }

@@ -57,8 +57,11 @@ std::vector<double> Histogram::densities() const {
   return probs;
 }
 
-double Histogram::sample_from_probs(std::span<const double> probs, double lo,
-                                    double hi, Rng& rng) {
+namespace {
+
+// Sum of a bin-probability vector, checked: non-empty, no negative bin, not
+// all zero.
+double checked_total(std::span<const double> probs) {
   VARPRED_CHECK_ARG(!probs.empty(), "empty probability vector");
   double total = 0.0;
   for (const double p : probs) {
@@ -66,8 +69,12 @@ double Histogram::sample_from_probs(std::span<const double> probs, double lo,
     total += p;
   }
   VARPRED_CHECK_ARG(total > 0.0, "all-zero probability vector");
+  return total;
+}
 
-  const double width = (hi - lo) / static_cast<double>(probs.size());
+// One draw from checked probabilities summing to `total`.
+double draw(std::span<const double> probs, double total, double lo,
+            double width, Rng& rng) {
   double u = rng.uniform() * total;
   std::size_t idx = 0;
   for (; idx + 1 < probs.size(); ++idx) {
@@ -79,11 +86,28 @@ double Histogram::sample_from_probs(std::span<const double> probs, double lo,
                        std::clamp(frac, 0.0, 1.0));
 }
 
+// Width of each of the probs.size() equal bins over [lo, hi].
+double bin_width_of(std::span<const double> probs, double lo, double hi) {
+  return (hi - lo) / static_cast<double>(probs.size());
+}
+
+}  // namespace
+
+double Histogram::sample_from_probs(std::span<const double> probs, double lo,
+                                    double hi, Rng& rng) {
+  const double total = checked_total(probs);
+  return draw(probs, total, lo, bin_width_of(probs, lo, hi), rng);
+}
+
 std::vector<double> Histogram::sample_many_from_probs(
     std::span<const double> probs, double lo, double hi, std::size_t n,
     Rng& rng) {
   std::vector<double> out(n);
-  for (auto& v : out) v = sample_from_probs(probs, lo, hi, rng);
+  if (n == 0) return out;
+  // Checked and summed once per call; each draw then only walks the bins.
+  const double total = checked_total(probs);
+  const double width = bin_width_of(probs, lo, hi);
+  for (auto& v : out) v = draw(probs, total, lo, width, rng);
   return out;
 }
 

@@ -27,18 +27,9 @@ Moments Moments::from_vector(std::span<const double> v) {
 }
 
 void MomentAccumulator::add(double x) {
-  const double n1 = static_cast<double>(n_);
+  welford_step(WelfordCounts::after(static_cast<double>(n_)), x, mean_, m2_,
+               m3_, m4_);
   ++n_;
-  const double n = static_cast<double>(n_);
-  const double delta = x - mean_;
-  const double delta_n = delta / n;
-  const double delta_n2 = delta_n * delta_n;
-  const double term1 = delta * delta_n * n1;
-  mean_ += delta_n;
-  m4_ += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) + 6.0 * delta_n2 * m2_ -
-         4.0 * delta_n * m3_;
-  m3_ += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * m2_;
-  m2_ += term1;
 }
 
 void MomentAccumulator::merge(const MomentAccumulator& other) {

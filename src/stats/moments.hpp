@@ -40,6 +40,37 @@ Moments compute_moments(std::span<const double> sample);
 /// differ from the serial path by floating-point merge error only).
 Moments compute_moments_parallel(std::span<const double> sample);
 
+/// The per-count factors of one Welford step, taking a sample of n1 values
+/// to n = n1 + 1. Accumulators stepped at the same count (the metrics of a
+/// profile, one run at a time) share one set.
+struct WelfordCounts {
+  double n1;
+  double n;
+  double poly;       ///< n * n - 3.0 * n + 3.0
+  double n_minus_2;  ///< n - 2.0
+
+  static WelfordCounts after(double n1) {
+    const double n = n1 + 1.0;
+    return {n1, n, n * n - 3.0 * n + 3.0, n - 2.0};
+  }
+};
+
+/// The one Welford step through the 4th moment: folds `x` into the raw
+/// state (mean and the 2nd-4th central moment sums). MomentAccumulator::add,
+/// the lane-parallel kernel and the profile builder all run it, so every
+/// accumulation in the library rounds the same way.
+inline void welford_step(const WelfordCounts& c, double x, double& mean,
+                         double& m2, double& m3, double& m4) {
+  const double delta = x - mean;
+  const double delta_n = delta / c.n;
+  const double delta_n2 = delta_n * delta_n;
+  const double term1 = delta * delta_n * c.n1;
+  mean += delta_n;
+  m4 += term1 * delta_n2 * c.poly + 6.0 * delta_n2 * m2 - 4.0 * delta_n * m3;
+  m3 += term1 * delta_n * c.n_minus_2 - 3.0 * delta_n * m2;
+  m2 += term1;
+}
+
 /// Streaming accumulator (Welford extended through the 4th moment).
 /// merge() makes it usable from parallel reductions.
 class MomentAccumulator {
@@ -50,7 +81,8 @@ class MomentAccumulator {
   /// Rebuilds an accumulator from its raw state (count, mean, and the 2nd-4th
   /// central moment sums). Used by the lane-parallel Welford kernel
   /// (stats/welford_simd.hpp) to merge independently-accumulated lanes
-  /// through the exact pairwise-merge formulas above.
+  /// through the exact pairwise-merge formulas above, and by the profile
+  /// builder to read moments off its per-metric arrays.
   static MomentAccumulator from_raw(std::size_t n, double mean, double m2,
                                     double m3, double m4);
 

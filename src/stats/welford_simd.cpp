@@ -19,22 +19,13 @@ struct Lanes {
   double m4[4] = {0.0, 0.0, 0.0, 0.0};
 };
 
-// One-lane update: the same expressions as MomentAccumulator::add, written
-// with explicit temporaries so the scalar and AVX2 block loops compile to
-// the same operation sequence per lane.
+// One-lane update: the library's Welford step (stats/moments.hpp). The
+// AVX2 block loop below mirrors it term by term.
 inline void lane_add(Lanes& lanes, std::size_t j, double x) {
-  const double n1 = lanes.n[j];
-  const double n = n1 + 1.0;
-  const double delta = x - lanes.mean[j];
-  const double delta_n = delta / n;
-  const double delta_n2 = delta_n * delta_n;
-  const double term1 = delta * delta_n * n1;
-  lanes.mean[j] += delta_n;
-  lanes.m4[j] += term1 * delta_n2 * (n * n - 3.0 * n + 3.0) +
-                 6.0 * delta_n2 * lanes.m2[j] - 4.0 * delta_n * lanes.m3[j];
-  lanes.m3[j] += term1 * delta_n * (n - 2.0) - 3.0 * delta_n * lanes.m2[j];
-  lanes.m2[j] += term1;
-  lanes.n[j] = n;
+  const WelfordCounts counts = WelfordCounts::after(lanes.n[j]);
+  welford_step(counts, x, lanes.mean[j], lanes.m2[j], lanes.m3[j],
+               lanes.m4[j]);
+  lanes.n[j] = counts.n;
 }
 
 void blocks_scalar(Lanes& lanes, const double* x, std::size_t n_blocks) {
@@ -45,7 +36,7 @@ void blocks_scalar(Lanes& lanes, const double* x, std::size_t n_blocks) {
 
 #ifdef VARPRED_SIMD_AVX2
 
-// Per-lane vector arithmetic mirroring lane_add term by term. AVX2 alone
+// Per-lane vector arithmetic mirroring welford_step term by term. AVX2 alone
 // does not enable FMA contraction, so every multiply/add below rounds
 // exactly like its scalar counterpart — bit-identical lanes.
 __attribute__((target("avx2"))) void blocks_avx2(Lanes& lanes,

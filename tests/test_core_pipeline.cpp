@@ -17,6 +17,7 @@
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
+#include "obs/obs.hpp"
 #include "rngdist/samplers.hpp"
 #include "stats/moments.hpp"
 #include "stats/ks.hpp"
@@ -96,6 +97,70 @@ TEST(Profile, FullProfileEqualsProfileOverEveryRun) {
     EXPECT_EQ(build_full_profile(*corpus.system, runs, options),
               build_profile(*corpus.system, runs, every, options))
         << "include_higher_moments=" << higher;
+  }
+}
+
+// The oracle profile: one MomentAccumulator per metric fed run by run, the
+// moments read back per metric.
+std::vector<double> oracle_profile(const measure::SystemModel& system,
+                                   const measure::BenchmarkRuns& runs,
+                                   std::span<const std::size_t> idx,
+                                   const ProfileOptions& options) {
+  const std::size_t n_metrics = system.metric_count();
+  const std::size_t per_metric = options.features_per_metric();
+  std::vector<stats::MomentAccumulator> acc(n_metrics);
+  for (const std::size_t r : idx) {
+    for (std::size_t m = 0; m < n_metrics; ++m) {
+      acc[m].add(runs.counters(r, m) / runs.runtimes[r]);
+    }
+  }
+  std::vector<double> out(n_metrics * per_metric);
+  for (std::size_t m = 0; m < n_metrics; ++m) {
+    const auto moments = acc[m].moments();
+    out[m * per_metric] = moments.mean;
+    if (options.include_higher_moments) {
+      out[m * per_metric + 1] = moments.stddev;
+      out[m * per_metric + 2] = moments.skewness;
+      out[m * per_metric + 3] = moments.kurtosis;
+    }
+  }
+  return out;
+}
+
+// build_profile must equal the per-metric accumulator loop bit for bit, in
+// every feature, whatever loop shape computes it.
+TEST(Profile, MatchesMomentAccumulatorOracle) {
+  const auto& intel = small_intel();
+  const measure::BenchmarkRuns big =
+      measure::measure_benchmark(11, measure::SystemModel::amd(), 1000, 7);
+  std::vector<std::size_t> all_big(big.run_count());
+  std::iota(all_big.begin(), all_big.end(), std::size_t{0});
+  struct Case {
+    const measure::SystemModel* system;
+    const measure::BenchmarkRuns* runs;
+    std::vector<std::size_t> idx;
+  };
+  const std::vector<Case> cases = {
+      {intel.system, &intel.benchmarks[2], {7}},
+      {intel.system, &intel.benchmarks[5],
+       {0, 3, 9, 12, 40, 41, 77, 103, 150, 199}},
+      {intel.system, &intel.benchmarks[8], {4, 4, 4, 17, 17, 60, 4}},
+      {&measure::SystemModel::amd(), &big, all_big},
+  };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    for (const bool higher : {true, false}) {
+      ProfileOptions options;
+      options.include_higher_moments = higher;
+      const auto& [system, runs, idx] = cases[c];
+      const auto got = build_profile(*system, *runs, idx, options);
+      const auto want = oracle_profile(*system, *runs, idx, options);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << "case " << c << " higher=" << higher << " feature " << i;
+      }
+    }
   }
 }
 
@@ -573,6 +638,119 @@ TEST(EvalCache, CrossSystemRowDigests) {
         << to_string(repr) << " 0x" << std::hex
         << rows_digest(cache.features, cache.targets);
   }
+}
+
+// Every held-out fold must draw the same samples from the fold cache's row
+// as from features rebuilt from the runs: sample vectors, not only KS.
+TEST(EvalCache, CrossSystemFoldSamplesMatchUncachedPath) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  for (const ReprKind repr :
+       {ReprKind::kHistogram, ReprKind::kMaxEnt, ReprKind::kPearson,
+        ReprKind::kQuantile}) {
+    CrossSystemConfig config;
+    config.repr = repr;
+    EvalOptions options;
+    options.n_reconstruct = 300;
+    const auto cache = CrossSystemEvalCache::build(amd, intel, config);
+    for (std::size_t b = 0; b < amd.benchmarks.size(); b += 5) {
+      const auto cached =
+          predict_held_out_cross_system(amd, intel, b, config, options, &cache);
+      const auto uncached =
+          predict_held_out_cross_system(amd, intel, b, config, options);
+      ASSERT_EQ(cached.size(), options.n_reconstruct);
+      EXPECT_EQ(cached, uncached) << to_string(repr) << " fold " << b;
+    }
+  }
+}
+
+// A cross-system evaluation builds each source profile once: the cache's
+// row per benchmark, and no second build in the fold that holds it out.
+TEST(EvalCache, CrossSystemBuildsEachProfileOnce) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  CrossSystemConfig config;
+  EvalOptions options;
+  options.n_reconstruct = 50;
+  obs::set_mode(obs::Mode::kSummary);
+  obs::Registry::global().reset_values();
+  evaluate_cross_system(amd, intel, config, options);
+  auto& reg = obs::Registry::global();
+  const std::uint64_t builds = reg.counter("profile.builds").value();
+  const std::uint64_t runs = reg.counter("profile.runs_aggregated").value();
+  obs::set_mode(obs::Mode::kOff);
+  EXPECT_EQ(builds, amd.benchmarks.size());
+  EXPECT_EQ(runs, amd.benchmarks.size() * 200);
+}
+
+// A cache holds the targets (and, for use case 2, the encoded source
+// distributions) of the representation it was built for. A trainer of
+// another width must refuse it rather than fit the wrong targets.
+TEST(EvalCache, FewRunsRejectsCacheOfAnotherRepr) {
+  const auto& corpus = small_intel();
+  const std::vector<std::size_t> training = {0, 1, 2, 3};
+  FewRunsConfig histogram;
+  histogram.repr = ReprKind::kHistogram;
+  histogram.train_replicates = 1;
+  const auto cache = FewRunsEvalCache::build(corpus, histogram);
+  for (const ReprKind repr : {ReprKind::kPearson, ReprKind::kQuantile}) {
+    FewRunsConfig other = histogram;
+    other.repr = repr;
+    EXPECT_THROW(FewRunsPredictor(other).train(corpus, training, &cache),
+                 std::invalid_argument)
+        << to_string(repr);
+    EXPECT_THROW(predict_held_out_few_runs(corpus, 4, other, {}, &cache),
+                 std::invalid_argument)
+        << to_string(repr);
+  }
+  // Profile width: a means-only trainer against a full-profile cache.
+  FewRunsConfig lean = histogram;
+  lean.profile.include_higher_moments = false;
+  EXPECT_THROW(FewRunsPredictor(lean).train(corpus, training, &cache),
+               std::invalid_argument);
+  // PyMaxEnt and PearsonRnd share the moment encoding, so one's cache
+  // serves the other.
+  FewRunsConfig pearson = histogram;
+  pearson.repr = ReprKind::kPearson;
+  const auto moment_cache = FewRunsEvalCache::build(corpus, pearson);
+  FewRunsConfig maxent = pearson;
+  maxent.repr = ReprKind::kMaxEnt;
+  FewRunsPredictor served(maxent);
+  served.train(corpus, training, &moment_cache);
+  EXPECT_TRUE(served.trained());
+}
+
+TEST(EvalCache, CrossSystemRejectsCacheOfAnotherRepr) {
+  const auto& amd = small_amd();
+  const auto& intel = small_intel();
+  const std::vector<std::size_t> training = {0, 1, 2, 3};
+  CrossSystemConfig histogram;
+  histogram.repr = ReprKind::kHistogram;
+  const auto cache = CrossSystemEvalCache::build(amd, intel, histogram);
+  for (const ReprKind repr : {ReprKind::kPearson, ReprKind::kQuantile}) {
+    CrossSystemConfig other = histogram;
+    other.repr = repr;
+    EXPECT_THROW(
+        CrossSystemPredictor(other).train(amd, intel, training, &cache),
+        std::invalid_argument)
+        << to_string(repr);
+    EXPECT_THROW(
+        predict_held_out_cross_system(amd, intel, 4, other, {}, &cache),
+        std::invalid_argument)
+        << to_string(repr);
+  }
+  CrossSystemConfig lean = histogram;
+  lean.profile.include_higher_moments = false;
+  EXPECT_THROW(CrossSystemPredictor(lean).train(amd, intel, training, &cache),
+               std::invalid_argument);
+  CrossSystemConfig pearson;
+  pearson.repr = ReprKind::kPearson;
+  const auto moment_cache = CrossSystemEvalCache::build(amd, intel, pearson);
+  CrossSystemConfig maxent = pearson;
+  maxent.repr = ReprKind::kMaxEnt;
+  CrossSystemPredictor served(maxent);
+  served.train(amd, intel, training, &moment_cache);
+  EXPECT_TRUE(served.trained());
 }
 
 }  // namespace

@@ -500,6 +500,46 @@ TEST(SystemCondition, GridConditionedMixtureDigests) {
   }
 }
 
+// Pins measure_benchmark's output bit for bit: runtimes, modes and every
+// counter, for neutral and conditioned benchmarks on two systems. The
+// benchmarks cover every shape the mixtures take (unimodal, bimodal,
+// three modes, heavy tail).
+TEST(Measure, BenchmarkRunsDigest) {
+  struct Expected {
+    const char* system;
+    std::uint64_t neutral;
+    std::uint64_t conditioned;
+  };
+  constexpr Expected kExpected[] = {
+      {"intel", 0x3eccad42d396b17fULL, 0xfe4b074883f51467ULL},
+      {"amd", 0x0c33b02c4242cec5ULL, 0xccc74d968bad7f0dULL},
+  };
+  const SystemConfig stressed{Governor::kPowersave, /*smt=*/false,
+                              NumaPolicy::kBalancing, /*threads=*/32};
+  const SystemCondition cond = stressed.condition();
+  ASSERT_FALSE(stressed.neutral());
+  const auto add_runs = [](Fnv1a& h, const BenchmarkRuns& runs) {
+    for (const double t : runs.runtimes) h.add(t);
+    for (const std::size_t m : runs.modes) {
+      h.add(static_cast<std::uint64_t>(m));
+    }
+    for (const double v : runs.counters.data()) h.add(v);
+  };
+  for (const auto& [name, neutral, conditioned] : kExpected) {
+    const SystemModel& system = SystemModel::by_name(name);
+    Fnv1a plain;
+    Fnv1a under;
+    for (std::size_t b = 0; b < benchmark_table().size(); b += 7) {
+      add_runs(plain, measure_benchmark(b, system, 40, 7));
+      add_runs(under, measure_benchmark(b, system, cond, 40, 11));
+    }
+    EXPECT_EQ(plain.value(), neutral)
+        << name << " neutral 0x" << std::hex << plain.value();
+    EXPECT_EQ(under.value(), conditioned)
+        << name << " conditioned 0x" << std::hex << under.value();
+  }
+}
+
 TEST(EnumNames, OutOfRangeMetricCategoryThrows) {
   EXPECT_THROW(to_string(static_cast<MetricCategory>(99)),
                std::invalid_argument);

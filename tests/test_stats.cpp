@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <stdexcept>
@@ -396,6 +397,54 @@ TEST(Histogram, SampleFromProbsReproducesShape) {
     low += (x < 1.0);
   }
   EXPECT_NEAR(static_cast<double>(low) / xs.size(), 0.8, 0.01);
+}
+
+// Drawing n values at once must give the bytes of n single draws from the
+// same stream, zero-probability bins included (an empty bin is never
+// picked unless the walk falls through to the last bin).
+TEST(Histogram, SampleManyMatchesRepeatedDraws) {
+  const std::vector<std::vector<double>> cases = {
+      {0.8, 0.2},
+      {0.0, 0.3, 0.0, 0.0, 0.5, 0.2, 0.0},
+      {0.25, 0.0, 0.0, 0.75, 0.0},
+      {0.0, 0.0, 1.0},
+      {2.0, 0.0, 5.0, 1.0},  // not normalized
+  };
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& probs = cases[c];
+    Rng many_rng(100 + c);
+    Rng one_rng(100 + c);
+    const auto many =
+        Histogram::sample_many_from_probs(probs, 0.85, 1.25, 2000, many_rng);
+    ASSERT_EQ(many.size(), 2000u);
+    for (std::size_t i = 0; i < many.size(); ++i) {
+      const double one =
+          Histogram::sample_from_probs(probs, 0.85, 1.25, one_rng);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(many[i]),
+                std::bit_cast<std::uint64_t>(one))
+          << "case " << c << " draw " << i;
+      const auto bits = std::bit_cast<std::uint64_t>(many[i]);
+      for (int byte = 0; byte < 8; ++byte) {
+        digest ^= (bits >> (8 * byte)) & 0xFFU;
+        digest *= 0x100000001b3ULL;
+      }
+    }
+    // Both streams advanced alike.
+    EXPECT_EQ(many_rng.next_u64(), one_rng.next_u64()) << "case " << c;
+  }
+  EXPECT_EQ(digest, 0x2b15b4ccadcb98b9ULL) << "0x" << std::hex << digest;
+  // n = 0 draws nothing and checks nothing, as a single draw would not be
+  // made either.
+  Rng rng(1);
+  EXPECT_TRUE(
+      Histogram::sample_many_from_probs({}, 0.0, 1.0, 0, rng).empty());
+  const std::vector<double> zeros = {0.0, 0.0};
+  EXPECT_THROW(Histogram::sample_many_from_probs(zeros, 0.0, 1.0, 3, rng),
+               std::invalid_argument);
+  const std::vector<double> negative = {0.5, -0.1};
+  EXPECT_THROW(Histogram::sample_many_from_probs(negative, 0.0, 1.0, 3, rng),
+               std::invalid_argument);
 }
 
 TEST(Histogram, RoundTripKsIsSmall) {

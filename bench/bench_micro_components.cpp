@@ -4,6 +4,7 @@
 // document where the pipeline spends its time.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -18,6 +19,7 @@
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
+#include "stats/sort.hpp"
 
 namespace {
 
@@ -169,6 +171,49 @@ void BM_KsStatistic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_KsStatistic)->Arg(1000)->Arg(2000);
+
+// 16 samples of size n. The scorer benchmarks below cycle through them:
+// sorting or merging one input over and over lets the branch predictor
+// learn its comparison outcomes, which a fold never gets to do.
+std::vector<std::vector<double>> make_samples(std::size_t n,
+                                              std::uint64_t seed) {
+  std::vector<std::vector<double>> out;
+  for (std::uint64_t i = 0; i < 16; ++i) out.push_back(make_sample(n, seed + i));
+  return out;
+}
+
+// The KS kernel alone, on samples sorted before the timed loop.
+void BM_KsStatisticSorted(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  auto as = make_samples(n, 100);
+  auto bs = make_samples(n, 200);
+  for (auto& a : as) stats::sort_samples(a);
+  for (auto& b : bs) stats::sort_samples(b);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stats::ks_statistic_sorted(as[i], bs[i]));
+    i = (i + 1) % as.size();
+  }
+}
+BENCHMARK(BM_KsStatisticSorted)->Arg(1000)->Arg(2000);
+
+// One sort of a relative-time sample, refilled from an unsorted copy
+// (the copy is part of the timed loop).
+void BM_SortSamples(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto xs = make_samples(n, 100);
+  std::vector<double> work(n);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    std::copy(xs[i].begin(), xs[i].end(), work.begin());
+    stats::sort_samples(work);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+    i = (i + 1) % xs.size();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_SortSamples)->Arg(1000)->Arg(2000);
 
 void BM_KdeGrid(benchmark::State& state) {
   const auto xs = make_sample(1000, 3);

@@ -11,8 +11,7 @@
 #include "obs/quality.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/ks.hpp"
-#include "stats/overlap.hpp"
-#include "stats/wasserstein.hpp"
+#include "stats/sort.hpp"
 
 namespace varpred::core {
 namespace {
@@ -50,13 +49,39 @@ bool quality_requested(const EvalOptions& options) {
   return obs::QualityRecorder::enabled() && !options.quality_repr.empty();
 }
 
+// Per-fold scores of one evaluation. Each fold owns its measured and
+// predicted samples, so score() sorts both in place, once, and reads KS
+// (and normalized W1 and overlap when quality is recorded) from that one
+// sorted pair. Folds write disjoint slots, so parallel folds may score.
+struct FoldScores {
+  FoldScores(std::size_t n, bool record_quality)
+      : ks(n), w1(record_quality ? n : 0), overlap(record_quality ? n : 0) {}
+
+  void score(std::size_t fold, std::span<double> measured,
+             std::span<double> predicted) {
+    if (w1.empty()) {
+      stats::sort_samples(measured);
+      stats::sort_samples(predicted);
+      ks[fold] = stats::ks_statistic_sorted(measured, predicted);
+      return;
+    }
+    const stats::PairScores scores =
+        stats::score_pair_in_place(measured, predicted);
+    ks[fold] = scores.ks;
+    w1[fold] = scores.wasserstein1;
+    overlap[fold] = scores.overlap;
+  }
+
+  std::vector<double> ks;
+  std::vector<double> w1;
+  std::vector<double> overlap;
+};
+
 // Records the fold-median of each accuracy metric as one marginal cell
 // (app="*") per metric. Called from the orchestrating thread after the
 // parallel fold loop, so recording order is deterministic.
 void record_fold_medians(std::string systems, const EvalOptions& options,
-                         std::span<const double> ks,
-                         std::span<const double> w1,
-                         std::span<const double> overlap) {
+                         const FoldScores& scores) {
   obs::QualityCellKey key;
   key.app = "*";
   key.systems = std::move(systems);
@@ -65,11 +90,11 @@ void record_fold_medians(std::string systems, const EvalOptions& options,
   key.context = options.quality_context;
   obs::QualityRecorder& recorder = obs::QualityRecorder::instance();
   key.metric = "ks";
-  recorder.record(key, stats::median(ks));
+  recorder.record(key, stats::median(scores.ks));
   key.metric = "wasserstein1_normalized";
-  recorder.record(key, stats::median(w1));
+  recorder.record(key, stats::median(scores.w1));
   key.metric = "overlap";
-  recorder.record(key, stats::median(overlap));
+  recorder.record(key, stats::median(scores.overlap));
 }
 
 }  // namespace
@@ -114,11 +139,9 @@ std::vector<double> predict_held_out_cross_system(
 
 WindowScore score_window(std::span<const double> measured,
                          std::span<const double> predicted) {
-  WindowScore score;
-  score.ks = stats::ks_statistic(measured, predicted);
-  score.wasserstein1 = stats::wasserstein1_normalized(measured, predicted);
-  score.overlap = stats::overlap_coefficient(measured, predicted);
-  return score;
+  std::vector<double> m(measured.begin(), measured.end());
+  std::vector<double> p(predicted.begin(), predicted.end());
+  return stats::score_pair_in_place(m, p);
 }
 
 EvalResult evaluate_few_runs(const measure::Corpus& corpus,
@@ -128,10 +151,8 @@ EvalResult evaluate_few_runs(const measure::Corpus& corpus,
   obs::Span span("eval.few_runs", obs::Span::kPoolStats);
   EvalResult result;
   result.benchmark_names.resize(n);
-  result.ks.resize(n);
   const bool record_quality = quality_requested(options);
-  std::vector<double> w1(record_quality ? n : 0);
-  std::vector<double> overlap(record_quality ? n : 0);
+  FoldScores scores(n, record_quality);
   // Fold-shared training artifacts, built once and read concurrently by
   // every fold (see core/evalcache.hpp for the byte-identity argument).
   std::unique_ptr<const FewRunsEvalCache> cache;
@@ -141,25 +162,18 @@ EvalResult evaluate_few_runs(const measure::Corpus& corpus,
   }
   parallel_for(n, [&](std::size_t b) {
     obs::Span fold("eval.fold");
-    const auto predicted =
+    auto predicted =
         predict_held_out_few_runs(corpus, b, config, options, cache.get());
-    const auto measured = corpus.benchmarks[b].relative_times();
-    if (record_quality) {
-      const WindowScore score = score_window(measured, predicted);
-      result.ks[b] = score.ks;
-      w1[b] = score.wasserstein1;
-      overlap[b] = score.overlap;
-    } else {
-      result.ks[b] = stats::ks_statistic(measured, predicted);
-    }
+    auto measured = corpus.benchmarks[b].relative_times();
+    scores.score(b, measured, predicted);
     result.benchmark_names[b] =
         measure::benchmark_table()[corpus.benchmarks[b].benchmark].full_name();
   });
   VARPRED_OBS_COUNT("eval.few_runs.folds", n);
   if (record_quality) {
-    record_fold_medians(corpus.system->name(), options, result.ks, w1,
-                        overlap);
+    record_fold_medians(corpus.system->name(), options, scores);
   }
+  result.ks = std::move(scores.ks);
   return result;
 }
 
@@ -173,10 +187,8 @@ EvalResult evaluate_cross_system(const measure::Corpus& source,
   obs::Span span("eval.cross_system", obs::Span::kPoolStats);
   EvalResult result;
   result.benchmark_names.resize(n);
-  result.ks.resize(n);
   const bool record_quality = quality_requested(options);
-  std::vector<double> w1(record_quality ? n : 0);
-  std::vector<double> overlap(record_quality ? n : 0);
+  FoldScores scores(n, record_quality);
   std::unique_ptr<const CrossSystemEvalCache> cache;
   if (!eval_cache_disabled()) {
     cache = std::make_unique<const CrossSystemEvalCache>(
@@ -184,17 +196,10 @@ EvalResult evaluate_cross_system(const measure::Corpus& source,
   }
   parallel_for(n, [&](std::size_t b) {
     obs::Span fold("eval.fold");
-    const auto predicted = predict_held_out_cross_system(
-        source, target, b, config, options, cache.get());
-    const auto measured = target.benchmarks[b].relative_times();
-    if (record_quality) {
-      const WindowScore score = score_window(measured, predicted);
-      result.ks[b] = score.ks;
-      w1[b] = score.wasserstein1;
-      overlap[b] = score.overlap;
-    } else {
-      result.ks[b] = stats::ks_statistic(measured, predicted);
-    }
+    auto predicted = predict_held_out_cross_system(source, target, b, config,
+                                                   options, cache.get());
+    auto measured = target.benchmarks[b].relative_times();
+    scores.score(b, measured, predicted);
     result.benchmark_names[b] =
         measure::benchmark_table()[source.benchmarks[b].benchmark]
             .full_name();
@@ -202,8 +207,9 @@ EvalResult evaluate_cross_system(const measure::Corpus& source,
   VARPRED_OBS_COUNT("eval.cross_system.folds", n);
   if (record_quality) {
     record_fold_medians(source.system->name() + "->" + target.system->name(),
-                        options, result.ks, w1, overlap);
+                        options, scores);
   }
+  result.ks = std::move(scores.ks);
   return result;
 }
 

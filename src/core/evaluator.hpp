@@ -13,6 +13,7 @@
 
 #include "core/crosssystem.hpp"
 #include "core/predictor.hpp"
+#include "stats/scores.hpp"
 #include "stats/summary.hpp"
 
 namespace varpred::core {
@@ -21,14 +22,13 @@ struct FewRunsEvalCache;
 struct CrossSystemEvalCache;
 
 /// The three paper metrics for one measured-vs-predicted sample pair.
-/// Shared by the LOGO-CV fold loops and the config-aware evaluation
-/// (`configpred`), so both score with exactly the same metrics.
-struct WindowScore {
-  double ks = 1.0;           ///< two-sample KS statistic (0 = perfect)
-  double wasserstein1 = 0.0; ///< normalized 1-Wasserstein distance
-  double overlap = 0.0;      ///< overlap coefficient (1 = perfect)
-};
+/// The LOGO-CV fold loops and the config-aware evaluation (`configpred`)
+/// both score with stats::score_pair_in_place, so with exactly the same
+/// metrics.
+using WindowScore = stats::PairScores;
 
+/// Scores a pair the caller keeps: copies both samples and calls
+/// stats::score_pair_in_place on the copies.
 WindowScore score_window(std::span<const double> measured,
                          std::span<const double> predicted);
 

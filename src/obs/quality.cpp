@@ -4,10 +4,8 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "stats/ks.hpp"
 #include "stats/moments.hpp"
-#include "stats/overlap.hpp"
-#include "stats/wasserstein.hpp"
+#include "stats/scores.hpp"
 
 namespace varpred::obs {
 
@@ -59,14 +57,17 @@ void record_prediction_scores(const QualityCellKey& base,
                               std::span<const double> measured,
                               std::span<const double> predicted) {
   if (!QualityRecorder::enabled()) return;
+  std::vector<double> m(measured.begin(), measured.end());
+  std::vector<double> p(predicted.begin(), predicted.end());
+  const stats::PairScores scores = stats::score_pair_in_place(m, p);
   QualityRecorder& recorder = QualityRecorder::instance();
   QualityCellKey key = base;
   key.metric = "ks";
-  recorder.record(key, stats::ks_statistic(measured, predicted));
+  recorder.record(key, scores.ks);
   key.metric = "wasserstein1_normalized";
-  recorder.record(key, stats::wasserstein1_normalized(measured, predicted));
+  recorder.record(key, scores.wasserstein1);
   key.metric = "overlap";
-  recorder.record(key, stats::overlap_coefficient(measured, predicted));
+  recorder.record(key, scores.overlap);
 }
 
 namespace {

@@ -9,7 +9,7 @@
 #include "stats/bootstrap.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/ks.hpp"
-#include "stats/wasserstein.hpp"
+#include "stats/scores.hpp"
 
 namespace varpred::obs {
 
@@ -118,9 +118,13 @@ StageDiff diff_stage(std::string name, std::span<const double> baseline,
 
   d.baseline_median = stats::median(baseline);
   d.candidate_median = stats::median(candidate);
-  d.ks_stat = stats::ks_statistic(baseline, candidate);
+  std::vector<double> sorted_baseline(baseline.begin(), baseline.end());
+  std::vector<double> sorted_candidate(candidate.begin(), candidate.end());
+  const stats::PairScores scores =
+      stats::score_pair_in_place(sorted_baseline, sorted_candidate);
+  d.ks_stat = scores.ks;
   d.ks_pvalue = stats::ks_pvalue(d.ks_stat, d.n_baseline, d.n_candidate);
-  d.w1_normalized = stats::wasserstein1_normalized(baseline, candidate);
+  d.w1_normalized = scores.wasserstein1;
 
   if (!(d.baseline_median > 0.0)) {
     d.verdict = Verdict::kInconclusive;

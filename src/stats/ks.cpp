@@ -5,29 +5,53 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "stats/sort.hpp"
 
 namespace varpred::stats {
 
 double ks_statistic(std::span<const double> a, std::span<const double> b) {
-  VARPRED_CHECK_ARG(!a.empty() && !b.empty(), "KS needs non-empty samples");
   std::vector<double> sa(a.begin(), a.end());
   std::vector<double> sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
+  sort_samples(sa);
+  sort_samples(sb);
+  return ks_statistic_sorted(sa, sb);
+}
 
-  const double na = static_cast<double>(sa.size());
-  const double nb = static_cast<double>(sb.size());
+double ks_statistic_sorted(std::span<const double> a,
+                           std::span<const double> b) {
+  VARPRED_CHECK_ARG(!a.empty() && !b.empty(), "KS needs non-empty samples");
+  const std::size_t na = a.size();
+  const std::size_t nb = b.size();
+  const double dna = static_cast<double>(na);
+  const double dnb = static_cast<double>(nb);
+  const auto gap = [&](std::size_t ia, std::size_t ib) {
+    return std::fabs(static_cast<double>(ia) / dna -
+                     static_cast<double>(ib) / dnb);
+  };
+  // Walk the merged order one element per step, with no branch on which
+  // side the element comes from. Both ECDFs are read after the last copy
+  // of each value, where the next merged value differs; the heads are
+  // compared by index, so a real +inf is never mistaken for an end.
   std::size_t ia = 0;
   std::size_t ib = 0;
+  double x = 0.0;
+  bool tie = false;
   double d = 0.0;
-  // Sweep the merged order of both samples, tracking each ECDF.
-  while (ia < sa.size() && ib < sb.size()) {
-    const double x = std::min(sa[ia], sb[ib]);
-    while (ia < sa.size() && sa[ia] <= x) ++ia;
-    while (ib < sb.size() && sb[ib] <= x) ++ib;
-    const double fa = static_cast<double>(ia) / na;
-    const double fb = static_cast<double>(ib) / nb;
-    d = std::max(d, std::fabs(fa - fb));
+  while (ia < na && ib < nb) {
+    const bool from_a = a[ia] <= b[ib];
+    x = from_a ? a[ia] : b[ib];
+    ia += from_a ? 1 : 0;
+    ib += from_a ? 0 : 1;
+    tie = (ia < na && a[ia] == x) || (ib < nb && b[ib] == x);
+    if (!tie) d = std::max(d, gap(ia, ib));
+  }
+  // One side is used up. Its ECDF stays 1 from here, so |F1 - F2| only
+  // falls, except that the last value may still have copies on the other
+  // side.
+  if (tie) {
+    while (ia < na && a[ia] == x) ++ia;
+    while (ib < nb && b[ib] == x) ++ib;
+    d = std::max(d, gap(ia, ib));
   }
   return d;
 }
@@ -36,7 +60,7 @@ double ks_statistic_cdf(std::span<const double> sample,
                         const std::function<double(double)>& cdf) {
   VARPRED_CHECK_ARG(!sample.empty(), "KS needs a non-empty sample");
   std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
+  sort_samples(sorted);
   const double n = static_cast<double>(sorted.size());
   double d = 0.0;
   for (std::size_t i = 0; i < sorted.size(); ++i) {

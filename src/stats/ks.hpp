@@ -8,8 +8,15 @@
 
 namespace varpred::stats {
 
-/// Two-sample KS statistic: sup_x |F1(x) - F2(x)|.
+/// Two-sample KS statistic: sup_x |F1(x) - F2(x)|. Sorts a copy of each
+/// sample (sort_samples) and calls ks_statistic_sorted. Throws
+/// std::invalid_argument on an empty sample or a NaN.
 double ks_statistic(std::span<const double> a, std::span<const double> b);
+
+/// The KS kernel: the same statistic of two non-empty samples already in
+/// ascending order (as sort_samples leaves them).
+double ks_statistic_sorted(std::span<const double> a,
+                           std::span<const double> b);
 
 /// One-sample KS statistic of a sample against a continuous CDF.
 double ks_statistic_cdf(std::span<const double> sample,

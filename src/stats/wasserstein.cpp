@@ -7,16 +7,21 @@
 
 #include "common/check.hpp"
 #include "stats/moments.hpp"
+#include "stats/sort.hpp"
 
 namespace varpred::stats {
 
 double wasserstein1(std::span<const double> a, std::span<const double> b) {
-  VARPRED_CHECK_ARG(!a.empty() && !b.empty(), "W1 needs non-empty samples");
   std::vector<double> sa(a.begin(), a.end());
   std::vector<double> sb(b.begin(), b.end());
-  std::sort(sa.begin(), sa.end());
-  std::sort(sb.begin(), sb.end());
+  sort_samples(sa);
+  sort_samples(sb);
+  return wasserstein1_sorted(sa, sb);
+}
 
+double wasserstein1_sorted(std::span<const double> sa,
+                           std::span<const double> sb) {
+  VARPRED_CHECK_ARG(!sa.empty() && !sb.empty(), "W1 needs non-empty samples");
   // Sweep the merged support, accumulating |F1 - F2| * dx.
   const double na = static_cast<double>(sa.size());
   const double nb = static_cast<double>(sb.size());
@@ -43,19 +48,21 @@ double wasserstein1(std::span<const double> a, std::span<const double> b) {
 
 double wasserstein1_normalized(std::span<const double> a,
                                std::span<const double> b) {
-  const double w = wasserstein1(a, b);
   // Population (n-denominator) variances, matching the MATLAB convention the
   // rest of the stats layer uses (see Moments::stddev in moments.hpp).
-  const double va = population_variance(a);
-  const double vb = population_variance(b);
-  const double pooled = std::sqrt(0.5 * (va + vb));
+  return normalize_wasserstein1(wasserstein1(a, b), population_variance(a),
+                                population_variance(b));
+}
+
+double normalize_wasserstein1(double w1, double var_a, double var_b) {
+  const double pooled = std::sqrt(0.5 * (var_a + var_b));
   // Two distinct point masses have zero pooled spread but nonzero transport
   // cost: the scale-free distance is genuinely unbounded, so report infinity
   // rather than a magic finite sentinel.
   if (pooled <= 0.0) {
-    return w == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
+    return w1 == 0.0 ? 0.0 : std::numeric_limits<double>::infinity();
   }
-  return w / pooled;
+  return w1 / pooled;
 }
 
 }  // namespace varpred::stats

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <numeric>
 #include <set>
+#include <span>
 
 #include "core/crosssystem.hpp"
 #include "core/evalcache.hpp"
@@ -18,6 +19,7 @@
 #include "ml/gbt.hpp"
 #include "ml/knn.hpp"
 #include "obs/obs.hpp"
+#include "obs/quality.hpp"
 #include "rngdist/samplers.hpp"
 #include "stats/moments.hpp"
 #include "stats/ks.hpp"
@@ -396,6 +398,47 @@ TEST(ScoreWindow, EveryMetricWorsensWithLocationShift) {
   }
 }
 
+// Exact bits of all three scores on fixed samples: heavy ties on a 0.01
+// grid, and two normal draws of the fold sizes. MatchesTheStatsMetricsExactly
+// cannot catch a drift of the metrics themselves; these constants can.
+TEST(ScoreWindow, RecordedBits) {
+  std::vector<double> tied_measured(300);
+  std::vector<double> tied_predicted(500);
+  for (std::size_t i = 0; i < tied_measured.size(); ++i) {
+    tied_measured[i] = 1.0 + 0.01 * static_cast<double>(i % 7);
+  }
+  for (std::size_t i = 0; i < tied_predicted.size(); ++i) {
+    tied_predicted[i] = 0.98 + 0.01 * static_cast<double>((i * 5) % 11);
+  }
+  Rng rng(29);
+  std::vector<double> drawn_measured(1000);
+  std::vector<double> drawn_predicted(2000);
+  for (auto& x : drawn_measured) x = rngdist::normal(rng, 1.0, 0.05);
+  for (auto& x : drawn_predicted) x = rngdist::normal(rng, 1.01, 0.06);
+  struct Expected {
+    const std::vector<double>* measured;
+    const std::vector<double>* predicted;
+    std::uint64_t ks;
+    std::uint64_t w1;
+    std::uint64_t overlap;
+  };
+  const Expected kExpected[] = {
+      {&tied_measured, &tied_predicted, 0x3fc78d4fdf3b645cULL,
+       0x3fd8a88b9feb8fa4ULL, 0x3fe449ba5e353f81ULL},
+      {&drawn_measured, &drawn_predicted, 0x3fb4bc6a7ef9db20ULL,
+       0x3fc4fa33710b57d9ULL, 0x3fec7ae147ae1480ULL},
+  };
+  for (const auto& e : kExpected) {
+    const WindowScore score = score_window(*e.measured, *e.predicted);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(score.ks), e.ks)
+        << std::hex << std::bit_cast<std::uint64_t>(score.ks);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(score.wasserstein1), e.w1)
+        << std::hex << std::bit_cast<std::uint64_t>(score.wasserstein1);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(score.overlap), e.overlap)
+        << std::hex << std::bit_cast<std::uint64_t>(score.overlap);
+  }
+}
+
 // Pins VARPRED_EVAL_NO_CACHE for one evaluation, restoring on scope exit so
 // the rest of the suite keeps exercising the cached hot path.
 class ScopedNoCache {
@@ -573,23 +616,98 @@ TEST(EvalCache, TreeCacheHasPresort) {
   }
 }
 
-// FNV-1a over the little-endian bytes of a cache's feature matrix and then
-// its targets.
-std::uint64_t rows_digest(const ml::Matrix& features,
-                          const std::vector<std::vector<double>>& targets) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto add = [&h](double v) {
+// FNV-1a over the little-endian bytes of each value's bit pattern,
+// continuing from `h`.
+std::uint64_t fnv1a(std::span<const double> values,
+                    std::uint64_t h = 0xcbf29ce484222325ULL) {
+  for (const double v : values) {
     const auto bits = std::bit_cast<std::uint64_t>(v);
     for (int byte = 0; byte < 8; ++byte) {
       h ^= (bits >> (8 * byte)) & 0xFFU;
       h *= 0x100000001b3ULL;
     }
-  };
-  for (const double v : features.data()) add(v);
-  for (const auto& target : targets) {
-    for (const double v : target) add(v);
   }
   return h;
+}
+
+// FNV-1a over a cache's feature matrix and then its targets.
+std::uint64_t rows_digest(const ml::Matrix& features,
+                          const std::vector<std::vector<double>>& targets) {
+  std::uint64_t h = fnv1a(features.data());
+  for (const auto& target : targets) h = fnv1a(target, h);
+  return h;
+}
+
+// Pins every fold's KS bit for bit, in both use cases, for the kNN cells
+// that logo_knn times: the scorer may change how it sorts and merges, never
+// the scores it returns.
+TEST(Evaluator, FoldKsDigests) {
+  struct Expected {
+    bool cross;
+    ReprKind repr;
+    std::uint64_t digest;
+  };
+  constexpr Expected kExpected[] = {
+      {false, ReprKind::kHistogram, 0x12d4bfb803318931ULL},
+      {false, ReprKind::kMaxEnt, 0x1f3a18f7758d3ff8ULL},
+      {false, ReprKind::kPearson, 0x799891429348fa10ULL},
+      {true, ReprKind::kHistogram, 0x7d770057fb1f4d43ULL},
+      {true, ReprKind::kMaxEnt, 0xab2f70314cbe1c1cULL},
+      {true, ReprKind::kPearson, 0x8711de8a13a4fff5ULL},
+  };
+  const EvalOptions options;  // 2,000 reconstructed draws per fold
+  for (const auto& [cross, repr, digest] : kExpected) {
+    EvalResult result;
+    if (cross) {
+      CrossSystemConfig config;
+      config.repr = repr;
+      config.model = ModelKind::kKnn;
+      result = evaluate_cross_system(small_amd(), small_intel(), config,
+                                     options);
+    } else {
+      FewRunsConfig config;
+      config.repr = repr;
+      config.model = ModelKind::kKnn;
+      result = evaluate_few_runs(small_intel(), config, options);
+    }
+    ASSERT_EQ(result.ks.size(), 60u);
+    EXPECT_EQ(fnv1a(result.ks), digest)
+        << (cross ? "uc2 " : "uc1 ") << to_string(repr) << " 0x" << std::hex
+        << fnv1a(result.ks);
+  }
+}
+
+// With quality recording on, every fold is also scored with normalized W1
+// and overlap, and their fold medians are recorded: pins those bits too.
+TEST(Evaluator, RecordedQualityMedianBits) {
+  obs::QualityRecorder::set_enabled(true);
+  obs::QualityRecorder::instance().reset();
+  EvalOptions options;
+  options.quality_repr = "Histogram";
+  options.quality_model = "kNN";
+  FewRunsConfig few;
+  few.repr = ReprKind::kHistogram;
+  few.model = ModelKind::kKnn;
+  evaluate_few_runs(small_intel(), few, options);
+  CrossSystemConfig cross;
+  cross.repr = ReprKind::kHistogram;
+  cross.model = ModelKind::kKnn;
+  evaluate_cross_system(small_amd(), small_intel(), cross, options);
+  const auto cells = obs::QualityRecorder::instance().snapshot();
+  obs::QualityRecorder::instance().reset();
+  obs::QualityRecorder::set_enabled(false);
+  // (systems, metric) in recording order.
+  const std::uint64_t kExpected[] = {
+      0x3fcb645a1cac0831ULL, 0x3fde65d4668dce83ULL, 0x3fe4189374bc6a82ULL,
+      0x3fc7c6a7ef9db22eULL, 0x3fd8b936b138a7a0ULL, 0x3fe5666666666665ULL};
+  ASSERT_EQ(cells.size(), std::size(kExpected));
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    ASSERT_EQ(cells[i].samples.size(), 1u);
+    const auto bits = std::bit_cast<std::uint64_t>(cells[i].samples[0]);
+    EXPECT_EQ(bits, kExpected[i]) << cells[i].key.systems << " "
+                                  << cells[i].key.metric << " 0x" << std::hex
+                                  << bits;
+  }
 }
 
 // Pins the training rows bit for bit: the row builders may change how they

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/distrepr.hpp"
 #include "core/models.hpp"
@@ -207,6 +209,17 @@ TEST(Wasserstein, DegenerateSamplesReportZeroOrInfinity) {
   const std::vector<double> q = {4.0, 4.0};
   EXPECT_TRUE(std::isinf(stats::wasserstein1_normalized(p, q)));
   EXPECT_GT(stats::wasserstein1_normalized(p, q), 0.0);
+}
+
+TEST(Wasserstein, RejectsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> clean = {1.0, 2.0, 3.0};
+  std::vector<double> dirty(500, 1.0);
+  dirty[100] = nan;
+  EXPECT_THROW(stats::wasserstein1(clean, {{nan}}), std::invalid_argument);
+  EXPECT_THROW(stats::wasserstein1(dirty, clean), std::invalid_argument);
+  EXPECT_THROW(stats::wasserstein1_normalized(clean, dirty),
+               std::invalid_argument);
 }
 
 TEST(Adaptive, StopsEarlyOnStableWorkload) {

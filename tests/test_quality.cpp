@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -73,6 +74,23 @@ TEST(Overlap, EmptyAndDegenerateInputs) {
   EXPECT_EQ(stats::overlap_coefficient(point, empty), 0.0);
   // Both samples the same point mass: degenerate pooled range, full overlap.
   EXPECT_EQ(stats::overlap_coefficient(point, point), 1.0);
+}
+
+// Neither a NaN nor an infinity has a bin: casting (x - lo) / width to an
+// index would be undefined, so the score refuses both.
+TEST(Overlap, RejectsNonFiniteValues) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> clean = {1.0, 2.0, 3.0};
+  std::vector<double> dirty(500, 1.0);
+  dirty[7] = nan;
+  EXPECT_THROW(stats::overlap_coefficient(clean, {{2.0, nan}}),
+               std::invalid_argument);
+  EXPECT_THROW(stats::overlap_coefficient(dirty, clean),
+               std::invalid_argument);
+  EXPECT_THROW(stats::overlap_coefficient(clean, {{2.0, kInf}}),
+               std::invalid_argument);
+  EXPECT_THROW(stats::overlap_coefficient({{-kInf, 1.0}}, clean),
+               std::invalid_argument);
 }
 
 TEST(Quality, MetricOrientation) {

@@ -6,6 +6,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "stats/kde.hpp"
 #include "stats/ks.hpp"
 #include "stats/moments.hpp"
+#include "stats/sort.hpp"
 #include "stats/summary.hpp"
 #include "stats/welford_simd.hpp"
 
@@ -274,6 +277,163 @@ TEST(Ks, DetectsLocationShift) {
   const double d = ks_statistic(a, b);
   // Theoretical KS distance between N(0,1) and N(1,1) is 2*Phi(0.5)-1 ~ 0.383.
   EXPECT_NEAR(d, 0.383, 0.03);
+}
+
+// sup_x |F_a(x) - F_b(x)| straight from the definition: count #a <= x and
+// #b <= x at every pooled value, with the scorer's per-point expression.
+double ks_by_definition(std::span<const double> a, std::span<const double> b) {
+  const double na = static_cast<double>(a.size());
+  const double nb = static_cast<double>(b.size());
+  double d = 0.0;
+  for (const auto* side : {&a, &b}) {
+    for (const double x : *side) {
+      const auto ia = std::count_if(a.begin(), a.end(),
+                                    [x](double v) { return v <= x; });
+      const auto ib = std::count_if(b.begin(), b.end(),
+                                    [x](double v) { return v <= x; });
+      d = std::max(d, std::fabs(static_cast<double>(ia) / na -
+                                static_cast<double>(ib) / nb));
+    }
+  }
+  return d;
+}
+
+TEST(Ks, SortedKernelMatchesEcdfDefinition) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Rng rng(31);
+  // Heavy ties across both samples: a handful of shared grid values.
+  std::vector<double> tied_a(700);
+  std::vector<double> tied_b(1300);
+  for (auto& x : tied_a) x = 0.5 * static_cast<double>(rng.uniform_index(6));
+  for (auto& x : tied_b) x = 0.5 * static_cast<double>(rng.uniform_index(9));
+  std::vector<double> drawn(2000);
+  for (auto& x : drawn) x = rngdist::normal(rng, 1.0, 0.1);
+  // Draws with both infinities mixed in on one side.
+  std::vector<double> with_inf(drawn.begin(), drawn.begin() + 500);
+  with_inf[17] = kInf;
+  with_inf[300] = -kInf;
+  with_inf[301] = kInf;
+  const std::vector<double> point_mass(1000, 1.0);
+  const std::vector<std::pair<std::vector<double>, std::vector<double>>>
+      cases = {
+          {tied_a, tied_b},
+          {point_mass, drawn},
+          {point_mass, std::vector<double>(2000, 1.0)},
+          {point_mass, std::vector<double>(3, 2.0)},
+          {{-0.0, 0.0, -0.0, 1.0}, {0.0, -0.0, -1.0}},
+          {{0.0, 0.0}, {-0.0}},
+          {{-kInf, 1.0, 2.0, kInf}, {kInf, kInf, 0.0}},
+          {{1.0, 2.0, kInf}, {kInf}},
+          {{kInf}, {kInf, kInf}},
+          {{-kInf}, {-kInf, 0.0}},
+          {with_inf, drawn},
+          {{1.0}, {2.0}},
+          {{1.0}, {1.0}},
+          {{1.0}, drawn},
+          {drawn, {3.0}},
+      };
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    const auto& [a, b] = cases[c];
+    const auto expected = bits(ks_by_definition(a, b));
+    EXPECT_EQ(bits(ks_statistic(a, b)), expected) << "case " << c;
+    EXPECT_EQ(bits(ks_statistic(b, a)), expected) << "case " << c;
+    // The kernel itself, on both sort orders: sort_samples puts -0 before
+    // +0, std::sort may put them either way.
+    auto sa = a;
+    auto sb = b;
+    sort_samples(sa);
+    sort_samples(sb);
+    EXPECT_EQ(bits(ks_statistic_sorted(sa, sb)), expected) << "case " << c;
+    EXPECT_EQ(bits(ks_statistic_sorted(sb, sa)), expected) << "case " << c;
+    const auto zeros = std::equal_range(sa.begin(), sa.end(), 0.0);
+    std::reverse(zeros.first, zeros.second);  // +0 first
+    EXPECT_EQ(bits(ks_statistic_sorted(sa, sb)), expected) << "case " << c;
+  }
+}
+
+TEST(Ks, RejectsNaN) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> clean = {1.0, 2.0, 3.0};
+  std::vector<double> dirty(500, 1.0);
+  dirty[250] = nan;
+  EXPECT_THROW(ks_statistic(clean, {{2.0, nan}}), std::invalid_argument);
+  EXPECT_THROW(ks_statistic(dirty, clean), std::invalid_argument);
+  EXPECT_THROW(ks_statistic_cdf(dirty, [](double) { return 0.5; }),
+               std::invalid_argument);
+}
+
+// The sort is checked against std::sort value by value (-0 == +0 there),
+// and bit for bit as a multiset; its order must be ascending.
+TEST(SortSamples, MatchesStdSort) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kTiny = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> specials = {
+      -kInf, kInf, -0.0, 0.0, kTiny, -kTiny, 3 * kTiny,
+      std::numeric_limits<double>::min(), -std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(), std::numeric_limits<double>::lowest(),
+      -1.0, 1.0};
+  Rng rng(37);
+  for (const std::size_t n : {0, 1, 2, 7, 63, 64, 65, 127, 128, 129, 255, 256,
+                              257, 1000, 2000, 4097}) {
+    for (int flavour = 0; flavour < 3; ++flavour) {
+      std::vector<double> xs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        switch (flavour) {
+          case 0:  // relative times: the top digits are shared
+            xs[i] = rngdist::normal(rng, 1.0, 0.05);
+            break;
+          case 1:  // both signs, a wide range of exponents, ties
+            xs[i] = (rng.uniform() - 0.5) *
+                    std::ldexp(1.0, static_cast<int>(rng.uniform_index(40)) -
+                                        20);
+            if (i % 5 == 0 && i > 0) xs[i] = xs[i - 1];
+            break;
+          default:  // special values and subnormals among negatives
+            xs[i] = i % 3 == 0 ? specials[rng.uniform_index(specials.size())]
+                               : -rng.uniform() * 1e-300;
+            break;
+        }
+      }
+      auto expected = xs;
+      std::sort(expected.begin(), expected.end());
+      auto sorted = xs;
+      sort_samples(sorted);
+      EXPECT_EQ(sorted, expected) << "n " << n << " flavour " << flavour;
+      EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+      const auto bit_multiset = [](const std::vector<double>& v) {
+        std::vector<std::uint64_t> out;
+        for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+        std::sort(out.begin(), out.end());
+        return out;
+      };
+      EXPECT_EQ(bit_multiset(sorted), bit_multiset(xs))
+          << "n " << n << " flavour " << flavour;
+    }
+  }
+}
+
+TEST(SortSamples, PutsNegativeZeroFirstAndRejectsNaN) {
+  std::vector<double> zeros(300);
+  for (std::size_t i = 0; i < zeros.size(); ++i) {
+    zeros[i] = i % 2 == 0 ? 0.0 : -0.0;
+  }
+  sort_samples(zeros);
+  for (std::size_t i = 0; i < zeros.size(); ++i) {
+    EXPECT_EQ(std::signbit(zeros[i]), i < 150) << i;
+  }
+  for (const std::size_t n : {5, 300}) {
+    std::vector<double> xs(n);
+    for (std::size_t i = 0; i < n; ++i) xs[i] = static_cast<double>(n - i);
+    xs[n / 2] = std::numeric_limits<double>::quiet_NaN();
+    const auto before = xs;
+    EXPECT_THROW(sort_samples(xs), std::invalid_argument);
+    // Left as it was.
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(xs[i]),
+                std::bit_cast<std::uint64_t>(before[i]));
+    }
+  }
 }
 
 TEST(Ks, AgainstContinuousCdf) {

@@ -33,14 +33,14 @@ int main(int argc, char** argv) {
         const auto predicted =
             core::predict_held_out_few_runs(corpus, b, config, options);
         const auto measured = corpus.benchmarks[b].relative_times();
-        ks_scores.push_back(stats::ks_statistic(measured, predicted));
-        total_w1 += stats::wasserstein1(measured, predicted);
-        obs::record_prediction_scores(
+        const stats::PairScores scores = obs::record_prediction_scores(
             {measure::benchmark_table()[corpus.benchmarks[b].benchmark]
                  .full_name(),
              corpus.system->name(), core::to_string(repr),
              core::to_string(config.model), "", ""},
             measured, predicted);
+        ks_scores.push_back(scores.ks);
+        total_w1 += stats::wasserstein1(measured, predicted);
       }
       const double mean_ks = stats::mean(ks_scores);
       const double mean_w1 =

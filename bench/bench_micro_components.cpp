@@ -154,24 +154,6 @@ void BM_ParallelReduceMoments(benchmark::State& state) {
 }
 BENCHMARK(BM_ParallelReduceMoments)->Arg(1 << 17)->Arg(1 << 20);
 
-void BM_Moments(benchmark::State& state) {
-  const auto xs = make_sample(static_cast<std::size_t>(state.range(0)), 1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::compute_moments(xs));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Moments)->Arg(1000)->Arg(10000);
-
-void BM_KsStatistic(benchmark::State& state) {
-  const auto a = make_sample(static_cast<std::size_t>(state.range(0)), 1);
-  const auto b = make_sample(static_cast<std::size_t>(state.range(0)), 2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::ks_statistic(a, b));
-  }
-}
-BENCHMARK(BM_KsStatistic)->Arg(1000)->Arg(2000);
-
 // 16 samples of size n. The scorer benchmarks below cycle through them:
 // sorting or merging one input over and over lets the branch predictor
 // learn its comparison outcomes, which a fold never gets to do.
@@ -181,6 +163,30 @@ std::vector<std::vector<double>> make_samples(std::size_t n,
   for (std::uint64_t i = 0; i < 16; ++i) out.push_back(make_sample(n, seed + i));
   return out;
 }
+
+void BM_Moments(benchmark::State& state) {
+  const auto xs = make_samples(static_cast<std::size_t>(state.range(0)), 1);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stats::compute_moments(xs[i]));
+    i = (i + 1) % xs.size();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Moments)->Arg(1000)->Arg(10000);
+
+// The whole unsorted scorer: two copies, two sorts and the kernel.
+void BM_KsStatistic(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto as = make_samples(n, 1);
+  const auto bs = make_samples(n, 17);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stats::ks_statistic(as[i], bs[i]));
+    i = (i + 1) % as.size();
+  }
+}
+BENCHMARK(BM_KsStatistic)->Arg(1000)->Arg(2000);
 
 // The KS kernel alone, on samples sorted before the timed loop.
 void BM_KsStatisticSorted(benchmark::State& state) {

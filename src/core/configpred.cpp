@@ -95,17 +95,29 @@ std::vector<double> ConfigAwarePredictor::predict_encoded(
   return model_->predict(features);
 }
 
+std::vector<double> ConfigAwarePredictor::make_profile(
+    const measure::BenchmarkRuns& runs,
+    std::span<const std::size_t> probe_runs) const {
+  VARPRED_CHECK(system_ != nullptr, "predict before train");
+  return build_profile(*system_, runs, probe_runs, config_.profile);
+}
+
+std::vector<double> ConfigAwarePredictor::predict_distribution(
+    const measure::SystemConfig& config,
+    std::span<const double> profile_features, std::size_t n_samples,
+    Rng& rng) const {
+  obs::Span span("configpred.predict");
+  VARPRED_OBS_COUNT("configpred.predictions", 1);
+  const auto encoded = predict_encoded(config, profile_features);
+  return repr_->reconstruct(encoded, n_samples, rng);
+}
+
 std::vector<double> ConfigAwarePredictor::predict_distribution(
     const measure::SystemConfig& config, const measure::BenchmarkRuns& runs,
     std::span<const std::size_t> probe_runs, std::size_t n_samples,
     Rng& rng) const {
-  VARPRED_CHECK(system_ != nullptr, "predict before train");
-  obs::Span span("configpred.predict");
-  VARPRED_OBS_COUNT("configpred.predictions", 1);
-  const auto profile =
-      build_profile(*system_, runs, probe_runs, config_.profile);
-  const auto encoded = predict_encoded(config, profile);
-  return repr_->reconstruct(encoded, n_samples, rng);
+  return predict_distribution(config, make_profile(runs, probe_runs),
+                              n_samples, rng);
 }
 
 ConfigEvalResult evaluate_config_aware(const measure::ConfigCorpus& corpus,

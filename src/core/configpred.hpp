@@ -74,9 +74,22 @@ class ConfigAwarePredictor {
       const measure::SystemConfig& config,
       std::span<const double> profile_features) const;
 
-  /// End-to-end: profile from the probe runs selected by `probe_runs` of
-  /// `runs` (neutral-config measurements), predict under `config`, and
-  /// reconstruct `n_samples` relative-time samples.
+  /// The profile of the probe runs selected by `probe_runs` of `runs`
+  /// (neutral-config measurements) under this predictor's system and
+  /// profile options. A caller that predicts one application under many
+  /// configs builds it once.
+  std::vector<double> make_profile(
+      const measure::BenchmarkRuns& runs,
+      std::span<const std::size_t> probe_runs) const;
+
+  /// Predicts under `config` from a neutral-config profile (make_profile)
+  /// and reconstructs `n_samples` relative-time samples.
+  std::vector<double> predict_distribution(
+      const measure::SystemConfig& config,
+      std::span<const double> profile_features, std::size_t n_samples,
+      Rng& rng) const;
+
+  /// End-to-end: the above for the profile of `probe_runs` of `runs`.
   std::vector<double> predict_distribution(
       const measure::SystemConfig& config,
       const measure::BenchmarkRuns& runs,

@@ -1,7 +1,5 @@
 #include "core/crosssystem.hpp"
 
-#include <optional>
-
 #include "common/check.hpp"
 #include "core/evalcache.hpp"
 #include "obs/obs.hpp"
@@ -27,19 +25,19 @@ std::vector<double> CrossSystemPredictor::make_features(
   return cross_system_features(system, source_runs, config_.profile, *repr_);
 }
 
-void CrossSystemPredictor::train(
-    const measure::Corpus& source, const measure::Corpus& target,
-    std::span<const std::size_t> train_benchmarks,
-    const CrossSystemEvalCache* cache) {
+namespace {
+
+TrainingSet training_set(const measure::Corpus& source,
+                         const measure::Corpus& target,
+                         std::span<const std::size_t> train_benchmarks,
+                         const CrossSystemConfig& config,
+                         const DistributionRepr& repr,
+                         const CrossSystemEvalCache* cache) {
   VARPRED_CHECK_ARG(!train_benchmarks.empty(), "no training benchmarks");
   VARPRED_CHECK_ARG(source.benchmarks.size() == target.benchmarks.size(),
                     "corpora must cover the same benchmark set");
-  obs::Span span("xsys.train");
   VARPRED_OBS_COUNT("xsys.trainings", 1);
-  source_system_ = source.system;
-  ml::Matrix x;
-  ml::Matrix y;
-  std::optional<ml::SortedColumns> presorted;
+  TrainingSet set;
   if (cache != nullptr) {
     // Fold-shared artifacts (feature rows and targets are pure functions of
     // the corpora, so gathering is byte-identical to building them).
@@ -47,24 +45,56 @@ void CrossSystemPredictor::train(
                       "evaluation cache does not match corpus");
     check_cache_shape(cache->features, cache->targets,
                       source.system->metric_count() *
-                              config_.profile.features_per_metric() +
-                          repr_->dim(),
-                      repr_->dim());
+                              config.profile.features_per_metric() +
+                          repr.dim(),
+                      repr.dim());
     const auto rows = cache->rows_for(train_benchmarks);
-    x = cache->features.gather_rows(rows);
-    for (const std::size_t b : train_benchmarks) y.push_row(cache->targets[b]);
+    set.x = cache->features.gather_rows(rows);
+    for (const std::size_t b : train_benchmarks) {
+      set.y.push_row(cache->targets[b]);
+    }
     if (cache->presorted != nullptr) {
-      presorted = cache->presorted->filtered(rows);
+      set.presorted = cache->presorted->filtered(rows);
     }
   } else {
     auto rows =
-        cross_system_rows(source, target, train_benchmarks, config_, *repr_);
-    x = std::move(rows.features);
-    for (const auto& t : rows.targets) y.push_row(t);
+        cross_system_rows(source, target, train_benchmarks, config, repr);
+    set.x = std::move(rows.features);
+    for (const auto& t : rows.targets) set.y.push_row(t);
   }
-  model_ = config_.model_factory ? config_.model_factory()
-                                 : make_model(config_.model, config_.seed);
-  model_->fit(x, y, presorted ? &*presorted : nullptr);
+  return set;
+}
+
+std::unique_ptr<ml::Regressor> new_model(const CrossSystemConfig& config) {
+  return config.model_factory ? config.model_factory()
+                              : make_model(config.model, config.seed);
+}
+
+}  // namespace
+
+void CrossSystemPredictor::train(
+    const measure::Corpus& source, const measure::Corpus& target,
+    std::span<const std::size_t> train_benchmarks,
+    const CrossSystemEvalCache* cache) {
+  obs::Span span("xsys.train");
+  const auto set = training_set(source, target, train_benchmarks, config_,
+                                *repr_, cache);
+  source_system_ = source.system;
+  model_ = new_model(config_);
+  model_->fit(set.x, set.y, set.presorted_or_null());
+}
+
+std::vector<double> CrossSystemPredictor::fit_predict_encoded(
+    const measure::Corpus& source, const measure::Corpus& target,
+    std::span<const std::size_t> train_benchmarks,
+    std::span<const double> features,
+    const CrossSystemEvalCache* cache) const {
+  obs::Span span("xsys.fit_predict");
+  VARPRED_OBS_COUNT("xsys.predictions", 1);
+  const auto set = training_set(source, target, train_benchmarks, config_,
+                                *repr_, cache);
+  return new_model(config_)->fit_predict(set.x, set.y,
+                                         set.presorted_or_null(), features);
 }
 
 void CrossSystemPredictor::train_all(const measure::Corpus& source,

@@ -69,6 +69,17 @@ class CrossSystemPredictor {
       const measure::SystemModel& system,
       const measure::BenchmarkRuns& source_runs) const;
 
+  /// One leave-one-out fold in one call, as
+  /// FewRunsPredictor::fit_predict_encoded: bit for bit train(source,
+  /// target, train_benchmarks, cache) then predict_encoded(features), with
+  /// a random forest growing only the query's path in each tree. Keeps no
+  /// model: this predictor's own state is untouched.
+  std::vector<double> fit_predict_encoded(
+      const measure::Corpus& source, const measure::Corpus& target,
+      std::span<const std::size_t> train_benchmarks,
+      std::span<const double> features,
+      const CrossSystemEvalCache* cache = nullptr) const;
+
   /// Predicts the encoded target-system distribution.
   std::vector<double> predict_encoded(
       std::span<const double> features) const;

@@ -29,6 +29,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -63,6 +64,19 @@ TrainingRows cross_system_rows(const measure::Corpus& source,
                                std::span<const std::size_t> benchmarks,
                                const CrossSystemConfig& config,
                                const DistributionRepr& repr);
+
+/// What one training fit reads, as a trainer assembles it from
+/// TrainingRows or a cache: the feature rows, a target row per feature row
+/// and, when the cache carries one, the presorted orders of the rows.
+struct TrainingSet {
+  ml::Matrix x;
+  ml::Matrix y;
+  std::optional<ml::SortedColumns> presorted;
+
+  const ml::SortedColumns* presorted_or_null() const {
+    return presorted ? &*presorted : nullptr;
+  }
+};
 
 /// Throws std::invalid_argument unless every cached feature row is
 /// `feature_width` wide and every cached target `target_width` wide. A

@@ -36,8 +36,9 @@ std::vector<std::size_t> probe_runs_for(const measure::BenchmarkRuns& runs,
 }
 
 // Escape hatch: VARPRED_EVAL_NO_CACHE=1 pins the original per-fold path
-// that rebuilds profiles, targets, and column sorts inside every fold. Kept
-// so the equivalence tests can prove the cached path changes no score.
+// that rebuilds profiles, targets, and column sorts inside every fold and
+// fits the whole model before its one prediction. Kept so the equivalence
+// tests can prove the cached, query-path folds change no score.
 bool eval_cache_disabled() {
   const char* env = std::getenv("VARPRED_EVAL_NO_CACHE");
   return env != nullptr && env[0] != '\0' && env[0] != '0';
@@ -107,13 +108,23 @@ std::vector<double> predict_held_out_few_runs(const measure::Corpus& corpus,
   VARPRED_CHECK_ARG(bench < corpus.benchmarks.size(),
                     "benchmark index out of range");
   FewRunsPredictor predictor(config);
-  predictor.train(corpus, all_but(corpus.benchmarks.size(), bench), cache);
+  const auto train = all_but(corpus.benchmarks.size(), bench);
   const auto& runs = corpus.benchmarks[bench];
   const auto probes =
       probe_runs_for(runs, config.n_probe_runs, options.seed, bench);
   Rng rng(seed_combine(options.seed, 0xD15717ULL + bench));
-  return predictor.predict_distribution(runs, probes, options.n_reconstruct,
-                                        rng);
+  if (eval_cache_disabled()) {
+    // The oracle: the whole model, then one prediction.
+    predictor.train(corpus, train, cache);
+    return predictor.predict_distribution(runs, probes,
+                                          options.n_reconstruct, rng);
+  }
+  // The fold serves one query, so the fit only needs that query's path.
+  const auto features =
+      build_profile(*corpus.system, runs, probes, config.profile);
+  const auto encoded =
+      predictor.fit_predict_encoded(corpus, train, features, cache);
+  return predictor.repr().reconstruct(encoded, options.n_reconstruct, rng);
 }
 
 std::vector<double> predict_held_out_cross_system(
@@ -123,18 +134,28 @@ std::vector<double> predict_held_out_cross_system(
   VARPRED_CHECK_ARG(bench < source.benchmarks.size(),
                     "benchmark index out of range");
   CrossSystemPredictor predictor(config);
-  predictor.train(source, target, all_but(source.benchmarks.size(), bench),
-                  cache);
-  Rng rng(seed_combine(options.seed, 0xC105500ULL + bench));
+  const auto train = all_but(source.benchmarks.size(), bench);
   // The cache also holds the held-out benchmark's features: its row is
   // make_features of the benchmark's source runs, byte for byte, so the
   // fold reads it instead of building the profile a second time.
+  std::vector<double> built;
+  std::span<const double> features;
   if (cache != nullptr) {
-    return predictor.predict_distribution(cache->features.row(bench),
-                                          options.n_reconstruct, rng);
+    features = cache->features.row(bench);
+  } else {
+    built = predictor.make_features(*source.system, source.benchmarks[bench]);
+    features = built;
   }
-  return predictor.predict_distribution(source.benchmarks[bench],
-                                        options.n_reconstruct, rng);
+  Rng rng(seed_combine(options.seed, 0xC105500ULL + bench));
+  if (eval_cache_disabled()) {
+    // The oracle: the whole model, then one prediction.
+    predictor.train(source, target, train, cache);
+    return predictor.predict_distribution(features, options.n_reconstruct,
+                                          rng);
+  }
+  const auto encoded =
+      predictor.fit_predict_encoded(source, target, train, features, cache);
+  return predictor.repr().reconstruct(encoded, options.n_reconstruct, rng);
 }
 
 WindowScore score_window(std::span<const double> measured,

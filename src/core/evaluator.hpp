@@ -82,13 +82,17 @@ EvalResult evaluate_cross_system(const measure::Corpus& source,
 /// Predicts the held-out benchmark `bench` under use case #1 and returns the
 /// reconstructed samples (the figure harnesses use this for overlays).
 /// `cache` (optional) shares fold-level training artifacts across calls —
-/// see FewRunsPredictor::train.
+/// see FewRunsPredictor::train. The fold trains and predicts in one
+/// fit_predict_encoded call (a random forest grows only the held-out row's
+/// path); VARPRED_EVAL_NO_CACHE=1 trains the whole model and predicts from
+/// it, with bit-identical samples.
 std::vector<double> predict_held_out_few_runs(
     const measure::Corpus& corpus, std::size_t bench,
     const FewRunsConfig& config, const EvalOptions& options = {},
     const FewRunsEvalCache* cache = nullptr);
 
-/// Predicts the held-out benchmark `bench` under use case #2.
+/// Predicts the held-out benchmark `bench` under use case #2, in one
+/// fit_predict_encoded call as above.
 std::vector<double> predict_held_out_cross_system(
     const measure::Corpus& source, const measure::Corpus& target,
     std::size_t bench, const CrossSystemConfig& config,

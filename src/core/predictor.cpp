@@ -1,7 +1,5 @@
 #include "core/predictor.hpp"
 
-#include <optional>
-
 #include "common/check.hpp"
 #include "core/evalcache.hpp"
 #include "obs/obs.hpp"
@@ -14,51 +12,81 @@ FewRunsPredictor::FewRunsPredictor(FewRunsConfig config)
   VARPRED_CHECK_ARG(config_.train_replicates >= 1, "need >= 1 replicate");
 }
 
-void FewRunsPredictor::train(const measure::Corpus& corpus,
-                             std::span<const std::size_t> train_benchmarks,
-                             const FewRunsEvalCache* cache) {
+namespace {
+
+TrainingSet training_set(const measure::Corpus& corpus,
+                         std::span<const std::size_t> train_benchmarks,
+                         const FewRunsConfig& config,
+                         const DistributionRepr& repr,
+                         const FewRunsEvalCache* cache) {
   VARPRED_CHECK_ARG(!train_benchmarks.empty(), "no training benchmarks");
-  obs::Span span("predictor.train");
-  system_ = corpus.system;
-  ml::Matrix x;
-  ml::Matrix y;
-  std::optional<ml::SortedColumns> presorted;
+  TrainingSet set;
   if (cache != nullptr) {
     // Fold-shared artifacts: gather the precomputed rows — byte-identical
     // to few_runs_rows over this subset, since its RNG streams are
     // subset-independent — and derive the fold's sorted-column orders by
     // filtering.
     VARPRED_CHECK_ARG(cache->targets.size() == corpus.benchmarks.size() &&
-                          cache->replicates == config_.train_replicates,
+                          cache->replicates == config.train_replicates,
                       "evaluation cache does not match corpus/config");
     check_cache_shape(cache->features, cache->targets,
                       corpus.system->metric_count() *
-                          config_.profile.features_per_metric(),
-                      repr_->dim());
+                          config.profile.features_per_metric(),
+                      repr.dim());
     const auto rows = cache->rows_for(train_benchmarks);
-    x = cache->features.gather_rows(rows);
+    set.x = cache->features.gather_rows(rows);
     for (const std::size_t b : train_benchmarks) {
       for (std::size_t rep = 0; rep < cache->replicates; ++rep) {
-        y.push_row(cache->targets[b]);
+        set.y.push_row(cache->targets[b]);
       }
     }
     if (cache->presorted != nullptr) {
-      presorted = cache->presorted->filtered(rows);
+      set.presorted = cache->presorted->filtered(rows);
     }
   } else {
-    auto rows = few_runs_rows(corpus, train_benchmarks, config_, *repr_);
-    x = std::move(rows.features);
+    auto rows = few_runs_rows(corpus, train_benchmarks, config, repr);
+    set.x = std::move(rows.features);
     for (const auto& target : rows.targets) {
-      for (std::size_t rep = 0; rep < config_.train_replicates; ++rep) {
-        y.push_row(target);
+      for (std::size_t rep = 0; rep < config.train_replicates; ++rep) {
+        set.y.push_row(target);
       }
     }
   }
-  model_ = config_.model_factory ? config_.model_factory()
-                                 : make_model(config_.model, config_.seed);
-  model_->fit(x, y, presorted ? &*presorted : nullptr);
   VARPRED_OBS_COUNT("predictor.trainings", 1);
-  VARPRED_OBS_COUNT("predictor.train_rows", x.rows());
+  VARPRED_OBS_COUNT("predictor.train_rows", set.x.rows());
+  return set;
+}
+
+std::unique_ptr<ml::Regressor> new_model(const FewRunsConfig& config) {
+  return config.model_factory ? config.model_factory()
+                              : make_model(config.model, config.seed);
+}
+
+}  // namespace
+
+void FewRunsPredictor::train(const measure::Corpus& corpus,
+                             std::span<const std::size_t> train_benchmarks,
+                             const FewRunsEvalCache* cache) {
+  obs::Span span("predictor.train");
+  const auto set =
+      training_set(corpus, train_benchmarks, config_, *repr_, cache);
+  system_ = corpus.system;
+  model_ = new_model(config_);
+  model_->fit(set.x, set.y, set.presorted_or_null());
+}
+
+std::vector<double> FewRunsPredictor::fit_predict_encoded(
+    const measure::Corpus& corpus,
+    std::span<const std::size_t> train_benchmarks,
+    std::span<const double> profile_features,
+    const FewRunsEvalCache* cache) const {
+  obs::Span span("predictor.fit_predict");
+  VARPRED_OBS_COUNT("predictor.predictions", 1);
+  const auto set =
+      training_set(corpus, train_benchmarks, config_, *repr_, cache);
+  return new_model(config_)->fit_predict(set.x, set.y,
+                                         set.presorted_or_null(),
+                                         profile_features);
 }
 
 void FewRunsPredictor::train_all(const measure::Corpus& corpus) {

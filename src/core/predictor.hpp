@@ -63,6 +63,19 @@ class FewRunsPredictor {
 
   bool trained() const { return model_ != nullptr && model_->trained(); }
 
+  /// One leave-one-out fold in one call: trains on `train_benchmarks`
+  /// exactly as train() does and returns the encoded prediction for
+  /// `profile_features`, through ml::Regressor::fit_predict, so a random
+  /// forest grows only the query's path in each tree. Bit for bit
+  /// train(corpus, train_benchmarks, cache) then
+  /// predict_encoded(profile_features). Keeps no model: this predictor's
+  /// own state is untouched.
+  std::vector<double> fit_predict_encoded(
+      const measure::Corpus& corpus,
+      std::span<const std::size_t> train_benchmarks,
+      std::span<const double> profile_features,
+      const FewRunsEvalCache* cache = nullptr) const;
+
   /// Predicts the encoded distribution from a prepared profile vector.
   std::vector<double> predict_encoded(
       std::span<const double> profile_features) const;

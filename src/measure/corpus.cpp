@@ -175,21 +175,21 @@ ConfigCorpus build_config_corpus(const SystemModel& system,
 
   // Per-cell seeds hang off the config *name*, not its index, so the cell
   // contents survive re-sampling the config subset. The neutral config's
-  // cells reuse the bare seed: bit-identical to measure_benchmark on the
-  // legacy path (and to the probe runs, which double as its targets).
+  // cells would reuse the bare seed under the neutral condition: they are
+  // the probe runs byte for byte, so they are copied, not simulated again.
   std::vector<SystemCondition> conditions;
   std::vector<std::uint64_t> config_seeds;
+  std::vector<std::size_t> simulated;  // configs whose cells are simulated
   conditions.reserve(configs.size());
   config_seeds.reserve(configs.size());
-  for (const SystemConfig& config : corpus.configs) {
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const SystemConfig& config = corpus.configs[c];
     conditions.push_back(config.condition());
-    config_seeds.push_back(config.neutral()
-                               ? seed
-                               : seed_combine(seed,
-                                              stable_hash(config.name())));
+    config_seeds.push_back(seed_combine(seed, stable_hash(config.name())));
+    if (!config.neutral()) simulated.push_back(c);
   }
 
-  const std::size_t cells = configs.size() * benchmarks.size();
+  const std::size_t cells = simulated.size() * benchmarks.size();
   parallel_for(cells + benchmarks.size(), [&](std::size_t i) {
     if (i < benchmarks.size()) {
       corpus.probe_runs[i] =
@@ -197,11 +197,14 @@ ConfigCorpus build_config_corpus(const SystemModel& system,
       return;
     }
     const std::size_t cell = i - benchmarks.size();
-    const std::size_t c = cell / benchmarks.size();
+    const std::size_t c = simulated[cell / benchmarks.size()];
     const std::size_t b = cell % benchmarks.size();
     corpus.cell_runs[c][b] = measure_benchmark(
         corpus.benchmarks[b], system, conditions[c], n_runs, config_seeds[c]);
   });
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    if (corpus.configs[c].neutral()) corpus.cell_runs[c] = corpus.probe_runs;
+  }
   return corpus;
 }
 

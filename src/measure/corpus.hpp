@@ -101,8 +101,9 @@ struct ConfigCorpus {
 /// Measures `benchmarks x configs` (parallel over cells). Cell seeds are
 /// derived from (seed, system, config name, benchmark), so adding or
 /// removing configs/benchmarks never perturbs the remaining cells. The
-/// neutral config's cells are bit-identical to the legacy unconditioned
-/// path under the same (seed, n_runs).
+/// neutral config's cells are copies of the probe runs, which they equal
+/// byte for byte (the legacy unconditioned path under the same
+/// (seed, n_runs)): those runs are simulated once.
 ConfigCorpus build_config_corpus(const SystemModel& system,
                                  std::span<const SystemConfig> configs,
                                  std::span<const std::size_t> benchmarks,

@@ -11,4 +11,11 @@ Matrix Regressor::predict_batch(const Matrix& x) const {
   return out;
 }
 
+std::vector<double> Regressor::fit_predict(const Matrix& x, const Matrix& y,
+                                           const SortedColumns* presorted,
+                                           std::span<const double> query) {
+  fit(x, y, presorted);
+  return predict(query);
+}
+
 }  // namespace varpred::ml

@@ -38,6 +38,17 @@ class Regressor {
   /// Predicts for every row of X.
   Matrix predict_batch(const Matrix& x) const;
 
+  /// Trains on (x, y) and predicts one `query` row: bit for bit
+  /// fit(x, y, presorted) then predict(query). The default does exactly
+  /// that. A learner whose prediction for one row needs only part of the
+  /// model may grow just that part (RandomForest grows each tree's path to
+  /// the query's leaf); it then keeps no model, so trained() is false
+  /// afterwards. For fits that serve a single query, such as a
+  /// leave-one-out fold.
+  virtual std::vector<double> fit_predict(const Matrix& x, const Matrix& y,
+                                          const SortedColumns* presorted,
+                                          std::span<const double> query);
+
   /// Deep copy (for per-fold training in cross-validation).
   virtual std::unique_ptr<Regressor> clone() const = 0;
 

@@ -285,6 +285,30 @@ void RegressionTree::fit(const Matrix& x, const Matrix& y,
 void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
                               std::span<const std::size_t> indices,
                               ColumnSegments segments, const Matrix* columns) {
+  grow(x, y, indices, std::move(segments), columns, nullptr);
+}
+
+void RegressionTree::fit_rows_predict(const Matrix& x, const Matrix& y,
+                                      std::span<const std::size_t> indices,
+                                      ColumnSegments segments,
+                                      const Matrix* columns,
+                                      std::span<const double> query,
+                                      std::span<double> out) {
+  VARPRED_CHECK_ARG(query.size() == x.cols(),
+                    "query width does not match training matrix");
+  VARPRED_CHECK_ARG(out.size() == y.cols(),
+                    "output width does not match training targets");
+  grow(x, y, indices, std::move(segments), columns, query.data());
+  // The path ends in the only leaf the build made.
+  std::copy(leaf_values_.begin(), leaf_values_.end(), out.begin());
+  release(nodes_);
+  release(leaf_values_);
+}
+
+void RegressionTree::grow(const Matrix& x, const Matrix& y,
+                          std::span<const std::size_t> indices,
+                          ColumnSegments segments, const Matrix* columns,
+                          const double* query) {
   VARPRED_CHECK_ARG(x.rows() == y.rows(), "X/Y row count mismatch");
   VARPRED_CHECK_ARG(!indices.empty(), "cannot fit on zero rows");
   VARPRED_CHECK_ARG(x.rows() <= UINT32_MAX, "row ids do not fit 32 bits");
@@ -307,11 +331,13 @@ void RegressionTree::fit_rows(const Matrix& x, const Matrix& y,
                   ScanBuffers(indices.size(), n_outputs_),
                   std::vector<double>(n_outputs_), std::move(segments)};
   exact_ = &exact;
+  query_ = query;
 
   build(x, y, 0, work_.size(), 0);
 
   release(work_);
   exact_ = nullptr;
+  query_ = nullptr;
 }
 
 std::size_t RegressionTree::retained_bytes() const {
@@ -394,15 +420,21 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   VARPRED_OBS_COUNT("ml.tree.nodes_split", 1);
   VARPRED_OBS_COUNT("ml.tree.rows_partitioned", n);
 
+  // A query-path fit grows only the child the query falls in, by predict's
+  // `<=` (a NaN goes right); the other child stays a stub (index -1).
+  const bool grow_left = query_ == nullptr || query_[f] <= best.threshold;
+  const bool grow_right = query_ == nullptr || !grow_left;
+
   // Keep every column's range partitioned in lockstep with work_, unless
-  // depth or size already makes both children leaves: then no scan reads
-  // the segments again.
+  // depth or size already makes every child grown here a leaf: then no
+  // scan reads the segments again.
   const auto may_split = [&](std::size_t rows) {
     return depth + 1 < params_.max_depth &&
            rows >= params_.min_samples_split &&
            rows >= 2 * params_.min_samples_leaf;
   };
-  if (may_split(mid - begin) || may_split(end - mid)) {
+  if ((grow_left && may_split(mid - begin)) ||
+      (grow_right && may_split(end - mid))) {
     exact_->segments.split(f, exact_->columns.row(f), best.threshold, begin,
                            end);
   }
@@ -413,8 +445,10 @@ std::int32_t RegressionTree::build(const Matrix& x, const Matrix& y,
   nodes_[self].feature = best.feature;
   nodes_[self].threshold = best.threshold;
   nodes_[self].node_depth = static_cast<std::int32_t>(depth);
-  const std::int32_t left = build(x, y, begin, mid, depth + 1);
-  const std::int32_t right = build(x, y, mid, end, depth + 1);
+  const std::int32_t left =
+      grow_left ? build(x, y, begin, mid, depth + 1) : -1;
+  const std::int32_t right =
+      grow_right ? build(x, y, mid, end, depth + 1) : -1;
   nodes_[self].left = left;
   nodes_[self].right = right;
   return self;

@@ -43,6 +43,19 @@ class RegressionTree final : public Regressor {
                 std::span<const std::size_t> indices, ColumnSegments segments,
                 const Matrix* columns = nullptr);
 
+  /// fit_rows for a single query row: grows only the path from the root to
+  /// the leaf `query` falls in (a lazy decision tree). At each split it
+  /// builds the child that `query[f] <= threshold` selects, as predict
+  /// routes a row, and leaves the other an unbuilt stub. Writes the leaf's
+  /// values into `out` (y.cols() of them): bit for bit predict(query) of
+  /// the tree fit_rows builds, since a node's rows and column segments do
+  /// not depend on its sibling's subtree. Keeps no model: the tree is
+  /// untrained afterwards.
+  void fit_rows_predict(const Matrix& x, const Matrix& y,
+                        std::span<const std::size_t> indices,
+                        ColumnSegments segments, const Matrix* columns,
+                        std::span<const double> query, std::span<double> out);
+
   std::vector<double> predict(std::span<const double> row) const override;
   std::unique_ptr<Regressor> clone() const override;
   std::string name() const override { return "Tree"; }
@@ -71,6 +84,11 @@ class RegressionTree final : public Regressor {
     std::int32_t node_depth = 0;
   };
 
+  // fit_rows, growing toward `query` when it is non-null (see
+  // fit_rows_predict).
+  void grow(const Matrix& x, const Matrix& y,
+            std::span<const std::size_t> indices, ColumnSegments segments,
+            const Matrix* columns, const double* query);
   // Recursive builder over an index range [begin, end) of work_.
   std::int32_t build(const Matrix& x, const Matrix& y, std::size_t begin,
                      std::size_t end, std::size_t depth);
@@ -89,6 +107,8 @@ class RegressionTree final : public Regressor {
   // null outside a fit.
   struct ExactScan;
   ExactScan* exact_ = nullptr;
+  // The row a query-path fit grows toward; null in a full fit.
+  const double* query_ = nullptr;
 };
 
 }  // namespace varpred::ml

@@ -53,13 +53,13 @@ std::vector<QualityCell> QualityRecorder::snapshot() const {
   return cells_;
 }
 
-void record_prediction_scores(const QualityCellKey& base,
-                              std::span<const double> measured,
-                              std::span<const double> predicted) {
-  if (!QualityRecorder::enabled()) return;
+stats::PairScores record_prediction_scores(const QualityCellKey& base,
+                                           std::span<const double> measured,
+                                           std::span<const double> predicted) {
   std::vector<double> m(measured.begin(), measured.end());
   std::vector<double> p(predicted.begin(), predicted.end());
   const stats::PairScores scores = stats::score_pair_in_place(m, p);
+  if (!QualityRecorder::enabled()) return scores;
   QualityRecorder& recorder = QualityRecorder::instance();
   QualityCellKey key = base;
   key.metric = "ks";
@@ -68,6 +68,7 @@ void record_prediction_scores(const QualityCellKey& base,
   recorder.record(key, scores.wasserstein1);
   key.metric = "overlap";
   recorder.record(key, scores.overlap);
+  return scores;
 }
 
 namespace {

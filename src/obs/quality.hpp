@@ -44,6 +44,7 @@
 #include "obs/json.hpp"
 #include "obs/ledger.hpp"
 #include "obs/regression.hpp"
+#include "stats/scores.hpp"
 
 namespace varpred::obs {
 
@@ -120,12 +121,14 @@ class QualityRecorder {
 };
 
 /// Scores `predicted` against `measured` with the three paper metrics
-/// (ks, wasserstein1_normalized, overlap) and records each under
-/// `base` with the metric field filled in. No-op when recording is
-/// disabled — callers do not need their own enabled() check.
-void record_prediction_scores(const QualityCellKey& base,
-                              std::span<const double> measured,
-                              std::span<const double> predicted);
+/// (ks, wasserstein1_normalized, overlap), records each under `base` with
+/// the metric field filled in, and returns the scores. Records nothing
+/// when recording is disabled — callers do not need their own enabled()
+/// check — but still scores, so a caller that prints a score reads it
+/// here instead of scoring the pair a second time.
+stats::PairScores record_prediction_scores(const QualityCellKey& base,
+                                           std::span<const double> measured,
+                                           std::span<const double> predicted);
 
 /// One QUALITY_<name>.json document / one quality-ledger JSONL line. Only
 /// `provenance.seed` affects the recorded values; the rest is provenance.

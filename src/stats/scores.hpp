@@ -21,8 +21,8 @@ struct PairScores {
 /// place (sort_samples), with no copies. Each score equals its unsorted
 /// function (ks_statistic, wasserstein1_normalized, overlap_coefficient)
 /// bit for bit: the W1 variances are taken before the sort, in the
-/// samples' given order. Throws std::invalid_argument on an empty sample
-/// or a NaN.
+/// samples' given order. Throws std::invalid_argument on an empty sample,
+/// a NaN or an infinity.
 PairScores score_pair_in_place(std::span<double> a, std::span<double> b);
 
 }  // namespace varpred::stats

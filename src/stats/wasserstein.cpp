@@ -22,6 +22,11 @@ double wasserstein1(std::span<const double> a, std::span<const double> b) {
 double wasserstein1_sorted(std::span<const double> sa,
                            std::span<const double> sb) {
   VARPRED_CHECK_ARG(!sa.empty() && !sb.empty(), "W1 needs non-empty samples");
+  // An infinite support has no finite transport cost: the sweep would
+  // multiply by inf - inf or 0 * inf and return NaN.
+  VARPRED_CHECK_ARG(std::isfinite(std::min(sa.front(), sb.front())) &&
+                        std::isfinite(std::max(sa.back(), sb.back())),
+                    "W1 needs finite samples");
   // Sweep the merged support, accumulating |F1 - F2| * dx.
   const double na = static_cast<double>(sa.size());
   const double nb = static_cast<double>(sb.size());

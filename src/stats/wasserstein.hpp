@@ -14,11 +14,12 @@ namespace varpred::stats {
 /// W1 between the empirical distributions of two samples:
 /// integral |F1(x) - F2(x)| dx, computed exactly from the sorted samples.
 /// Sorts a copy of each (sort_samples) and calls wasserstein1_sorted.
-/// Throws std::invalid_argument on an empty sample or a NaN.
+/// Throws std::invalid_argument on an empty sample, a NaN or an infinity.
 double wasserstein1(std::span<const double> a, std::span<const double> b);
 
 /// The W1 kernel: the same distance of two non-empty samples already in
-/// ascending order (as sort_samples leaves them).
+/// ascending order (as sort_samples leaves them). Throws
+/// std::invalid_argument when either holds -inf or +inf.
 double wasserstein1_sorted(std::span<const double> a,
                            std::span<const double> b);
 

@@ -57,20 +57,22 @@ TuneResult tune_config(const core::ConfigAwarePredictor& surrogate,
   obs::Span span("tune.search");
 
   // Surrogate screen: predicted objective for every config, zero measured
-  // runs. Per-config reconstruction streams keep the ranking independent
-  // of the space's order.
+  // runs, from one probe profile. Per-config reconstruction streams keep
+  // the ranking independent of the space's order and of the worker count,
+  // so the configs are scored in parallel, each into its own slot.
   TuneResult result;
   result.candidates.resize(space.size());
-  for (std::size_t i = 0; i < space.size(); ++i) {
+  const auto profile = surrogate.make_profile(probe, probe_indices);
+  parallel_for(space.size(), [&](std::size_t i) {
     Candidate& cand = result.candidates[i];
     cand.config = space[i];
     Rng rng(seed_combine(config.seed,
                          seed_combine(stable_hash("tune-surrogate"),
                                       stable_hash(space[i].name()))));
     const auto samples = surrogate.predict_distribution(
-        space[i], probe, probe_indices, config.n_reconstruct, rng);
+        space[i], profile, config.n_reconstruct, rng);
     cand.predicted = variability_objective(samples);
-  }
+  });
   std::stable_sort(result.candidates.begin(), result.candidates.end(),
                    [](const Candidate& a, const Candidate& b) {
                      return a.predicted < b.predicted;

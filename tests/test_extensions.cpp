@@ -21,6 +21,7 @@
 #include "stats/ecdf.hpp"
 #include "stats/ks.hpp"
 #include "stats/moments.hpp"
+#include "stats/scores.hpp"
 #include "stats/wasserstein.hpp"
 
 namespace varpred {
@@ -220,6 +221,32 @@ TEST(Wasserstein, RejectsNaN) {
   EXPECT_THROW(stats::wasserstein1(dirty, clean), std::invalid_argument);
   EXPECT_THROW(stats::wasserstein1_normalized(clean, dirty),
                std::invalid_argument);
+}
+
+// An infinite support has no finite transport cost: every W1 entry point
+// throws instead of returning the NaN the merge's inf - inf and 0 * inf
+// would give (wasserstein1({0, inf}, {0, inf}) was NaN).
+TEST(Wasserstein, RejectsInfinities) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> clean = {0.5, 1.0, 2.0};
+  const std::vector<std::vector<double>> dirty = {
+      {0.0, inf}, {-inf, 0.0}, {-inf, inf}, {inf}, {1.0, -inf, 2.0}};
+  for (const auto& d : dirty) {
+    EXPECT_THROW(stats::wasserstein1(d, d), std::invalid_argument);
+    EXPECT_THROW(stats::wasserstein1(clean, d), std::invalid_argument);
+    EXPECT_THROW(stats::wasserstein1(d, clean), std::invalid_argument);
+    EXPECT_THROW(stats::wasserstein1_normalized(d, clean),
+                 std::invalid_argument);
+    std::vector<double> measured = clean;
+    std::vector<double> predicted = d;
+    EXPECT_THROW(stats::score_pair_in_place(measured, predicted),
+                 std::invalid_argument);
+    predicted = d;
+    EXPECT_THROW(stats::score_pair_in_place(predicted, measured),
+                 std::invalid_argument);
+  }
+  // Finite samples are scored as before.
+  EXPECT_EQ(stats::wasserstein1(clean, clean), 0.0);
 }
 
 TEST(Adaptive, StopsEarlyOnStableWorkload) {

@@ -7,12 +7,16 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "core/evalcache.hpp"
 #include "core/models.hpp"
+#include "io/serialize.hpp"
 #include "measure/corpus.hpp"
 #include "ml/forest.hpp"
 #include "ml/gbt.hpp"
@@ -689,6 +693,99 @@ TEST(GoldenFold, Uc2HistogramXgBoost) {
   const auto fold = uc2_histogram_fold();
   EXPECT_EQ(golden_digest(fold, core::ModelKind::kXgBoost),
             0x474737ef06fd4d36ULL);
+}
+
+// The root split (feature, threshold) of a trained forest's first tree, read
+// back from the forest's saved record. The feature is -1 when that tree is
+// a single leaf.
+std::pair<double, double> first_root_split(const Regressor& forest) {
+  std::stringstream record;
+  forest.save(record);
+  io::Reader header(record);
+  header.tag("varpred.forest");
+  for (const char* field :
+       {"version", "n_trees", "seed", "n_outputs", "trained_trees"}) {
+    header.u64(field);
+  }
+  io::Reader tree(record);
+  tree.tag("varpred.tree");
+  for (const char* field : {"version", "max_depth", "min_samples_leaf",
+                            "min_samples_split", "n_outputs", "n_nodes"}) {
+    tree.u64(field);
+  }
+  // Six values per node: feature, threshold, left, right, leaf offset, depth.
+  const auto nodes = tree.vec("nodes");
+  return {nodes.at(0), nodes.at(1)};
+}
+
+// fit_predict of the shipped forest against fit then predict, bit for bit:
+// for the held-out row, 16 training rows, a training row moved exactly onto
+// the first tree's root threshold (both arms must send it left) and the
+// held-out row with that feature NaN (both must send it right). Each
+// query-path forest keeps no trees and rejects a query of the wrong width.
+void expect_fit_predict_matches(const Matrix& x, const Matrix& y,
+                                const SortedColumns& presorted,
+                                std::span<const double> held_out) {
+  auto full = core::make_model(core::ModelKind::kRandomForest, 1001);
+  full->fit(x, y, &presorted);
+  const auto [feature, threshold] = first_root_split(*full);
+  ASSERT_GE(feature, 0.0) << "the first tree is a single leaf";
+  const auto f = static_cast<std::size_t>(feature);
+
+  Matrix queries;
+  queries.push_row(held_out);
+  for (std::size_t i = 0; i < 16; ++i) {
+    queries.push_row(x.row(i * x.rows() / 16));
+  }
+  std::vector<double> on_threshold(x.row(1).begin(), x.row(1).end());
+  on_threshold[f] = threshold;
+  queries.push_row(on_threshold);
+  std::vector<double> nan_feature(held_out.begin(), held_out.end());
+  nan_feature[f] = std::numeric_limits<double>::quiet_NaN();
+  queries.push_row(nan_feature);
+
+  for (std::size_t q = 0; q < queries.rows(); ++q) {
+    auto lazy = core::make_model(core::ModelKind::kRandomForest, 1001);
+    const auto got = lazy->fit_predict(x, y, &presorted, queries.row(q));
+    const auto want = full->predict(queries.row(q));
+    ASSERT_EQ(got.size(), y.cols());
+    ASSERT_EQ(want.size(), y.cols());
+    for (std::size_t c = 0; c < got.size(); ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[c]),
+                std::bit_cast<std::uint64_t>(want[c]))
+          << "query " << q << " output " << c;
+    }
+    EXPECT_FALSE(lazy->trained()) << "query " << q;
+  }
+
+  auto lazy = core::make_model(core::ModelKind::kRandomForest, 1001);
+  lazy->fit_predict(x, y, &presorted, held_out);
+  EXPECT_THROW(lazy->predict(held_out), CheckError);
+  const std::vector<double> narrow(x.cols() - 1, 0.0);
+  const std::vector<double> wide(x.cols() + 1, 0.0);
+  EXPECT_THROW(lazy->fit_predict(x, y, &presorted, narrow),
+               std::invalid_argument);
+  EXPECT_THROW(lazy->fit_predict(x, y, &presorted, wide),
+               std::invalid_argument);
+}
+
+TEST(GoldenFold, ForestFitPredictEqualsFitThenPredict) {
+  const auto uc1 = uc1_pearson_fold();
+  ASSERT_EQ(uc1.y.cols(), 4U);
+  // Output 1 (the spread): output 0, the mean of relative times, is 1 in
+  // every row, so its trees are single leaves.
+  Matrix one_output(uc1.y.rows(), 1);
+  for (std::size_t r = 0; r < uc1.y.rows(); ++r) {
+    one_output(r, 0) = uc1.y(r, 1);
+  }
+  expect_fit_predict_matches(uc1.x, one_output, uc1.presorted,
+                             uc1.queries.row(kGoldenHeldOut * 2));
+  expect_fit_predict_matches(uc1.x, uc1.y, uc1.presorted,
+                             uc1.queries.row(kGoldenHeldOut * 2));
+  const auto uc2 = uc2_histogram_fold();
+  ASSERT_EQ(uc2.y.cols(), 40U);
+  expect_fit_predict_matches(uc2.x, uc2.y, uc2.presorted,
+                             uc2.queries.row(kGoldenHeldOut));
 }
 
 // Learner work counters, read around one fit with observability on.

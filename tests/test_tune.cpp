@@ -18,6 +18,7 @@
 #include "measure/corpus.hpp"
 #include "measure/sysconfig.hpp"
 #include "measure/system_model.hpp"
+#include "obs/obs.hpp"
 #include "tune/tuner.hpp"
 
 namespace varpred {
@@ -224,6 +225,47 @@ TEST(ConfigCorpus, DeterministicAndNeutralCellsMatchProbes) {
   }
 }
 
+// The neutral config's cells are the probe runs byte for byte (bare seed,
+// neutral condition), so the corpus copies them instead of simulating the
+// same runs twice: per neutral config, one benchmark-set's worth of runs
+// fewer reach measure.runs_simulated.
+TEST(ConfigCorpus, NeutralCellsAreCopiedProbeRuns) {
+  const auto& system = measure::SystemModel::intel();
+  const auto configs = measure::sample_configs(SystemConfig::grid(), 5, 11);
+  const std::vector<std::size_t> benchmarks = {2, 9, 30};
+  constexpr std::size_t kRuns = 30;
+  constexpr std::uint64_t kSeed = 13;
+  obs::set_mode(obs::Mode::kSummary);
+  obs::Registry::global().reset_values();
+  const auto corpus = measure::build_config_corpus(system, configs,
+                                                   benchmarks, kRuns, kSeed);
+  const std::uint64_t simulated =
+      obs::Registry::global().counter("measure.runs_simulated").value();
+  obs::set_mode(obs::Mode::kOff);
+
+  std::size_t neutral = 0;
+  for (std::size_t c = 0; c < corpus.config_count(); ++c) {
+    if (!corpus.configs[c].neutral()) continue;
+    ++neutral;
+    for (std::size_t b = 0; b < benchmarks.size(); ++b) {
+      // What simulating the cell would give: the bare seed under the
+      // neutral condition.
+      const auto direct = measure::measure_benchmark(
+          benchmarks[b], system, corpus.configs[c].condition(), kRuns, kSeed);
+      const auto& cell = corpus.cell_runs[c][b];
+      EXPECT_EQ(cell.benchmark, direct.benchmark);
+      EXPECT_EQ(cell.runtimes, direct.runtimes) << "benchmark " << b;
+      EXPECT_EQ(cell.modes, direct.modes) << "benchmark " << b;
+      EXPECT_EQ(cell.counters.data(), direct.counters.data())
+          << "benchmark " << b;
+      EXPECT_EQ(cell.runtimes, corpus.probe_runs[b].runtimes);
+    }
+  }
+  ASSERT_EQ(neutral, 1u);  // sample_configs always keeps the neutral config
+  EXPECT_EQ(simulated,
+            (configs.size() - neutral + 1) * benchmarks.size() * kRuns);
+}
+
 TEST(VariabilityObjective, ScaleFreeAndStrict) {
   const std::vector<double> a = {1.0, 1.1, 0.9, 1.05, 0.95};
   std::vector<double> scaled;
@@ -315,6 +357,21 @@ TEST(Tuner, SearchContractHoldsEndToEnd) {
       tune::tune_config(predictor, system, target, probe, idx, grid, tconfig);
   EXPECT_EQ(again.winner().config, winner.config);
   EXPECT_EQ(again.runs_spent, result.runs_spent);
+
+  // The screen runs on the pool from one probe profile; each candidate's
+  // objective is still the serial runs-in prediction under its own
+  // name-seeded stream, bit for bit.
+  for (const auto& cand : result.candidates) {
+    Rng stream(seed_combine(tconfig.seed,
+                            seed_combine(stable_hash("tune-surrogate"),
+                                         stable_hash(cand.config.name()))));
+    const double serial =
+        tune::variability_objective(predictor.predict_distribution(
+            cand.config, probe, idx, tconfig.n_reconstruct, stream));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cand.predicted),
+              std::bit_cast<std::uint64_t>(serial))
+        << cand.config.name();
+  }
 }
 
 TEST(ConfigAware, HeldOutEvaluationIsDeterministic) {

@@ -295,12 +295,11 @@ int cmd_predict(const Args& args, const bench::Run* run) {
   const auto truth = measure::measure_benchmark(
       measure::benchmark_index(bench_name), system, 1000, 7);
   const auto measured = truth.relative_times();
-  std::printf("KS vs 1000-run measurement: %.3f\n",
-              stats::ks_statistic(measured, predicted));
-  obs::record_prediction_scores(
+  const stats::PairScores scores = obs::record_prediction_scores(
       {bench_name, system.name(), core::to_string(predictor.config().repr),
        core::to_string(predictor.config().model), "", ""},
       measured, predicted);
+  std::printf("KS vs 1000-run measurement: %.3f\n", scores.ks);
   double lo;
   double hi;
   io::plot_range(measured, predicted, lo, hi);

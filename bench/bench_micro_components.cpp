@@ -244,6 +244,23 @@ void BM_PearsonSample(benchmark::State& state) {
 }
 BENCHMARK(BM_PearsonSample);
 
+// Bulk draws from a type IV sampler: 2,000 is the evaluator's sample count,
+// 100 a served request's.
+void BM_PearsonSampleMany(benchmark::State& state) {
+  stats::Moments target;
+  target.mean = 1.0;
+  target.stddev = 0.02;
+  target.skewness = 0.8;
+  target.kurtosis = 4.5;  // type IV region
+  const pearson::PearsonSampler sampler(target);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(4);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sampler.sample_many(rng, n));
+  }
+}
+BENCHMARK(BM_PearsonSampleMany)->Arg(100)->Arg(2000);
+
 void BM_PearsonConstruct(benchmark::State& state) {
   stats::Moments target;
   target.mean = 1.0;
@@ -270,6 +287,24 @@ void BM_MaxEntSolve(benchmark::State& state) {
 }
 BENCHMARK(BM_MaxEntSolve);
 
+// Bulk draws from a solved MaxEnt density, at the same counts as
+// BM_PearsonSampleMany.
+void BM_MaxEntSampleMany(benchmark::State& state) {
+  stats::Moments target;
+  target.mean = 1.0;
+  target.stddev = 0.03;
+  target.skewness = 0.5;
+  target.kurtosis = 3.5;
+  const maxent::MaxEntDensity density(
+      maxent::raw_moments_from_summary(target), 1.0 - 0.2, 1.0 + 0.2);
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(density.sample_many(rng, n));
+  }
+}
+BENCHMARK(BM_MaxEntSampleMany)->Arg(100)->Arg(2000);
+
 void BM_SimulateRun(benchmark::State& state) {
   const auto& system = measure::SystemModel::intel();
   const auto& bench = measure::benchmark_table()[0];
@@ -280,16 +315,20 @@ void BM_SimulateRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateRun);
 
+// Arg 10: a 10-run probe profile out of 100 runs. Arg 1000: a full profile
+// over every one of 1,000 runs, what a use-case-2 cache builds per benchmark.
 void BM_BuildProfile(benchmark::State& state) {
   const auto& system = measure::SystemModel::intel();
-  const auto runs = measure::measure_benchmark(0, system, 100, 7);
-  std::vector<std::size_t> idx(10);
-  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i * 7;
+  const auto n_runs = static_cast<std::size_t>(state.range(0));
+  const bool full = n_runs == 1000;
+  const auto runs = measure::measure_benchmark(0, system, full ? 1000 : 100, 7);
+  std::vector<std::size_t> idx(n_runs);
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = full ? i : i * 7;
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::build_profile(system, runs, idx));
   }
 }
-BENCHMARK(BM_BuildProfile);
+BENCHMARK(BM_BuildProfile)->Arg(10)->Arg(1000);
 
 ml::Matrix random_matrix(std::size_t rows, std::size_t cols,
                          std::uint64_t seed) {

@@ -1,5 +1,7 @@
 // Runtime AVX2 dispatch shared by the vector kernels:
 //   - the Welford moments pass (stats/welford_simd);
+//   - the profile's Welford pass, four metrics per vector
+//     (welford_pass_avx2, core/profile);
 //   - the GBT split search, four features per step (scan_four, ml/gbt);
 //   - the RF split search, four outputs per add and four candidates per
 //     score (scan_feature_avx2, ml/tree);

@@ -7,6 +7,7 @@
 #include "common/linalg.hpp"
 #include "obs/obs.hpp"
 #include "special/quadrature.hpp"
+#include "stats/inverse_cdf.hpp"
 
 namespace varpred::maxent {
 namespace {
@@ -234,19 +235,12 @@ double MaxEntDensity::pdf(double x) const {
 }
 
 double MaxEntDensity::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  const auto it = std::lower_bound(grid_cdf_.begin(), grid_cdf_.end(), u);
-  std::size_t hi_idx = static_cast<std::size_t>(it - grid_cdf_.begin());
-  hi_idx = std::clamp<std::size_t>(hi_idx, 1, grid_cdf_.size() - 1);
-  const std::size_t lo_idx = hi_idx - 1;
-  const double span = grid_cdf_[hi_idx] - grid_cdf_[lo_idx];
-  const double frac = span > 0.0 ? (u - grid_cdf_[lo_idx]) / span : 0.5;
-  return grid_x_[lo_idx] + frac * (grid_x_[hi_idx] - grid_x_[lo_idx]);
+  return stats::sample_inverse_cdf(grid_cdf_, grid_x_, rng);
 }
 
 std::vector<double> MaxEntDensity::sample_many(Rng& rng, std::size_t n) const {
   std::vector<double> out(n);
-  for (auto& v : out) v = sample(rng);
+  stats::sample_inverse_cdf_many(grid_cdf_, grid_x_, rng, out);
   return out;
 }
 

@@ -85,7 +85,8 @@ class MaxEntDensity {
   /// Draws one variate via inverse CDF on the quadrature grid.
   double sample(Rng& rng) const;
 
-  /// Draws n variates.
+  /// Draws n variates: the same values, and the same RNG use, as n calls of
+  /// sample(), through the bulk table draw (stats/inverse_cdf.hpp).
   std::vector<double> sample_many(Rng& rng, std::size_t n) const;
 
  private:

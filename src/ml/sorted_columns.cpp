@@ -102,15 +102,23 @@ ColumnSegments::ColumnSegments(const SortedColumns& base,
   const std::vector<std::uint32_t> count =
       multiplicities(rows, base.row_count(), /*strict=*/false);
   VARPRED_CHECK_ARG(rows.back() <= UINT32_MAX, "row ids do not fit 32 bits");
-  order_.resize(rows_ * cols_);
+  // Each id is written four times and the cursor advances by its count, so
+  // the usual counts (a bootstrap's Poisson(1) multiplicities) take no
+  // branch; only a count above four loops. The copies past an id's count
+  // land on the next ids' slots, or on the four slots of slack.
+  constexpr std::uint32_t kCopies = 4;
+  order_.resize(rows_ * cols_ + kCopies);
   std::uint32_t* out = order_.data();
   for (const auto& column : base.order) {
     for (const std::size_t r : column) {
-      for (std::uint32_t k = 0; k < count[r]; ++k) {
-        *out++ = static_cast<std::uint32_t>(r);
-      }
+      const auto id = static_cast<std::uint32_t>(r);
+      const std::uint32_t copies = count[r];
+      for (std::uint32_t k = 0; k < kCopies; ++k) out[k] = id;
+      for (std::uint32_t k = kCopies; k < copies; ++k) out[k] = id;
+      out += copies;
     }
   }
+  order_.resize(rows_ * cols_);
   spill_.resize(rows_);
   go_left_.resize(rows.back() + 1);
 }

@@ -6,6 +6,7 @@
 
 #include "common/check.hpp"
 #include "rngdist/samplers.hpp"
+#include "stats/inverse_cdf.hpp"
 
 namespace varpred::pearson {
 namespace {
@@ -348,19 +349,10 @@ double PearsonSampler::sample_standardized(Rng& rng) const {
       raw = p_c_ + (p_d_ - p_c_) * rngdist::beta(rng, p_a_, p_b_);
       break;
 
-    case PearsonType::kTypeIV: {
+    case PearsonType::kTypeIV:
       // Inverse-CDF lookup over the theta table, then map back through tan.
-      const double u = rng.uniform();
-      const auto it = std::lower_bound(iv_cdf_.begin(), iv_cdf_.end(), u);
-      std::size_t hi = static_cast<std::size_t>(it - iv_cdf_.begin());
-      hi = std::clamp<std::size_t>(hi, 1, iv_cdf_.size() - 1);
-      const std::size_t lo = hi - 1;
-      const double span = iv_cdf_[hi] - iv_cdf_[lo];
-      const double frac = span > 0.0 ? (u - iv_cdf_[lo]) / span : 0.5;
-      const double theta =
-          iv_theta_[lo] + frac * (iv_theta_[hi] - iv_theta_[lo]);
-      return flip_ * (p_d_ + p_c_ * std::tan(theta));
-    }
+      return iv_standardized(
+          stats::sample_inverse_cdf(iv_cdf_, iv_theta_, rng));
 
     case PearsonType::kTypeV:
       raw = 1.0 / rngdist::gamma(rng, p_a_, 1.0);  // InvGamma(shape, 1)
@@ -378,9 +370,19 @@ double PearsonSampler::sample(Rng& rng) const {
   return target_.mean + target_.stddev * sample_standardized(rng);
 }
 
+double PearsonSampler::iv_standardized(double theta) const {
+  return flip_ * (p_d_ + p_c_ * std::tan(theta));
+}
+
 std::vector<double> PearsonSampler::sample_many(Rng& rng,
                                                 std::size_t n) const {
   std::vector<double> out(n);
+  if (type_ == PearsonType::kTypeIV) {  // stddev > 0: not a point mass
+    // The bulk table draw, then sample()'s map of each theta, in place.
+    stats::sample_inverse_cdf_many(iv_cdf_, iv_theta_, rng, out);
+    for (auto& v : out) v = target_.mean + target_.stddev * iv_standardized(v);
+    return out;
+  }
   for (auto& v : out) v = sample(rng);
   return out;
 }

@@ -70,12 +70,16 @@ class PearsonSampler {
   /// Draws one variate.
   double sample(Rng& rng) const;
 
-  /// Draws n variates.
+  /// Draws n variates: the same values, and the same RNG use, as n calls of
+  /// sample(). Type IV draws them through the bulk table draw
+  /// (stats/inverse_cdf.hpp).
   std::vector<double> sample_many(Rng& rng, std::size_t n) const;
 
  private:
   // Standardized (zero-mean unit-variance) draw for the fitted family.
   double sample_standardized(Rng& rng) const;
+  // Type IV: the standardized variate at table angle `theta`.
+  double iv_standardized(double theta) const;
 
   stats::Moments target_;
   PearsonType type_ = PearsonType::kNormal;

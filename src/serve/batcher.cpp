@@ -1,5 +1,6 @@
 #include "serve/batcher.hpp"
 
+#include <cmath>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -27,7 +28,13 @@ void validate_predict_request(const PredictRequest& request) {
           request.runtimes.size() * request.n_metrics,
       "counters must be runtimes x n_metrics values, row-major");
   for (const double t : request.runtimes) {
-    VARPRED_CHECK_ARG(t > 0.0, "probe runtimes must be positive");
+    VARPRED_CHECK_ARG(t > 0.0 && std::isfinite(t),
+                      "probe runtimes must be positive and finite");
+  }
+  // A NaN or infinite counter makes every neighbour distance NaN, and the
+  // prediction would look normal with arbitrary neighbours.
+  for (const double c : request.counters) {
+    VARPRED_CHECK_ARG(std::isfinite(c), "probe counters must be finite");
   }
 }
 

@@ -93,7 +93,8 @@ class Batcher {
 };
 
 /// Validates a predict request against its resolved model; throws
-/// std::invalid_argument (-> kBadRequest) on shape violations.
+/// std::invalid_argument (-> kBadRequest) on shape violations, runtimes
+/// that are not positive and finite, and counters that are not finite.
 void validate_predict_request(const PredictRequest& request);
 
 /// Default compute: rebuilds BenchmarkRuns from the request and runs

@@ -3,7 +3,9 @@
 // and round-trip arbitrary feasible moment sets.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -87,6 +89,26 @@ TEST(MaxEnt, SamplesMatchDensityMoments) {
   EXPECT_NEAR(m.stddev, 0.08, 0.003);
   EXPECT_NEAR(m.skewness, -0.4, 0.08);
   EXPECT_NEAR(m.kurtosis, 3.2, 0.15);
+}
+
+// The bulk draw gives the bytes of as many sample() calls from the same
+// stream, and leaves the stream where they leave it.
+TEST(MaxEnt, SampleManyEqualsRepeatedSample) {
+  const MaxEntDensity d(raw_moments_from_summary(make_moments(1.0, 0.03, 0.5,
+                                                              3.5)),
+                        0.8, 1.2);
+  for (const std::size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 2000ul}) {
+    Rng many_rng(n + 23);
+    Rng one_rng(n + 23);
+    const auto many = d.sample_many(many_rng, n);
+    ASSERT_EQ(many.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(many[i]),
+                std::bit_cast<std::uint64_t>(d.sample(one_rng)))
+          << "n=" << n << " draw " << i;
+    }
+    EXPECT_EQ(many_rng.uniform(), one_rng.uniform()) << "n=" << n;
+  }
 }
 
 TEST(MaxEnt, RejectsBadInput) {

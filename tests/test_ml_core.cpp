@@ -396,18 +396,23 @@ TEST(ColumnSegments, SampleConstructorEqualsSortOfTheMultiset) {
   // A forest loads each bootstrap sample's segments straight from the
   // dataset artifact: duplicated sample rows appear once per occurrence, in
   // the order a (value, index) sort of the sample multiset gives.
+  // The second sample draws rows five and seven times, past the four
+  // copies the loader writes without a loop.
   const auto x = tie_heavy_matrix(50, 3, 19);
   const auto base = SortedColumns::build(x);
-  const auto sample = bootstrap_sample(50, 41);
-  const ColumnSegments direct(base, sample);
-  const SortedColumns expect = multiset_order(x, sample);
-  ASSERT_EQ(direct.rows(), sample.size());
-  ASSERT_EQ(direct.cols(), x.cols());
-  for (std::size_t c = 0; c < x.cols(); ++c) {
-    const auto got = direct.segment(c, 0, sample.size());
-    EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.order[c].begin(),
-                           expect.order[c].end()))
-        << "column " << c;
+  const std::vector<std::size_t> heavy = {0, 2, 2, 2, 2,  2,  7,  7,
+                                          7, 7, 7, 7, 7, 30, 49, 49};
+  for (const auto& sample : {bootstrap_sample(50, 41), heavy}) {
+    const ColumnSegments direct(base, sample);
+    const SortedColumns expect = multiset_order(x, sample);
+    ASSERT_EQ(direct.rows(), sample.size());
+    ASSERT_EQ(direct.cols(), x.cols());
+    for (std::size_t c = 0; c < x.cols(); ++c) {
+      const auto got = direct.segment(c, 0, sample.size());
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), expect.order[c].begin(),
+                             expect.order[c].end()))
+          << "column " << c << ", sample of " << sample.size();
+    }
   }
   const std::vector<std::size_t> descending = {3, 1};
   EXPECT_THROW(ColumnSegments(base, descending), std::invalid_argument);

@@ -182,6 +182,25 @@ TEST(Sampler, DeterministicGivenSeed) {
   EXPECT_EQ(a, b);
 }
 
+// Type IV's bulk draw gives the bytes of as many sample() calls from the
+// same stream, and leaves the stream where they leave it.
+TEST(Sampler, TypeIvSampleManyEqualsRepeatedSample) {
+  const PearsonSampler sampler(make_moments(1.0, 0.02, 0.8, 4.5));
+  ASSERT_EQ(sampler.type(), PearsonType::kTypeIV);
+  for (const std::size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 2000ul}) {
+    Rng many_rng(n + 11);
+    Rng one_rng(n + 11);
+    const auto many = sampler.sample_many(many_rng, n);
+    ASSERT_EQ(many.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(many[i]),
+                std::bit_cast<std::uint64_t>(sampler.sample(one_rng)))
+          << "n=" << n << " draw " << i;
+    }
+    EXPECT_EQ(many_rng.uniform(), one_rng.uniform()) << "n=" << n;
+  }
+}
+
 // FNV-1a over the little-endian bytes of the bit pattern of every value.
 std::uint64_t sample_digest(const std::vector<double>& xs) {
   std::uint64_t h = 0xcbf29ce484222325ULL;

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -494,8 +495,16 @@ TEST(ServeBatcher, ValidateRejectsEachShapeViolation) {
   zero_runtime.runtimes[1] = 0.0;
   auto negative_runtime = ok;
   negative_runtime.runtimes[2] = -1.0;
+  auto infinite_runtime = ok;
+  infinite_runtime.runtimes[0] = std::numeric_limits<double>::infinity();
+  auto nan_counter = ok;
+  nan_counter.counters[3] = std::numeric_limits<double>::quiet_NaN();
+  auto infinite_counter = ok;
+  infinite_counter.counters[4] = std::numeric_limits<double>::infinity();
   for (const auto* bad : {&no_runs, &no_samples, &too_many_samples, &ragged,
-                          &zero_runtime, &negative_runtime}) {
+                          &zero_runtime, &negative_runtime,
+                          &infinite_runtime, &nan_counter,
+                          &infinite_counter}) {
     EXPECT_THROW(serve::validate_predict_request(*bad), std::invalid_argument);
   }
   auto at_cap = ok;

@@ -1,5 +1,6 @@
 // Tests for the statistics substrate: moments (and their dispatched Welford
-// kernel), quantiles/ECDF, KS, histograms, KDE, bootstrap, and summaries.
+// kernel), quantiles/ECDF, KS, the inverse-CDF draw, histograms, KDE,
+// bootstrap, and summaries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "stats/bootstrap.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/histogram.hpp"
+#include "stats/inverse_cdf.hpp"
 #include "stats/kde.hpp"
 #include "stats/ks.hpp"
 #include "stats/moments.hpp"
@@ -604,6 +606,115 @@ TEST(Histogram, SampleManyMatchesRepeatedDraws) {
                std::invalid_argument);
   const std::vector<double> negative = {0.5, -0.1};
   EXPECT_THROW(Histogram::sample_many_from_probs(negative, 0.0, 1.0, 3, rng),
+               std::invalid_argument);
+}
+
+// Ascending CDF tables of `n` knots with flat runs: zeros, steps of 1/8
+// held over several knots, then ones (n = 1 is {0}, n = 2 is {0, 1}).
+std::vector<double> flat_run_table(std::size_t n) {
+  std::vector<double> cdf(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double t =
+        n == 1 ? 0.0 : static_cast<double>(i) / static_cast<double>(n - 1);
+    cdf[i] = std::clamp(std::floor(10.0 * t - 1.0) / 8.0, 0.0, 1.0);
+  }
+  return cdf;
+}
+
+// Every knot value and its neighbours on both sides, both ends of the
+// uniform's range, points outside the table and random points.
+std::vector<double> search_probes(const std::vector<double>& cdf) {
+  std::vector<double> probes = {0.0, std::nextafter(1.0, 0.0), 1.0, -0.5,
+                                1.5};
+  for (const double v : cdf) {
+    probes.push_back(v);
+    probes.push_back(std::nextafter(v, -1.0));
+    probes.push_back(std::nextafter(v, 2.0));
+  }
+  Rng rng(cdf.size());
+  for (int i = 0; i < 200; ++i) probes.push_back(rng.uniform());
+  return probes;
+}
+
+TEST(InverseCdf, SearchReturnsLowerBoundIndex) {
+  for (const std::size_t n : {1ul, 2ul, 8ul, 9ul, 1025ul, 4097ul}) {
+    std::vector<double> strict(n);
+    Rng walk(n);
+    for (std::size_t i = 1; i < n; ++i) {
+      strict[i] = strict[i - 1] + walk.uniform(0.01, 1.0);
+    }
+    const double total = strict.back() > 0.0 ? strict.back() : 1.0;
+    for (auto& v : strict) v /= total;
+    for (const auto& cdf : {flat_run_table(n), strict}) {
+      const auto probes = search_probes(cdf);
+      const auto expected = [&](double u) {
+        return static_cast<std::size_t>(
+            std::lower_bound(cdf.begin(), cdf.end(), u) - cdf.begin());
+      };
+      for (const double u : probes) {
+        ASSERT_EQ(cdf_lower_bound(cdf, u), expected(u))
+            << "n=" << n << " u=" << u;
+      }
+      // The block search, at every block size, over the same probes.
+      for (std::size_t block = 1; block <= kDrawBlock; ++block) {
+        for (std::size_t b = 0; b + block <= probes.size(); b += block) {
+          const std::span<const double> u(probes.data() + b, block);
+          std::vector<std::size_t> index(block);
+          cdf_lower_bounds(cdf, u, index);
+          for (std::size_t j = 0; j < block; ++j) {
+            ASSERT_EQ(index[j], expected(u[j]))
+                << "n=" << n << " block=" << block << " u=" << u[j];
+          }
+        }
+      }
+    }
+  }
+  const std::vector<double> empty;
+  EXPECT_EQ(cdf_lower_bound(empty, 0.5), 0u);
+  const std::vector<double> nine(kDrawBlock + 1, 0.5);
+  std::vector<std::size_t> index(nine.size());
+  EXPECT_THROW(cdf_lower_bounds(flat_run_table(4), nine, index),
+               std::invalid_argument);
+}
+
+// The bulk draw gives the bytes of single draws from the same stream, and
+// leaves the stream where they leave it: one uniform per sample, drawn in
+// sample order. A block that took its uniforms out of order would put the
+// same values in other places.
+TEST(InverseCdf, SampleManyEqualsRepeatedSingleDraws) {
+  const auto cdf = flat_run_table(1025);
+  std::vector<double> x(cdf.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = 0.5 + 0.001 * static_cast<double>(i * i % 97);
+  }
+  for (const std::size_t n : {0ul, 1ul, 7ul, 8ul, 9ul, 2000ul}) {
+    Rng many_rng(n + 3);
+    Rng one_rng(n + 3);
+    std::vector<double> many(n);
+    sample_inverse_cdf_many(cdf, x, many_rng, many);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(many[i]),
+                std::bit_cast<std::uint64_t>(
+                    sample_inverse_cdf(cdf, x, one_rng)))
+          << "n=" << n << " draw " << i;
+    }
+    EXPECT_EQ(many_rng.uniform(), one_rng.uniform()) << "n=" << n;
+  }
+  // u at the first CDF value takes the first pair, u just above a flat
+  // run the pair after it, and a flat first pair gives its midpoint.
+  const std::vector<double> table = {0.0, 0.5, 0.5, 1.0};
+  const std::vector<double> flat_start = {0.0, 0.0, 0.5, 1.0};
+  const std::vector<double> knots = {1.0, 2.0, 3.0, 4.0};
+  EXPECT_EQ(inverse_cdf(table, knots, 0.0), 1.0);
+  EXPECT_EQ(inverse_cdf(table, knots, 0.25), 1.5);
+  EXPECT_EQ(inverse_cdf(table, knots, 0.75), 3.5);
+  EXPECT_EQ(inverse_cdf(flat_start, knots, 0.0), 1.5);
+  Rng rng(1);
+  std::vector<double> out(3);
+  const std::vector<double> one_knot = {0.0};
+  EXPECT_THROW(sample_inverse_cdf_many(one_knot, one_knot, rng, out),
+               std::invalid_argument);
+  EXPECT_THROW(sample_inverse_cdf_many(table, one_knot, rng, out),
                std::invalid_argument);
 }
 

@@ -8,8 +8,8 @@
 
 #include "bench_common.hpp"
 
+#include "ml/importance.hpp"
 #include "ml/ridge.hpp"
-#include "ml/tuning.hpp"
 
 int main(int argc, char** argv) {
   using namespace varpred;

@@ -51,26 +51,11 @@ std::vector<double> solve_dense(std::vector<double> a, std::vector<double> b,
   return x;
 }
 
-std::vector<double> matvec(std::span<const double> a, std::size_t rows,
-                           std::size_t cols, std::span<const double> x) {
-  VARPRED_CHECK_ARG(a.size() == rows * cols, "matrix size mismatch");
-  VARPRED_CHECK_ARG(x.size() == cols, "vector size mismatch");
-  std::vector<double> y(rows, 0.0);
-  for (std::size_t r = 0; r < rows; ++r) {
-    double sum = 0.0;
-    for (std::size_t c = 0; c < cols; ++c) sum += a[r * cols + c] * x[c];
-    y[r] = sum;
-  }
-  return y;
-}
-
 double dot(std::span<const double> a, std::span<const double> b) {
   VARPRED_CHECK_ARG(a.size() == b.size(), "dot size mismatch");
   double sum = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) sum += a[i] * b[i];
   return sum;
 }
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
 
 }  // namespace varpred

@@ -17,14 +17,7 @@ namespace varpred {
 std::vector<double> solve_dense(std::vector<double> a, std::vector<double> b,
                                 std::size_t n, double tol = 1e-12);
 
-/// Dense mat-vec: y = A x, A is rows x cols row-major.
-std::vector<double> matvec(std::span<const double> a, std::size_t rows,
-                           std::size_t cols, std::span<const double> x);
-
 /// Dot product.
 double dot(std::span<const double> a, std::span<const double> b);
-
-/// Euclidean norm.
-double norm2(std::span<const double> a);
 
 }  // namespace varpred

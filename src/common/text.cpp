@@ -1,6 +1,5 @@
 #include "common/text.hpp"
 
-#include <cctype>
 #include <cstdio>
 
 namespace varpred {
@@ -26,18 +25,6 @@ std::vector<std::string> split(std::string_view text, char delim) {
   return out;
 }
 
-std::string_view trim(std::string_view text) {
-  std::size_t begin = 0;
-  std::size_t end = text.size();
-  while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) {
-    ++begin;
-  }
-  while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  return text.substr(begin, end - begin);
-}
-
 std::string format_fixed(double value, int digits) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.*f", digits, value);
@@ -47,13 +34,6 @@ std::string format_fixed(double value, int digits) {
 std::string pad_right(std::string_view text, std::size_t width) {
   std::string out(text.substr(0, width));
   out.resize(width, ' ');
-  return out;
-}
-
-std::string pad_left(std::string_view text, std::size_t width) {
-  if (text.size() >= width) return std::string(text.substr(0, width));
-  std::string out(width - text.size(), ' ');
-  out += text;
   return out;
 }
 

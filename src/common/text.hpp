@@ -14,17 +14,11 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 /// Splits on a single-character delimiter; keeps empty fields.
 std::vector<std::string> split(std::string_view text, char delim);
 
-/// Trims ASCII whitespace from both ends.
-std::string_view trim(std::string_view text);
-
 /// Fixed-precision formatting ("%.*f").
 std::string format_fixed(double value, int digits);
 
 /// Pads/truncates `text` to exactly `width` columns, left-aligned.
 std::string pad_right(std::string_view text, std::size_t width);
-
-/// Pads `text` on the left to `width` columns (right-aligned).
-std::string pad_left(std::string_view text, std::size_t width);
 
 /// True if `text` starts with `prefix`.
 bool starts_with(std::string_view text, std::string_view prefix);

@@ -21,6 +21,17 @@ namespace {
 
 constexpr std::uint64_t kPredictorVersion = 2;  ///< v2: checksum trailer
 
+// A recorded kind, range-checked on the raw u64: a corrupt kind fails at
+// load, not at the first to_string or dispatch on it, and a value past
+// int's range cannot wrap onto a valid kind.
+template <typename Kind>
+Kind read_kind(io::Reader& r, const std::string& name, Kind last) {
+  const auto raw = r.u64(name);
+  VARPRED_CHECK_ARG(raw <= static_cast<std::uint64_t>(last),
+                    name + " kind out of range");
+  return static_cast<Kind>(raw);
+}
+
 }  // namespace
 
 void FewRunsPredictor::save(std::ostream& out) const {
@@ -50,8 +61,8 @@ FewRunsPredictor FewRunsPredictor::load(std::istream& in) {
   config.n_probe_runs = static_cast<std::size_t>(r.u64("n_probe_runs"));
   config.train_replicates =
       static_cast<std::size_t>(r.u64("train_replicates"));
-  config.repr = static_cast<ReprKind>(r.u64("repr"));
-  config.model = static_cast<ModelKind>(r.u64("model"));
+  config.repr = read_kind(r, "repr", ReprKind::kQuantile);
+  config.model = read_kind(r, "model", ModelKind::kRidge);
   config.profile.include_higher_moments = r.boolean("higher_moments");
   config.seed = r.u64("seed");
   const auto system_name = r.text("system");
@@ -87,8 +98,8 @@ CrossSystemPredictor CrossSystemPredictor::load(std::istream& in) {
   VARPRED_CHECK_ARG(r.u64("version") == kPredictorVersion,
                     "unsupported predictor version");
   CrossSystemConfig config;
-  config.repr = static_cast<ReprKind>(r.u64("repr"));
-  config.model = static_cast<ModelKind>(r.u64("model"));
+  config.repr = read_kind(r, "repr", ReprKind::kQuantile);
+  config.model = read_kind(r, "model", ModelKind::kRidge);
   config.profile.include_higher_moments = r.boolean("higher_moments");
   config.seed = r.u64("seed");
   const auto system_name = r.text("source_system");

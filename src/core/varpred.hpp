@@ -31,7 +31,6 @@
 #include "measure/sysconfig.hpp"
 #include "measure/system_model.hpp"
 #include "pearson/pearson.hpp"
-#include "stats/adaptive.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/histogram.hpp"
 #include "stats/kde.hpp"

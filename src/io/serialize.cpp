@@ -1,5 +1,6 @@
 #include "io/serialize.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +40,19 @@ double strict_f64(const std::string& token, const std::string& name) {
   VARPRED_CHECK_ARG(parsed.has_value(),
                     "corrupt numeric field " + name + ": \"" + token + "\"");
   return *parsed;
+}
+
+// Counts and lengths in a file are untrusted: buffers grow with the data
+// actually read and reserve at most this many elements up front, so a
+// corrupt count fails at the end of the stream instead of allocating it.
+constexpr std::uint64_t kMaxReserve = 4096;
+
+template <typename T, typename Parse>
+std::vector<T> read_values(std::uint64_t n, Parse parse) {
+  std::vector<T> out;
+  out.reserve(static_cast<std::size_t>(std::min(n, kMaxReserve)));
+  for (std::uint64_t i = 0; i < n; ++i) out.push_back(parse());
+  return out;
 }
 
 }  // namespace
@@ -192,28 +206,31 @@ std::string Reader::text(const std::string& name) {
     if (!std::isspace(static_cast<unsigned char>(c))) len_str += c;
   }
   VARPRED_CHECK_ARG(!len_str.empty(), "malformed string field " + name);
-  const auto len = static_cast<std::size_t>(strict_u64(len_str, name));
-  std::string value(len, '\0');
-  in_.read(value.data(), static_cast<std::streamsize>(len));
-  VARPRED_CHECK_ARG(static_cast<std::size_t>(in_.gcount()) == len,
-                    "truncated string field " + name);
+  std::uint64_t left = strict_u64(len_str, name);
+  std::string value;
+  char chunk[kMaxReserve];
+  while (left > 0) {
+    const auto want = static_cast<std::streamsize>(std::min(left, kMaxReserve));
+    in_.read(chunk, want);
+    value.append(chunk, static_cast<std::size_t>(in_.gcount()));
+    VARPRED_CHECK_ARG(in_.gcount() == want, "truncated string field " + name);
+    left -= static_cast<std::uint64_t>(want);
+  }
   return value;
 }
 
 std::vector<double> Reader::vec(const std::string& name) {
   expect_label(name);
-  const auto n = static_cast<std::size_t>(strict_u64(next_token(name), name));
-  std::vector<double> out(n);
-  for (auto& v : out) v = strict_f64(next_token(name), name);
-  return out;
+  const auto n = strict_u64(next_token(name), name);
+  return read_values<double>(
+      n, [&] { return strict_f64(next_token(name), name); });
 }
 
 std::vector<std::uint64_t> Reader::vec_u64(const std::string& name) {
   expect_label(name);
-  const auto n = static_cast<std::size_t>(strict_u64(next_token(name), name));
-  std::vector<std::uint64_t> out(n);
-  for (auto& v : out) v = strict_u64(next_token(name), name);
-  return out;
+  const auto n = strict_u64(next_token(name), name);
+  return read_values<std::uint64_t>(
+      n, [&] { return strict_u64(next_token(name), name); });
 }
 
 }  // namespace varpred::io

@@ -5,8 +5,8 @@
 
 #include "common/check.hpp"
 #include "common/linalg.hpp"
+#include "maxent/quadrature.hpp"
 #include "obs/obs.hpp"
-#include "special/quadrature.hpp"
 #include "stats/inverse_cdf.hpp"
 
 namespace varpred::maxent {
@@ -72,7 +72,7 @@ MomentSolveResult solve_moment_system(std::span<const double> raw_moments,
   // Quadrature rule on [-1, 1].
   std::vector<double> nodes;
   std::vector<double> weights;
-  special::scaled_rule(options.quad_points, -1.0, 1.0, nodes, weights);
+  scaled_rule(options.quad_points, -1.0, 1.0, nodes, weights);
 
   MomentSolveResult result;
   std::vector<double>& lambda_ = result.lambda;

@@ -1,4 +1,4 @@
-#include "special/quadrature.hpp"
+#include "maxent/quadrature.hpp"
 
 #include <cmath>
 #include <map>
@@ -7,7 +7,7 @@
 
 #include "common/check.hpp"
 
-namespace varpred::special {
+namespace varpred::maxent {
 namespace {
 
 GaussLegendreRule compute_rule(std::size_t n) {
@@ -66,30 +66,6 @@ const GaussLegendreRule& gauss_legendre(std::size_t n) {
   return it->second;
 }
 
-double integrate(const std::function<double(double)>& f, double a, double b,
-                 std::size_t n) {
-  const auto& rule = gauss_legendre(n);
-  const double half = 0.5 * (b - a);
-  const double mid = 0.5 * (a + b);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    sum += rule.weights[i] * f(mid + half * rule.nodes[i]);
-  }
-  return half * sum;
-}
-
-double integrate_composite(const std::function<double(double)>& f, double a,
-                           double b, std::size_t panels, std::size_t n) {
-  VARPRED_CHECK_ARG(panels >= 1, "need at least one panel");
-  const double width = (b - a) / static_cast<double>(panels);
-  double sum = 0.0;
-  for (std::size_t p = 0; p < panels; ++p) {
-    const double lo = a + width * static_cast<double>(p);
-    sum += integrate(f, lo, lo + width, n);
-  }
-  return sum;
-}
-
 void scaled_rule(std::size_t n, double a, double b, std::vector<double>& nodes,
                  std::vector<double>& weights) {
   const auto& rule = gauss_legendre(n);
@@ -103,4 +79,4 @@ void scaled_rule(std::size_t n, double a, double b, std::vector<double>& nodes,
   }
 }
 
-}  // namespace varpred::special
+}  // namespace varpred::maxent

@@ -1,4 +1,4 @@
-#include "ml/tuning.hpp"
+#include "ml/importance.hpp"
 
 #include <algorithm>
 #include <numeric>
@@ -7,7 +7,9 @@
 #include "ml/metrics.hpp"
 
 namespace varpred::ml {
+namespace {
 
+// Mean over rows of the per-row MSE across the outputs.
 double mse_scorer(const Regressor& model, const Matrix& x_test,
                   const Matrix& y_test) {
   double total = 0.0;
@@ -18,46 +20,14 @@ double mse_scorer(const Regressor& model, const Matrix& x_test,
   return total / static_cast<double>(x_test.rows());
 }
 
-std::vector<CandidateScore> grid_search(
-    const Matrix& x, const Matrix& y, const std::vector<Fold>& folds,
-    const std::vector<Candidate>& candidates, const FoldScorer& scorer) {
-  VARPRED_CHECK_ARG(!candidates.empty(), "no candidates");
-  VARPRED_CHECK_ARG(!folds.empty(), "no folds");
-
-  std::vector<CandidateScore> scores;
-  scores.reserve(candidates.size());
-  for (const auto& candidate : candidates) {
-    CandidateScore score;
-    score.label = candidate.label;
-    for (const auto& fold : folds) {
-      const auto x_train = x.gather_rows(fold.train);
-      const auto y_train = y.gather_rows(fold.train);
-      const auto x_test = x.gather_rows(fold.test);
-      const auto y_test = y.gather_rows(fold.test);
-      auto model = candidate.factory();
-      model->fit(x_train, y_train);
-      score.fold_scores.push_back(scorer(*model, x_test, y_test));
-    }
-    score.mean_score =
-        std::accumulate(score.fold_scores.begin(), score.fold_scores.end(),
-                        0.0) /
-        static_cast<double>(score.fold_scores.size());
-    scores.push_back(std::move(score));
-  }
-  std::stable_sort(scores.begin(), scores.end(),
-                   [](const CandidateScore& a, const CandidateScore& b) {
-                     return a.mean_score < b.mean_score;
-                   });
-  return scores;
-}
+}  // namespace
 
 std::vector<double> permutation_importance(const Regressor& model,
                                            const Matrix& x, const Matrix& y,
-                                           std::size_t repeats, Rng& rng,
-                                           const FoldScorer& scorer) {
+                                           std::size_t repeats, Rng& rng) {
   VARPRED_CHECK_ARG(model.trained(), "model must be trained");
   VARPRED_CHECK_ARG(repeats >= 1, "need at least one shuffle repeat");
-  const double baseline = scorer(model, x, y);
+  const double baseline = mse_scorer(model, x, y);
 
   std::vector<double> importance(x.cols(), 0.0);
   Matrix shuffled = x;
@@ -69,7 +39,7 @@ std::vector<double> permutation_importance(const Regressor& model,
         const auto j = static_cast<std::size_t>(rng.uniform_index(i));
         std::swap(shuffled(i - 1, f), shuffled(j, f));
       }
-      total += scorer(model, shuffled, y) - baseline;
+      total += mse_scorer(model, shuffled, y) - baseline;
     }
     importance[f] = total / static_cast<double>(repeats);
     // Restore the column.

@@ -1,7 +1,5 @@
 #include "ml/metrics.hpp"
 
-#include <cmath>
-
 #include "common/check.hpp"
 
 namespace varpred::ml {
@@ -20,15 +18,6 @@ double mse(std::span<const double> truth, std::span<const double> pred) {
   for (std::size_t i = 0; i < truth.size(); ++i) {
     const double d = truth[i] - pred[i];
     acc += d * d;
-  }
-  return acc / static_cast<double>(truth.size());
-}
-
-double mae(std::span<const double> truth, std::span<const double> pred) {
-  check_sizes(truth, pred);
-  double acc = 0.0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    acc += std::fabs(truth[i] - pred[i]);
   }
   return acc / static_cast<double>(truth.size());
 }

@@ -229,9 +229,9 @@ RandomForest RandomForest::load(std::istream& in) {
   params.seed = r.u64("seed");
   RandomForest forest(params);
   forest.n_outputs_ = static_cast<std::size_t>(r.u64("n_outputs"));
-  const auto n = static_cast<std::size_t>(r.u64("trained_trees"));
-  forest.trees_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
+  // The counts are untrusted: containers grow per record read.
+  const auto n = r.u64("trained_trees");
+  for (std::uint64_t i = 0; i < n; ++i) {
     forest.trees_.push_back(RegressionTree::load(in));
     // predict sums n_outputs values from every tree.
     VARPRED_CHECK_ARG(forest.trees_.back().trained() &&
@@ -286,13 +286,14 @@ GradientBoosting GradientBoosting::load(std::istream& in) {
   params.gamma = r.f64("gamma");
   params.min_child_weight = r.f64("min_child_weight");
   GradientBoosting gbt(params);
-  const auto n_ens = static_cast<std::size_t>(r.u64("n_ensembles"));
-  gbt.ensembles_.resize(n_ens);
-  for (auto& ens : gbt.ensembles_) {
+  // The counts are untrusted: containers grow per record read.
+  const auto n_ens = r.u64("n_ensembles");
+  for (std::uint64_t e = 0; e < n_ens; ++e) {
+    auto& ens = gbt.ensembles_.emplace_back();
     ens.base_score = r.f64("base_score");
-    const auto n_trees = static_cast<std::size_t>(r.u64("n_trees"));
-    ens.trees.resize(n_trees);
-    for (auto& tree : ens.trees) {
+    const auto n_trees = r.u64("n_trees");
+    for (std::uint64_t t = 0; t < n_trees; ++t) {
+      auto& tree = ens.trees.emplace_back();
       const auto packed = r.vec("tree");
       VARPRED_CHECK_ARG(!packed.empty() && packed.size() % 5 == 0,
                         "gbt tree payload size");

@@ -2,22 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/check.hpp"
 
 namespace varpred::stats {
-
-Ecdf::Ecdf(std::span<const double> sample)
-    : sorted_(sample.begin(), sample.end()) {
-  VARPRED_CHECK_ARG(!sorted_.empty(), "ECDF needs a non-empty sample");
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double Ecdf::operator()(double x) const {
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
 
 double quantile_sorted(std::span<const double> sorted, double p) {
   VARPRED_CHECK_ARG(!sorted.empty(), "quantile of empty sample");

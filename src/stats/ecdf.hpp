@@ -1,27 +1,9 @@
-// Empirical CDF and quantiles.
+// Quantiles of an empirical sample.
 #pragma once
 
 #include <span>
-#include <vector>
 
 namespace varpred::stats {
-
-/// Empirical cumulative distribution function built from a sample.
-class Ecdf {
- public:
-  explicit Ecdf(std::span<const double> sample);
-
-  /// F(x) = fraction of sample <= x.
-  double operator()(double x) const;
-
-  /// Sorted copy of the sample.
-  const std::vector<double>& sorted() const { return sorted_; }
-
-  std::size_t size() const { return sorted_.size(); }
-
- private:
-  std::vector<double> sorted_;
-};
 
 /// Linear-interpolation quantile (R type 7 / NumPy default), p in [0, 1].
 double quantile(std::span<const double> sample, double p);

@@ -1,10 +1,8 @@
 #include "stats/histogram.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.hpp"
-#include "stats/ecdf.hpp"
 
 namespace varpred::stats {
 
@@ -109,21 +107,6 @@ std::vector<double> Histogram::sample_many_from_probs(
   const double width = bin_width_of(probs, lo, hi);
   for (auto& v : out) v = draw(probs, total, lo, width, rng);
   return out;
-}
-
-std::size_t suggest_bins(std::span<const double> sample, std::size_t min_bins,
-                         std::size_t max_bins) {
-  if (sample.size() < 2) return min_bins;
-  std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double range = sorted.back() - sorted.front();
-  const double spread =
-      quantile_sorted(sorted, 0.75) - quantile_sorted(sorted, 0.25);
-  if (range <= 0.0 || spread <= 0.0) return min_bins;
-  const double width =
-      2.0 * spread / std::cbrt(static_cast<double>(sorted.size()));
-  const auto bins = static_cast<std::size_t>(std::ceil(range / width));
-  return std::clamp(bins, min_bins, max_bins);
 }
 
 }  // namespace varpred::stats

@@ -63,9 +63,4 @@ class Histogram {
   std::size_t total_ = 0;
 };
 
-/// Freedman-Diaconis bin count suggestion (clamped to [min_bins, max_bins]).
-std::size_t suggest_bins(std::span<const double> sample,
-                         std::size_t min_bins = 8,
-                         std::size_t max_bins = 128);
-
 }  // namespace varpred::stats

@@ -56,22 +56,6 @@ double ks_statistic_sorted(std::span<const double> a,
   return d;
 }
 
-double ks_statistic_cdf(std::span<const double> sample,
-                        const std::function<double(double)>& cdf) {
-  VARPRED_CHECK_ARG(!sample.empty(), "KS needs a non-empty sample");
-  std::vector<double> sorted(sample.begin(), sample.end());
-  sort_samples(sorted);
-  const double n = static_cast<double>(sorted.size());
-  double d = 0.0;
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    const double f = cdf(sorted[i]);
-    const double lo = static_cast<double>(i) / n;
-    const double hi = static_cast<double>(i + 1) / n;
-    d = std::max(d, std::max(std::fabs(f - lo), std::fabs(hi - f)));
-  }
-  return d;
-}
-
 double kolmogorov_survival(double t) {
   if (t <= 0.0) return 1.0;
   constexpr double kPi = 3.14159265358979323846;

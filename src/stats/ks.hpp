@@ -3,7 +3,6 @@
 // match, 1 = disjoint supports.
 #pragma once
 
-#include <functional>
 #include <span>
 
 namespace varpred::stats {
@@ -17,10 +16,6 @@ double ks_statistic(std::span<const double> a, std::span<const double> b);
 /// ascending order (as sort_samples leaves them).
 double ks_statistic_sorted(std::span<const double> a,
                            std::span<const double> b);
-
-/// One-sample KS statistic of a sample against a continuous CDF.
-double ks_statistic_cdf(std::span<const double> sample,
-                        const std::function<double(double)>& cdf);
 
 /// Kolmogorov distribution survival function Q(t) = P(D > t). Uses the
 /// theta-function series for small t (where the textbook alternating series

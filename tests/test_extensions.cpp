@@ -1,7 +1,6 @@
 // Tests for the library extensions beyond the paper: ridge regression,
-// grid-search tuning, permutation importance, Wasserstein distance,
-// adaptive stopping, the quantile representation, the ARM system model,
-// and SVG figure rendering.
+// permutation importance, Wasserstein distance, the quantile
+// representation, the ARM system model, and SVG figure rendering.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,14 +12,12 @@
 #include "core/models.hpp"
 #include "io/svg_plot.hpp"
 #include "measure/corpus.hpp"
+#include "ml/importance.hpp"
 #include "ml/ridge.hpp"
 #include "ml/serialize.hpp"
-#include "ml/tuning.hpp"
 #include "rngdist/samplers.hpp"
-#include "stats/adaptive.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/ks.hpp"
-#include "stats/moments.hpp"
 #include "stats/scores.hpp"
 #include "stats/wasserstein.hpp"
 
@@ -112,29 +109,7 @@ TEST(Ridge, AvailableThroughModelZoo) {
   EXPECT_EQ(core::all_model_kinds().size(), 3u);  // the paper's three
 }
 
-TEST(Tuning, GridSearchRanksObviousWinner) {
-  const auto x = linear_x(120, 8);
-  const auto y = linear_y(x, 0.05, 9);
-  const auto folds = ml::k_fold(x.rows(), 4, 11);
-  std::vector<ml::Candidate> candidates;
-  candidates.push_back({"ridge-good", [] {
-                          return std::make_unique<ml::RidgeRegressor>(
-                              ml::RidgeParams{.lambda = 0.01,
-                                              .standardize = false});
-                        }});
-  candidates.push_back({"ridge-overdamped", [] {
-                          return std::make_unique<ml::RidgeRegressor>(
-                              ml::RidgeParams{.lambda = 1e6,
-                                              .standardize = false});
-                        }});
-  const auto scores = ml::grid_search(x, y, folds, candidates);
-  ASSERT_EQ(scores.size(), 2u);
-  EXPECT_EQ(scores.front().label, "ridge-good");
-  EXPECT_LT(scores.front().mean_score, scores.back().mean_score);
-  EXPECT_EQ(scores.front().fold_scores.size(), 4u);
-}
-
-TEST(Tuning, PermutationImportanceFindsTheRealFeatures) {
+TEST(Importance, PermutationFindsTheRealFeatures) {
   // y depends on features 0 and 1 but not 2.
   const auto x = linear_x(300, 12);
   ml::Matrix y(x.rows(), 1);
@@ -247,34 +222,6 @@ TEST(Wasserstein, RejectsInfinities) {
   }
   // Finite samples are scored as before.
   EXPECT_EQ(stats::wasserstein1(clean, clean), 0.0);
-}
-
-TEST(Adaptive, StopsEarlyOnStableWorkload) {
-  Rng rng(16);
-  stats::AdaptiveConfig config;
-  config.min_runs = 10;
-  config.max_runs = 500;
-  config.relative_ci_width = 0.02;
-  const auto result = stats::measure_adaptively(
-      [&] { return rngdist::normal(rng, 100.0, 0.5); },
-      [](std::span<const double> s) { return stats::mean(s); }, config);
-  EXPECT_TRUE(result.converged);
-  EXPECT_LT(result.sample.size(), 100u);
-  EXPECT_NEAR(result.point, 100.0, 1.0);
-  EXPECT_LT(result.ci_lo, result.ci_hi);
-}
-
-TEST(Adaptive, ExhaustsBudgetOnNoisyWorkload) {
-  Rng rng(17);
-  stats::AdaptiveConfig config;
-  config.min_runs = 10;
-  config.max_runs = 60;
-  config.relative_ci_width = 1e-5;  // unattainable
-  const auto result = stats::measure_adaptively(
-      [&] { return rngdist::lognormal(rng, 0.0, 1.0); },
-      [](std::span<const double> s) { return stats::mean(s); }, config);
-  EXPECT_FALSE(result.converged);
-  EXPECT_EQ(result.sample.size(), 60u);
 }
 
 TEST(QuantileRepr, EncodeIsMonotoneQuantiles) {

@@ -1,21 +1,35 @@
 // Tests for the maximum-entropy moment reconstruction: the solver must
 // reproduce known maximum-entropy solutions (uniform, truncated Gaussian)
-// and round-trip arbitrary feasible moment sets.
+// and round-trip arbitrary feasible moment sets. The Gauss-Legendre rules
+// behind its moment integrals are checked against closed-form integrals.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "maxent/maxent.hpp"
-#include "special/quadrature.hpp"
+#include "maxent/quadrature.hpp"
 #include "stats/ks.hpp"
 #include "stats/moments.hpp"
 
 namespace varpred::maxent {
 namespace {
+
+// Integrates f over [a, b] with the n-point rule scaled_rule maps there.
+template <typename F>
+double rule_integral(std::size_t n, double a, double b, F f) {
+  std::vector<double> nodes;
+  std::vector<double> weights;
+  scaled_rule(n, a, b, nodes, weights);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum += weights[i] * f(nodes[i]);
+  return sum;
+}
 
 stats::Moments make_moments(double mean, double sd, double skew, double kurt) {
   stats::Moments m;
@@ -62,9 +76,9 @@ TEST(MaxEnt, RecoversMomentsItWasGiven) {
   const auto raw = raw_moments_from_summary(summary);
   const MaxEntDensity d(raw, 0.4, 1.6);
   for (std::size_t k = 0; k < raw.size(); ++k) {
-    const double mk = special::integrate_composite(
-        [&](double x) { return std::pow(x, static_cast<double>(k)) * d.pdf(x); },
-        0.4, 1.6, 16, 32);
+    const double mk = rule_integral(256, 0.4, 1.6, [&](double x) {
+      return std::pow(x, static_cast<double>(k)) * d.pdf(x);
+    });
     EXPECT_NEAR(mk, raw[k], 1e-5) << "moment " << k;
   }
 }
@@ -188,6 +202,10 @@ struct ReconstructCase {
   double kurt;
 };
 
+void PrintTo(const ReconstructCase& c, std::ostream* os) {
+  *os << "sd=" << c.sd << ",skew=" << c.skew << ",kurt=" << c.kurt;
+}
+
 class ReconstructSweep : public ::testing::TestWithParam<ReconstructCase> {};
 
 TEST_P(ReconstructSweep, PipelineReconstructionIsFaithful) {
@@ -215,6 +233,81 @@ TEST(Reconstruct, DegenerateSigmaIsPointMass) {
   const auto xs =
       reconstruct_from_moments(make_moments(1.0, 0.0, 0.0, 3.0), 10, rng);
   for (const double x : xs) EXPECT_DOUBLE_EQ(x, 1.0);
+}
+
+TEST(Quadrature, RuleIntegratesPolynomialsExactly) {
+  // n-point Gauss-Legendre is exact for degree <= 2n-1.
+  const auto poly = [](double x) {
+    return 3.0 * x * x * x * x * x - 2.0 * x * x + x - 7.0;
+  };
+  // Exact integral over [-1, 1]: 0 - 4/3 + 0 - 14 = -46/3.
+  EXPECT_NEAR(rule_integral(3, -1.0, 1.0, poly), -46.0 / 3.0, 1e-12);
+}
+
+TEST(Quadrature, IntegratesGaussianDensityToOne) {
+  const auto pdf = [](double x) {
+    return std::exp(-0.5 * x * x) / std::sqrt(2.0 * M_PI);
+  };
+  EXPECT_NEAR(rule_integral(64, -8.0, 8.0, pdf), 1.0, 1e-12);
+}
+
+TEST(Quadrature, WeightsSumToIntervalLength) {
+  for (const std::size_t n : {1u, 2u, 5u, 16u, 64u, 96u}) {
+    const auto& rule = gauss_legendre(n);
+    double sum = 0.0;
+    for (const double w : rule.weights) sum += w;
+    EXPECT_NEAR(sum, 2.0, 1e-12) << "n=" << n;
+  }
+}
+
+TEST(Quadrature, NodesAreSortedAndSymmetric) {
+  const auto& rule = gauss_legendre(32);
+  for (std::size_t i = 1; i < rule.nodes.size(); ++i) {
+    EXPECT_LT(rule.nodes[i - 1], rule.nodes[i]);
+  }
+  for (std::size_t i = 0; i < rule.nodes.size(); ++i) {
+    EXPECT_NEAR(rule.nodes[i], -rule.nodes[rule.nodes.size() - 1 - i], 1e-12);
+  }
+}
+
+TEST(Quadrature, RuleCacheSurvivesConcurrentHammering) {
+  // S2 regression test: gauss_legendre memoizes rules in a static map that
+  // used to be mutated without a lock. Hammer it with many orders from an
+  // explicit 4-worker pool (the global pool serializes on 1-core hosts) —
+  // first requests race on insertion, repeats race with lookups. Run under
+  // TSan this is the data-race detector for the rule cache; the content
+  // checks below catch torn reads either way.
+  constexpr std::size_t kIters = 512;
+  std::vector<const GaussLegendreRule*> seen(kIters, nullptr);
+  ThreadPool pool(4);
+  pool.parallel_for(kIters, [&](std::size_t i) {
+    const std::size_t n = 1 + i % 37;
+    const GaussLegendreRule& rule = gauss_legendre(n);
+    ASSERT_EQ(rule.nodes.size(), n);
+    ASSERT_EQ(rule.weights.size(), n);
+    double sum = 0.0;
+    for (const double w : rule.weights) sum += w;
+    EXPECT_NEAR(sum, 2.0, 1e-12) << "n=" << n;
+    seen[i] = &rule;
+  });
+  // Map nodes are stable: every request for an order must have returned the
+  // same cached object, never a relocated or duplicated one.
+  for (std::size_t i = 37; i < kIters; ++i) {
+    EXPECT_EQ(seen[i], seen[i % 37]) << "order " << 1 + i % 37;
+  }
+}
+
+TEST(Quadrature, ScaledRuleMatchesInterval) {
+  std::vector<double> nodes;
+  std::vector<double> weights;
+  scaled_rule(16, 2.0, 5.0, nodes, weights);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    EXPECT_GT(nodes[i], 2.0);
+    EXPECT_LT(nodes[i], 5.0);
+    sum += weights[i];
+  }
+  EXPECT_NEAR(sum, 3.0, 1e-12);
 }
 
 }  // namespace

@@ -5,11 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
 
 #include "common/rng.hpp"
-#include "ml/cv.hpp"
-#include "ml/dataset.hpp"
 #include "ml/distance.hpp"
 #include "ml/matrix.hpp"
 #include "ml/metrics.hpp"
@@ -433,72 +430,15 @@ TEST(SortedColumns, FilteredValidatesRowOrder) {
   EXPECT_THROW(base.filtered({}), std::invalid_argument);
 }
 
-TEST(Dataset, ValidateAndSubset) {
-  Dataset d;
-  d.x = Matrix::from_rows({{1, 2}, {3, 4}, {5, 6}});
-  d.y = Matrix::from_rows({{1}, {2}, {3}});
-  d.groups = {0, 0, 1};
-  d.row_ids = {"a", "b", "c"};
-  d.validate();
-
-  const std::vector<std::size_t> rows = {0, 2};
-  const auto s = d.subset(rows);
-  EXPECT_EQ(s.size(), 2u);
-  EXPECT_EQ(s.row_ids[1], "c");
-  EXPECT_EQ(s.groups[1], 1);
-  EXPECT_DOUBLE_EQ(s.y(1, 0), 3.0);
-
-  d.groups = {0};
-  EXPECT_THROW(d.validate(), std::invalid_argument);
-}
-
-TEST(Cv, LeaveOneGroupOutCoversEachGroupOnce) {
-  const std::vector<int> groups = {0, 0, 1, 2, 2, 2};
-  const auto folds = leave_one_group_out(groups);
-  ASSERT_EQ(folds.size(), 3u);
-  std::set<int> held;
-  for (const auto& f : folds) {
-    held.insert(f.held_out_group);
-    EXPECT_EQ(f.train.size() + f.test.size(), groups.size());
-    for (const std::size_t t : f.test) {
-      EXPECT_EQ(groups[t], f.held_out_group);
-    }
-    for (const std::size_t t : f.train) {
-      EXPECT_NE(groups[t], f.held_out_group);
-    }
-  }
-  EXPECT_EQ(held.size(), 3u);
-  EXPECT_THROW(leave_one_group_out(std::vector<int>{1, 1}),
-               std::invalid_argument);
-}
-
-TEST(Cv, KFoldPartitionsRows) {
-  const auto folds = k_fold(10, 3, 7);
-  ASSERT_EQ(folds.size(), 3u);
-  std::set<std::size_t> seen;
-  for (const auto& f : folds) {
-    for (const std::size_t t : f.test) {
-      EXPECT_TRUE(seen.insert(t).second) << "row tested twice";
-    }
-    EXPECT_EQ(f.train.size() + f.test.size(), 10u);
-  }
-  EXPECT_EQ(seen.size(), 10u);
-  // Deterministic for the same seed.
-  const auto again = k_fold(10, 3, 7);
-  EXPECT_EQ(again[0].test, folds[0].test);
-}
-
 TEST(Metrics, KnownValues) {
   const std::vector<double> t = {1, 2, 3};
   const std::vector<double> p = {1, 2, 3};
   EXPECT_DOUBLE_EQ(mse(t, p), 0.0);
-  EXPECT_DOUBLE_EQ(mae(t, p), 0.0);
   EXPECT_DOUBLE_EQ(r2(t, p), 1.0);
 
   const std::vector<double> q = {2, 2, 2};  // predicts the mean
   EXPECT_DOUBLE_EQ(r2(t, q), 0.0);
   EXPECT_NEAR(mse(t, q), 2.0 / 3.0, 1e-12);
-  EXPECT_NEAR(mae(t, q), 2.0 / 3.0, 1e-12);
 }
 
 TEST(Metrics, R2DegenerateTruth) {

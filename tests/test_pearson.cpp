@@ -112,6 +112,13 @@ struct MomentTarget {
   PearsonType expected_type;
 };
 
+// Without it gtest prints the raw bytes, including the uninitialised
+// padding after expected_type, so the test names change between builds.
+void PrintTo(const MomentTarget& t, std::ostream* os) {
+  *os << "mean=" << t.mean << ",sd=" << t.sd << ",skew=" << t.skew
+      << ",kurt=" << t.kurt;
+}
+
 class PearsonSweep : public ::testing::TestWithParam<MomentTarget> {};
 
 TEST_P(PearsonSweep, SampledMomentsMatchTarget) {

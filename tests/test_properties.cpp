@@ -106,6 +106,9 @@ struct AdversarialCase {
   std::vector<double> (*make)(std::size_t n);
 };
 
+// gtest would print the two pointers' bytes, which change between runs.
+void PrintTo(const AdversarialCase& c, std::ostream* os) { *os << c.name; }
+
 std::vector<double> huge_offset_sample(std::size_t n) {
   Rng rng(41);
   std::vector<double> xs(n);
@@ -223,21 +226,12 @@ INSTANTIATE_TEST_SUITE_P(Shapes, HistogramShapes,
                          ::testing::Range<std::uint64_t>(100, 110));
 
 // ---------------------------------------------------------------------------
-// ECDF/quantile consistency.
-class EcdfQuantile : public ::testing::TestWithParam<std::uint64_t> {};
+// Sample quantiles.
+class SampleQuantile : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(EcdfQuantile, EcdfIsMonotoneAndQuantileInverts) {
+TEST_P(SampleQuantile, IsMonotoneAndSpansTheSample) {
   Rng rng(GetParam());
   const auto xs = random_sample(rng, 500);
-  const stats::Ecdf f(xs);
-  double prev = -1.0;
-  for (double x = -6.0; x < 10.0; x += 0.37) {
-    const double v = f(x);
-    EXPECT_GE(v, prev);
-    EXPECT_GE(v, 0.0);
-    EXPECT_LE(v, 1.0);
-    prev = v;
-  }
   // quantile(p) is within the sample range and monotone in p.
   double prev_q = -1e300;
   for (double p = 0.0; p <= 1.0; p += 0.1) {
@@ -251,7 +245,7 @@ TEST_P(EcdfQuantile, EcdfIsMonotoneAndQuantileInverts) {
                    *std::max_element(xs.begin(), xs.end()));
 }
 
-INSTANTIATE_TEST_SUITE_P(Samples, EcdfQuantile,
+INSTANTIATE_TEST_SUITE_P(Samples, SampleQuantile,
                          ::testing::Range<std::uint64_t>(31, 39));
 
 // ---------------------------------------------------------------------------
@@ -260,6 +254,10 @@ struct PlanePoint {
   double skew;
   double kurt;
 };
+
+void PrintTo(const PlanePoint& p, std::ostream* os) {
+  *os << "skew=" << p.skew << ",kurt=" << p.kurt;
+}
 
 class PearsonPlane : public ::testing::TestWithParam<PlanePoint> {};
 

@@ -45,6 +45,10 @@ struct GammaCase {
   double scale;
 };
 
+void PrintTo(const GammaCase& c, std::ostream* os) {
+  *os << "shape=" << c.shape << ",scale=" << c.scale;
+}
+
 class GammaSweep : public ::testing::TestWithParam<GammaCase> {};
 
 TEST_P(GammaSweep, MomentsMatchTheory) {
@@ -68,6 +72,10 @@ struct BetaCase {
   double a;
   double b;
 };
+
+void PrintTo(const BetaCase& c, std::ostream* os) {
+  *os << "a=" << c.a << ",b=" << c.b;
+}
 
 class BetaSweep : public ::testing::TestWithParam<BetaCase> {};
 

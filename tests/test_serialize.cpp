@@ -304,6 +304,54 @@ TEST(SerializePredictors, CrossSystemRoundTrip) {
             back.predict_distribution(amd.benchmarks[2], 200, r2));
 }
 
+// An artifact's body with one recorded field replaced, under a fresh
+// checksum, so the predictor loader itself sees the new value.
+std::string with_field(const std::string& artifact, const std::string& from,
+                       const std::string& to) {
+  std::istringstream in(artifact);
+  std::string body = io::read_checksummed(in);
+  const std::size_t at = body.find("\n" + from + "\n");
+  EXPECT_NE(at, std::string::npos);
+  body.replace(at + 1, from.size(), to);
+  std::ostringstream out;
+  io::write_checksummed(out, body);
+  return out.str();
+}
+
+TEST(SerializePredictors, LoadersRejectOutOfRangeKinds) {
+  const auto amd = measure::build_corpus(measure::SystemModel::amd(), 40, 7);
+  const auto intel =
+      measure::build_corpus(measure::SystemModel::intel(), 40, 7);
+  core::FewRunsConfig config;
+  config.n_probe_runs = 5;
+  core::FewRunsPredictor few(config);
+  few.train_all(intel);
+  core::CrossSystemPredictor cross;
+  cross.train_all(amd, intel);
+  std::stringstream few_out;
+  few.save(few_out);
+  std::stringstream cross_out;
+  cross.save(cross_out);
+
+  // Ridge (3) and Quantile (3) are the last kinds. 4 and 7 used to load
+  // as kinds, and 2^32 + 2 wrapped onto Pearson.
+  for (const std::string bad : {"model 4", "model 7", "repr 4294967298"}) {
+    const std::string field = bad.substr(0, bad.find(' '));
+    const std::string pristine = field == "model" ? "model 0" : "repr 2";
+    std::stringstream few_in(with_field(few_out.str(), pristine, bad));
+    EXPECT_THROW(core::FewRunsPredictor::load(few_in), std::invalid_argument)
+        << bad;
+    std::stringstream cross_in(with_field(cross_out.str(), pristine, bad));
+    EXPECT_THROW(core::CrossSystemPredictor::load(cross_in),
+                 std::invalid_argument)
+        << bad;
+  }
+  // The rewrite itself keeps a valid artifact valid.
+  std::stringstream same(with_field(few_out.str(), "model 0", "model 3"));
+  EXPECT_EQ(core::FewRunsPredictor::load(same).config().model,
+            core::ModelKind::kRidge);
+}
+
 TEST(SerializePredictors, UntrainedSaveThrows) {
   core::FewRunsPredictor predictor;
   std::stringstream ss;

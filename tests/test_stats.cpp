@@ -201,17 +201,6 @@ TEST(Moments, VectorRoundTrip) {
   EXPECT_DOUBLE_EQ(back.skewness, 0.5);
 }
 
-TEST(Ecdf, StepFunctionValues) {
-  const std::vector<double> xs = {1.0, 2.0, 2.0, 4.0};
-  const Ecdf f(xs);
-  EXPECT_DOUBLE_EQ(f(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(f(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(f(2.0), 0.75);
-  EXPECT_DOUBLE_EQ(f(3.0), 0.75);
-  EXPECT_DOUBLE_EQ(f(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(f(9.0), 1.0);
-}
-
 TEST(Quantiles, LinearInterpolation) {
   const std::vector<double> xs = {1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(quantile(xs, 0.0), 1.0);
@@ -361,8 +350,6 @@ TEST(Ks, RejectsNaN) {
   dirty[250] = nan;
   EXPECT_THROW(ks_statistic(clean, {{2.0, nan}}), std::invalid_argument);
   EXPECT_THROW(ks_statistic(dirty, clean), std::invalid_argument);
-  EXPECT_THROW(ks_statistic_cdf(dirty, [](double) { return 0.5; }),
-               std::invalid_argument);
 }
 
 // The sort is checked against std::sort value by value (-0 == +0 there),
@@ -436,15 +423,6 @@ TEST(SortSamples, PutsNegativeZeroFirstAndRejectsNaN) {
                 std::bit_cast<std::uint64_t>(before[i]));
     }
   }
-}
-
-TEST(Ks, AgainstContinuousCdf) {
-  Rng rng(6);
-  std::vector<double> xs(20000);
-  for (auto& x : xs) x = rng.uniform();
-  const double d =
-      ks_statistic_cdf(xs, [](double x) { return std::clamp(x, 0.0, 1.0); });
-  EXPECT_LT(d, 0.02);
 }
 
 TEST(Ks, PvalueBehaviour) {
@@ -728,17 +706,6 @@ TEST(Histogram, RoundTripKsIsSmall) {
   const auto ys =
       Histogram::sample_many_from_probs(probs, 0.7, 1.3, 20000, rng);
   EXPECT_LT(ks_statistic(xs, ys), 0.03);
-}
-
-TEST(Histogram, SuggestBinsScalesWithSample) {
-  Rng rng(10);
-  std::vector<double> small(50);
-  std::vector<double> large(20000);
-  for (auto& x : small) x = rngdist::normal(rng);
-  for (auto& x : large) x = rngdist::normal(rng);
-  EXPECT_LE(suggest_bins(small), suggest_bins(large));
-  EXPECT_GE(suggest_bins(small), 8u);
-  EXPECT_LE(suggest_bins(large), 128u);
 }
 
 TEST(Kde, IntegratesToOne) {

@@ -315,6 +315,16 @@ void BM_SimulateRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateRun);
 
+// One benchmark's 1,000 runs on intel: the simulation layer as build_corpus
+// runs it per benchmark, with one noise buffer reused across the runs.
+void BM_MeasureBenchmark(benchmark::State& state) {
+  const auto& system = measure::SystemModel::intel();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(measure::measure_benchmark(0, system, 1000, 7));
+  }
+}
+BENCHMARK(BM_MeasureBenchmark)->Unit(benchmark::kMillisecond);
+
 // Arg 10: a 10-run probe profile out of 100 runs. Arg 1000: a full profile
 // over every one of 1,000 runs, what a use-case-2 cache builds per benchmark.
 void BM_BuildProfile(benchmark::State& state) {

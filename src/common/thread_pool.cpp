@@ -2,9 +2,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdlib>
+#include <string>
+
+#include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace varpred {
 namespace {
+
+constexpr std::size_t kMaxWorkers = 256;
 
 std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
   return static_cast<std::uint64_t>(
@@ -14,6 +21,15 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point since) {
 }
 
 }  // namespace
+
+std::size_t parse_worker_count(std::string_view text) {
+  const auto parsed = parse_u64_strict(text);
+  VARPRED_CHECK_ARG(
+      parsed.has_value() && *parsed >= 1 && *parsed <= kMaxWorkers,
+      "VARPRED_WORKERS must be an integer in [1, " +
+          std::to_string(kMaxWorkers) + "], got '" + std::string(text) + "'");
+  return static_cast<std::size_t>(*parsed);
+}
 
 // One parallel_for/parallel_reduce span. Workers pull chunk indices from
 // `next`; the span is complete once `done` reaches `num_chunks`. The body
@@ -222,7 +238,10 @@ PoolStats ThreadPool::reset_stats() {
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
+  static ThreadPool pool([] {
+    const char* env = std::getenv("VARPRED_WORKERS");
+    return env == nullptr ? std::size_t{0} : parse_worker_count(env);
+  }());
   return pool;
 }
 

@@ -27,11 +27,17 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
 
 namespace varpred {
+
+/// Parses a VARPRED_WORKERS value: a plain decimal integer in [1, 256].
+/// Throws std::invalid_argument naming the variable on anything else
+/// (empty, signed, trailing garbage, 0, above 256).
+std::size_t parse_worker_count(std::string_view text);
 
 /// Monotonic counters describing what a pool has done since construction
 /// (or the last reset_stats()). Snapshot via ThreadPool::stats().
@@ -124,7 +130,9 @@ class ThreadPool {
   /// the previous one (exact delta accounting; queue_depth is current).
   PoolStats reset_stats();
 
-  /// Process-wide shared pool (lazily constructed, sized to the machine).
+  /// Process-wide shared pool (lazily constructed): VARPRED_WORKERS
+  /// workers when that variable is set (parse_worker_count), else one per
+  /// hardware thread.
   static ThreadPool& global();
 
  private:

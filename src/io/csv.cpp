@@ -1,10 +1,10 @@
 #include "io/csv.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/parse.hpp"
 
 namespace varpred::io {
 namespace {
@@ -44,7 +44,13 @@ std::size_t CsvTable::column(const std::string& name) const {
 double CsvTable::as_double(std::size_t row, std::size_t col) const {
   VARPRED_CHECK_ARG(row < rows.size() && col < rows[row].size(),
                     "CSV index out of range");
-  return std::strtod(rows[row][col].c_str(), nullptr);
+  const auto value = parse_double_strict(rows[row][col]);
+  VARPRED_CHECK_ARG(value.has_value(),
+                    "CSV cell is not a number: row " + std::to_string(row) +
+                        ", column " +
+                        (col < header.size() ? header[col]
+                                             : std::to_string(col)));
+  return *value;
 }
 
 std::string write_csv(const CsvTable& table) {

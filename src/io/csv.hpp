@@ -14,6 +14,8 @@ struct CsvTable {
   std::vector<std::vector<std::string>> rows;
 
   std::size_t column(const std::string& name) const;  ///< throws if missing
+  /// Parses one cell strictly (common/parse); throws std::invalid_argument
+  /// naming the row and column on an empty or non-numeric cell.
   double as_double(std::size_t row, std::size_t col) const;
 };
 

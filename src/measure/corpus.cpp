@@ -22,9 +22,9 @@ const BenchmarkRuns& Corpus::runs_of(const std::string& full_name) const {
 namespace {
 
 // What every run of one (benchmark, system, condition) shares: the
-// ground-truth mixture and its mean, and per metric the mode-independent
-// log-rate, category and noise sigma. measure_benchmark builds it once for
-// all of its runs.
+// ground-truth mixture and its mean, per metric the mode-independent
+// log-rate, category and noise sigma, and the number of noisy (non-duration)
+// metrics. measure_benchmark builds it once for all of its runs.
 struct RunInputs {
   const SystemModel* system = nullptr;
   rngdist::Mixture mixture;
@@ -32,6 +32,7 @@ struct RunInputs {
   std::vector<double> trait_log_rates;
   std::vector<MetricCategory> categories;
   std::vector<double> sigmas;
+  std::size_t noisy = 0;
 };
 
 RunInputs run_inputs(const BenchmarkInfo& bench, const SystemModel& system,
@@ -46,14 +47,16 @@ RunInputs run_inputs(const BenchmarkInfo& bench, const SystemModel& system,
   for (std::size_t m = 0; m < system.metric_count(); ++m) {
     in.categories.push_back(system.metrics()[m].category);
     in.sigmas.push_back(system.counter_model(m).noise_sigma);
+    if (in.categories.back() != MetricCategory::kDuration) ++in.noisy;
   }
   return in;
 }
 
 // One run: draws the runtime (returned) and its mode, and writes the
-// absolute counts into `counters` (one per metric).
+// absolute counts into `counters` (one per metric). `noise` is scratch for
+// the per-metric normals, in.noisy long.
 double simulate_into(const RunInputs& in, Rng& rng, std::size_t& mode,
-                     std::span<double> counters) {
+                     std::span<double> counters, std::span<double> noise) {
   const double runtime = in.mixture.sample(rng, &mode);
   VARPRED_CHECK(runtime > 0.0, "non-positive simulated runtime");
 
@@ -79,7 +82,11 @@ double simulate_into(const RunInputs& in, Rng& rng, std::size_t& mode,
   const double z_global = rngdist::student_t(rng, 4.0);
   std::array<double, 6> z_category;
   for (auto& z : z_category) z = rngdist::student_t(rng, 4.0);
+  // The per-metric jitter, in metric order: the stream reaches the same
+  // normals here that one normal() per noisy metric would draw.
+  rngdist::normal_fill(rng, noise);
 
+  const double* z_metric = noise.data();
   for (std::size_t m = 0; m < counters.size(); ++m) {
     const auto category = in.categories[m];
     if (category == MetricCategory::kDuration) {
@@ -88,7 +95,7 @@ double simulate_into(const RunInputs& in, Rng& rng, std::size_t& mode,
       continue;
     }
     const double log_noise =
-        in.sigmas[m] * rngdist::normal(rng) +
+        in.sigmas[m] * *z_metric++ +
         kCategoryNoise * z_category[static_cast<std::size_t>(category)] +
         kGlobalNoise * z_global;
     counters[m] = counters[m] * std::exp(log_noise) * runtime;
@@ -105,10 +112,12 @@ RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
 
 RunRecord simulate_run(const BenchmarkInfo& bench, const SystemModel& system,
                        const SystemCondition& cond, Rng& rng) {
+  const RunInputs inputs = run_inputs(bench, system, cond);
+  std::vector<double> noise(inputs.noisy);
   RunRecord run;
   run.counters.resize(system.metric_count());
-  run.runtime_seconds = simulate_into(run_inputs(bench, system, cond), rng,
-                                      run.mode, run.counters);
+  run.runtime_seconds =
+      simulate_into(inputs, rng, run.mode, run.counters, noise);
   return run;
 }
 
@@ -137,11 +146,12 @@ BenchmarkRuns measure_benchmark(std::size_t benchmark_index,
   out.counters = ml::Matrix(n_runs, system.metric_count());
 
   const RunInputs inputs = run_inputs(bench, system, cond);
+  std::vector<double> noise(inputs.noisy);
   Rng rng(seed_combine(seed, seed_combine(stable_hash(system.name()),
                                           stable_hash(bench.full_name()))));
   for (std::size_t r = 0; r < n_runs; ++r) {
     out.runtimes[r] =
-        simulate_into(inputs, rng, out.modes[r], out.counters.row(r));
+        simulate_into(inputs, rng, out.modes[r], out.counters.row(r), noise);
   }
   return out;
 }

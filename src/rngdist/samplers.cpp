@@ -1,5 +1,6 @@
 #include "rngdist/samplers.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -16,6 +17,33 @@ double normal(Rng& rng) {
     if (s > 0.0 && s < 1.0) {
       return u * std::sqrt(-2.0 * std::log(s) / s);
     }
+  }
+}
+
+void normal_fill(Rng& rng, std::span<double> out) {
+  // normal()'s loop, split in two. The draw loop stores every (u, s) pair
+  // and advances the write index only on acceptance, so a rejected pair is
+  // overwritten by the next one; it stops at the chunk's last acceptance,
+  // so it never draws ahead of the sequential calls. The transform then
+  // applies normal()'s own expression to the accepted pairs.
+  constexpr std::size_t kChunk = 128;
+  double s_chunk[kChunk] = {};
+  for (std::size_t done = 0; done < out.size();) {
+    const std::size_t want = std::min(kChunk, out.size() - done);
+    double* u_chunk = out.data() + done;
+    for (std::size_t k = 0; k < want;) {
+      const double u = 2.0 * rng.uniform() - 1.0;
+      const double v = 2.0 * rng.uniform() - 1.0;
+      const double s = u * u + v * v;
+      u_chunk[k] = u;
+      s_chunk[k] = s;
+      k += static_cast<std::size_t>((s > 0.0) & (s < 1.0));
+    }
+    for (std::size_t k = 0; k < want; ++k) {
+      const double s = s_chunk[k];
+      u_chunk[k] = u_chunk[k] * std::sqrt(-2.0 * std::log(s) / s);
+    }
+    done += want;
   }
 }
 

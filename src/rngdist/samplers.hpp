@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -12,6 +13,12 @@ namespace varpred::rngdist {
 
 /// Standard normal via the Marsaglia polar method.
 double normal(Rng& rng);
+
+/// Fills `out` with standard normals: the same values, and the same `rng`
+/// state afterwards, as out.size() successive normal(rng) calls. Draws in
+/// chunks: the polar method's accept test advances a write index instead
+/// of branching, and log/sqrt run over the accepted chunk in one loop.
+void normal_fill(Rng& rng, std::span<double> out);
 
 /// Normal with mean mu and standard deviation sigma (> 0 not required;
 /// sigma == 0 returns mu).

@@ -307,6 +307,9 @@ ErrorResponse ErrorResponse::parse(std::string_view body) {
   WireReader r(body);
   ErrorResponse out;
   out.code = static_cast<ErrorCode>(r.u32());
+  // to_string names every ErrorCode and throws std::invalid_argument on any
+  // other value, so it is the range check.
+  to_string(out.code);
   out.message = r.str();
   r.expect_done();
   return out;

@@ -2,12 +2,15 @@
 // pool semantics, dense linear solve, and text helpers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -99,6 +102,37 @@ TEST(Rng, StableHashIsStableAndSpread) {
 TEST(Rng, SeedCombineIsOrderSensitive) {
   EXPECT_NE(seed_combine(1, 2), seed_combine(2, 1));
   EXPECT_EQ(seed_combine(1, 2), seed_combine(1, 2));
+}
+
+TEST(ThreadPool, ParseWorkerCountAcceptsOneTo256) {
+  EXPECT_EQ(parse_worker_count("1"), 1u);
+  EXPECT_EQ(parse_worker_count("4"), 4u);
+  EXPECT_EQ(parse_worker_count("256"), 256u);
+}
+
+TEST(ThreadPool, ParseWorkerCountRejectsMalformedValues) {
+  // Parsed only: no pool is ever built from these.
+  for (const char* text : {"", "0", "-1", "+2", "4x", " 4", "0x4", "257",
+                           "18446744073709551616"}) {
+    try {
+      parse_worker_count(text);
+      ADD_FAILURE() << "'" << text << "' parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("VARPRED_WORKERS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ThreadPool, GlobalPoolSizeFollowsTheEnvironment) {
+  // Runs with and without VARPRED_WORKERS set (the .workers1 ctest twins
+  // set it to 1).
+  const char* env = std::getenv("VARPRED_WORKERS");
+  const std::size_t hardware =
+      std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  EXPECT_EQ(ThreadPool::global().worker_count(),
+            env == nullptr ? hardware : parse_worker_count(env));
 }
 
 TEST(ThreadPool, RunsEveryIteration) {

@@ -267,8 +267,23 @@ TEST(Decoders, ErrorResponse) {
   serve::ErrorResponse resp;
   resp.code = serve::ErrorCode::kUnknownModel;
   resp.message = "no model named demo";
-  fuzz(resp.body(), 7,
-       [](const std::string& b) { serve::ErrorResponse::parse(b); });
+  // A body that decodes carries a code the enum names: to_string of it
+  // must not fail later. Beside the mutants of the code field, every
+  // out-of-range code is tried once on its own.
+  const auto decode = [](const std::string& b) {
+    const serve::ErrorCode code = serve::ErrorResponse::parse(b).code;
+    try {
+      serve::to_string(code);
+    } catch (const std::invalid_argument&) {
+      throw std::logic_error("decoded an out-of-range error code");
+    }
+  };
+  fuzz(resp.body(), 7, decode);
+  for (const std::uint32_t raw : {0u, 6u, 77u, 0xFFFFFFFFu}) {
+    std::string body = resp.body();
+    for (int i = 0; i < 4; ++i) body[i] = static_cast<char>(raw >> (8 * i));
+    EXPECT_THROW(decode(body), std::invalid_argument) << "code " << raw;
+  }
 }
 
 // --- Checksummed files ----------------------------------------------------

@@ -27,6 +27,17 @@ TEST(Csv, RoundTripSimple) {
   EXPECT_THROW(back.column("nope"), std::invalid_argument);
 }
 
+TEST(Csv, AsDoubleIsStrict) {
+  CsvTable table;
+  table.header = {"a", "b"};
+  table.rows = {{"1e-3", "garbage"}, {"", "-0"}};
+  EXPECT_EQ(table.as_double(0, 0), 1e-3);
+  EXPECT_EQ(table.as_double(1, 1), 0.0);
+  EXPECT_THROW(table.as_double(0, 1), std::invalid_argument);
+  EXPECT_THROW(table.as_double(1, 0), std::invalid_argument);
+  EXPECT_THROW(table.as_double(2, 0), std::invalid_argument);
+}
+
 TEST(Csv, QuotingRoundTrip) {
   CsvTable table;
   table.header = {"k", "v"};

@@ -3,6 +3,7 @@
 // semantics, and corpus construction.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -277,6 +278,41 @@ TEST(Corpus, ShapeDiversityAcrossBenchmarks) {
   EXPECT_GE(narrow, 5);
   EXPECT_GE(wide, 5);
   EXPECT_GE(tailed, 5);
+}
+
+// measure_benchmark draws each run's per-metric normals as one block into
+// a buffer it reuses; simulate_run is the single-run entry with its own
+// buffer. From measure_benchmark's seed, n successive simulate_run calls
+// must reproduce its runs bit for bit, so the two stay one program.
+TEST(Measure, SimulateRunReproducesMeasureBenchmark) {
+  const SystemConfig stressed{Governor::kPowersave, /*smt=*/false,
+                              NumaPolicy::kBalancing, /*threads=*/32};
+  ASSERT_FALSE(stressed.neutral());
+  constexpr std::size_t kRuns = 30;
+  constexpr std::uint64_t kSeed = 7;
+  for (const char* name : {"intel", "amd"}) {
+    const SystemModel& system = SystemModel::by_name(name);
+    for (const SystemCondition& cond :
+         {SystemCondition{}, stressed.condition()}) {
+      for (const std::size_t b : {std::size_t{0}, std::size_t{31}}) {
+        const BenchmarkInfo& bench = benchmark_table()[b];
+        const BenchmarkRuns runs =
+            measure_benchmark(b, system, cond, kRuns, kSeed);
+        Rng rng(seed_combine(kSeed,
+                             seed_combine(stable_hash(system.name()),
+                                          stable_hash(bench.full_name()))));
+        for (std::size_t r = 0; r < kRuns; ++r) {
+          const RunRecord run = simulate_run(bench, system, cond, rng);
+          ASSERT_EQ(run.runtime_seconds, runs.runtimes[r]) << name << " " << r;
+          ASSERT_EQ(run.mode, runs.modes[r]) << name << " " << r;
+          const auto row = runs.counters.row(r);
+          ASSERT_TRUE(std::equal(run.counters.begin(), run.counters.end(),
+                                 row.begin(), row.end()))
+              << name << " run " << r;
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

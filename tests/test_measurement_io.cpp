@@ -70,6 +70,28 @@ TEST(MeasurementIo, RejectsSchemaDrift) {
                std::invalid_argument);
 }
 
+TEST(MeasurementIo, RejectsNonNumericCells) {
+  // A cell that is not a number is an import error naming its row and
+  // column, never a silent 0.0.
+  const auto& system = SystemModel::intel();
+  const auto csv = runs_to_csv(system, measure_benchmark(3, system, 3, 7));
+  for (const char* cell : {"garbage", "", "1.5x", " 2"}) {
+    for (const std::size_t col : {std::size_t{1}, std::size_t{4}}) {
+      auto bad = csv;
+      bad.rows[2][col] = cell;
+      try {
+        runs_from_csv(system, bad);
+        ADD_FAILURE() << "cell '" << cell << "' in column " << col
+                      << " imported";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("row 2"), std::string::npos) << what;
+        EXPECT_NE(what.find(csv.header[col]), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 TEST(MeasurementIo, ImportedRunsDriveThePredictor) {
   // External data flows through profile construction unchanged.
   const auto& system = SystemModel::intel();

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "rngdist/mixture.hpp"
@@ -29,6 +31,27 @@ TEST(Samplers, NormalMomentsMatch) {
   EXPECT_NEAR(m.stddev, 3.0, 0.03);
   EXPECT_NEAR(m.skewness, 0.0, 0.05);
   EXPECT_NEAR(m.kurtosis, 3.0, 0.1);
+}
+
+// normal_fill is a second implementation of normal()'s stream: for every
+// length (0, the simulator's 67 intel and 74 amd noisy metrics, around the
+// 128-value chunk edge, many chunks) it must give the same values and
+// leave the engine in the same state as successive normal() calls.
+TEST(Samplers, NormalFillMatchesSuccessiveNormals) {
+  for (const std::size_t n :
+       {0u, 1u, 2u, 67u, 74u, 127u, 128u, 129u, 1000u}) {
+    for (std::uint64_t seed = 0; seed < 64; ++seed) {
+      Rng sequential(seed);
+      Rng block(seed);
+      std::vector<double> expected(n);
+      for (auto& z : expected) z = normal(sequential);
+      std::vector<double> got(n, -1.0);
+      normal_fill(block, got);
+      ASSERT_EQ(got, expected) << "n=" << n << " seed=" << seed;
+      ASSERT_EQ(block.next_u64(), sequential.next_u64())
+          << "n=" << n << " seed=" << seed;
+    }
+  }
 }
 
 TEST(Samplers, ExponentialMomentsMatch) {

@@ -236,6 +236,23 @@ TEST(ServeProtocol, ResponsesRoundTrip) {
   EXPECT_EQ(e.message, "queue full");
 }
 
+TEST(ServeProtocol, ErrorResponseRejectsUnknownCode) {
+  // Every code the enum names decodes; any other u32 is a decode error,
+  // not a response that only fails later in to_string.
+  for (std::uint32_t raw = 1; raw <= 5; ++raw) {
+    serve::ErrorResponse known{static_cast<ErrorCode>(raw), "m"};
+    EXPECT_EQ(serve::ErrorResponse::parse(known.body()).code, known.code);
+  }
+  for (const std::uint32_t raw : {0u, 6u, 77u, 0xFFFFFFFFu}) {
+    serve::WireWriter w;
+    w.u32(raw);
+    w.str("m");
+    EXPECT_THROW(serve::ErrorResponse::parse(w.bytes()),
+                 std::invalid_argument)
+        << "code " << raw;
+  }
+}
+
 TEST(ServeProtocol, EncodeFrameLayout) {
   const std::string wire =
       serve::encode_frame(MsgType::kPredict, 0x1122334455667788ull, "AB");

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -465,17 +466,25 @@ class StdoutSilencer {
 /// contributes one wall-time sample per repetition to stage x. The first
 /// pass prints normally; later passes are silenced (they exist to be
 /// timed, not read). Telemetry is written once, after the last pass.
+/// Returns 0, or 1 after printing "error: <what>" to stderr (as the varpred
+/// CLI does) when the harness throws, e.g. on a malformed VARPRED_WORKERS.
 template <typename Body>
 int run_repeated(std::string name, const HarnessArgs& args, Body&& body) {
-  Run run(std::move(name), args);
-  {
-    StdoutSilencer silencer;
-    for (std::size_t rep = 0; rep < run.repeat(); ++rep) {
-      if (rep == 1) silencer.silence();
-      run.begin_repetition();
-      body(run);
-    }
-  }  // stdout restored before ~Run prints the telemetry path
+  try {
+    Run run(std::move(name), args);
+    {
+      StdoutSilencer silencer;
+      for (std::size_t rep = 0; rep < run.repeat(); ++rep) {
+        if (rep == 1) silencer.silence();
+        run.begin_repetition();
+        body(run);
+      }
+    }  // stdout restored before ~Run prints the telemetry path
+  } catch (const std::exception& e) {
+    std::fflush(stdout);
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }
 

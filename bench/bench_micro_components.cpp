@@ -6,12 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
 #include <thread>
 
 #include "bench_common.hpp"
+#include "common/detmath.hpp"
 #include "common/thread_pool.hpp"
 #include "core/varpred.hpp"
 #include "rngdist/samplers.hpp"
@@ -324,6 +326,58 @@ void BM_MeasureBenchmark(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MeasureBenchmark)->Unit(benchmark::kMillisecond);
+
+// The simulator's exp and log: common/detmath's blocks (the dispatched arm)
+// beside a plain loop over libm, at n = 67 (one intel run's noisy metrics)
+// and 4096, on the simulator's inputs: exp of log-noise-sized arguments,
+// log of the polar method's s in (0, 1).
+std::vector<double> uniform_inputs(std::size_t n, double lo, double hi) {
+  Rng rng(11);
+  std::vector<double> out(n);
+  for (auto& v : out) v = rng.uniform(lo, hi);
+  return out;
+}
+
+template <typename Fn>
+void run_elementwise(benchmark::State& state, double lo, double hi, Fn fn) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<double> x = uniform_inputs(n, lo, hi);
+  std::vector<double> out(n);
+  for (auto _ : state) {
+    fn(x, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
+void BM_ExpBlock(benchmark::State& state) {
+  run_elementwise(state, -3.0, 3.0, [](const auto& x, auto& out) {
+    detmath::exp_block(x, out);
+  });
+}
+BENCHMARK(BM_ExpBlock)->Arg(67)->Arg(4096);
+
+void BM_ExpLibm(benchmark::State& state) {
+  run_elementwise(state, -3.0, 3.0, [](const auto& x, auto& out) {
+    for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::exp(x[i]);
+  });
+}
+BENCHMARK(BM_ExpLibm)->Arg(67)->Arg(4096);
+
+void BM_LogBlock(benchmark::State& state) {
+  run_elementwise(state, 0x1p-53, 1.0, [](const auto& x, auto& out) {
+    detmath::log_block(x, out);
+  });
+}
+BENCHMARK(BM_LogBlock)->Arg(67)->Arg(4096);
+
+void BM_LogLibm(benchmark::State& state) {
+  run_elementwise(state, 0x1p-53, 1.0, [](const auto& x, auto& out) {
+    for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::log(x[i]);
+  });
+}
+BENCHMARK(BM_LogLibm)->Arg(67)->Arg(4096);
 
 // Arg 10: a 10-run probe profile out of 100 runs. Arg 1000: a full profile
 // over every one of 1,000 runs, what a use-case-2 cache builds per benchmark.

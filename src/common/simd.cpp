@@ -6,7 +6,8 @@ namespace varpred {
 
 bool cpu_has_avx2() {
 #ifdef VARPRED_SIMD_AVX2
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
   return false;
 #endif

@@ -1,9 +1,9 @@
 #include "measure/corpus.hpp"
 
 #include <array>
-#include <cmath>
 
 #include "common/check.hpp"
+#include "common/detmath.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/obs.hpp"
 #include "rngdist/samplers.hpp"
@@ -86,19 +86,26 @@ double simulate_into(const RunInputs& in, Rng& rng, std::size_t& mode,
   // normals here that one normal() per noisy metric would draw.
   rngdist::normal_fill(rng, noise);
 
-  const double* z_metric = noise.data();
+  // Each noisy metric's log noise replaces its normal, then its factor.
+  double* log_noise = noise.data();
   for (std::size_t m = 0; m < counters.size(); ++m) {
     const auto category = in.categories[m];
-    if (category == MetricCategory::kDuration) {
+    if (category == MetricCategory::kDuration) continue;
+    const double z_cat = z_category[static_cast<std::size_t>(category)];
+    *log_noise = in.sigmas[m] * *log_noise + kCategoryNoise * z_cat +
+                 kGlobalNoise * z_global;
+    ++log_noise;
+  }
+  detmath::exp_block(noise, noise);
+
+  const double* factor = noise.data();
+  for (std::size_t m = 0; m < counters.size(); ++m) {
+    if (in.categories[m] == MetricCategory::kDuration) {
       // The wall clock is measured exactly.
       counters[m] = runtime;
       continue;
     }
-    const double log_noise =
-        in.sigmas[m] * *z_metric++ +
-        kCategoryNoise * z_category[static_cast<std::size_t>(category)] +
-        kGlobalNoise * z_global;
-    counters[m] = counters[m] * std::exp(log_noise) * runtime;
+    counters[m] = counters[m] * *factor++ * runtime;
   }
   return runtime;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/detmath.hpp"
 #include "common/rng.hpp"
 
 namespace varpred::measure {
@@ -287,12 +288,14 @@ void SystemModel::rates_at_mode(std::span<const double> trait_log_rates,
                     "rates need one entry per metric");
   const double log_mode = std::log(std::max(mode_ratio, 1e-6));
   for (std::size_t m = 0; m < counter_models_.size(); ++m) {
+    rates[m] =
+        trait_log_rates[m] + counter_models_[m].mode_exponent * log_mode;
+  }
+  detmath::exp_block(rates, rates);
+  for (std::size_t m = 0; m < counter_models_.size(); ++m) {
     if ((*metrics_)[m].category == MetricCategory::kDuration) {
       rates[m] = 1.0;  // duration_time accumulates at one second per second
-      continue;
     }
-    rates[m] = std::exp(trait_log_rates[m] +
-                        counter_models_[m].mode_exponent * log_mode);
   }
 }
 

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/check.hpp"
+#include "common/detmath.hpp"
 
 namespace varpred::rngdist {
 
@@ -15,7 +16,7 @@ double normal(Rng& rng) {
     const double v = 2.0 * rng.uniform() - 1.0;
     const double s = u * u + v * v;
     if (s > 0.0 && s < 1.0) {
-      return u * std::sqrt(-2.0 * std::log(s) / s);
+      return u * std::sqrt(-2.0 * detmath::log(s) / s);
     }
   }
 }
@@ -28,6 +29,7 @@ void normal_fill(Rng& rng, std::span<double> out) {
   // applies normal()'s own expression to the accepted pairs.
   constexpr std::size_t kChunk = 128;
   double s_chunk[kChunk] = {};
+  double log_s[kChunk];
   for (std::size_t done = 0; done < out.size();) {
     const std::size_t want = std::min(kChunk, out.size() - done);
     double* u_chunk = out.data() + done;
@@ -39,9 +41,10 @@ void normal_fill(Rng& rng, std::span<double> out) {
       s_chunk[k] = s;
       k += static_cast<std::size_t>((s > 0.0) & (s < 1.0));
     }
+    detmath::log_block(std::span<const double>(s_chunk, want),
+                       std::span<double>(log_s, want));
     for (std::size_t k = 0; k < want; ++k) {
-      const double s = s_chunk[k];
-      u_chunk[k] = u_chunk[k] * std::sqrt(-2.0 * std::log(s) / s);
+      u_chunk[k] = u_chunk[k] * std::sqrt(-2.0 * log_s[k] / s_chunk[k]);
     }
     done += want;
   }

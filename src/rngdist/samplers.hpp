@@ -17,7 +17,8 @@ double normal(Rng& rng);
 /// Fills `out` with standard normals: the same values, and the same `rng`
 /// state afterwards, as out.size() successive normal(rng) calls. Draws in
 /// chunks: the polar method's accept test advances a write index instead
-/// of branching, and log/sqrt run over the accepted chunk in one loop.
+/// of branching, log runs over the accepted chunk as one detmath block,
+/// and sqrt and the divide in one loop.
 void normal_fill(Rng& rng, std::span<double> out);
 
 /// Normal with mean mu and standard deviation sigma (> 0 not required;

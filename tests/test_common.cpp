@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -15,9 +16,11 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/detmath.hpp"
 #include "common/linalg.hpp"
 #include "common/rng.hpp"
 #include "common/parse.hpp"
+#include "common/simd.hpp"
 #include "common/text.hpp"
 #include "common/thread_pool.hpp"
 
@@ -497,6 +500,306 @@ TEST(Parse, RequireFlagHelpersThrowNamingTheFlag) {
                std::invalid_argument);
   EXPECT_THROW(require_u64_flag("--runs", "bogus"), std::invalid_argument);
   EXPECT_THROW(require_u64_flag("--runs", "-3"), std::invalid_argument);
+}
+
+// ---- detmath ----
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// exp of one value, through the dispatched block.
+double exp_of(double x) {
+  double y = 0.0;
+  detmath::exp_block(std::span<const double>(&x, 1), std::span<double>(&y, 1));
+  return y;
+}
+
+// Inputs around every branch of exp: zeros, subnormals, the 2^-54 and 512
+// fast-path edges, overflow (> 709.78) and underflow (< -745.13) with the
+// subnormal range between, 1024, infinities, NaNs and random bit patterns.
+std::vector<double> exp_sweep() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            0x1p-1040,
+                            0x1p-55,
+                            0x1p-54,
+                            std::nextafter(0x1p-54, 0.0),
+                            1.0,
+                            0x1.62e42fefa39efp-1,  // ln 2
+                            511.999,
+                            512.0,
+                            709.78,
+                            709.79,
+                            1023.99,
+                            1024.0,
+                            1e300,
+                            kInf,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            -std::numeric_limits<double>::quiet_NaN(),
+                            std::bit_cast<double>(0x7ff4000000000001ULL)};
+  const std::size_t n_named = xs.size();
+  for (std::size_t i = 0; i < n_named; ++i) xs.push_back(-xs[i]);
+  for (const double edge : {-708.39, -708.4, -744.44, -745.13, -745.14,
+                            -1022.0 * 0x1.62e42fefa39efp-1}) {
+    xs.push_back(edge);
+  }
+  for (double x = -1100.0; x <= 1100.0; x += 0.37) xs.push_back(x);
+  for (int e = -60; e <= 11; ++e) {
+    for (const double m : {1.0, 1.3, 1.7, 1.999}) {
+      xs.push_back(std::ldexp(m, e));
+      xs.push_back(-std::ldexp(m, e));
+    }
+  }
+  Rng rng(2024);
+  for (int i = 0; i < 4000; ++i) {
+    xs.push_back(std::bit_cast<double>(rng.next_u64()));
+  }
+  for (int i = 0; i < 1 << 14; ++i) xs.push_back(rng.uniform(-40.0, 40.0));
+  return xs;
+}
+
+// Inputs around every branch of log: x <= 0, subnormals, the normal edge,
+// the near-1 window [1 - 2^-4, 1 + 0x1.09p-4) and its edges, 1 itself,
+// large values, infinities, NaNs and random bit patterns.
+std::vector<double> log_sweep() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> xs = {0.0,
+                            -0.0,
+                            -1.0,
+                            -kInf,
+                            kInf,
+                            std::numeric_limits<double>::quiet_NaN(),
+                            -std::numeric_limits<double>::quiet_NaN(),
+                            std::bit_cast<double>(0x7ff4000000000001ULL),
+                            std::numeric_limits<double>::denorm_min(),
+                            0x1p-1030,
+                            std::nextafter(0x1p-1022, 0.0),
+                            0x1p-1022,
+                            std::numeric_limits<double>::max(),
+                            -std::numeric_limits<double>::denorm_min(),
+                            1.0,
+                            std::nextafter(1.0, 0.0),
+                            std::nextafter(1.0, 2.0),
+                            1.0 - 0x1p-4,
+                            std::nextafter(1.0 - 0x1p-4, 0.0),
+                            1.0 + 0x1.09p-4,
+                            std::nextafter(1.0 + 0x1.09p-4, 0.0),
+                            2.0,
+                            0.5};
+  for (double x = 1.0 - 0x1p-4 - 0x1p-8; x <= 1.0 + 0x1p-4 + 0x1p-8;
+       x += 0x1p-12) {
+    xs.push_back(x);
+  }
+  for (int e = -1074; e <= 1023; e += 3) {
+    xs.push_back(std::ldexp(1.37, e));
+    xs.push_back(-std::ldexp(1.37, e));
+  }
+  Rng rng(2025);
+  for (int i = 0; i < 4000; ++i) {
+    xs.push_back(std::bit_cast<double>(rng.next_u64()));
+  }
+  for (int i = 0; i < 1 << 13; ++i) {
+    xs.push_back(rng.uniform());
+    xs.push_back(rng.uniform(1.0 - 0x1p-4, 1.0 + 0x1.09p-4));
+  }
+  return xs;
+}
+
+using BlockArm = void (*)(const double*, double*, std::size_t);
+
+// Every arm the blocks can take on this machine, with its name.
+std::vector<std::pair<const char*, BlockArm>> exp_arms() {
+  std::vector<std::pair<const char*, BlockArm>> arms = {
+      {"scalar", detmath::detail::exp_block_scalar}};
+#ifdef VARPRED_SIMD_AVX2
+  if (cpu_has_avx2()) {
+    arms.emplace_back("avx2", detmath::detail::exp_block_avx2);
+  }
+#endif
+  return arms;
+}
+
+std::vector<std::pair<const char*, BlockArm>> log_arms() {
+  std::vector<std::pair<const char*, BlockArm>> arms = {
+      {"scalar", detmath::detail::log_block_scalar}};
+#ifdef VARPRED_SIMD_AVX2
+  if (cpu_has_avx2()) {
+    arms.emplace_back("avx2", detmath::detail::log_block_avx2);
+  }
+#endif
+  return arms;
+}
+
+// Runs `arm` over xs in blocks of every length from 1 to 9 in turn, so
+// both full vectors and every short tail are exercised, then once in place.
+std::vector<double> run_arm(BlockArm arm, const std::vector<double>& xs) {
+  std::vector<double> out(xs.size());
+  for (std::size_t i = 0, len = 1; i < xs.size(); i += len, len = len % 9 + 1) {
+    const std::size_t n = std::min(len, xs.size() - i);
+    arm(xs.data() + i, out.data() + i, n);
+  }
+  std::vector<double> in_place = xs;
+  arm(in_place.data(), in_place.data(), in_place.size());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    EXPECT_EQ(bits_of(in_place[i]), bits_of(out[i])) << "in place, x=" << xs[i];
+  }
+  return out;
+}
+
+TEST(DetMath, ArmsAgreeBitForBitOnEdgeSweep) {
+  using Arms = std::vector<std::pair<const char*, BlockArm>>;
+  const auto check = [](const std::vector<double>& xs, const Arms& arms,
+                        double (*one)(double), const char* fn) {
+    for (const auto& [name, arm] : arms) {
+      const std::vector<double> out = run_arm(arm, xs);
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_EQ(bits_of(out[i]), bits_of(one(xs[i])))
+            << fn << " arm " << name << " x=" << std::hexfloat << xs[i];
+      }
+    }
+  };
+  check(exp_sweep(), exp_arms(), exp_of, "exp");
+  check(log_sweep(), log_arms(), detmath::log, "log");
+}
+
+TEST(DetMath, SpecialValuesFollowGlibc) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(bits_of(exp_of(0.0)), bits_of(1.0));
+  EXPECT_EQ(bits_of(exp_of(-0.0)), bits_of(1.0));
+  EXPECT_EQ(exp_of(kInf), kInf);
+  EXPECT_EQ(bits_of(exp_of(-kInf)), bits_of(0.0));
+  EXPECT_EQ(exp_of(709.79), kInf);
+  EXPECT_EQ(bits_of(exp_of(-745.14)), bits_of(0.0));
+  EXPECT_EQ(exp_of(-745.13), std::numeric_limits<double>::denorm_min());
+  EXPECT_TRUE(std::isnan(exp_of(std::nan(""))));
+  EXPECT_EQ(bits_of(detmath::log(1.0)), bits_of(0.0));
+  EXPECT_EQ(detmath::log(0.0), -kInf);
+  EXPECT_EQ(detmath::log(-0.0), -kInf);
+  EXPECT_EQ(detmath::log(kInf), kInf);
+  EXPECT_TRUE(std::isnan(detmath::log(-1.0)));
+  EXPECT_TRUE(std::isnan(detmath::log(-kInf)));
+  EXPECT_DOUBLE_EQ(detmath::log(std::numeric_limits<double>::denorm_min()),
+                   -1074.0 * 0x1.62e42fefa39efp-1);
+  std::vector<double> out(3);
+  const std::vector<double> in(4, 1.0);
+  EXPECT_THROW(detmath::exp_block(in, out), std::invalid_argument);
+  EXPECT_THROW(detmath::log_block(in, out), std::invalid_argument);
+}
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+// FNV-1a over the bits of `ys`, continuing from `h`.
+std::uint64_t fnv1a(std::uint64_t h, const std::vector<double>& ys) {
+  for (const double y : ys) {
+    const std::uint64_t word = bits_of(y);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (word >> (8 * byte)) & 0xFFU;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+// Calls fn(exp_inputs, log_inputs) on 153 blocks of 2^16 inputs each, over
+// 10^7 per function: exp over the fast path and past both of its ends, log
+// over (0, 1) (the polar method's range), the near-1 window, (0, 10) and
+// random positive bit patterns. One unfused step in either arm moves the
+// last bit of a few inputs per ten million, so it takes this many to show.
+template <typename Fn>
+void for_each_dense_block(Fn fn) {
+  constexpr std::size_t kBlock = 1 << 16;
+  constexpr std::size_t kBlocks = 153;
+  Rng rng(7);
+  std::vector<double> xe(kBlock);
+  std::vector<double> xl(kBlock);
+  for (std::size_t b = 0; b < kBlocks; ++b) {
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      switch (i % 4) {
+        case 0: xe[i] = rng.uniform(-20.0, 20.0); break;
+        case 1: xe[i] = rng.uniform(-760.0, 760.0); break;
+        case 2: xe[i] = rng.uniform(-1.0, 1.0) * 0x1p-20; break;
+        default: xe[i] = rng.uniform(-2.0, 2.0); break;
+      }
+      switch (i % 4) {
+        case 0: xl[i] = rng.uniform(); break;
+        case 1: xl[i] = rng.uniform(1.0 - 0x1p-4, 1.0 + 0x1.09p-4); break;
+        case 2: xl[i] = std::bit_cast<double>(rng.next_u64() >> 1); break;
+        default: xl[i] = rng.uniform(0.0, 10.0); break;
+      }
+    }
+    fn(xe, xl);
+  }
+}
+
+// The bits detmath returns, pinned on every CPU and every libm: one digest
+// per function over the edge sweeps and one over the dense inputs, the
+// same from every arm (so the arms agree there bit for bit as well).
+TEST(DetMath, DigestsOnEveryArm) {
+  const auto run = [](BlockArm arm, const std::vector<double>& xs) {
+    std::vector<double> out(xs.size());
+    arm(xs.data(), out.data(), xs.size());
+    return out;
+  };
+  const std::vector<double> exp_edges = exp_sweep();
+  const std::vector<double> log_edges = log_sweep();
+  for (const auto& [name, arm] : exp_arms()) {
+    EXPECT_EQ(fnv1a(kFnvBasis, run(arm, exp_edges)), 0x3443cf8c13ddfb89ULL)
+        << name;
+    std::uint64_t dense = kFnvBasis;
+    for_each_dense_block([&, arm = arm](const auto& xe, const auto&) {
+      dense = fnv1a(dense, run(arm, xe));
+    });
+    EXPECT_EQ(dense, 0x390ac310fbb7cf7cULL) << name;
+  }
+  for (const auto& [name, arm] : log_arms()) {
+    EXPECT_EQ(fnv1a(kFnvBasis, run(arm, log_edges)), 0xb718adf856d0d838ULL)
+        << name;
+    std::uint64_t dense = kFnvBasis;
+    for_each_dense_block([&, arm = arm](const auto&, const auto& xl) {
+      dense = fnv1a(dense, run(arm, xl));
+    });
+    EXPECT_EQ(dense, 0xf01efb8a4f6ef218ULL) << name;
+  }
+}
+
+// glibc runs its FMA exp/log when the CPU has FMA and AVX2 and the
+// glibc.cpu.hwcaps tunable leaves FMA on. This input tells the variants
+// apart: the FMA exp returns ...9b, the other one (and the correctly
+// rounded value) ...9c. The volatile keeps the compiler from folding the
+// call with its own correctly rounded exp.
+bool libm_runs_fma_variant() {
+  volatile double sentinel = 0x1.6689b16db0546p+2;
+  return std::exp(sentinel) == 0x1.0f0272e893f9bp+8;
+}
+
+TEST(DetMath, MatchesLibmWhenLibmRunsItsFmaVariant) {
+  if (!libm_runs_fma_variant()) {
+    GTEST_SKIP() << "libm runs its non-FMA exp here";
+  }
+  std::size_t exp_mismatches = 0;
+  std::size_t log_mismatches = 0;
+  std::vector<double> out;
+  for_each_dense_block([&](const auto& xe, const auto& xl) {
+    out.resize(xe.size());
+    detmath::exp_block(xe, out);
+    for (std::size_t i = 0; i < xe.size(); ++i) {
+      exp_mismatches += bits_of(out[i]) != bits_of(std::exp(xe[i]));
+    }
+    detmath::log_block(xl, out);
+    for (std::size_t i = 0; i < xl.size(); ++i) {
+      log_mismatches += bits_of(out[i]) != bits_of(std::log(xl[i]));
+    }
+  });
+  // And every branch of both functions, on the edge sweeps.
+  for (const double x : exp_sweep()) {
+    exp_mismatches += bits_of(exp_of(x)) != bits_of(std::exp(x));
+  }
+  for (const double x : log_sweep()) {
+    log_mismatches += bits_of(detmath::log(x)) != bits_of(std::log(x));
+  }
+  EXPECT_EQ(exp_mismatches, 0u);
+  EXPECT_EQ(log_mismatches, 0u);
 }
 
 }  // namespace

@@ -511,12 +511,12 @@ int main(int argc, char** argv) {
     // harness default would otherwise be reported).
     args.harness.runs = args.get_size("runs", args.harness.runs);
     int rc = 0;
-    bench::run_repeated("cli_" + args.command, args.harness,
-                        [&](bench::Run& run) {
-                          const int r = dispatch(args, &run);
-                          if (r != 0) rc = r;
-                        });
-    return rc;
+    const int status = bench::run_repeated(
+        "cli_" + args.command, args.harness, [&](bench::Run& run) {
+          const int r = dispatch(args, &run);
+          if (r != 0) rc = r;
+        });
+    return status != 0 ? status : rc;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -327,8 +327,8 @@ void BM_MeasureBenchmark(benchmark::State& state) {
 }
 BENCHMARK(BM_MeasureBenchmark)->Unit(benchmark::kMillisecond);
 
-// The simulator's exp and log: common/detmath's blocks (the dispatched arm)
-// beside a plain loop over libm, at n = 67 (one intel run's noisy metrics)
+// The simulator's exp and log: common/detmath's blocks (exp_block's
+// dispatched arm, log_block's scalar twin) beside a plain loop over libm, at n = 67 (one intel run's noisy metrics)
 // and 4096, on the simulator's inputs: exp of log-noise-sized arguments,
 // log of the polar method's s in (0, 1).
 std::vector<double> uniform_inputs(std::size_t n, double lo, double hi) {

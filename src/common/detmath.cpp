@@ -356,7 +356,8 @@ double exp_large(double tmp, std::uint64_t sbits, std::uint64_t ki) {
     const double scale = from_bits(sbits);
     return 0x1p1009 * std::fma(scale, tmp, scale);
   }
-  // k < 0: round once before scaling into the subnormal range.
+  // k < 0: round once before scaling into the subnormal range. __exp_fma
+  // forms scale * tmp with one multiply and adds it twice, unfused.
   sbits += 1022ull << 52;
   const double scale = from_bits(sbits);
   const double scaled_tmp = scale * tmp;
@@ -488,11 +489,6 @@ void exp_block_scalar(const double* x, double* out, std::size_t n) {
   chosen(x, out, n);
 }
 
-void log_block_scalar(const double* x, double* out, std::size_t n) {
-  static const auto chosen = cpu_has_fma() ? log_block_fma : log_block_plain;
-  chosen(x, out, n);
-}
-
 #ifdef VARPRED_SIMD_AVX2
 
 namespace {
@@ -539,118 +535,33 @@ VARPRED_AVX2_FMA int exp4(__m256d x, __m256d& y) {
                     _mm256_cmp_pd(ax, broadcast(512.0), _CMP_LT_OQ)));
 }
 
-VARPRED_AVX2_FMA __m256d log4_near_one(__m256d x) {
-  const __m256d r = _mm256_sub_pd(x, broadcast(1.0));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  const __m256d r3 = _mm256_mul_pd(r, r2);
-  const __m256d p1 =
-      _mm256_fmadd_pd(r2, broadcast(kLogB[3]), muladd(r, kLogB[2], kLogB[1]));
-  const __m256d p2 =
-      _mm256_fmadd_pd(r2, broadcast(kLogB[6]), muladd(r, kLogB[5], kLogB[4]));
-  const __m256d p3 = _mm256_fmadd_pd(
-      r3, broadcast(kLogB[10]),
-      _mm256_fmadd_pd(r2, broadcast(kLogB[9]), muladd(r, kLogB[8], kLogB[7])));
-  const __m256d p = _mm256_fmadd_pd(_mm256_fmadd_pd(p3, r3, p2), r3, p1);
-  const __m256d two27 = broadcast(0x1p27);
-  const __m256d rhi =
-      _mm256_fnmadd_pd(two27, r, _mm256_fmadd_pd(r, two27, r));
-  const __m256d rlo = _mm256_sub_pd(r, rhi);
-  const __m256d rhi2 = _mm256_mul_pd(rhi, rhi);
-  const __m256d b0 = broadcast(kLogB[0]);
-  const __m256d hi = _mm256_fmadd_pd(rhi2, b0, r);
-  __m256d lo = _mm256_fmadd_pd(rhi2, b0, _mm256_sub_pd(r, hi));
-  lo = _mm256_fmadd_pd(_mm256_mul_pd(b0, rlo), _mm256_add_pd(rhi, r), lo);
-  return _mm256_add_pd(hi, _mm256_fmadd_pd(p, r3, lo));
-}
-
-VARPRED_AVX2_FMA __m256d log4_main(__m256d x) {
-  const __m256i ix = _mm256_castpd_si256(x);
-  const __m256i tmp = _mm256_sub_epi64(
-      ix, _mm256_set1_epi64x(static_cast<long long>(kLogOff)));
-  const __m256i idx = _mm256_slli_epi64(
-      _mm256_and_si256(_mm256_srli_epi64(tmp, 52 - kLogTableBits),
-                       _mm256_set1_epi64x(kLogN - 1)),
-      1);
-  // k = tmp >> 52, arithmetic: each lane's high dword shifted by 20, the
-  // four packed into int32 and converted exactly.
-  const __m256i k32 = _mm256_permutevar8x32_epi32(
-      _mm256_srai_epi32(tmp, 20), _mm256_setr_epi32(1, 3, 5, 7, 1, 3, 5, 7));
-  const __m256d kd = _mm256_cvtepi32_pd(_mm256_castsi256_si128(k32));
-  const __m256i top12 =
-      _mm256_set1_epi64x(static_cast<long long>(0xfffull << 52));
-  const __m256d z = _mm256_castsi256_pd(
-      _mm256_sub_epi64(ix, _mm256_and_si256(tmp, top12)));
-  const auto* const tab = reinterpret_cast<const double*>(kLogTab);
-  const __m256d invc = _mm256_i64gather_pd(tab, idx, 8);
-  const __m256d logc = _mm256_i64gather_pd(tab + 1, idx, 8);
-  const __m256d r = _mm256_fmadd_pd(z, invc, broadcast(-1.0));
-  const __m256d w = _mm256_fmadd_pd(kd, broadcast(kLn2Hi), logc);
-  const __m256d hi = _mm256_add_pd(w, r);
-  const __m256d lo = _mm256_fmadd_pd(kd, broadcast(kLn2Lo),
-                                     _mm256_add_pd(_mm256_sub_pd(w, hi), r));
-  const __m256d r2 = _mm256_mul_pd(r, r);
-  const __m256d r3 = _mm256_mul_pd(r, r2);
-  const __m256d poly = _mm256_fmadd_pd(muladd(r, kLogA[4], kLogA[3]), r2,
-                                       muladd(r, kLogA[2], kLogA[1]));
-  return _mm256_add_pd(
-      _mm256_fmadd_pd(r3, poly, _mm256_fmadd_pd(r2, broadcast(kLogA[0]), lo)),
-      hi);
-}
-
-// log_scalar for positive normal lanes, near 1 or not. Returns those lanes
-// (not NaN) as a bit mask; the others hold garbage.
-VARPRED_AVX2_FMA int log4(__m256d x, __m256d& y) {
-  y = log4_main(x);
-  const __m256d near_one = _mm256_and_pd(
-      _mm256_cmp_pd(x, broadcast(from_bits(kNearOneLo)), _CMP_GE_OQ),
-      _mm256_cmp_pd(x, broadcast(from_bits(kNearOneHi)), _CMP_LT_OQ));
-  if (_mm256_movemask_pd(near_one) != 0) {
-    y = _mm256_blendv_pd(y, log4_near_one(x), near_one);
-  }
-  return _mm256_movemask_pd(
-      _mm256_and_pd(_mm256_cmp_pd(x, broadcast(0x1p-1022), _CMP_GE_OQ),
-                    _mm256_cmp_pd(x, broadcast(kInf), _CMP_LT_OQ)));
-}
-
 // Four lanes from `in` to `out` (which may be `in`): the vector arm, then
 // the scalar twin for the lanes outside its fast path.
-template <int (*Lanes)(__m256d, __m256d&), double (*Scalar)(double)>
-VARPRED_AVX2_FMA void step4(const double* in, double* out) {
+VARPRED_AVX2_FMA void exp_step4(const double* in, double* out) {
   const __m256d x = _mm256_loadu_pd(in);
   __m256d y;
-  const int fast = Lanes(x, y);
+  const int fast = exp4(x, y);
   _mm256_storeu_pd(out, y);
   if (fast == 0xf) return;
   double lanes[4];
   _mm256_storeu_pd(lanes, x);
   for (int l = 0; l < 4; ++l) {
-    if ((fast >> l & 1) == 0) out[l] = Scalar(lanes[l]);
+    if ((fast >> l & 1) == 0) out[l] = exp_scalar(lanes[l]);
   }
-}
-
-// A short tail runs as one vector padded with `pad`, a fast-path input.
-template <int (*Lanes)(__m256d, __m256d&), double (*Scalar)(double)>
-VARPRED_AVX2_FMA void block4(const double* x, double* out, std::size_t n,
-                             double pad) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) step4<Lanes, Scalar>(x + i, out + i);
-  if (i == n) return;
-  double tail[4] = {pad, pad, pad, pad};
-  std::copy(x + i, x + n, tail);
-  step4<Lanes, Scalar>(tail, tail);
-  std::copy(tail, tail + (n - i), out + i);
 }
 
 }  // namespace
 
 VARPRED_AVX2_FMA void exp_block_avx2(const double* x, double* out,
                                      std::size_t n) {
-  block4<exp4, exp_scalar>(x, out, n, 1.0);
-}
-
-VARPRED_AVX2_FMA void log_block_avx2(const double* x, double* out,
-                                     std::size_t n) {
-  block4<log4, log_scalar>(x, out, n, 2.0);
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) exp_step4(x + i, out + i);
+  if (i == n) return;
+  // A short tail runs as one vector padded with 1.0, a fast-path input.
+  double tail[4] = {1.0, 1.0, 1.0, 1.0};
+  std::copy(x + i, x + n, tail);
+  exp_step4(tail, tail);
+  std::copy(tail, tail + (n - i), out + i);
 }
 
 #undef VARPRED_AVX2_FMA
@@ -659,23 +570,13 @@ VARPRED_AVX2_FMA void log_block_avx2(const double* x, double* out,
 
 }  // namespace detail
 
-namespace {
-
-using BlockFn = void (*)(const double*, double*, std::size_t);
-
-template <BlockFn Scalar, BlockFn Avx2>
-BlockFn dispatched() {
-  static const BlockFn chosen = avx2_enabled() ? Avx2 : Scalar;
-  return chosen;
-}
-
-}  // namespace
-
 void exp_block(std::span<const double> x, std::span<double> out) {
   VARPRED_CHECK_ARG(x.size() == out.size(), "exp_block needs equal sizes");
 #ifdef VARPRED_SIMD_AVX2
-  dispatched<detail::exp_block_scalar, detail::exp_block_avx2>()(
-      x.data(), out.data(), x.size());
+  using BlockFn = void (*)(const double*, double*, std::size_t);
+  static const BlockFn chosen =
+      avx2_enabled() ? detail::exp_block_avx2 : detail::exp_block_scalar;
+  chosen(x.data(), out.data(), x.size());
 #else
   detail::exp_block_scalar(x.data(), out.data(), x.size());
 #endif
@@ -683,12 +584,8 @@ void exp_block(std::span<const double> x, std::span<double> out) {
 
 void log_block(std::span<const double> x, std::span<double> out) {
   VARPRED_CHECK_ARG(x.size() == out.size(), "log_block needs equal sizes");
-#ifdef VARPRED_SIMD_AVX2
-  dispatched<detail::log_block_scalar, detail::log_block_avx2>()(
-      x.data(), out.data(), x.size());
-#else
-  detail::log_block_scalar(x.data(), out.data(), x.size());
-#endif
+  static const auto chosen = cpu_has_fma() ? log_block_fma : log_block_plain;
+  chosen(x.data(), out.data(), x.size());
 }
 
 }  // namespace varpred::detmath

@@ -7,8 +7,8 @@
 //     score (scan_feature_avx2, ml/tree);
 //   - the column partition both learners share, eight row ids per step
 //     (partition_columns_avx2, ml/sorted_columns);
-//   - exp and log over blocks, four lanes per step (exp_block_avx2 and
-//     log_block_avx2, common/detmath), for the simulator.
+//   - exp over blocks, four lanes per step (exp_block_avx2,
+//     common/detmath), for the simulator.
 //
 // A kernel compiles its AVX2 variant with __attribute__((target("avx2")))
 // (detmath: "avx2,fma") under VARPRED_SIMD_AVX2, so the library itself

@@ -2,9 +2,10 @@
 // canonical seeds, command-line parsing, result formatting, and the
 // machine-readable telemetry hook. Every bench_fig* / bench_table* binary
 // regenerates one table or figure of the paper, prints the rows/series the
-// paper reports, and emits a BENCH_<name>.json document (per-stage wall
-// time, pool telemetry, peak RSS, seed, git describe) so the perf
-// trajectory accumulates as machine-readable history.
+// paper reports, and emits one BENCH_<name>.json run document (per-stage
+// wall time, prediction-quality cells, pool telemetry, peak RSS, seed, git
+// describe; obs/run_document.hpp) so the perf and accuracy trajectories
+// accumulate as machine-readable history.
 #pragma once
 
 #include <algorithm>
@@ -28,8 +29,8 @@
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
 #include "obs/quality.hpp"
+#include "obs/run_document.hpp"
 #include "stats/ecdf.hpp"
-#include "stats/moments.hpp"
 
 #if defined(__linux__) || defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
@@ -61,11 +62,8 @@ struct HarnessArgs {
   /// --obs=off|summary|trace; overrides the VARPRED_OBS environment
   /// variable when present.
   std::optional<obs::Mode> obs_mode;
-  /// --obs-out=<path>: telemetry JSON path (default BENCH_<name>.json).
+  /// --obs-out=<path>: run document path (default BENCH_<name>.json).
   std::string obs_out;
-  /// --quality-out=<path>: prediction-quality JSON path (default
-  /// QUALITY_<name>.json).
-  std::string quality_out;
 
   /// Strict positive-integer flag value: rejects empty, signed,
   /// non-numeric, and trailing-garbage values (e.g. --repeat=bogus,
@@ -94,8 +92,6 @@ struct HarnessArgs {
       obs_mode = mode;
     } else if (std::strncmp(arg, "--obs-out=", 10) == 0) {
       obs_out = arg + 10;
-    } else if (std::strncmp(arg, "--quality-out=", 14) == 0) {
-      quality_out = arg + 14;
     } else {
       return false;
     }
@@ -108,8 +104,7 @@ struct HarnessArgs {
       if (!args.consume(argv[i])) {
         std::fprintf(stderr,
                      "usage: %s [--fast] [--runs=N] [--repeat=N] "
-                     "[--obs=off|summary|trace] [--obs-out=PATH] "
-                     "[--quality-out=PATH]\n",
+                     "[--obs=off|summary|trace] [--obs-out=PATH]\n",
                      argv[0]);
         std::exit(2);
       }
@@ -174,9 +169,9 @@ inline void print_pool_stats(const char* tag) {
 /// add a self-measured value with record("name", seconds); under
 /// --repeat=N the harness body runs N times (see run_repeated) and each
 /// stage accumulates one sample per repetition. The destructor
-/// closes the last stage and writes BENCH_<name>.json — telemetry schema
-/// v4: each stage is {name, samples, mean, stddev, min, max} — (and
-/// BENCH_<name>.trace.json in trace mode).
+/// closes the last stage and writes the run document BENCH_<name>.json
+/// (schema v5: the stages and every recorded quality cell), and
+/// BENCH_<name>.trace.json in trace mode.
 class Run {
  public:
   Run(std::string name, const HarnessArgs& args,
@@ -251,12 +246,30 @@ class Run {
 
   ~Run() {
     close_stage();
-    const double wall = seconds_since(start_);
+    obs::RunDocument doc;
+    doc.wall_seconds = seconds_since(start_);
+    doc.provenance = {name_,      VARPRED_GIT_DESCRIBE,
+                      hostname_,  timestamp_,
+                      obs::to_string(obs::mode()),
+                      seed_,      args_.runs,
+                      ThreadPool::global().worker_count(),
+                      args_.repeat, args_.fast};
     const PoolStats pool = ThreadPool::global().stats();
+    doc.pool = {pool.jobs, pool.chunks, pool.iterations, pool.wakeups,
+                pool.stale_skipped, static_cast<double>(pool.busy_ns) * 1e-9,
+                static_cast<double>(pool.idle_ns) * 1e-9};
+    doc.peak_rss_kb = obs::peak_rss_kb();
+    if (obs::enabled()) doc.metrics = obs::json::parse(obs::metrics_json());
+    doc.stages = std::move(stages_);
+    // Every run carries its cells, even when the harness body recorded
+    // none (an empty list says "this bench makes no predictions" —
+    // distinguishable from "emission broke").
+    doc.cells = obs::QualityRecorder::instance().snapshot();
+
     // Reproducibility footer: exact sample quantiles whenever --repeat
     // produced a distribution, so repeat runs show them without opening
     // the JSON.
-    for (const StageAgg& stage : stages_) {
+    for (const obs::StageSamples& stage : doc.stages) {
       if (stage.samples.size() < 2) continue;
       std::printf("[bench] stage %s: n=%zu p50=%.6fs p99=%.6fs\n",
                   stage.name.c_str(), stage.samples.size(),
@@ -270,38 +283,17 @@ class Run {
       std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
       return;
     }
-    write_json(out, wall, pool);
-    std::printf("[bench] telemetry -> %s\n", path.c_str());
-
-    // Quality document: every bench emits one, even when the harness body
-    // recorded nothing (an empty cell list says "this bench makes no
-    // predictions" — distinguishable from "emission broke").
-    obs::QualityDocument quality;
-    quality.provenance.bench = name_;
-    quality.provenance.git = VARPRED_GIT_DESCRIBE;
-    quality.provenance.hostname = hostname_;
-    quality.provenance.timestamp = timestamp_;
-    quality.provenance.obs_mode = obs::to_string(obs::mode());
-    quality.provenance.seed = seed_;
-    quality.provenance.runs = args_.runs;
-    quality.provenance.workers = ThreadPool::global().worker_count();
-    quality.provenance.repeat = args_.repeat;
-    quality.provenance.fast = args_.fast;
-    quality.cells = obs::QualityRecorder::instance().snapshot();
-    const std::string quality_path = args_.quality_out.empty()
-                                         ? "QUALITY_" + name_ + ".json"
-                                         : args_.quality_out;
-    std::ofstream qout(quality_path);
-    if (qout) {
-      qout << obs::quality_document_json(quality) << "\n";
-      std::printf("[bench] quality -> %s (%zu cells)\n", quality_path.c_str(),
-                  quality.cells.size());
-    } else {
-      std::fprintf(stderr, "[bench] cannot write %s\n", quality_path.c_str());
-    }
+    out << obs::run_document_json(doc) << "\n";
+    std::printf("[bench] run document -> %s (%zu stages, %zu cells)\n",
+                path.c_str(), doc.stages.size(), doc.cells.size());
 
     if (obs::mode() == obs::Mode::kTrace) {
-      const std::string trace_path = trace_path_for(path);
+      // BENCH_x.json -> BENCH_x.trace.json
+      const std::string trace_path =
+          (path.size() > 5 && path.ends_with(".json")
+               ? path.substr(0, path.size() - 5)
+               : path) +
+          ".trace.json";
       std::ofstream trace(trace_path);
       if (trace) {
         obs::write_trace_json(trace);
@@ -316,31 +308,16 @@ class Run {
  private:
   using clock = std::chrono::steady_clock;
 
-  /// Samples for one stage name, in arrival (repetition) order.
-  struct StageAgg {
-    std::string name;
-    std::vector<double> samples;
-  };
-
   static double seconds_since(clock::time_point t0) {
     return std::chrono::duration<double>(clock::now() - t0).count();
   }
 
-  static std::string trace_path_for(std::string path) {
-    const std::string suffix = ".json";
-    if (path.size() > suffix.size() &&
-        path.compare(path.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
-      path.resize(path.size() - suffix.size());
-    }
-    return path + ".trace.json";
-  }
-
-  StageAgg& series(std::string_view name) {
-    for (StageAgg& s : stages_) {
+  /// Samples for one stage name, in arrival (repetition) order.
+  obs::StageSamples& series(std::string_view name) {
+    for (obs::StageSamples& s : stages_) {
       if (s.name == name) return s;
     }
-    stages_.push_back(StageAgg{std::string(name), {}});
+    stages_.push_back(obs::StageSamples{std::string(name), {}});
     return stages_.back();
   }
 
@@ -348,63 +325,6 @@ class Run {
     if (current_stage_ == nullptr) return;
     record(current_stage_, seconds_since(stage_start_));
     current_stage_ = nullptr;
-  }
-
-  void write_json(std::ofstream& out, double wall, const PoolStats& pool) {
-    namespace json = obs::json;
-    out << "{\"schema_version\":4"
-        << ",\"bench\":\"" << json::escape(name_) << "\""
-        << ",\"git\":\"" << json::escape(VARPRED_GIT_DESCRIBE) << "\""
-        << ",\"hostname\":\"" << json::escape(hostname_) << "\""
-        << ",\"timestamp\":\"" << json::escape(timestamp_) << "\""
-        << ",\"seed\":" << seed_ << ",\"runs\":" << args_.runs
-        << ",\"repeat\":" << args_.repeat
-        << ",\"fast\":" << (args_.fast ? "true" : "false")
-        << ",\"workers\":" << ThreadPool::global().worker_count()
-        << ",\"obs_mode\":\"" << obs::to_string(obs::mode()) << "\""
-        << ",\"wall_seconds\":" << json::number(wall) << ",\"stages\":[";
-    bool first = true;
-    for (const StageAgg& stage : stages_) {
-      if (!first) out << ",";
-      first = false;
-      // Streaming moments + extremes alongside the raw sample vector.
-      stats::MomentAccumulator acc;
-      double min = stage.samples.front();
-      double max = stage.samples.front();
-      for (const double s : stage.samples) {
-        acc.add(s);
-        min = std::min(min, s);
-        max = std::max(max, s);
-      }
-      const stats::Moments m = acc.moments();
-      out << "{\"name\":\"" << json::escape(stage.name)
-          << "\",\"samples\":[";
-      bool first_sample = true;
-      for (const double s : stage.samples) {
-        if (!first_sample) out << ",";
-        first_sample = false;
-        out << json::number(s);
-      }
-      out << "],\"mean\":" << json::number(m.mean)
-          << ",\"stddev\":" << json::number(m.stddev)
-          << ",\"min\":" << json::number(min)
-          << ",\"max\":" << json::number(max) << "}";
-    }
-    out << "],\"pool\":{"
-        << "\"spans\":" << pool.jobs << ",\"chunks\":" << pool.chunks
-        << ",\"iterations\":" << pool.iterations
-        << ",\"wakeups\":" << pool.wakeups
-        << ",\"stale\":" << pool.stale_skipped << ",\"busy_seconds\":"
-        << json::number(static_cast<double>(pool.busy_ns) * 1e-9)
-        << ",\"idle_seconds\":"
-        << json::number(static_cast<double>(pool.idle_ns) * 1e-9) << "}"
-        << ",\"peak_rss_kb\":" << obs::peak_rss_kb() << ",\"metrics\":";
-    if (obs::enabled()) {
-      obs::write_metrics_json(out);
-    } else {
-      out << "null";
-    }
-    out << "}\n";
   }
 
   std::string name_;
@@ -417,7 +337,7 @@ class Run {
   const char* current_stage_ = nullptr;
   std::size_t repetition_ = 0;
   bool started_ = false;
-  std::vector<StageAgg> stages_;
+  std::vector<obs::StageSamples> stages_;
 };
 
 /// Redirects fd 1 to /dev/null between silence() and restore() so repeated

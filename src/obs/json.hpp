@@ -1,7 +1,7 @@
 // Minimal JSON support for the observability sinks: string escaping and
 // locale-independent number formatting for the writers, plus a small
-// recursive-descent parser used to read telemetry documents back (the
-// test round-trips and the tools/obs_validate schema checker).
+// recursive-descent parser used to read run documents and ledger lines
+// back (obs/run_document.hpp, the test round-trips).
 //
 // The parser accepts the JSON this repo emits (and standard JSON in
 // general: objects, arrays, strings with \-escapes incl. \uXXXX, numbers,

@@ -15,28 +15,24 @@ std::string string_field(const json::Value& doc, std::string_view key) {
   return v != nullptr && v->is_string() ? v->str : std::string();
 }
 
-/// A non-negative integer field of at most `max`, or `fallback` when
-/// absent. A plain double -> integer cast would wrap -1 to 2^64 - 1, read
-/// 1e300 as 0 and 1.5 as 1, so every other value is rejected instead.
-std::uint64_t integer_field(const json::Value& doc, std::string_view key,
-                            std::uint64_t fallback, double max) {
-  const json::Value* v = doc.find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_number() || !(v->num >= 0.0) || v->num > max ||
-      std::floor(v->num) != v->num) {
-    throw std::invalid_argument("\"" + std::string(key) +
-                                "\" must be an integer in [0, " +
-                                json::number(max) + "], got " + json::dump(*v));
-  }
-  return static_cast<std::uint64_t>(v->num);
-}
-
-constexpr double kCountMax = 0x1p53;  // largest exact JSON integer
 constexpr double kSeedMax = 0x1p64 - 0x1p11;  // largest double below 2^64
 
-bool has_suffix(const std::string& text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.compare(text.size() - suffix.size(), suffix.size(), suffix) == 0;
+/// The integer field `key`, or `fallback` when absent.
+std::uint64_t integer_field(const json::Value& doc, std::string_view key,
+                            std::uint64_t fallback, double max = 0x1p53) {
+  const json::Value* v = doc.find(key);
+  return v == nullptr ? fallback : parse_count(*v, key, max);
+}
+
+/// Rethrows `e` prefixed with `where`, keeping "the bytes were rejected"
+/// (std::invalid_argument) apart from every other failure.
+[[noreturn]] void rethrow_at(const std::string& where,
+                             const std::exception& e) {
+  const std::string what = where + ": " + e.what();
+  if (dynamic_cast<const std::invalid_argument*>(&e) != nullptr) {
+    throw std::invalid_argument(what);
+  }
+  throw std::runtime_error(what);
 }
 
 void for_each_line(const std::string& path,
@@ -51,8 +47,7 @@ void for_each_line(const std::string& path,
     try {
       visit(json::parse(line));
     } catch (const std::exception& e) {
-      throw std::runtime_error(path + ":" + std::to_string(lineno) + ": " +
-                               e.what());
+      rethrow_at(path + ":" + std::to_string(lineno), e);
     }
   }
 }
@@ -78,15 +73,29 @@ Provenance parse_provenance(const json::Value& doc) {
   p.timestamp = string_field(doc, "timestamp");
   p.obs_mode = string_field(doc, "obs_mode");
   p.seed = integer_field(doc, "seed", 0, kSeedMax);
-  p.runs = integer_field(doc, "runs", 0, kCountMax);
-  p.workers = integer_field(doc, "workers", 0, kCountMax);
-  p.repeat = integer_field(doc, "repeat", 1, kCountMax);
+  p.runs = integer_field(doc, "runs", 0);
+  p.workers = integer_field(doc, "workers", 0);
+  p.repeat = integer_field(doc, "repeat", 1);
   if (p.repeat == 0) p.repeat = 1;
   if (const json::Value* fast = doc.find("fast");
       fast != nullptr && fast->is_bool()) {
     p.fast = fast->boolean;
   }
   return p;
+}
+
+std::uint64_t parse_count(const json::Value& value, std::string_view key,
+                          double max) {
+  // A plain double -> integer cast would wrap -1 to 2^64 - 1, read 1e300
+  // as 0 and 1.5 as 1, so every other value is rejected instead.
+  if (!value.is_number() || !(value.num >= 0.0) || value.num > max ||
+      std::floor(value.num) != value.num) {
+    throw std::invalid_argument("\"" + std::string(key) +
+                                "\" must be an integer in [0, " +
+                                json::number(max) + "], got " +
+                                json::dump(value));
+  }
+  return static_cast<std::uint64_t>(value.num);
 }
 
 void for_each_document(const std::string& path,
@@ -104,7 +113,7 @@ void for_each_document(const std::string& path,
     for (const std::string& file : files) for_each_line(file, visit);
     return;
   }
-  if (has_suffix(path, ".jsonl")) {
+  if (path.ends_with(".jsonl")) {
     for_each_line(path, visit);
     return;
   }
@@ -112,7 +121,7 @@ void for_each_document(const std::string& path,
   try {
     visit(doc);
   } catch (const std::exception& e) {
-    throw std::runtime_error(path + ": " + e.what());
+    rethrow_at(path, e);
   }
 }
 

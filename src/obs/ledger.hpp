@@ -1,14 +1,14 @@
-// Append-only JSONL ledger of run documents, shared by the timing
-// (BENCH_*.json) and prediction-quality (QUALITY_*.json) gates.
+// Append-only JSONL ledger of run documents (obs/run_document.hpp), read by
+// the timing and prediction-quality gates alike.
 //
 // A ledger line is the run document itself, compacted to one line: the
-// harness writes BENCH_<name>.json / QUALITY_<name>.json, and
-// `bench_diff --append-baseline` appends that same document to a .jsonl
-// file. History is the point — a refreshed baseline is a new line, and
-// readers take the latest line per bench. Reference ledgers live under
-// bench/baselines/ (timing, one file per bench) and bench/baselines/quality/
-// (scores, plus the paper_reference ledger transcribed from the published
-// tables).
+// harness writes BENCH_<name>.json, and `bench_diff --append-baseline`
+// appends that same document to a .jsonl file. History is the point — a
+// refreshed baseline is a new line, and readers take the latest line per
+// bench. Reference ledgers live under bench/baselines/ (timing, one file
+// per bench) and bench/baselines/quality/ (scores, plus the paper_reference
+// ledger transcribed from the published tables); the lines checked in
+// there predate schema v5 and are read by obs::parse_ledger_line.
 //
 // Every run document carries the same top-level provenance fields, parsed
 // once here. Timing distributions are only comparable within one
@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/json.hpp"
@@ -59,11 +60,20 @@ struct Provenance {
 /// most 2^53, the largest exactly representable JSON integer).
 Provenance parse_provenance(const json::Value& doc);
 
+/// `value` as a count: a non-negative integer of at most `max` (2^53, the
+/// largest exact JSON integer, by default). Throws std::invalid_argument
+/// naming `key` otherwise.
+std::uint64_t parse_count(const json::Value& value, std::string_view key,
+                          double max = 0x1p53);
+
 /// Calls `visit` on every run document `path` holds: each non-blank line
 /// of a .jsonl ledger, every *.jsonl ledger of a directory (sorted by
 /// name, not recursive), or a single .json document. Failures while
-/// reading, parsing or visiting are rethrown as std::runtime_error
-/// prefixed with "path:line: " ("path: " for a .json document).
+/// reading, parsing or visiting are rethrown prefixed with "path:line: "
+/// ("path: " for a .json document): as std::invalid_argument when a line
+/// does not parse or `visit` rejects a document, as std::runtime_error
+/// otherwise (a file that cannot be read, a .json file that does not
+/// parse).
 void for_each_document(const std::string& path,
                        const std::function<void(const json::Value&)>& visit);
 

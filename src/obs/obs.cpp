@@ -362,7 +362,8 @@ std::string trace_json() {
   return out.str();
 }
 
-void write_metrics_json(std::ostream& out) {
+std::string metrics_json() {
+  std::ostringstream out;
   const MetricsSnapshot snap = Registry::global().snapshot();
   out << "{\"counters\":{";
   bool first = true;
@@ -392,11 +393,6 @@ void write_metrics_json(std::ostream& out) {
         << json::number(h.layout.max_relative_error()) << "}";
   }
   out << "}}";
-}
-
-std::string metrics_json() {
-  std::ostringstream out;
-  write_metrics_json(out);
   return out.str();
 }
 

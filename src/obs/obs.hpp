@@ -215,7 +215,6 @@ std::string trace_json();
 
 /// Flat metrics document: {"counters":{...},"gauges":{...},
 /// "hdr":{name:{count,sum,min,max,p50,p90,p99,p999,max_relative_error}}}.
-void write_metrics_json(std::ostream& out);
 std::string metrics_json();
 
 /// Prometheus text exposition (version 0.0.4) of a snapshot: counters and

@@ -9,15 +9,6 @@
 
 namespace varpred::obs {
 
-std::string QualityCellKey::id() const {
-  std::string out = app;
-  for (const std::string* part : {&systems, &repr, &model, &metric, &context}) {
-    out += '|';
-    out += *part;
-  }
-  return out;
-}
-
 bool lower_is_better(std::string_view metric) {
   // Distances shrink toward 0 for perfect predictions; the overlap
   // coefficient is the one similarity score (grows toward 1).
@@ -69,116 +60,6 @@ stats::PairScores record_prediction_scores(const QualityCellKey& base,
   key.metric = "overlap";
   recorder.record(key, scores.overlap);
   return scores;
-}
-
-namespace {
-
-std::string get_string(const json::Value& doc, std::string_view key) {
-  const json::Value* v = doc.find(key);
-  return v != nullptr && v->is_string() ? v->str : std::string();
-}
-
-double get_number(const json::Value& doc, std::string_view key,
-                  double fallback) {
-  const json::Value* v = doc.find(key);
-  return v != nullptr && v->is_number() ? v->num : fallback;
-}
-
-}  // namespace
-
-std::string quality_document_json(const QualityDocument& doc) {
-  json::Value root;
-  root.type = json::Value::Type::kObject;
-  root.object.emplace_back(
-      "schema_version",
-      json::make_number(static_cast<double>(doc.schema_version)));
-  root.object.emplace_back("bench", json::make_string(doc.provenance.bench));
-  root.object.emplace_back("git", json::make_string(doc.provenance.git));
-  root.object.emplace_back("hostname",
-                           json::make_string(doc.provenance.hostname));
-  root.object.emplace_back("timestamp",
-                           json::make_string(doc.provenance.timestamp));
-  root.object.emplace_back("obs_mode",
-                           json::make_string(doc.provenance.obs_mode));
-  root.object.emplace_back(
-      "seed", json::make_number(static_cast<double>(doc.provenance.seed)));
-  root.object.emplace_back(
-      "runs", json::make_number(static_cast<double>(doc.provenance.runs)));
-  root.object.emplace_back(
-      "workers",
-      json::make_number(static_cast<double>(doc.provenance.workers)));
-  root.object.emplace_back(
-      "repeat", json::make_number(static_cast<double>(doc.provenance.repeat)));
-  root.object.emplace_back("fast", json::make_bool(doc.provenance.fast));
-
-  json::Value cells;
-  cells.type = json::Value::Type::kArray;
-  for (const QualityCell& cell : doc.cells) {
-    json::Value c;
-    c.type = json::Value::Type::kObject;
-    c.object.emplace_back("app", json::make_string(cell.key.app));
-    c.object.emplace_back("systems", json::make_string(cell.key.systems));
-    c.object.emplace_back("repr", json::make_string(cell.key.repr));
-    c.object.emplace_back("model", json::make_string(cell.key.model));
-    c.object.emplace_back("metric", json::make_string(cell.key.metric));
-    if (!cell.key.context.empty()) {
-      c.object.emplace_back("context", json::make_string(cell.key.context));
-    }
-    json::Value samples;
-    samples.type = json::Value::Type::kArray;
-    for (const double x : cell.samples) {
-      samples.array.push_back(json::make_number(x));
-    }
-    c.object.emplace_back("samples", std::move(samples));
-    cells.array.push_back(std::move(c));
-  }
-  root.object.emplace_back("cells", std::move(cells));
-  return json::dump(root);
-}
-
-QualityDocument parse_quality_document(const json::Value& doc) {
-  if (!doc.is_object()) {
-    throw std::invalid_argument("quality: document is not an object");
-  }
-  QualityDocument q;
-  q.schema_version = static_cast<int>(get_number(doc, "schema_version", 1));
-  q.provenance = parse_provenance(doc);
-
-  const json::Value* cells = doc.find("cells");
-  if (cells == nullptr || !cells->is_array()) {
-    throw std::invalid_argument("quality: missing \"cells\" array");
-  }
-  for (const json::Value& entry : cells->array) {
-    if (!entry.is_object()) {
-      throw std::invalid_argument("quality: cell is not an object");
-    }
-    QualityCell cell;
-    cell.key.app = get_string(entry, "app");
-    cell.key.systems = get_string(entry, "systems");
-    cell.key.repr = get_string(entry, "repr");
-    cell.key.model = get_string(entry, "model");
-    cell.key.metric = get_string(entry, "metric");
-    cell.key.context = get_string(entry, "context");
-    if (cell.key.metric.empty()) {
-      throw std::invalid_argument("quality: cell without a \"metric\"");
-    }
-    const json::Value* samples = entry.find("samples");
-    if (samples == nullptr || !samples->is_array()) {
-      throw std::invalid_argument("quality: cell \"" + cell.key.id() +
-                                  "\" has no samples");
-    }
-    cell.samples.reserve(samples->array.size());
-    for (const json::Value& v : samples->array) {
-      double x = 0.0;
-      if (!v.numeric_value(x)) {
-        throw std::invalid_argument("quality: non-numeric sample in cell \"" +
-                                    cell.key.id() + "\"");
-      }
-      cell.samples.push_back(x);
-    }
-    q.cells.push_back(std::move(cell));
-  }
-  return q;
 }
 
 const char* quality_verdict_string(Verdict verdict) {
@@ -309,66 +190,43 @@ CellDiff diff_cell(const QualityCellKey& key, std::span<const double> baseline,
   return d;
 }
 
-QualityDiff diff_quality(const QualityDocument& baseline,
-                         const QualityDocument& candidate,
+QualityDiff diff_quality(const RunDocument& baseline,
+                         const RunDocument& candidate,
                          const QualityDiffConfig& config) {
   QualityDiff diff;
   diff.bench = candidate.provenance.bench;
   diff.baseline = baseline.provenance;
   diff.candidate = candidate.provenance;
 
-  for (const QualityCell& cand : candidate.cells) {
-    const QualityCell* base = nullptr;
-    for (const QualityCell& c : baseline.cells) {
-      if (c.key == cand.key) {
-        base = &c;
-        break;
-      }
-    }
-    if (base == nullptr) {
-      CellDiff d;
-      d.key = cand.key;
-      d.n_candidate = cand.samples.size();
-      d.lower_better = lower_is_better(cand.key.metric);
-      d.verdict = Verdict::kInconclusive;
-      d.note = "cell missing from baseline";
-      diff.cells.push_back(std::move(d));
-      continue;
-    }
-    diff.cells.push_back(
-        diff_cell(cand.key, base->samples, cand.samples, config));
-  }
-  for (const QualityCell& base : baseline.cells) {
-    bool present = false;
-    for (const QualityCell& cand : candidate.cells) {
-      if (cand.key == base.key) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) {
-      CellDiff d;
-      d.key = base.key;
-      d.n_baseline = base.samples.size();
-      d.lower_better = lower_is_better(base.key.metric);
-      d.verdict = Verdict::kInconclusive;
-      d.note = "cell missing from candidate";
-      diff.cells.push_back(std::move(d));
-    }
-  }
+  pair_items(
+      baseline.cells, candidate.cells,
+      [](const QualityCell& a, const QualityCell& b) { return a.key == b.key; },
+      [&](const QualityCell& base, const QualityCell& cand) {
+        diff.cells.push_back(
+            diff_cell(cand.key, base.samples, cand.samples, config));
+      },
+      [&](const QualityCell& cell, bool in_candidate) {
+        CellDiff d;
+        d.key = cell.key;
+        (in_candidate ? d.n_candidate : d.n_baseline) = cell.samples.size();
+        d.lower_better = lower_is_better(cell.key.metric);
+        d.verdict = Verdict::kInconclusive;
+        d.note = in_candidate ? "cell missing from baseline"
+                              : "cell missing from candidate";
+        diff.cells.push_back(std::move(d));
+      });
   diff.verdict = overall_verdict(diff.cells);
   return diff;
 }
 
 std::vector<QualityDiff> diff_against_reference(
-    const std::vector<QualityDocument>& reference,
-    const std::vector<QualityDocument>& candidates,
+    const std::vector<RunDocument>& reference,
+    const std::vector<RunDocument>& candidates,
     const QualityDiffConfig& config) {
-  const std::vector<const QualityDocument*> latest =
-      latest_per_bench(reference);
+  const std::vector<const RunDocument*> latest = latest_per_bench(reference);
   std::vector<QualityDiff> diffs;
-  for (const QualityDocument& cand : candidates) {
-    for (const QualityDocument* ref : latest) {
+  for (const RunDocument& cand : candidates) {
+    for (const RunDocument* ref : latest) {
       QualityDiff diff;
       diff.bench = cand.provenance.bench + " vs " + ref->provenance.bench;
       diff.baseline = ref->provenance;

@@ -1,36 +1,22 @@
-// Prediction-quality telemetry: the paper's accuracy metrics as
-// first-class observables.
-//
-// PRs 2–3 observe *wall time* exhaustively; the accuracy numbers — the KS
-// distance, normalized Wasserstein-1, and overlap scores that are the
-// paper's entire claim — were computed, printed, and thrown away. This
-// module closes that gap with the same recorder → document → ledger → diff
-// pipeline the timing stack uses:
+// Prediction-quality telemetry: the paper's accuracy metrics (KS,
+// normalized Wasserstein-1, overlap) as first-class observables, through
+// the same recorder → document → ledger → diff pipeline as wall time:
 //
 //   QualityRecorder   process-global sink the evaluator and cross-system
 //                     stages report scores into, keyed by
 //                     (app, systems, repr, model, metric [, context]).
-//   QualityDocument   QUALITY_<name>.json emitted next to BENCH_<name>.json
-//                     by the bench harness: every recorded cell's score
-//                     samples (one per repetition seed) plus provenance.
-//   quality ledger    append-only JSONL under bench/baselines/quality/,
-//                     one document per line, one file per bench
-//                     (obs/ledger.hpp, shared with the timing gate) —
-//                     including a paper_reference ledger transcribed from
-//                     the published tables.
+//   run document      the "cells" half of BENCH_<name>.json
+//                     (obs/run_document.hpp), one sample per repetition.
+//   quality ledger    bench/baselines/quality/, one file per bench, plus
+//                     the paper_reference ledger of published numbers.
 //   diff_quality      per-cell unchanged|improved|degraded|inconclusive
-//                     verdicts for tools/bench_diff and the CI
-//                     quality-gate job.
+//                     verdicts for tools/bench_diff.
 //
-// Unlike wall time, quality scores are seeded, deterministic, and
-// worker-count independent (PR 1 made the parallel reductions
-// deterministic), so the ledger is comparable across machines and the gate
-// can be hard (exit 1) where perf-gate can only warn.
-//
-// Recording is off by default and costs one relaxed atomic load per call
-// site when disabled; the bench harness switches it on. It is deliberately
-// independent of VARPRED_OBS: accuracy drift must stay observable even
-// when timing instrumentation is compiled down to nothing.
+// Scores are seeded, deterministic and worker-count independent, so the
+// ledger compares across machines and the gate can be hard (exit 1) where
+// perf-gate can only warn. Recording is off by default (one relaxed atomic
+// load per call site) and independent of VARPRED_OBS; the bench harness
+// switches it on.
 #pragma once
 
 #include <atomic>
@@ -42,39 +28,11 @@
 #include <vector>
 
 #include "obs/json.hpp"
-#include "obs/ledger.hpp"
 #include "obs/regression.hpp"
+#include "obs/run_document.hpp"
 #include "stats/scores.hpp"
 
 namespace varpred::obs {
-
-/// Identity of one quality observable. `app` is the benchmark/application
-/// ("specomp/376", or "*" for a marginal over all apps), `systems` the
-/// system or "src->dst" transfer pair, `repr`/`model` the representation
-/// and predictor ("*" for marginals), `metric` the score name. `context`
-/// separates sweep points that would otherwise collapse into one cell
-/// (e.g. "probes=8" in the fig6 probe-count sweep); usually "".
-struct QualityCellKey {
-  std::string app;
-  std::string systems;
-  std::string repr;
-  std::string model;
-  std::string metric;
-  std::string context;
-
-  bool operator==(const QualityCellKey&) const = default;
-
-  /// Stable "app|systems|repr|model|metric|context" form, used for report
-  /// labels and for seeding the per-cell bootstrap stream.
-  std::string id() const;
-};
-
-/// One observable's score samples, one entry per repetition seed, in
-/// repetition order.
-struct QualityCell {
-  QualityCellKey key;
-  std::vector<double> samples;
-};
 
 /// Whether smaller values of this metric mean better predictions. KS and
 /// Wasserstein distances shrink toward 0 for perfect predictions; the
@@ -129,23 +87,6 @@ class QualityRecorder {
 stats::PairScores record_prediction_scores(const QualityCellKey& base,
                                            std::span<const double> measured,
                                            std::span<const double> predicted);
-
-/// One QUALITY_<name>.json document / one quality-ledger JSONL line. Only
-/// `provenance.seed` affects the recorded values; the rest is provenance.
-struct QualityDocument {
-  int schema_version = 1;
-  Provenance provenance;
-  std::vector<QualityCell> cells;
-};
-
-/// Compact single-line JSON encoding (ledger line and file body are the
-/// same document shape). Non-finite samples serialize as the json string
-/// sentinels and read back losslessly.
-std::string quality_document_json(const QualityDocument& doc);
-
-/// Parses a document; throws std::invalid_argument on missing/malformed
-/// required fields ("bench", "cells") or an out-of-range provenance count.
-QualityDocument parse_quality_document(const json::Value& doc);
 
 /// Quality verdicts reuse the regression Verdict enum; only the label for
 /// kRegressed differs ("degraded": accuracy drifts, it does not slow
@@ -206,10 +147,10 @@ CellDiff diff_cell(const QualityCellKey& key, std::span<const double> baseline,
                    std::span<const double> candidate,
                    const QualityDiffConfig& config);
 
-/// Compares a candidate document against its ledger baseline. Cells
-/// present on only one side come back inconclusive with a note.
-QualityDiff diff_quality(const QualityDocument& baseline,
-                         const QualityDocument& candidate,
+/// Compares a candidate document's cells against its ledger baseline's.
+/// Cells present on only one side come back inconclusive with a note.
+QualityDiff diff_quality(const RunDocument& baseline,
+                         const RunDocument& candidate,
                          const QualityDiffConfig& config);
 
 /// Compares each candidate against the latest entry of every bench in a
@@ -217,8 +158,8 @@ QualityDiff diff_quality(const QualityDocument& baseline,
 /// reference bench) pair that shares at least one cell, holding only the
 /// shared cells.
 std::vector<QualityDiff> diff_against_reference(
-    const std::vector<QualityDocument>& reference,
-    const std::vector<QualityDocument>& candidates,
+    const std::vector<RunDocument>& reference,
+    const std::vector<RunDocument>& candidates,
     const QualityDiffConfig& config);
 
 /// Markdown report (one table per bench, thresholds in the footer).

@@ -166,8 +166,8 @@ StageDiff diff_stage(std::string name, std::span<const double> baseline,
   return d;
 }
 
-RunDiff diff_telemetry(const BenchTelemetry& baseline,
-                       const BenchTelemetry& candidate,
+RunDiff diff_telemetry(const RunDocument& baseline,
+                       const RunDocument& candidate,
                        const DiffConfig& config) {
   RunDiff run;
   run.bench = candidate.provenance.bench;
@@ -192,49 +192,27 @@ RunDiff diff_telemetry(const BenchTelemetry& baseline,
     run.env_note = note;
   }
 
-  for (const StageSamples& cand : candidate.stages) {
-    const StageSamples* base = nullptr;
-    for (const StageSamples& s : baseline.stages) {
-      if (s.name == cand.name) {
-        base = &s;
-        break;
-      }
-    }
-    if (base == nullptr) {
-      StageDiff d;
-      d.stage = cand.name;
-      d.n_candidate = cand.samples.size();
-      if (!cand.samples.empty()) {
-        d.candidate_median = stats::median(cand.samples);
-      }
-      d.verdict = Verdict::kInconclusive;
-      d.note = "stage missing from baseline";
-      run.stages.push_back(std::move(d));
-      continue;
-    }
-    run.stages.push_back(
-        diff_stage(cand.name, base->samples, cand.samples, config));
-  }
-  for (const StageSamples& base : baseline.stages) {
-    bool present = false;
-    for (const StageSamples& cand : candidate.stages) {
-      if (cand.name == base.name) {
-        present = true;
-        break;
-      }
-    }
-    if (!present) {
-      StageDiff d;
-      d.stage = base.name;
-      d.n_baseline = base.samples.size();
-      if (!base.samples.empty()) {
-        d.baseline_median = stats::median(base.samples);
-      }
-      d.verdict = Verdict::kInconclusive;
-      d.note = "stage missing from candidate";
-      run.stages.push_back(std::move(d));
-    }
-  }
+  pair_items(
+      baseline.stages, candidate.stages,
+      [](const StageSamples& a, const StageSamples& b) {
+        return a.name == b.name;
+      },
+      [&](const StageSamples& base, const StageSamples& cand) {
+        run.stages.push_back(
+            diff_stage(cand.name, base.samples, cand.samples, config));
+      },
+      [&](const StageSamples& s, bool in_candidate) {
+        StageDiff d;
+        d.stage = s.name;
+        const double median =
+            s.samples.empty() ? 0.0 : stats::median(s.samples);
+        (in_candidate ? d.n_candidate : d.n_baseline) = s.samples.size();
+        (in_candidate ? d.candidate_median : d.baseline_median) = median;
+        d.verdict = Verdict::kInconclusive;
+        d.note = in_candidate ? "stage missing from baseline"
+                              : "stage missing from candidate";
+        run.stages.push_back(std::move(d));
+      });
   run.verdict = overall_verdict(run.stages);
   return run;
 }

@@ -18,6 +18,7 @@
 // randomness is seeded, so verdicts are reproducible.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -27,7 +28,7 @@
 
 #include "obs/json.hpp"
 #include "obs/ledger.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/run_document.hpp"
 
 namespace varpred::obs {
 
@@ -52,6 +53,33 @@ Verdict overall_verdict(const Range& items) {
   Verdict overall = Verdict::kUnchanged;
   for (const auto& item : items) overall = worse_verdict(overall, item.verdict);
   return overall;
+}
+
+/// Pairs the items of a baseline and a candidate document that `same`
+/// identifies: `both(base, cand)` for each candidate item the baseline
+/// has, then `one_sided(item, in_candidate)` for each item only one side
+/// has, candidate items first, each side in its own order. Shared by the
+/// timing and quality diffs.
+template <class Item, class Same, class Both, class OneSided>
+void pair_items(const std::vector<Item>& baseline,
+                const std::vector<Item>& candidate, Same same, Both both,
+                OneSided one_sided) {
+  for (const Item& cand : candidate) {
+    const auto base = std::find_if(
+        baseline.begin(), baseline.end(),
+        [&](const Item& b) { return same(b, cand); });
+    if (base == baseline.end()) {
+      one_sided(cand, true);
+    } else {
+      both(*base, cand);
+    }
+  }
+  for (const Item& base : baseline) {
+    if (std::none_of(candidate.begin(), candidate.end(),
+                     [&](const Item& c) { return same(base, c); })) {
+      one_sided(base, false);
+    }
+  }
 }
 
 /// Seeded two-sample percentile bootstrap. Every replicate resamples
@@ -142,11 +170,11 @@ StageDiff diff_stage(std::string name, std::span<const double> baseline,
                      std::span<const double> candidate,
                      const DiffConfig& config);
 
-/// Compares a candidate telemetry document against its baseline document.
+/// Compares a candidate document's stages against its baseline's.
 /// Stages present on only one side come back inconclusive with a note and
 /// the present side's median (the missing side's stays 0).
-RunDiff diff_telemetry(const BenchTelemetry& baseline,
-                       const BenchTelemetry& candidate,
+RunDiff diff_telemetry(const RunDocument& baseline,
+                       const RunDocument& candidate,
                        const DiffConfig& config);
 
 /// Markdown report (one table per bench, thresholds in the footer).

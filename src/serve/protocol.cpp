@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
@@ -386,17 +387,27 @@ std::optional<Frame> read_frame(int fd) {
                                  "header");
   VARPRED_CHECK_ARG(length <= kMaxFramePayload,
                     "malformed frame: payload exceeds the size cap");
-  std::string payload(length, '\0');
-  VARPRED_CHECK_ARG(read_exact(fd, payload.data(), length) == 1,
-                    "connection closed mid-frame");
-  WireReader r(payload);
+  // The buffer grows with the bytes that arrive, doubling from 64 KiB, so a
+  // prefix that promises more than the peer sends costs at most twice what
+  // was sent, never the promised length up front.
+  std::vector<char> payload;
+  while (payload.size() < length) {
+    const std::size_t have = payload.size();
+    const std::size_t next = std::min<std::size_t>(
+        length, std::max<std::size_t>(std::size_t{64} << 10, 2 * have));
+    payload.reserve(next);
+    payload.resize(next);
+    VARPRED_CHECK_ARG(read_exact(fd, payload.data() + have, next - have) == 1,
+                      "connection closed mid-frame");
+  }
+  WireReader r(std::string_view(payload.data(), payload.size()));
   const std::uint8_t raw_type = r.u8();
   VARPRED_CHECK_ARG(known_type(raw_type), "malformed frame: unknown message "
                                           "type");
   Frame frame;
   frame.type = static_cast<MsgType>(raw_type);
   frame.trace_id = r.u64();
-  frame.body = payload.substr(9);
+  frame.body.assign(payload.data() + 9, payload.size() - 9);
   return frame;
 }
 

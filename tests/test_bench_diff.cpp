@@ -1,7 +1,8 @@
-// Tests for the regression-detection stack: telemetry parsing (one stage
-// shape: a numeric sample vector), bench::Run's recorded series,
-// provenance validation, the JSONL ledger (round trip, errors,
-// and the checked-in ledgers under bench/baselines/), and — the acceptance
+// Tests for the regression-detection stack: the run document (the strict
+// v5 reader, one case per schema constraint, and the pre-v5 ledger-line
+// reader), bench::Run's recorded series, provenance validation, the JSONL
+// ledger (round trip, errors, and the checked-in ledgers under
+// bench/baselines/), and — the acceptance
 // criteria of the detector itself — bench_diff verdicts on seeded
 // synthetic timing distributions: two independent draws from the same
 // distribution must read `unchanged`, a 2x slowdown must read `regressed`.
@@ -20,7 +21,7 @@
 #include "obs/ledger.hpp"
 #include "obs/quality.hpp"
 #include "obs/regression.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/run_document.hpp"
 #include "rngdist/samplers.hpp"
 
 namespace varpred {
@@ -175,7 +176,7 @@ TEST(BenchDiff, TailBlowupAloneNeverFlipsTheGateVerdict) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry parsing: every stage is a numeric sample vector.
+// Pre-v5 ledger lines: every stage is a numeric sample vector.
 
 TEST(Telemetry, ParsesV2Document) {
   const char* doc = R"({
@@ -187,7 +188,7 @@ TEST(Telemetry, ParsesV2Document) {
                 "samples": [0.4, 0.4, 0.4], "mean": 0.4, "stddev": 0.0,
                 "min": 0.4, "max": 0.4}]
   })";
-  const auto t = obs::parse_bench_telemetry(obs::json::parse(doc));
+  const auto t = obs::parse_ledger_line(obs::json::parse(doc));
   EXPECT_EQ(t.schema_version, 2);
   EXPECT_EQ(t.provenance.bench, "demo");
   EXPECT_EQ(t.provenance.hostname, "m1");
@@ -205,7 +206,7 @@ TEST(Telemetry, RejectsV1DocumentWithoutSamples) {
     "stages": [{"name": "corpus", "seconds": 1.25},
                {"name": "predict", "seconds": 0.75}]
   })";
-  EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse(doc)),
+  EXPECT_THROW(obs::parse_ledger_line(obs::json::parse(doc)),
                std::invalid_argument);
 }
 
@@ -215,18 +216,18 @@ TEST(Telemetry, RejectsEmptyOrNonNumericSamples) {
     const std::string doc =
         std::string(R"({"bench":"b","stages":[{"name":"s","samples":)") +
         samples + "}]}";
-    EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse(doc)),
+    EXPECT_THROW(obs::parse_ledger_line(obs::json::parse(doc)),
                  std::invalid_argument)
         << doc;
   }
 }
 
 TEST(Telemetry, RejectsDocumentsWithoutBenchOrStages) {
-  EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse("{}")),
+  EXPECT_THROW(obs::parse_ledger_line(obs::json::parse("{}")),
                std::invalid_argument);
-  EXPECT_THROW(
-      obs::parse_bench_telemetry(obs::json::parse(R"({"bench":"x"})")),
-      std::invalid_argument);
+  // Neither "stages" nor "cells": no half to compare.
+  EXPECT_THROW(obs::parse_ledger_line(obs::json::parse(R"({"bench":"x"})")),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
@@ -236,7 +237,6 @@ TEST(BenchRun, RecordAddsOneSamplePerRepetitionBesideTimedStages) {
   bench::HarnessArgs args;
   args.repeat = 3;
   args.obs_out = ::testing::TempDir() + "BENCH_record_test.json";
-  args.quality_out = ::testing::TempDir() + "QUALITY_record_test.json";
   double rep = 0.0;
   bench::run_repeated("record_test", args, [&](bench::Run& run) {
     run.stage("timed");
@@ -246,7 +246,7 @@ TEST(BenchRun, RecordAddsOneSamplePerRepetitionBesideTimedStages) {
   });
 
   const auto t =
-      obs::parse_bench_telemetry(obs::json::parse_file(args.obs_out));
+      obs::parse_run_document(obs::json::parse_file(args.obs_out));
   EXPECT_EQ(t.provenance.bench, "record_test");
   EXPECT_EQ(t.provenance.repeat, 3u);
   ASSERT_EQ(t.stages.size(), 3u);
@@ -260,15 +260,15 @@ TEST(BenchRun, RecordAddsOneSamplePerRepetitionBesideTimedStages) {
             (std::vector<double>{0.0003 * 1.0, 0.0003 * 2.0, 0.0003 * 3.0}));
   EXPECT_EQ(t.stages[2].name, "timed");
   EXPECT_EQ(t.stages[2].samples.size(), 3u);
+  EXPECT_TRUE(t.cells.empty());
   std::remove(args.obs_out.c_str());
-  std::remove(args.quality_out.c_str());
 }
 
+// Stages keep the shape schema v4 gave them; the document around them is v5.
 TEST(BenchRun, EmitsSchemaV4StagesWithExactlyTheSummaryKeys) {
   bench::HarnessArgs args;
   args.repeat = 4;
   args.obs_out = ::testing::TempDir() + "BENCH_v4_keys_test.json";
-  args.quality_out = ::testing::TempDir() + "QUALITY_v4_keys_test.json";
   double rep = 0.0;
   bench::run_repeated("v4_keys_test", args, [&](bench::Run& run) {
     rep += 1.0;
@@ -277,7 +277,7 @@ TEST(BenchRun, EmitsSchemaV4StagesWithExactlyTheSummaryKeys) {
 
   const obs::json::Value doc = obs::json::parse_file(args.obs_out);
   ASSERT_NE(doc.find("schema_version"), nullptr);
-  EXPECT_EQ(doc.find("schema_version")->num, 4.0);
+  EXPECT_EQ(doc.find("schema_version")->num, 5.0);
   const obs::json::Value* stages = doc.find("stages");
   ASSERT_NE(stages, nullptr);
   ASSERT_EQ(stages->array.size(), 1u);
@@ -292,7 +292,6 @@ TEST(BenchRun, EmitsSchemaV4StagesWithExactlyTheSummaryKeys) {
   EXPECT_DOUBLE_EQ(stage.find("min")->num, 0.001);
   EXPECT_DOUBLE_EQ(stage.find("max")->num, 0.004);
   std::remove(args.obs_out.c_str());
-  std::remove(args.quality_out.c_str());
 }
 
 TEST(HarnessArgs, RejectsMalformedCountsAndUnknownFlags) {
@@ -389,13 +388,11 @@ std::string bench_document(const std::string& bench,
          "]}]}";
 }
 
-/// Every document of a ledger, parsed with `parse`.
-template <class Doc>
-std::vector<Doc> load_ledger(const std::string& path,
-                             Doc (*parse)(const obs::json::Value&)) {
-  std::vector<Doc> docs;
+/// Every line of a ledger, through the ledger reader.
+std::vector<obs::RunDocument> load_ledger(const std::string& path) {
+  std::vector<obs::RunDocument> docs;
   obs::for_each_document(path, [&](const obs::json::Value& doc) {
-    docs.push_back(parse(doc));
+    docs.push_back(obs::parse_ledger_line(doc));
   });
   return docs;
 }
@@ -410,16 +407,16 @@ TEST(Ledger, TimingDocumentsRoundTripAndLatestPerBench) {
     obs::append_ledger(path, obs::json::parse(*doc));
   }
 
-  const auto docs = load_ledger(path, obs::parse_bench_telemetry);
+  const auto docs = load_ledger(path);
   ASSERT_EQ(docs.size(), 3u);
   const auto latest = obs::latest_per_bench(docs);
   ASSERT_EQ(latest.size(), 2u);
   EXPECT_EQ(latest[0], &docs[2]);
   EXPECT_EQ(latest[1], &docs[1]);
 
-  const obs::BenchTelemetry want =
-      obs::parse_bench_telemetry(obs::json::parse(second));
-  const obs::BenchTelemetry& got = *latest[0];
+  const obs::RunDocument want =
+      obs::parse_ledger_line(obs::json::parse(second));
+  const obs::RunDocument& got = *latest[0];
   EXPECT_EQ(got.schema_version, 2);
   EXPECT_EQ(got.provenance.timestamp, "2026-08-06T10:00:00Z");
   EXPECT_EQ(got.provenance.git, "abc-dirty");
@@ -462,9 +459,9 @@ TEST(Ledger, ErrorsNamePathAndLine) {
   }
   obs::append_ledger(path, bad);
   try {
-    load_ledger(path, obs::parse_bench_telemetry);
+    load_ledger(path);
     FAIL() << "a negative worker count must not load";
-  } catch (const std::runtime_error& e) {
+  } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find(path + ":2: \"workers\""),
               std::string::npos)
         << e.what();
@@ -472,19 +469,17 @@ TEST(Ledger, ErrorsNamePathAndLine) {
   std::remove(path.c_str());
 }
 
-#ifndef VARPRED_SOURCE_DIR
-#define VARPRED_SOURCE_DIR "."
-#endif
-
-// The checked-in ledgers are what the CI gates compare against: every line
-// must parse as its kind, with the flat provenance of a run document.
+// The checked-in ledgers are what the CI gates compare against: all 16
+// lines predate schema v5, and each must read through the ledger reader as
+// its kind — a timing line with stages only, a quality line with cells
+// only — with the flat provenance of a run document.
 TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
   const std::string root = std::string(VARPRED_SOURCE_DIR) + "/bench/baselines";
-  const auto timing = load_ledger(root, obs::parse_bench_telemetry);
+  const auto timing = load_ledger(root);
   EXPECT_EQ(timing.size(), 10u);
   const auto latest = obs::latest_per_bench(timing);
   EXPECT_EQ(latest.size(), 6u);
-  for (const obs::BenchTelemetry& t : timing) {
+  for (const obs::RunDocument& t : timing) {
     // The serving ledger's series-shaped lines (schema 3, then schema 4)
     // were taken on the same host with its pool at the machine's 4 cores;
     // every older line is a schema-2 run at 1 worker.
@@ -500,6 +495,7 @@ TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
     EXPECT_EQ(t.provenance.workers, serve_series ? 4u : 1u)
         << t.provenance.bench;
     EXPECT_FALSE(t.stages.empty()) << t.provenance.bench;
+    EXPECT_TRUE(t.cells.empty()) << t.provenance.bench;
     for (const obs::StageSamples& s : t.stages) {
       EXPECT_EQ(s.samples.size(), t.provenance.repeat)
           << t.provenance.bench << "/" << s.name;
@@ -509,7 +505,7 @@ TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
   // latency/throughput series, with no fixed-duration window stages, and
   // the open-loop point below saturation.
   const auto serve = std::find_if(
-      latest.begin(), latest.end(), [](const obs::BenchTelemetry* t) {
+      latest.begin(), latest.end(), [](const obs::RunDocument* t) {
         return t->provenance.bench == "serve";
       });
   ASSERT_NE(serve, latest.end());
@@ -520,11 +516,186 @@ TEST(Ledger, CheckedInLedgersParseAsTheirKind) {
                        "closed_cN.p99_s", "closed_cN.s_per_request",
                        "open_half.p50_s", "open_half.p99_s"}));
   EXPECT_EQ((*serve)->schema_version, 4);
-  const auto quality =
-      load_ledger(root + "/quality", obs::parse_quality_document);
+  // Five quality ledgers of one schema-1 line each, plus paper_reference.
+  const auto quality = load_ledger(root + "/quality");
   EXPECT_EQ(quality.size(), 6u);
-  for (const obs::QualityDocument& q : quality) {
+  std::vector<std::string> benches;
+  for (const obs::RunDocument& q : quality) {
+    EXPECT_EQ(q.schema_version, 1) << q.provenance.bench;
     EXPECT_FALSE(q.cells.empty()) << q.provenance.bench;
+    EXPECT_TRUE(q.stages.empty()) << q.provenance.bench;
+    benches.push_back(q.provenance.bench);
+  }
+  EXPECT_EQ(benches, (std::vector<std::string>{
+                         "cli_evaluate", "fig1_spec376", "fig5_uc1_examples",
+                         "fig9_uc2_examples", "paper_reference", "tune"}));
+}
+
+// ---------------------------------------------------------------------------
+// The strict v5 reader: one case per constraint the retired JSON schemas
+// stated (required fields, types, enums), plus unknown and repeated keys.
+
+/// The v5 fixture: two stages, a cell with a context and an infinite
+/// sample, and a metrics snapshot.
+obs::json::Value v5_document() {
+  return obs::json::parse_file(VARPRED_TEST_DATA_DIR "/telemetry_v5.json");
+}
+
+/// The object each key list belongs to: the document itself (""), its
+/// first stage, its pool, its first cell or its metrics.
+constexpr const char* kParts[] = {"", "stage", "pool", "cell", "metrics"};
+obs::json::Value& part(obs::json::Value& doc, std::string_view which) {
+  const auto member = [&](std::string_view key) -> obs::json::Value& {
+    return std::find_if(doc.object.begin(), doc.object.end(),
+                        [&](const auto& kv) { return kv.first == key; })
+        ->second;
+  };
+  if (which == "stage") return member("stages").array[0];
+  if (which == "cell") return member("cells").array[0];
+  return which.empty() ? doc : member(which);
+}
+
+bool reads(const obs::json::Value& doc) {
+  try {
+    obs::parse_run_document(doc);
+    return true;
+  } catch (const std::invalid_argument&) {
+    return false;
+  }
+}
+
+/// Whether the fixture still reads with `key` of `which` set to the json
+/// text `value`.
+bool reads_with(const char* which, const char* key, const char* value) {
+  obs::json::Value doc = v5_document();
+  for (auto& [k, v] : part(doc, which).object) {
+    if (k == key) v = obs::json::parse(value);
+  }
+  return reads(doc);
+}
+
+TEST(RunDocument, FixtureReadsWithTheSchemaKeySets) {
+  obs::json::Value json = v5_document();
+  const obs::RunDocument doc = obs::parse_run_document(json);
+  EXPECT_EQ(doc.provenance.obs_mode, "summary");
+  EXPECT_EQ(doc.stages[1].samples, (std::vector<double>{0.2, 0.21, 0.2, 0.21}));
+  EXPECT_EQ(doc.pool.chunks, 8u);
+  EXPECT_EQ(doc.pool.idle_seconds, 0.1);
+  EXPECT_EQ(doc.peak_rss_kb, 10240u);
+  EXPECT_EQ(doc.metrics.find("counters")->find("fixture.events")->num, 42.0);
+  EXPECT_EQ(doc.cells[0].key.context, "fixture");
+  EXPECT_TRUE(std::isinf(doc.cells[0].samples[1]));
+  // The schemas' key sets: v4's 16 fields plus "cells", the six stage
+  // fields, the seven pool totals, the cell key plus samples, and the
+  // three metrics sections.
+  const std::vector<std::size_t> sizes = {17, 6, 7, 7, 3};
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    EXPECT_EQ(part(json, kParts[i]).object.size(), sizes[i]) << kParts[i];
+  }
+  // A run with instrumentation off writes null metrics.
+  EXPECT_TRUE(reads_with("", "metrics", "null"));
+}
+
+TEST(RunDocument, RejectsEveryMissingOrMistypedField) {
+  for (const char* which : kParts) {
+    obs::json::Value valid = v5_document();
+    for (const auto& [key, value] : part(valid, which).object) {
+      // A cell's context and the metrics sections may be absent.
+      const bool optional = std::string_view(which) == "metrics" ||
+                            key == "context";
+      obs::json::Value doc = valid;
+      std::erase_if(part(doc, which).object,
+                    [&](const auto& kv) { return kv.first == key; });
+      EXPECT_EQ(reads(doc), optional) << which << "/" << key << " missing";
+      // Every field changes type: numbers become strings, the rest numbers.
+      EXPECT_FALSE(reads_with(which, key.c_str(),
+                              value.is_number() ? R"("1")" : "1"))
+          << which << "/" << key << " mistyped";
+    }
+  }
+  // Array items: stage samples are numbers; cell samples are numbers or
+  // the non-finite sentinels. Counts are non-negative integers.
+  for (const char* samples : {R"([0.1,"0.1"])", "[0.1,null]", "[true]", "[]"}) {
+    EXPECT_FALSE(reads_with("stage", "samples", samples)) << samples;
+  }
+  for (const char* samples : {R"([0.2,"bogus"])", R"(["inf"])", "[false]"}) {
+    EXPECT_FALSE(reads_with("cell", "samples", samples)) << samples;
+  }
+  EXPECT_TRUE(
+      reads_with("cell", "samples", R"([0.2,"NaN","Infinity","-Infinity"])"));
+  EXPECT_FALSE(reads_with("", "repeat", "0"));
+  for (const char* bad : {"-1", "1.5"}) {
+    EXPECT_FALSE(reads_with("", "workers", bad)) << bad;
+    EXPECT_FALSE(reads_with("", "peak_rss_kb", bad)) << bad;
+    EXPECT_FALSE(reads_with("pool", "spans", bad)) << bad;
+  }
+}
+
+TEST(RunDocument, RejectsValuesOutsideTheEnums) {
+  struct Enum {
+    const char* which;
+    const char* key;
+    std::vector<const char*> in, out;
+  };
+  for (const Enum& e :
+       {Enum{"", "schema_version", {"5"}, {"1", "4", "6", "5.5"}},
+        Enum{"", "obs_mode", {R"("off")", R"("summary")", R"("trace")"},
+             {R"("verbose")", R"("OFF")", R"("")"}},
+        Enum{"cell", "metric",
+             {R"("ks")", R"("wasserstein1_normalized")", R"("overlap")",
+              R"("tune_regret")", R"("tune_budget_fraction")"},
+             {R"("bogus")", R"("KS")", R"("")"}}}) {
+    for (const char* v : e.in) EXPECT_TRUE(reads_with(e.which, e.key, v)) << v;
+    for (const char* v : e.out) EXPECT_FALSE(reads_with(e.which, e.key, v)) << v;
+  }
+}
+
+TEST(RunDocument, RejectsUnknownAndRepeatedKeys) {
+  for (const char* which : kParts) {
+    obs::json::Value doc = v5_document();
+    part(doc, which).object.emplace_back("surprise", obs::json::make_number(1));
+    EXPECT_FALSE(reads(doc)) << "unknown key in " << which;
+    doc = v5_document();
+    part(doc, which).object.push_back(part(doc, which).object.back());
+    EXPECT_FALSE(reads(doc)) << "repeated key in " << which;
+  }
+  // The pre-v5 "seconds" total and v3 quantiles are not v5 stage keys.
+  for (const char* key : {"seconds", "p50"}) {
+    obs::json::Value doc = v5_document();
+    part(doc, "stage").object.emplace_back(key, obs::json::make_number(0.3));
+    EXPECT_FALSE(reads(doc)) << key;
+  }
+}
+
+// The two documents `bench_diff --append-baseline` appended to a ledger
+// before there was a strict reader.
+TEST(RunDocument, RejectsTheDocumentsAppendBaselineOnceAccepted) {
+  EXPECT_FALSE(reads(obs::json::parse(
+      R"({"bench":"x","stages":[{"name":"a","samples":[1]}],"surprise":1})")));
+  EXPECT_FALSE(reads_with("cell", "metric", R"("bogus")"));
+}
+
+TEST(LedgerLine, V5LinesReadStrictlyOlderLinesLeniently) {
+  // A v5 line goes through the strict reader...
+  obs::json::Value v5 = v5_document();
+  EXPECT_EQ(obs::parse_ledger_line(v5).cells.size(), 1u);
+  v5.object.emplace_back("surprise", obs::json::make_number(1));
+  EXPECT_THROW(obs::parse_ledger_line(v5), std::invalid_argument);
+  // ...an older one keeps the pre-v5 rules: unknown keys and absent fields
+  // are fine, the stage and cell shapes are not negotiable.
+  const auto old = obs::parse_ledger_line(obs::json::parse(
+      R"({"schema_version":2,"bench":"x","surprise":1,)"
+      R"("stages":[{"name":"a","seconds":1,"samples":[1]}]})"));
+  EXPECT_EQ(old.schema_version, 2);
+  EXPECT_EQ(old.stages[0].samples, (std::vector<double>{1.0}));
+  EXPECT_TRUE(old.cells.empty());
+  // A version outside 1-5 is neither a pre-v5 line nor a v5 one.
+  for (const char* version : {"0", "2.5", "-1e300", "6", "1e300"}) {
+    EXPECT_THROW(obs::parse_ledger_line(obs::json::parse(
+                     std::string(R"({"schema_version":)") + version +
+                     R"(,"bench":"x","stages":[{"name":"a","samples":[1]}]})")),
+                 std::invalid_argument)
+        << version;
   }
 }
 
@@ -538,11 +709,10 @@ obs::StageSamples stage(std::string name, std::vector<double> samples) {
   return s;
 }
 
-/// A telemetry document of stage draws seeded from `seed`, with the
-/// "corpus" stage scaled by `factor`.
-obs::BenchTelemetry demo_telemetry(std::uint64_t seed, double factor = 1.0) {
-  obs::BenchTelemetry t;
-  t.schema_version = 2;
+/// A run document of stage draws seeded from `seed`, with the "corpus"
+/// stage scaled by `factor`.
+obs::RunDocument demo_telemetry(std::uint64_t seed, double factor = 1.0) {
+  obs::RunDocument t;
   t.provenance.bench = "demo";
   t.provenance.git = "def";
   t.provenance.hostname = "m1";
@@ -557,7 +727,7 @@ obs::BenchTelemetry demo_telemetry(std::uint64_t seed, double factor = 1.0) {
 }
 
 TEST(BenchDiff, RunDiffFlagsOnlyTheSlowedStage) {
-  const obs::BenchTelemetry base = demo_telemetry(21);
+  const obs::RunDocument base = demo_telemetry(21);
   const auto run =
       obs::diff_telemetry(base, demo_telemetry(11, 2.0), test_config());
   EXPECT_TRUE(run.env_match);
@@ -568,9 +738,9 @@ TEST(BenchDiff, RunDiffFlagsOnlyTheSlowedStage) {
 }
 
 TEST(BenchDiff, StagesMissingOnEitherSideAreInconclusive) {
-  obs::BenchTelemetry base = demo_telemetry(1);
+  obs::RunDocument base = demo_telemetry(1);
   base.stages.push_back(stage("retired_stage", timing_draw(3, 8)));
-  obs::BenchTelemetry cand = demo_telemetry(11);
+  obs::RunDocument cand = demo_telemetry(11);
   cand.stages.push_back(stage("new_stage", timing_draw(4, 8)));
   const auto run = obs::diff_telemetry(base, cand, test_config());
   ASSERT_EQ(run.stages.size(), 4u);
@@ -593,9 +763,9 @@ TEST(BenchDiff, StagesMissingOnEitherSideAreInconclusive) {
 }
 
 TEST(BenchDiff, OneSidedStageReportsThePresentSideMedian) {
-  obs::BenchTelemetry base = demo_telemetry(1);
+  obs::RunDocument base = demo_telemetry(1);
   base.stages.push_back(stage("retired_stage", {0.3, 0.1, 0.2}));
-  obs::BenchTelemetry cand = demo_telemetry(11);
+  obs::RunDocument cand = demo_telemetry(11);
   cand.stages.push_back(stage("new_stage", {0.005, 0.004, 0.006, 0.009}));
   const std::vector<obs::RunDiff> runs = {
       obs::diff_telemetry(base, cand, test_config())};
@@ -629,7 +799,7 @@ TEST(BenchDiff, OneSidedStageReportsThePresentSideMedian) {
 }
 
 TEST(BenchDiff, EnvMismatchIsNotedButNeverDemotes) {
-  obs::BenchTelemetry base = demo_telemetry(21);
+  obs::RunDocument base = demo_telemetry(21);
   base.provenance.hostname = "other-machine";
 
   const auto run =
@@ -644,8 +814,8 @@ TEST(BenchDiff, EnvMismatchIsNotedButNeverDemotes) {
 }
 
 TEST(BenchDiff, ReportsNameTheVerdicts) {
-  obs::BenchTelemetry base = demo_telemetry(21);
-  obs::BenchTelemetry cand = demo_telemetry(11, 2.0);
+  obs::RunDocument base = demo_telemetry(21);
+  obs::RunDocument cand = demo_telemetry(11, 2.0);
   // A sub-millisecond series (a serving latency quantile) keeps four
   // significant digits in the median columns instead of rounding to 0.0004.
   base.stages.push_back(stage("lat.p50_s", std::vector<double>(8, 0.0003614)));

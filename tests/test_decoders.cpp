@@ -1,6 +1,7 @@
 // Mutation tests for every decoder of untrusted bytes: the serving
-// protocol's message bodies, checksummed files, model records, predictor
-// artifacts, telemetry JSON and measurement CSV.
+// protocol's framing and message bodies, checksummed files, model records,
+// predictor artifacts, JSON, run documents, ledger lines and measurement
+// CSV.
 //
 // Each test starts from one valid encoding and decodes kMutations mutants
 // of it, each made by one to three fixed-seed edits: bit flips, byte
@@ -14,6 +15,8 @@
 // replaced operator new below turns into a failure instead of a
 // multi-gigabyte request.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -21,6 +24,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <fstream>
 #include <new>
 #include <sstream>
 #include <stdexcept>
@@ -44,6 +48,8 @@
 #include "ml/serialize.hpp"
 #include "ml/tree.hpp"
 #include "obs/json.hpp"
+#include "obs/ledger.hpp"
+#include "obs/run_document.hpp"
 #include "serve/protocol.hpp"
 
 namespace {
@@ -169,6 +175,24 @@ std::string printable(const std::string& bytes) {
   return out;
 }
 
+// Decodes `bytes` under the allocation cap: "" when the decoder returned or
+// threw std::invalid_argument, else what went wrong.
+template <typename Decode>
+std::string decode_failure(Decode& decode, const std::string& bytes) {
+  std::string failure;
+  g_cap_hit.store(false);
+  g_cap_armed.store(true);
+  try {
+    decode(bytes);
+  } catch (const std::invalid_argument&) {
+  } catch (const std::exception& e) {
+    failure = std::string(typeid(e).name()) + ": " + e.what();
+  }
+  g_cap_armed.store(false);
+  if (g_cap_hit.load()) failure = "allocation above kAllocCap";
+  return failure;
+}
+
 // Decodes the valid encoding (which must succeed), then kMutations mutants
 // of it; `encode` maps a mutated body to the decoder's input bytes (the
 // identity, or re-checksumming).
@@ -182,17 +206,7 @@ void fuzz(const std::string& valid, std::uint64_t seed, Decode decode,
   Mutator mutator(seed);
   for (std::size_t i = 0; i < kMutations; ++i) {
     const std::string bytes = input(mutator.mutate(valid));
-    std::string failure;
-    g_cap_hit.store(false);
-    g_cap_armed.store(true);
-    try {
-      decode(bytes);
-    } catch (const std::invalid_argument&) {
-    } catch (const std::exception& e) {
-      failure = std::string(typeid(e).name()) + ": " + e.what();
-    }
-    g_cap_armed.store(false);
-    if (g_cap_hit.load()) failure = "allocation above kAllocCap";
+    const std::string failure = decode_failure(decode, bytes);
     ASSERT_TRUE(failure.empty())
         << "mutant " << i << " -> " << failure << "\ninput: "
         << printable(bytes);
@@ -206,6 +220,51 @@ std::string rechecksum(const std::string& body) {
 }
 
 // --- Serving protocol -----------------------------------------------------
+
+// The bytes arrive through a socketpair from a peer that sends them and
+// closes; every frame is read until the clean EOF or the first rejection.
+void read_frames(const std::string& bytes) {
+  int fd[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fd) != 0) {
+    throw std::runtime_error("socketpair failed");
+  }
+  const ssize_t sent = ::write(fd[0], bytes.data(), bytes.size());
+  ::close(fd[0]);
+  struct Closer {
+    int fd;
+    ~Closer() { ::close(fd); }
+  } closer{fd[1]};
+  if (sent != static_cast<ssize_t>(bytes.size())) {
+    throw std::runtime_error("short write to the socketpair");
+  }
+  while (serve::read_frame(fd[1]).has_value()) {
+  }
+}
+
+std::string length_prefix(std::uint32_t length) {
+  std::string out(4, '\0');
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<char>(length >> (8 * i));
+  return out;
+}
+
+TEST(Decoders, ReadFrame) {
+  const std::string stream =
+      serve::encode_frame(serve::MsgType::kPing, 1, "") +
+      serve::encode_frame(serve::MsgType::kSwap, 2, "demo\n/models/demo.vp") +
+      serve::encode_frame(serve::MsgType::kPredictOk, 3, "body");
+  fuzz(stream, 20, read_frames);
+  // A prefix that promises more than the peer sends: the buffer grows with
+  // the bytes that arrive, not with the promise.
+  const auto decode = read_frames;
+  for (const std::uint32_t length :
+       {serve::kMaxFramePayload - 1, serve::kMaxFramePayload,
+        serve::kMaxFramePayload + 1, std::uint32_t{8u << 20}}) {
+    for (const std::string& tail : {std::string(), std::string(9, '\x01')}) {
+      EXPECT_EQ(decode_failure(decode, length_prefix(length) + tail), "")
+          << "prefix " << length << " + " << tail.size() << " bytes";
+    }
+  }
+}
 
 TEST(Decoders, PredictRequest) {
   serve::PredictRequest req;
@@ -418,7 +477,7 @@ TEST(Decoders, CrossSystemPredictor) {
       rechecksum);
 }
 
-// --- Telemetry and measurement documents ------------------------------------
+// --- Run documents, ledgers and measurement documents -------------------------
 
 TEST(Decoders, Json) {
   const std::string doc = R"({
@@ -429,6 +488,37 @@ TEST(Decoders, Json) {
  "metrics": {"counters": {"fixture.events": 42}, "gauges": {}}
 })";
   fuzz(doc, 17, [](const std::string& b) { obs::json::parse(b); });
+}
+
+std::string fixture(const std::string& name) {
+  std::ifstream in(std::string(VARPRED_TEST_DATA_DIR) + "/" + name);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(Decoders, RunDocument) {
+  fuzz(fixture("telemetry_v5.json"), 21, [](const std::string& b) {
+    obs::parse_run_document(obs::json::parse(b));
+  });
+}
+
+TEST(Decoders, LedgerLines) {
+  // One line of each family a ledger holds: v1 quality, v2 timing, v3
+  // timing (with the v1 "seconds" total and quantiles), v5.
+  std::string ledger =
+      fixture("quality_baseline.jsonl") + fixture("bench_diff_baseline.jsonl");
+  for (const char* doc : {"telemetry_v3.json", "telemetry_v5.json"}) {
+    ledger += obs::json::dump(obs::json::parse(fixture(doc))) + "\n";
+  }
+  const std::string path = ::testing::TempDir() + "decoders_ledger.jsonl";
+  fuzz(ledger, 22, [&](const std::string& b) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << b;
+    obs::for_each_document(path, [](const obs::json::Value& doc) {
+      obs::parse_ledger_line(doc);
+    });
+  });
+  std::remove(path.c_str());
 }
 
 TEST(Decoders, Csv) {

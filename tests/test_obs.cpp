@@ -21,7 +21,7 @@
 #include "obs/hdr.hpp"
 #include "obs/json.hpp"
 #include "obs/obs.hpp"
-#include "obs/telemetry.hpp"
+#include "obs/run_document.hpp"
 
 namespace varpred {
 namespace {
@@ -857,21 +857,18 @@ TEST(ObsSinks, PrometheusNamesMapOtherCharactersToUnderscore) {
 }
 
 // ---------------------------------------------------------------------------
-// Telemetry reader: one stage shape, a numeric "samples" array
-
-#ifndef VARPRED_TEST_DATA_DIR
-#define VARPRED_TEST_DATA_DIR "tests/data"
-#endif
+// Pre-v5 fixtures read only as ledger lines: one stage shape, a numeric
+// "samples" array.
 
 TEST(ObsTelemetry, RejectsV1FixtureWithoutSamples) {
   // A v1 stage is {"name", "seconds"}: a point, not a sample vector.
-  EXPECT_THROW(obs::parse_bench_telemetry(obs::json::parse_file(
+  EXPECT_THROW(obs::parse_ledger_line(obs::json::parse_file(
                    std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v1.json")),
                std::invalid_argument);
 }
 
 TEST(ObsTelemetry, LoadsV2FixtureWithoutQuantiles) {
-  const auto t = obs::parse_bench_telemetry(obs::json::parse_file(
+  const auto t = obs::parse_ledger_line(obs::json::parse_file(
       std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v2.json"));
   EXPECT_EQ(t.schema_version, 2);
   EXPECT_EQ(t.provenance.bench, "fixture_v2");
@@ -885,7 +882,7 @@ TEST(ObsTelemetry, LoadsV2FixtureWithoutQuantiles) {
 TEST(ObsTelemetry, LoadsV3FixtureWithQuantiles) {
   // The per-stage p50..p999 the harness writes are not part of what the
   // reader returns: the samples are the distribution.
-  const auto t = obs::parse_bench_telemetry(obs::json::parse_file(
+  const auto t = obs::parse_ledger_line(obs::json::parse_file(
       std::string(VARPRED_TEST_DATA_DIR) + "/telemetry_v3.json"));
   EXPECT_EQ(t.schema_version, 3);
   EXPECT_EQ(t.provenance.bench, "fixture_v3");

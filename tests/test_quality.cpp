@@ -144,10 +144,10 @@ TEST(QualityRecorder, RecordPredictionScoresEmitsAllThreeMetrics) {
   EXPECT_GT(cells[2].samples[0], 0.7);
 }
 
-obs::QualityDocument make_document(
+obs::RunDocument make_document(
     const std::string& bench,
     std::vector<obs::QualityCell> cells) {
-  obs::QualityDocument doc;
+  obs::RunDocument doc;
   doc.provenance.bench = bench;
   doc.provenance.git = "deadbeef";
   doc.provenance.hostname = "testhost";
@@ -162,15 +162,15 @@ obs::QualityDocument make_document(
 }
 
 TEST(QualityDocument, JsonRoundTripPreservesKeysAndSamples) {
-  const obs::QualityDocument doc = make_document(
+  const obs::RunDocument doc = make_document(
       "bench_x",
       {{{"376.kdtree", "amd->intel", "Histogram", "RF", "ks", "probes=8"},
         {0.125, 0.25, 0.5}},
        {{"*", "intel", "PyMaxEnt", "kNN", "wasserstein1_normalized", ""},
         {0.5, kInf, -kInf, std::nan("")}}});
-  const std::string text = obs::quality_document_json(doc);
-  const obs::QualityDocument back =
-      obs::parse_quality_document(obs::json::parse(text));
+  const std::string text = obs::run_document_json(doc);
+  const obs::RunDocument back =
+      obs::parse_run_document(obs::json::parse(text));
 
   EXPECT_EQ(back.schema_version, doc.schema_version);
   EXPECT_EQ(back.provenance.bench, "bench_x");
@@ -187,18 +187,24 @@ TEST(QualityDocument, JsonRoundTripPreservesKeysAndSamples) {
   EXPECT_TRUE(std::isnan(back.cells[1].samples[3]));
 }
 
+// Pre-v5 quality lines go through the ledger reader's lenient rules; each
+// of these is rejected there, and by the strict reader.
 TEST(QualityDocument, ParseRejectsMalformedDocuments) {
-  EXPECT_THROW(obs::parse_quality_document(obs::json::parse("[1,2]")),
-               std::invalid_argument);
-  EXPECT_THROW(obs::parse_quality_document(obs::json::parse("{\"cells\":[]}")),
-               std::invalid_argument);  // no bench
-  EXPECT_THROW(
-      obs::parse_quality_document(obs::json::parse("{\"bench\":\"b\"}")),
-      std::invalid_argument);  // no cells
-  EXPECT_THROW(obs::parse_quality_document(obs::json::parse(
-                   "{\"bench\":\"b\",\"cells\":[{\"metric\":\"ks\","
-                   "\"samples\":[\"bogus\"]}]}")),
-               std::invalid_argument);  // non-sentinel string sample
+  for (const char* doc :
+       {"[1,2]",
+        "{\"cells\":[]}",  // no bench
+        "{\"bench\":\"b\"}",  // no cells
+        "{\"bench\":\"b\",\"cells\":[{\"samples\":[0.1]}]}",  // no metric
+        // non-sentinel string sample
+        "{\"bench\":\"b\",\"cells\":[{\"metric\":\"ks\","
+        "\"samples\":[\"bogus\"]}]}"}) {
+    EXPECT_THROW(obs::parse_ledger_line(obs::json::parse(doc)),
+                 std::invalid_argument)
+        << doc;
+    EXPECT_THROW(obs::parse_run_document(obs::json::parse(doc)),
+                 std::invalid_argument)
+        << doc;
+  }
 }
 
 // Property test for the json layer underneath: make_number/numeric_value
@@ -244,19 +250,18 @@ TEST(Ledger, QualityDocumentsRoundTripAndLatestPerBench) {
   doc2.provenance.git = "cafef00d";
   auto other = make_document(
       "bench_b", {{{"*", "amd", "r", "m", "ks", ""}, {0.4}}});
-  for (const obs::QualityDocument* doc : {&doc1, &other, &doc2}) {
-    obs::append_ledger(path,
-                       obs::json::parse(obs::quality_document_json(*doc)));
+  for (const obs::RunDocument* doc : {&doc1, &other, &doc2}) {
+    obs::append_ledger(path, obs::json::parse(obs::run_document_json(*doc)));
   }
 
-  std::vector<obs::QualityDocument> docs;
+  std::vector<obs::RunDocument> docs;
   obs::for_each_document(path, [&](const obs::json::Value& doc) {
-    docs.push_back(obs::parse_quality_document(doc));
+    docs.push_back(obs::parse_ledger_line(doc));
   });
   ASSERT_EQ(docs.size(), 3u);
   const auto latest = obs::latest_per_bench(docs);
   ASSERT_EQ(latest.size(), 2u);
-  const obs::QualityDocument& got = *latest[0];
+  const obs::RunDocument& got = *latest[0];
   EXPECT_EQ(got.provenance.bench, "bench_a");
   EXPECT_EQ(got.provenance.git, "cafef00d");
   EXPECT_EQ(got.provenance.hostname, "testhost");
@@ -387,7 +392,7 @@ TEST(QualityDiff, VerdictIndependentOfCellOrder) {
 /// "predicts" draws from the same law (bias=1.0) or a biased one. Records
 /// through the real recorder so the e2e covers record -> snapshot ->
 /// document -> diff.
-obs::QualityDocument pipeline_document(std::uint64_t seed, double bias,
+obs::RunDocument pipeline_document(std::uint64_t seed, double bias,
                                        std::size_t repetitions) {
   RecorderGuard guard;
   for (std::size_t rep = 0; rep < repetitions; ++rep) {
@@ -463,8 +468,8 @@ TEST(QualityReference, TwoLineLedgerComparesEachCellOnceAgainstLatest) {
   old_ref.provenance.git = "first";
   auto new_ref = make_document("paper_reference", {{kKsKey, {0.241}}});
   new_ref.provenance.git = "published";
-  const std::vector<obs::QualityDocument> reference{old_ref, new_ref};
-  const std::vector<obs::QualityDocument> candidates{make_document(
+  const std::vector<obs::RunDocument> reference{old_ref, new_ref};
+  const std::vector<obs::RunDocument> candidates{make_document(
       "cli_evaluate", {{kKsKey, {0.23, 0.24}}, {kOvlKey, {0.6, 0.61}}})};
 
   const auto diffs =
@@ -478,7 +483,7 @@ TEST(QualityReference, TwoLineLedgerComparesEachCellOnceAgainstLatest) {
   EXPECT_EQ(diffs[0].verdict, obs::Verdict::kUnchanged);
 
   // No shared cell, no diff.
-  const std::vector<obs::QualityDocument> unrelated{
+  const std::vector<obs::RunDocument> unrelated{
       make_document("other", {{kW1Key, {0.5}}})};
   EXPECT_TRUE(
       obs::diff_against_reference(reference, unrelated, test_config())

@@ -58,10 +58,10 @@ struct Args {
   std::string command;
   std::map<std::string, std::string> options;
   /// Telemetry flags shared with the bench harnesses (--obs=, --obs-out=,
-  /// --quality-out=, --repeat=). When any is present the command runs under
-  /// bench::run_repeated and emits BENCH_cli_<command>.json /
-  /// QUALITY_cli_<command>.json; otherwise the CLI behaves exactly as
-  /// before (no telemetry files, no extra output).
+  /// --repeat=). When any is present the command runs under
+  /// bench::run_repeated and emits the run document
+  /// BENCH_cli_<command>.json; otherwise the CLI behaves exactly as before
+  /// (no telemetry file, no extra output).
   bench::HarnessArgs harness;
   bool telemetry = false;
 
@@ -84,7 +84,6 @@ struct Args {
 
 bool is_telemetry_flag(const std::string& token) {
   return starts_with(token, "--obs=") || starts_with(token, "--obs-out=") ||
-         starts_with(token, "--quality-out=") ||
          starts_with(token, "--repeat=");
 }
 
@@ -476,8 +475,8 @@ void usage() {
       "            [--train-benchmarks=N] [--runs=N] [--probes=N]\n"
       "            [--exhaustive]  also measure every config, report regret\n"
       "telemetry (any of these runs the command under the bench harness and\n"
-      "emits BENCH_cli_<command>.json + QUALITY_cli_<command>.json):\n"
-      "  --obs=off|summary|trace --obs-out=F --quality-out=F --repeat=N\n");
+      "emits the run document BENCH_cli_<command>.json):\n"
+      "  --obs=off|summary|trace --obs-out=F --repeat=N\n");
 }
 
 /// One command invocation. `run` is non-null only under the telemetry
